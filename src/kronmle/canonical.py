@@ -34,7 +34,6 @@ class CanonicalForm:
     C: object  # m1 x k
     D: object  # (n*m2) x k, D^T = [C^T | -I_k]
     Dab: tuple  # k x k grid of m2 x m2 matrices
-    det_ystar: object  # det of the eliminated block, for likelihood bookkeeping
 
     @property
     def is_exact(self):
@@ -68,15 +67,14 @@ def canonicalize(sample):
     m1, m2, n = sample.m1, sample.m2, sample.n
     if sample.is_exact:
         ystar = y.submatrix(range(m1), range(m1))
-        det_ystar = ystar.det()
-        if det_ystar == 0:
-            raise DegenerateData("left m1 x m1 block is singular")
-        c = ystar.solve(y.submatrix(range(m1), range(m1, n * m2)))
+        try:
+            c = ystar.solve(y.submatrix(range(m1), range(m1, n * m2)))
+        except SingularMatrix:
+            raise DegenerateData("left m1 x m1 block is singular") from None
         d = c.vstack(Matrix.identity(k).scale(-1))
     else:
         ystar = y[:, :m1]
-        det_ystar = float(np.linalg.det(ystar))
-        if det_ystar == 0 or np.linalg.cond(ystar) > 1e14:
+        if np.linalg.cond(ystar) > 1e14:
             raise DegenerateData("left m1 x m1 block is singular")
         c = np.linalg.solve(ystar, y[:, m1:])
         d = np.vstack([c, -np.eye(k)])
@@ -84,9 +82,7 @@ def canonicalize(sample):
     dab = tuple(
         tuple(_dab_entry(d, m2, n, a, b) for b in range(k)) for a in range(k)
     )
-    return CanonicalForm(
-        m1=m1, m2=m2, n=n, k=k, C=c, D=d, Dab=dab, det_ystar=det_ystar
-    )
+    return CanonicalForm(m1=m1, m2=m2, n=n, k=k, C=c, D=d, Dab=dab)
 
 
 def _dab_entry(d, m2, n, a, b):
@@ -131,12 +127,11 @@ def det_reduction_check(cf, k_mat):
     """
     n = cf.n
     if cf.is_exact:
-        if k_mat.det() == 0:
-            raise SingularMatrix("K must be nonsingular")
+        k_inv = k_mat.inverse()  # raises SingularMatrix when K is singular
         ident_kron_k = Matrix.identity(n).kron(k_mat)
         y = Matrix.identity(cf.m1).hstack(cf.C)
         lhs = (y @ ident_kron_k @ y.transpose()).det()
-        inner = cf.D.transpose() @ Matrix.identity(n).kron(k_mat.inverse()) @ cf.D
+        inner = cf.D.transpose() @ Matrix.identity(n).kron(k_inv) @ cf.D
         rhs = k_mat.det() ** n * inner.det()
         return lhs, rhs
     k_arr = np.asarray(k_mat, dtype=float)

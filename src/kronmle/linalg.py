@@ -1,10 +1,11 @@
 """Dense linear algebra over exact rationals and binary64 floats.
 
 The exact side is a small immutable ``Matrix`` class over
-``fractions.Fraction`` (Bareiss determinants, exact Gauss-Jordan solves).
-The float side dispatches to numpy.  Both sides share the same text
-serialization: a "rows cols" header line followed by whitespace-separated
-rows, rationals written as ``p/q``.
+``fractions.Fraction`` whose determinant, solve, inverse and PD test share
+one fraction-free integer elimination, dividing once at the end.  The float
+side dispatches to numpy.  Both sides share the same text serialization: a
+"rows cols" header line followed by whitespace-separated rows, rationals
+written as ``p/q``.
 """
 
 from __future__ import annotations
@@ -65,10 +66,6 @@ class Matrix:
     @classmethod
     def column(cls, entries):
         return cls([[x] for x in entries])
-
-    @classmethod
-    def from_numpy(cls, a):
-        return cls([[Fraction(x).limit_denominator(10**12) for x in row] for row in a])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -158,58 +155,25 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
 
     def det(self):
-        """Exact determinant by fraction-free Bareiss elimination."""
+        """Exact determinant: the sign times the last Bareiss pivot, unscaled."""
         self._check_square()
-        n = self.rows
-        # Clear denominators so the Bareiss recurrence stays over integers.
-        denom_lcm = Fraction(1)
-        for row in self.data:
-            for x in row:
-                denom_lcm = Fraction(
-                    denom_lcm.numerator * x.denominator
-                    // math.gcd(denom_lcm.numerator, x.denominator)
-                )
-        a = [[int(x * denom_lcm) for x in row] for row in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return Fraction(0)
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return Fraction(sign * a[n - 1][n - 1]) / denom_lcm**n
+        pivots, swaps, _, scale = _bareiss(self.data, self.cols)
+        if len(pivots) < self.rows:
+            return Fraction(0)
+        return Fraction((-1) ** swaps * pivots[-1], scale)
 
     def solve(self, rhs):
-        """Exact solve of self @ X = rhs by Gauss-Jordan with partial pivoting."""
+        """Exact solve of self @ X = rhs by one fraction-free pass over [A | B]."""
         self._check_square()
         if rhs.rows != self.rows:
             raise ValueError("rhs row count mismatch")
         n = self.rows
-        aug = [list(ra) + list(rb) for ra, rb in zip(self.data, rhs.data)]
-        width = n + rhs.cols
-        for col in range(n):
-            pivot_row = next(
-                (i for i in range(col, n) if aug[i][col] != 0), None
-            )
-            if pivot_row is None:
-                raise SingularMatrix("exact rank deficiency")
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-            piv = aug[col][col]
-            aug[col] = [x / piv for x in aug[col]]
-            for i in range(n):
-                if i != col and aug[i][col] != 0:
-                    f = aug[i][col]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-        return Matrix([row[n:width] for row in aug])
+        pivots, _, reduced, _ = _bareiss(
+            [ra + rb for ra, rb in zip(self.data, rhs.data)], n, reduce_above=True
+        )
+        if len(pivots) < n:
+            raise SingularMatrix("exact rank deficiency")
+        return Matrix([[Fraction(x, pivots[-1]) for x in row[n:]] for row in reduced])
 
     def inverse(self):
         return self.solve(Matrix.identity(self.rows))
@@ -218,14 +182,52 @@ class Matrix:
         return _kron_exact(self, other)
 
     def is_positive_definite(self):
-        """Exact PD test via leading principal minors (requires symmetry)."""
+        """Exact PD test via leading principal minors (requires symmetry).
+
+        Without a row swap the Bareiss pivots are the leading principal
+        minors, each times a positive row scale; a swap means a zero minor.
+        """
         if not self.is_symmetric():
             return False
-        idx = list(range(self.rows))
-        for m in range(1, self.rows + 1):
-            if self.submatrix(idx[:m], idx[:m]).det() <= 0:
-                return False
-        return True
+        pivots, swaps, _, _ = _bareiss(self.data, self.cols)
+        return len(pivots) == self.rows and not swaps and all(p > 0 for p in pivots)
+
+
+def _bareiss(rows, ncols, reduce_above=False):
+    """Fraction-free (Bareiss 1968) elimination of rational rows.
+
+    Rows are scaled by the lcm of their denominators, so the work is over
+    ints and every division is exact.  Pivots come from the first `ncols`
+    columns; a column without one is skipped.  reduce_above also clears the
+    rows above each pivot (Gauss-Jordan), leaving a full-rank square block
+    as d * I, d the last pivot.  Returns (pivots, row swaps, reduced rows,
+    product of row scales); det of the scaled block is (-1)**swaps * d.
+    """
+    scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
+    a = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(rows, scales)]
+    swaps = 0
+    pivots = []
+    prev = 1
+    for k in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][k]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            swaps += 1
+        prow = a[r]
+        p = prow[k]
+        for i in range(0 if reduce_above else r + 1, len(a)):
+            if i != r:
+                row = a[i]
+                f = row[k]
+                # Below the pivot row, columns left of k are already zero.
+                j = 0 if i < r else k
+                row[j:] = [(p * x - f * y) // prev for x, y in zip(row[j:], prow[j:])]
+        pivots.append(p)
+        prev = p
+    return pivots, swaps, a, math.prod(scales)
 
 
 def _kron_exact(a, b):

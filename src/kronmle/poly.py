@@ -305,7 +305,9 @@ def poly_gcd(p, q):
         if r.is_zero():
             a, b = b, r
             break
-        a, b = b, exact_divide(r, _content_in(r, x))
+        # The integer content must go too, or it grows exponentially along
+        # the sequence (Brown-Traub 1971); _content_in is 1 in one variable.
+        a, b = b, exact_divide(r, _content_in(r, x)).primitive()
     if not b.is_zero():
         # Nonzero remainder of degree 0 in x: primitive parts are coprime.
         pp_gcd = Poly.constant(p.vars, 1)

@@ -12,9 +12,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .canonical import canonicalize
+from .canonical import DegenerateData, canonicalize
 from .linalg import Matrix, NotPD, cholesky, format_matrix
-from .model import kron_loglik, profile_k1, scatter_k1, scatter_k2
+from .model import kron_loglik, profile_k1, scatter_k1, scatter_k2, thresholds
 
 
 class WrongRegime(Exception):
@@ -124,8 +124,12 @@ def flipflop(sample, init_k2=None, tol=1e-10, max_iter=10000, callback=None):
     converged = False
     sweeps = 0
     for sweep in range(1, max_iter + 1):
-        k1 = np.linalg.inv(scatter_k2(sample, k2) / (sample.n * sample.m2))
-        k2_new = np.linalg.inv(scatter_k1(sample, k1) / (sample.n * sample.m1))
+        try:
+            k1 = np.linalg.inv(scatter_k2(sample, k2) / (sample.n * sample.m2))
+            k2_new = np.linalg.inv(scatter_k1(sample, k1) / (sample.n * sample.m1))
+        except np.linalg.LinAlgError:
+            # With K1, K2 PD only linearly dependent data rows or columns do this.
+            raise DegenerateData("singular scatter matrix") from None
         k2_new, k1 = normalize_det1(k2_new, k1)
         delta = float(np.abs(k2_new - k2).max())
         k2 = k2_new
@@ -151,6 +155,8 @@ def mle(sample, tol=1e-10, max_iter=10000):
     """Front end: closed form when k = 1, flip-flop with identity init otherwise."""
     if sample.k == 1:
         return exact_mle_k1(sample)
+    if sample.n < thresholds(sample.m1, sample.m2).lower:
+        raise MLENotExists(f"n = {sample.n} is below max(m1/m2, m2/m1)")
     return flipflop(sample, tol=tol, max_iter=max_iter)
 
 

@@ -84,18 +84,23 @@ class TestMle:
         assert "method: flipflop" in stdout
 
     def test_nonexistence_exit_code(self, tmp_path, capsys):
-        path = self.write_sample(tmp_path, 5, 3, 2, seed=6)  # k = 1, n < m2
-        code, _, err = run(capsys, "mle", "--in", str(path))
-        assert code == EXIT_NO_MLE
-        assert "MLE does not exist" in err
+        # k = 1 with n < m2, and n*m2 < m1 (flip-flop regime, k < 0)
+        for m1, m2, n in [(5, 3, 2), (20, 3, 4)]:
+            path = self.write_sample(tmp_path, m1, m2, n, seed=6)
+            code, _, err = run(capsys, "mle", "--in", str(path))
+            assert code == EXIT_NO_MLE
+            assert "MLE does not exist" in err
 
     def test_degenerate_exit_code(self, tmp_path, capsys):
-        # all-zero data has a singular leading block
-        text = "3 2 2\n3 4\n" + "\n".join("0 0 0 0" for _ in range(3)) + "\n"
-        path = tmp_path / "zero.txt"
-        path.write_text(text)
-        code, _, err = run(capsys, "mle", "--in", str(path))
-        assert code == EXIT_DEGENERATE
+        # all-zero data: a singular leading block (k = 1) or a singular
+        # scatter in the first flip-flop sweep (k = 6)
+        for m1, m2, n in [(3, 2, 2), (12, 6, 3)]:
+            rows = "\n".join(" ".join(["0"] * (n * m2)) for _ in range(m1))
+            path = tmp_path / "zero.txt"
+            path.write_text(f"{m1} {m2} {n}\n{m1} {n * m2}\n{rows}\n")
+            code, _, err = run(capsys, "mle", "--in", str(path))
+            assert code == EXIT_DEGENERATE
+            assert "degenerate data" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "mle", "--in", "/nonexistent/sample.txt")

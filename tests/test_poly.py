@@ -140,6 +140,31 @@ class TestGcd:
             # h divides the gcd
             exact_divide(g, h.primitive())  # raises if not
 
+    def test_prs_coefficients_stay_small(self, monkeypatch):
+        import kronmle.poly
+
+        rng = np.random.default_rng(0)
+        _, y = x_y()
+
+        def univariate(deg):
+            coeffs = [int(c) for c in rng.integers(-9, 10, deg)] + [1]
+            return sum((c * y**i for i, c in enumerate(coeffs)), Poly.constant(VARS, 0))
+
+        h = y**2 + 3 * y - 5
+        p, q = h * univariate(12), h * univariate(11)
+        bits = []
+        pseudo_rem = kronmle.poly._pseudo_rem
+
+        def recording(a, b, x):
+            r = pseudo_rem(a, b, x)
+            bits.extend(abs(c.numerator).bit_length() for c in r.terms.values())
+            return r
+
+        monkeypatch.setattr(kronmle.poly, "_pseudo_rem", recording)
+        assert poly_gcd(p, q) == h
+        # Without removing the integer content they reach about 30000 bits.
+        assert 0 < max(bits) < 512
+
     def test_normalization(self):
         x, _ = x_y()
         g = poly_gcd(-2 * x - 2, -4 * x - 4)

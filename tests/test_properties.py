@@ -2,19 +2,66 @@
 
 from fractions import Fraction
 
+import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kronmle.linalg import Matrix, SingularMatrix
+from kronmle.linalg import Matrix, SingularMatrix, _bareiss
 from kronmle.poly import Poly, exact_divide, poly_gcd
 
 entries = st.integers(min_value=-9, max_value=9)
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+sizes = st.integers(min_value=1, max_value=5)
 
 
-def square_matrices(n):
+def row_lists(n, count, elements):
     return st.lists(
-        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
-    ).map(Matrix)
+        st.lists(elements, min_size=n, max_size=n), min_size=count, max_size=count
+    )
+
+
+def square_matrices(n, elements=entries):
+    return row_lists(n, n, elements).map(Matrix)
+
+
+rational_matrices = sizes.flatmap(lambda n: square_matrices(n, rationals))
+
+
+@st.composite
+def systems(draw):
+    """A rational square matrix and a right-hand side of 1 to 3 columns."""
+    a = draw(rational_matrices)
+    b = Matrix(draw(row_lists(draw(st.integers(1, 3)), a.rows, rationals)))
+    return a, b
+
+
+@st.composite
+def singular_matrices(draw):
+    """One row a rational combination of the others, at a drawn position."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    rows = draw(row_lists(n, n - 1, rationals))
+    coeffs = draw(st.lists(rationals, min_size=n - 1, max_size=n - 1))
+    dependent = [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0)) for j in range(n)]
+    rows.insert(draw(st.integers(min_value=0, max_value=n - 1)), dependent)
+    return Matrix(rows)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """PD (A A^T + I), indefinite (A + A^T), or A + A^T with a zero first pivot."""
+    a = draw(rational_matrices)
+    kind = draw(st.sampled_from(["pd", "indefinite", "zero_first_pivot"]))
+    if kind == "pd":
+        return a @ a.transpose() + Matrix.identity(a.rows)
+    rows = [list(r) for r in (a + a.transpose()).data]
+    if kind == "zero_first_pivot":
+        rows[0][0] = 0
+    return Matrix(rows)
+
+
+def to_sympy(m):
+    return sympy.Matrix([[sympy.Rational(x) for x in row] for row in m.data])
 
 
 coeffs = st.fractions(
@@ -70,6 +117,42 @@ class TestMatrixProperties:
         except SingularMatrix:
             return
         raise AssertionError("singular matrix inverted")
+
+
+class TestEliminationAgainstSympy:
+    @given(systems())
+    @settings(max_examples=60, deadline=None)
+    def test_det_solve_inverse(self, ab):
+        a, b = ab
+        sa = to_sympy(a)
+        det = sa.det()
+        assert sympy.Rational(a.det()) == det
+        if det == 0:
+            return
+        assert to_sympy(a.solve(b)) == sa.LUsolve(to_sympy(b))
+        assert to_sympy(a.inverse()) == sa.inv()
+
+    @given(singular_matrices(), st.integers(min_value=1, max_value=3))
+    @settings(max_examples=40, deadline=None)
+    def test_singular_matrices_raise(self, a, cols):
+        assert a.det() == 0 == to_sympy(a).det()
+        # In the transpose a column can depend on earlier ones; it gets no pivot.
+        rank = to_sympy(a).rank()
+        assert len(_bareiss(a.data, a.cols)[0]) == len(_bareiss(a.transpose().data, a.cols)[0]) == rank
+        with pytest.raises(SingularMatrix):
+            a.inverse()
+        with pytest.raises(SingularMatrix):
+            a.solve(Matrix.zeros(a.rows, cols))
+
+    @given(symmetric_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_positive_definite_symmetric(self, s):
+        assert s.is_positive_definite() == to_sympy(s).is_positive_definite
+
+    @given(rational_matrices)
+    @settings(max_examples=30, deadline=None)
+    def test_positive_definite_needs_symmetry(self, a):
+        assert a.is_positive_definite() == (a.is_symmetric() and to_sympy(a).is_positive_definite)
 
 
 class TestPolyProperties:
