@@ -62,21 +62,21 @@ def cmd_mle(args):
         sample = parse_sample_set(fh.read())
     est = mle(sample, tol=args.tol, max_iter=args.max_iter)
     if sample.k == 1:
-        # Compare flip-flop sweeps against the closed-form solution.
+        # Compare flip-flop sweeps from the identity against the closed form.
         exact_k2 = est.k2
         deviations = {}
 
         def record(sweep, k1, k2):
             deviations[sweep] = float(np.abs(k2 - exact_k2).max())
 
-        flipflop(sample, tol=0.0, max_iter=min(args.max_iter, 500), callback=record)
+        flipflop(sample, tol=args.tol, max_iter=min(args.max_iter, 500), callback=record)
         print("sweep  max-abs deviation from exact K2")
         report_at = [1, 2, 3, 5, 10, 20, 50, 100, 200, 500]
-        for sweep in report_at:
-            if sweep in deviations:
-                print(f"{sweep:5d}  {deviations[sweep]:.3e}")
+        for sweep in sorted({s for s in report_at if s in deviations} | {max(deviations)}):
+            print(f"{sweep:5d}  {deviations[sweep]:.3e}")
     print(f"method: {est.method}")
     print(f"iterations: {est.iterations}  converged: {est.converged}")
+    print(f"residual: {est.residual:.3e}  stop: {est.stop_reason}")
     print(f"loglik: {est.loglik:.6f}")
     text = format_estimate(est, sample.m1, sample.m2)
     if args.out:

@@ -323,7 +323,8 @@ def format_matrix(a):
 def parse_matrix(lines, exact=False):
     """Parse the shared text format from an iterator of lines.
 
-    Returns a Matrix when exact=True, else a float ndarray.
+    Returns a Matrix when exact=True, else a float ndarray.  NaN and
+    infinite entries (including floats that overflow) raise ValueError.
     """
     it = iter(lines)
     header = next(it).split()
@@ -333,10 +334,17 @@ def parse_matrix(lines, exact=False):
         toks = next(it).split()
         if len(toks) != c:
             raise ValueError("bad matrix row width")
-        if exact:
-            rows.append([Fraction(t) for t in toks])
-        else:
-            rows.append([float(Fraction(t)) if "/" in t else float(t) for t in toks])
+        try:
+            if exact:
+                rows.append([Fraction(t) for t in toks])
+            else:
+                rows.append([float(Fraction(t)) if "/" in t else float(t) for t in toks])
+        except ZeroDivisionError:
+            raise ValueError("non-finite matrix entry: zero denominator") from None
     if exact:
-        return Matrix(rows)
-    return np.array(rows)
+        return Matrix(rows)  # Fraction() already rejects "nan" and "inf"
+    out = np.array(rows)
+    bad = out[~np.isfinite(out)]
+    if bad.size:
+        raise ValueError(f"non-finite matrix entry {bad[0]}")
+    return out

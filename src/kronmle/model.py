@@ -11,6 +11,7 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,11 @@ class SampleSet:
             return out
         return np.hstack(self.data)
 
+    @cached_property
+    def stacked(self):
+        """The concatenation as one C-contiguous float array, built once per sample."""
+        return np.ascontiguousarray(self.to_float().concatenated())
+
     def to_float(self):
         if not self.is_exact:
             return self
@@ -95,23 +101,25 @@ def gaussian_loglik(s, k_mat, n):
 
 
 def scatter_k2(sample, k2):
-    """The m1 x m1 matrix sum_i Yi K2 Yi^T."""
-    k2 = _as_array(k2)
-    ys = [_as_array(y) for y in sample.data]
-    out = np.zeros((sample.m1, sample.m1))
-    for y in ys:
-        out += y @ k2 @ y.T
-    return out
+    """The m1 x m1 matrix sum_i Yi K2 Yi^T, symmetrized.
+
+    One GEMM pair over the stacked data: the rows of Y reshaped to
+    (m1*n, m2) are the rows of every Yi, so multiplying them by K2 and
+    reshaping back gives [Y1 K2 | ... | Yn K2], whose product with Y^T is
+    the sum.
+    """
+    m1, m2, n = sample.m1, sample.m2, sample.n
+    y = sample.stacked
+    out = (y.reshape(m1 * n, m2) @ _as_array(k2)).reshape(m1, n * m2) @ y.T
+    return (out + out.T) / 2
 
 
 def scatter_k1(sample, k1):
-    """The m2 x m2 matrix sum_i Yi^T K1 Yi."""
-    k1 = _as_array(k1)
-    ys = [_as_array(y) for y in sample.data]
-    out = np.zeros((sample.m2, sample.m2))
-    for y in ys:
-        out += y.T @ k1 @ y
-    return out
+    """The m2 x m2 matrix sum_i Yi^T K1 Yi, symmetrized (same layout as scatter_k2)."""
+    m1, m2, n = sample.m1, sample.m2, sample.n
+    y = sample.stacked
+    out = y.reshape(m1 * n, m2).T @ (_as_array(k1) @ y).reshape(m1 * n, m2)
+    return (out + out.T) / 2
 
 
 def kron_loglik(sample, k1, k2):

@@ -7,14 +7,14 @@ freedom of the Kronecker factorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .canonical import DegenerateData, canonicalize
 from .linalg import Matrix, NotPD, cholesky, format_matrix
-from .model import kron_loglik, profile_k1, scatter_k1, scatter_k2, thresholds
+from .model import kron_loglik, scatter_k1, scatter_k2, thresholds
 
 
 class WrongRegime(Exception):
@@ -38,6 +38,10 @@ class KroneckerEstimate:
     k2_exact: Matrix | None = None
     det_k2_exact: object = None
     loglik_history: tuple = field(default_factory=tuple)
+    # Affine-invariant residual of (k1, k2) and why the iteration stopped:
+    # "converged", "stalled" or "max_iter" (see flipflop).
+    residual: float = 0.0
+    stop_reason: str = "converged"
 
 
 def normalize_det1(k2, k1=None):
@@ -52,13 +56,15 @@ def normalize_det1(k2, k1=None):
     return k2 / c, np.asarray(k1, dtype=float) * c
 
 
-def exact_mle_k1(sample):
+def exact_mle_k1(sample, tol=1e-10, max_iter=10000):
     """Closed-form Kronecker MLE in the k = 1 regime (n*m2 = m1 + 1).
 
     Recipe: split Y = [Y_* | y], form v = (Y_*^-1 y, -1), cut v into n
     blocks v_i of length m2, and set K2 = sum_i v_i v_i^T; K1 is the
     profile maximizer at K2.  Exists iff n >= m2 and K2 is PD; over
-    rational data the unnormalized pair is exactly rational.
+    rational data the unnormalized pair is exactly rational.  On float
+    data the closed-form K2 is handed to flipflop (with tol and max_iter)
+    as its start, so the estimate carries flipflop's residual guarantee.
     """
     if sample.k != 1:
         raise WrongRegime(f"exact engine needs k = 1, got k = {sample.k}")
@@ -89,72 +95,109 @@ def exact_mle_k1(sample):
             det_k2_exact=det_k2,
         )
 
-    k2_raw = cf.Dab[0][0]
+    # Float data: the closed-form K2 starts flip-flop, whose stop rule then
+    # certifies the pair (one sweep when the closed form is accurate).
     try:
-        cholesky(k2_raw)
+        est = flipflop(sample, init_k2=cf.Dab[0][0], tol=tol, max_iter=max_iter)
     except NotPD:
         raise MLENotExists("sum_i v_i v_i^T is not positive definite") from None
-    k1_raw = profile_k1(sample, k2_raw)
-    k2f, k1f = normalize_det1(k2_raw, k1_raw)
-    ll = kron_loglik(sample, k1f, k2f)
-    return KroneckerEstimate(
-        k1=k1f, k2=k2f, loglik=ll, method="exact", iterations=0, converged=True
-    )
+    return replace(est, method="exact")
+
+
+def _cholesky_inverse(s):
+    """(L^-1, log det s) for s = L L^T; LinAlgError when s is not PD."""
+    l = np.linalg.cholesky(s)
+    return np.linalg.inv(l), 2.0 * float(np.log(np.diag(l)).sum())
+
+
+# Checks in a row without a new minimum residual after which a run counts
+# as stalled at its roundoff floor.
+_STALL_SWEEPS = 8
 
 
 def flipflop(sample, init_k2=None, tol=1e-10, max_iter=10000, callback=None):
     """Block-coordinate ascent alternating the two profile maximizers.
 
-    Each sweep applies K1 <- (sum_i Yi K2 Yi^T / (n*m2))^-1 and then
-    K2 <- (sum_i Yi^T K1 Yi / (n*m1))^-1, renormalizes K2 to det 1, and
-    records the log-likelihood.  Stops when the max-abs change of the
-    normalized K2 drops below tol.  Non-convergence within max_iter is a
-    reported outcome (converged=False), not an error.
+    Sweep t factors s2 = sum_i Yi K2 Yi^T / (n*m2) = L2 L2^T and sets
+    K1 = L2^-T L2^-1, then does the same with s1 = sum_i Yi^T K1 Yi / (n*m1)
+    for K2, and rescales the pair to det(K2) = 1.  Its log-likelihood is
+    -n*m2*logdet(s2) - n*m1*logdet(s1) - n*m1*m2, read off the two factors,
+    because tr(K1 sum_i Yi K2 Yi^T) = n*m1*m2 after the K2 update.
+
+    Stop rule and tol: write K1 = M^-T M^-1 for the pair of sweep t.  The
+    s2 of sweep t+1 gives its residual ||M^-1 s2 M^-T - I||_F, which bounds
+    the K1 half of the affine-invariant residual
+    max(||K1^1/2 S(K2) K1^1/2 - I||, ||K2^1/2 S(K1) K2^1/2 - I||)
+    (spectral norms, S the averaged scatters); the K2 half is zero by
+    construction.  The residual does not change under Yi -> A Yi B^T, so
+    one tol serves every scaling of the data.  The run returns the pair of
+    sweep t with converged=True as soon as that residual is below tol.  It
+    returns it with converged=False when the residual has set no new
+    minimum for 8 checks in a row ("stalled": its roundoff floor, about
+    eps*cond(K1), lies above tol) or when t = max_iter ("max_iter").
+    stop_reason says which, and residual is the returned pair's.
     """
     sample = sample.to_float()
-    if sample.n * sample.m2 < sample.m1 or sample.n * sample.m1 < sample.m2:
+    n, m1, m2 = sample.n, sample.m1, sample.m2
+    if n * m2 < m1 or n * m1 < m2:
         raise WrongRegime("flip-flop needs n*m2 >= m1 and n*m1 >= m2")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     if init_k2 is None:
-        init_k2 = np.eye(sample.m2)
-    init_k2 = init_k2.to_numpy() if isinstance(init_k2, Matrix) else np.asarray(init_k2, dtype=float)
-    cholesky(init_k2)  # init must be PD
-    k2 = normalize_det1(init_k2)
-    k1 = None
+        init_k2 = np.eye(m2)
+    k2 = init_k2.to_numpy() if isinstance(init_k2, Matrix) else np.asarray(init_k2, dtype=float)
+    cholesky(k2)  # init must be PD
+    eye = np.eye(m1)
     history = []
-    converged = False
-    sweeps = 0
-    for sweep in range(1, max_iter + 1):
+    best, best_at = np.inf, 0
+    while True:
+        s2 = scatter_k2(sample, k2) / (n * m2)
+        sweeps = len(history)
+        if sweeps:
+            residual = float(np.linalg.norm(root @ s2 @ root.T - eye))
+            if residual < tol:
+                stop = "converged"
+                break
+            if residual < best:
+                best, best_at = residual, sweeps
+            elif sweeps - best_at >= _STALL_SWEEPS:
+                stop = "stalled"
+                break
+            if sweeps == max_iter:
+                stop = "max_iter"
+                break
         try:
-            k1 = np.linalg.inv(scatter_k2(sample, k2) / (sample.n * sample.m2))
-            k2_new = np.linalg.inv(scatter_k1(sample, k1) / (sample.n * sample.m1))
+            l2_inv, logdet_s2 = _cholesky_inverse(s2)
+            k1 = l2_inv.T @ l2_inv
+            s1 = scatter_k1(sample, k1) / (n * m1)
+            l1_inv, logdet_s1 = _cholesky_inverse(s1)
         except np.linalg.LinAlgError:
             # With K1, K2 PD only linearly dependent data rows or columns do this.
             raise DegenerateData("singular scatter matrix") from None
-        k2_new, k1 = normalize_det1(k2_new, k1)
-        delta = float(np.abs(k2_new - k2).max())
-        k2 = k2_new
-        history.append(kron_loglik(sample, k1, k2))
-        sweeps = sweep
+        c = np.exp(-logdet_s1 / m2)  # det(s1^-1)^(1/m2)
+        k1 *= c
+        k2 = (l1_inv.T @ l1_inv) / c
+        root = l2_inv * np.sqrt(c)  # M^-1
+        history.append(-n * m2 * logdet_s2 - n * m1 * logdet_s1 - n * m1 * m2)
         if callback is not None:
-            callback(sweep, k1, k2)
-        if delta < tol:
-            converged = True
-            break
+            callback(len(history), k1, k2)
     return KroneckerEstimate(
         k1=k1,
         k2=k2,
         loglik=history[-1],
         method="flipflop",
-        iterations=sweeps,
-        converged=converged,
+        iterations=len(history),
+        converged=stop == "converged",
         loglik_history=tuple(history),
+        residual=residual,
+        stop_reason=stop,
     )
 
 
 def mle(sample, tol=1e-10, max_iter=10000):
     """Front end: closed form when k = 1, flip-flop with identity init otherwise."""
     if sample.k == 1:
-        return exact_mle_k1(sample)
+        return exact_mle_k1(sample, tol=tol, max_iter=max_iter)
     if sample.n < thresholds(sample.m1, sample.m2).lower:
         raise MLENotExists(f"n = {sample.n} is below max(m1/m2, m2/m1)")
     return flipflop(sample, tol=tol, max_iter=max_iter)

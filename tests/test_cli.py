@@ -75,7 +75,8 @@ class TestMle:
             if line and line.split()[0].isdigit()
         ]
         devs = {int(r[0]): float(r[1]) for r in rows}
-        assert devs[500] < devs[3]
+        # the report ends at the sweep where flip-flop stopped
+        assert devs[max(devs)] < devs[3]
 
     def test_flipflop_path(self, tmp_path, capsys):
         path = self.write_sample(tmp_path, 2, 2, 3, seed=5)
@@ -101,6 +102,23 @@ class TestMle:
             code, _, err = run(capsys, "mle", "--in", str(path))
             assert code == EXIT_DEGENERATE
             assert "degenerate data" in err
+
+    @pytest.mark.parametrize(
+        "token, named",
+        [("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"), ("1/0", "zero denominator")],
+    )
+    def test_non_finite_entry_exit_code(self, tmp_path, capsys, token, named):
+        path = self.write_sample(tmp_path, 3, 2, 3, seed=1)
+        lines = path.read_text().splitlines()
+        row = lines[2].split()
+        row[4] = token
+        lines[2] = " ".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "est.txt"
+        code, _, err = run(capsys, "mle", "--in", str(path), "--out", str(out))
+        assert code == EXIT_BAD_ARGS
+        assert named in err
+        assert not out.exists()
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "mle", "--in", "/nonexistent/sample.txt")

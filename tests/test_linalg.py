@@ -222,3 +222,13 @@ class TestTextFormat:
     def test_bad_width_rejected(self):
         with pytest.raises(ValueError):
             parse_matrix(iter(["2 2", "1 2 3", "4 5"]))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "1/0"])
+    def test_non_finite_rejected(self, token, exact):
+        with pytest.raises(ValueError):
+            parse_matrix(iter(["2 2", f"1 {token}", "3 4"]), exact=exact)
+
+    def test_overflow_rejected_in_float_mode(self):
+        with pytest.raises(ValueError, match="inf"):
+            parse_matrix(iter(["1 2", "1 1e400"]))

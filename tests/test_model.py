@@ -16,6 +16,7 @@ from kronmle.model import (
     parse_sample_set,
     profile_k1,
     sample_matrix_normal,
+    scatter_k1,
     scatter_k2,
     thresholds,
 )
@@ -24,6 +25,22 @@ from kronmle.model import (
 def random_pd(rng, m, jitter=0.5):
     a = rng.standard_normal((m, m))
     return a @ a.T + jitter * np.eye(m)
+
+
+def loop_scatter_k2(sample, k2):
+    """Reference: sum_i Yi K2 Yi^T, one matrix at a time."""
+    out = np.zeros((sample.m1, sample.m1))
+    for y in sample.data:
+        out += y @ k2 @ y.T
+    return out
+
+
+def loop_scatter_k1(sample, k1):
+    """Reference: sum_i Yi^T K1 Yi, one matrix at a time."""
+    out = np.zeros((sample.m2, sample.m2))
+    for y in sample.data:
+        out += y.T @ k1 @ y
+    return out
 
 
 @pytest.fixture
@@ -81,6 +98,51 @@ class TestThresholds:
     def test_positive_required(self):
         with pytest.raises(ValueError):
             thresholds(0, 2)
+
+
+class TestScatterKernels:
+    # Fixed before running: the batched GEMMs sum the n*m2 (or n*m1) terms
+    # in another order than the loop, so they agree to a few hundred ulps
+    # of the largest entry, far inside this bound.
+    RTOL = 1e-12
+
+    def check(self, s, rng):
+        k1 = random_pd(rng, s.m1)
+        k2 = random_pd(rng, s.m2)
+        for batched, loop, k in (
+            (scatter_k2, loop_scatter_k2, k2),
+            (scatter_k1, loop_scatter_k1, k1),
+        ):
+            got, ref = batched(s, k), loop(s, k)
+            assert np.array_equal(got, got.T)
+            assert np.abs(got - ref).max() <= self.RTOL * np.abs(ref).max()
+
+    @pytest.mark.parametrize(
+        "m1, m2, n", [(4, 3, 5), (6, 4, 1), (5, 1, 7), (1, 4, 3), (1, 1, 1), (30, 30, 3)]
+    )
+    def test_batched_matches_loop(self, m1, m2, n):
+        rng = np.random.default_rng(m1 * 100 + m2 * 10 + n)
+        self.check(sample_matrix_normal(np.eye(m1), np.eye(m2), n, seed=n), rng)
+
+    def test_non_contiguous_column_views(self):
+        # every other column of a Fortran-ordered array: each Yi is a strided view
+        rng = np.random.default_rng(3)
+        big = np.asfortranarray(rng.standard_normal((5, 2 * 4 * 3)))[:, ::2]
+        data = tuple(big[:, i * 3 : (i + 1) * 3] for i in range(4))
+        assert not any(y.flags.c_contiguous or y.flags.f_contiguous for y in data)
+        self.check(SampleSet(m1=5, m2=3, n=4, data=data), rng)
+
+    def test_parsed_sample_views(self, sample):
+        # parse_sample_set hands out column slices of one parsed array
+        back = parse_sample_set(format_sample_set(sample))
+        assert not back.data[1].flags.c_contiguous
+        self.check(back, np.random.default_rng(4))
+
+    def test_exact_sample(self):
+        data = (Matrix([[1, 2], [3, Fraction(1, 2)]]), Matrix([[0, -1], [2, 5]]))
+        s = SampleSet(m1=2, m2=2, n=2, data=data)
+        ref = loop_scatter_k2(s.to_float(), np.eye(2))
+        assert np.abs(scatter_k2(s, np.eye(2)) - ref).max() <= self.RTOL * np.abs(ref).max()
 
 
 class TestGaussianLoglik:
