@@ -281,11 +281,15 @@ def _check_float_nonsingular(a):
 def cholesky(s):
     """Lower-triangular L with L @ L.T = s, or raise NotPD.
 
-    Exact input is factored in floats; use Matrix.is_positive_definite for
-    an exact PD decision.
+    s must be symmetric up to 1e-12 of its largest entry (plus a relative
+    1e-8 per entry), at any scale.  Exact input is factored in floats; use
+    Matrix.is_positive_definite for an exact PD decision.
     """
     a = s.to_numpy() if isinstance(s, Matrix) else np.asarray(s, dtype=float)
-    if a.shape[0] != a.shape[1] or not np.allclose(a, a.T, rtol=1e-8, atol=1e-12):
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("symmetric matrix required")
+    atol = 1e-12 * np.abs(a).max(initial=0.0)
+    if not np.allclose(a, a.T, rtol=1e-8, atol=atol):
         raise ValueError("symmetric matrix required")
     try:
         return np.linalg.cholesky(a)
@@ -323,28 +327,44 @@ def format_matrix(a):
 def parse_matrix(lines, exact=False):
     """Parse the shared text format from an iterator of lines.
 
-    Returns a Matrix when exact=True, else a float ndarray.  NaN and
-    infinite entries (including floats that overflow) raise ValueError.
+    Returns a Matrix when exact=True, else a float ndarray filled row by
+    row.  NaN and infinite entries (including floats that overflow), zero
+    denominators, a wrong row width and a file that ends before the header
+    or before the last declared row raise ValueError.
     """
     it = iter(lines)
-    header = next(it).split()
-    r, c = int(header[0]), int(header[1])
-    rows = []
-    for _ in range(r):
-        toks = next(it).split()
+    header = next(it, None)
+    if header is None:
+        raise ValueError("truncated matrix: no header")
+    r, c = (int(t) for t in header.split())
+    if exact:
+        rows = []
+    else:
+        try:
+            out = np.empty((r, c))
+        except MemoryError:
+            raise ValueError(f"matrix header {r} x {c} is too large") from None
+    for i in range(r):
+        line = next(it, None)
+        if line is None:
+            raise ValueError(f"truncated matrix: {i} of {r} rows")
+        toks = line.split()
         if len(toks) != c:
             raise ValueError("bad matrix row width")
         try:
             if exact:
                 rows.append([Fraction(t) for t in toks])
+            elif "/" in line:
+                out[i] = [float(Fraction(t)) for t in toks]
             else:
-                rows.append([float(Fraction(t)) if "/" in t else float(t) for t in toks])
+                out[i] = np.fromiter(map(float, toks), float, c)
         except ZeroDivisionError:
             raise ValueError("non-finite matrix entry: zero denominator") from None
+        except OverflowError:
+            raise ValueError("non-finite matrix entry: a fraction overflows") from None
     if exact:
         return Matrix(rows)  # Fraction() already rejects "nan" and "inf"
-    out = np.array(rows)
-    bad = out[~np.isfinite(out)]
-    if bad.size:
-        raise ValueError(f"non-finite matrix entry {bad[0]}")
+    finite = np.isfinite(out)
+    if not finite.all():
+        raise ValueError(f"non-finite matrix entry {out[~finite][0]}")
     return out

@@ -7,7 +7,6 @@ the vectorized data is kron(Sigma2, Sigma1).  The mean is fixed at zero.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -122,6 +121,24 @@ def scatter_k1(sample, k1):
     return (out + out.T) / 2
 
 
+def scatter_k2_whitened(sample, f2):
+    """sum_i Yi K2 Yi^T for K2 = F2 F2^T, with the data whitened first.
+
+    The stacked rows (see scatter_k2) times F2 give V = [Y1 F2 | ... | Yn F2],
+    and the sum is V V^T: a SYRK, so the result is exactly symmetric.
+    """
+    m1, m2, n = sample.m1, sample.m2, sample.n
+    v = (sample.stacked.reshape(m1 * n, m2) @ f2).reshape(m1, n * m2)
+    return v @ v.T
+
+
+def scatter_k1_whitened(sample, f1):
+    """sum_i Yi^T K1 Yi for K1 = F1 F1^T: one SYRK over the rows of F1^T Yi."""
+    m1, m2, n = sample.m1, sample.m2, sample.n
+    z = (f1.T @ sample.stacked).reshape(m1 * n, m2)
+    return z.T @ z
+
+
 def kron_loglik(sample, k1, k2):
     """Kronecker-model log-likelihood.
 
@@ -190,8 +207,11 @@ def format_sample_set(sample):
 
 
 def parse_sample_set(text, exact=False):
-    lines = iter(io.StringIO(text).read().splitlines())
-    m1, m2, n = (int(t) for t in next(lines).split())
+    lines = iter(text.splitlines())
+    header = next(lines, None)
+    if header is None:
+        raise ValueError("truncated sample: empty file")
+    m1, m2, n = (int(t) for t in header.split())
     y = parse_matrix(lines, exact=exact)
     if y.shape != (m1, n * m2):
         raise ValueError("concatenated data has wrong shape")

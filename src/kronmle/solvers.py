@@ -14,7 +14,7 @@ import numpy as np
 
 from .canonical import DegenerateData, canonicalize
 from .linalg import Matrix, NotPD, cholesky, format_matrix
-from .model import kron_loglik, scatter_k1, scatter_k2, thresholds
+from .model import kron_loglik, scatter_k1_whitened, scatter_k2_whitened, thresholds
 
 
 class WrongRegime(Exception):
@@ -104,10 +104,17 @@ def exact_mle_k1(sample, tol=1e-10, max_iter=10000):
     return replace(est, method="exact")
 
 
-def _cholesky_inverse(s):
-    """(L^-1, log det s) for s = L L^T; LinAlgError when s is not PD."""
-    l = np.linalg.cholesky(s)
-    return np.linalg.inv(l), 2.0 * float(np.log(np.diag(l)).sum())
+def _inverse_factor(lapack, s):
+    """(L^-1, log det s) for s = L L^T by LAPACK potrf and trtri.
+
+    A scatter that is not PD means linearly dependent data rows or columns.
+    """
+    l, info = lapack.dpotrf(s, lower=1, clean=1)
+    if info == 0:
+        l_inv, info = lapack.dtrtri(l, lower=1)
+    if info != 0:
+        raise DegenerateData("singular scatter matrix")
+    return l_inv, 2.0 * float(np.log(np.diagonal(l)).sum())
 
 
 # Checks in a row without a new minimum residual after which a run counts
@@ -118,11 +125,19 @@ _STALL_SWEEPS = 8
 def flipflop(sample, init_k2=None, tol=1e-10, max_iter=10000, callback=None):
     """Block-coordinate ascent alternating the two profile maximizers.
 
-    Sweep t factors s2 = sum_i Yi K2 Yi^T / (n*m2) = L2 L2^T and sets
-    K1 = L2^-T L2^-1, then does the same with s1 = sum_i Yi^T K1 Yi / (n*m1)
-    for K2, and rescales the pair to det(K2) = 1.  Its log-likelihood is
-    -n*m2*logdet(s2) - n*m1*logdet(s1) - n*m1*m2, read off the two factors,
-    because tr(K1 sum_i Yi K2 Yi^T) = n*m1*m2 after the K2 update.
+    The run keeps each factor as a whitener, K2 = F2 F2^T and K1 = F1 F1^T,
+    and whitens the data before each product.  Sweep t forms the rows of
+    Yi F2 and s2 = sum_i (Yi F2)(Yi F2)^T / (n*m2) = S(K2) (a SYRK, see
+    model.scatter_k2_whitened), factors s2 = L2 L2^T and sets F1 = L2^-T.
+    Its K2 half does the same with the rows of L2^-1 Yi:
+    s1 = sum_i (L2^-1 Yi)^T (L2^-1 Yi) / (n*m1) = L1 L1^T and F2 = L1^-T.
+    The Cholesky factors and their inverses come from LAPACK potrf and
+    trtri (scipy, imported by the first call, so importing kronmle does
+    not load it).  F2 starts as the Cholesky factor of init_k2.  The pair
+    is rescaled to det(K2) = 1; K1 and K2 themselves are formed only for
+    callback and for the returned estimate.  The sweep's log-likelihood is
+    -n*m2*logdet(s2) - n*m1*logdet(s1) - n*m1*m2, read off the two
+    factors, because tr(K1 sum_i Yi K2 Yi^T) = n*m1*m2 after the K2 update.
 
     Stop rule and tol: write K1 = M^-T M^-1 for the pair of sweep t.  The
     s2 of sweep t+1 gives its residual ||M^-1 s2 M^-T - I||_F, which bounds
@@ -133,9 +148,9 @@ def flipflop(sample, init_k2=None, tol=1e-10, max_iter=10000, callback=None):
     one tol serves every scaling of the data.  The run returns the pair of
     sweep t with converged=True as soon as that residual is below tol.  It
     returns it with converged=False when the residual has set no new
-    minimum for 8 checks in a row ("stalled": its roundoff floor, about
-    eps*cond(K1), lies above tol) or when t = max_iter ("max_iter").
-    stop_reason says which, and residual is the returned pair's.
+    minimum for 8 checks in a row ("stalled": its roundoff floor lies
+    above tol) or when t = max_iter ("max_iter").  stop_reason says which,
+    and residual is the returned pair's.
     """
     sample = sample.to_float()
     n, m1, m2 = sample.n, sample.m1, sample.m2
@@ -145,13 +160,14 @@ def flipflop(sample, init_k2=None, tol=1e-10, max_iter=10000, callback=None):
         raise ValueError("max_iter must be at least 1")
     if init_k2 is None:
         init_k2 = np.eye(m2)
-    k2 = init_k2.to_numpy() if isinstance(init_k2, Matrix) else np.asarray(init_k2, dtype=float)
-    cholesky(k2)  # init must be PD
+    f2 = cholesky(init_k2)  # init must be PD
+    from scipy.linalg import lapack
+
     eye = np.eye(m1)
     history = []
     best, best_at = np.inf, 0
     while True:
-        s2 = scatter_k2(sample, k2) / (n * m2)
+        s2 = scatter_k2_whitened(sample, f2) / (n * m2)
         sweeps = len(history)
         if sweeps:
             residual = float(np.linalg.norm(root @ s2 @ root.T - eye))
@@ -166,24 +182,19 @@ def flipflop(sample, init_k2=None, tol=1e-10, max_iter=10000, callback=None):
             if sweeps == max_iter:
                 stop = "max_iter"
                 break
-        try:
-            l2_inv, logdet_s2 = _cholesky_inverse(s2)
-            k1 = l2_inv.T @ l2_inv
-            s1 = scatter_k1(sample, k1) / (n * m1)
-            l1_inv, logdet_s1 = _cholesky_inverse(s1)
-        except np.linalg.LinAlgError:
-            # With K1, K2 PD only linearly dependent data rows or columns do this.
-            raise DegenerateData("singular scatter matrix") from None
-        c = np.exp(-logdet_s1 / m2)  # det(s1^-1)^(1/m2)
-        k1 *= c
-        k2 = (l1_inv.T @ l1_inv) / c
-        root = l2_inv * np.sqrt(c)  # M^-1
+        l2_inv, logdet_s2 = _inverse_factor(lapack, s2)
+        s1 = scatter_k1_whitened(sample, l2_inv.T) / (n * m1)
+        l1_inv, logdet_s1 = _inverse_factor(lapack, s1)
+        # K1 scales by c = det(s1^-1)^(1/m2) and K2 by 1/c, their factors by sqrt(c).
+        sqrt_c = np.exp(-logdet_s1 / (2 * m2))
+        root = l2_inv * sqrt_c  # M^-1 = F1^T
+        f2 = l1_inv.T / sqrt_c
         history.append(-n * m2 * logdet_s2 - n * m1 * logdet_s1 - n * m1 * m2)
         if callback is not None:
-            callback(len(history), k1, k2)
+            callback(len(history), root.T @ root, f2 @ f2.T)
     return KroneckerEstimate(
-        k1=k1,
-        k2=k2,
+        k1=root.T @ root,
+        k2=f2 @ f2.T,
         loglik=history[-1],
         method="flipflop",
         iterations=len(history),

@@ -120,6 +120,21 @@ class TestMle:
         assert named in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "keep, named",
+        [(0, "empty file"), (1, "no header"), (2, "0 of 3 rows"), (4, "2 of 3 rows")],
+    )
+    def test_truncated_file_exit_code(self, tmp_path, capsys, keep, named):
+        # keep the first `keep` lines: nothing, the m1 m2 n line, both headers, two rows
+        path = self.write_sample(tmp_path, 3, 2, 3, seed=1)
+        lines = path.read_text().splitlines()[:keep]
+        path.write_text("".join(line + "\n" for line in lines))
+        out = tmp_path / "est.txt"
+        code, _, err = run(capsys, "mle", "--in", str(path), "--out", str(out))
+        assert code == EXIT_BAD_ARGS
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "mle", "--in", "/nonexistent/sample.txt")
         assert code == EXIT_BAD_ARGS

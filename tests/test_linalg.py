@@ -194,6 +194,15 @@ class TestPD:
         l = cholesky(np.array([[4.0, 2.0], [2.0, 2.0]]))
         assert np.allclose(l, [[2.0, 0.0], [1.0, 1.0]])
 
+    @pytest.mark.parametrize("scale", [1e-14, 1.0, 1e14])
+    def test_cholesky_symmetry_is_relative(self, scale):
+        a = np.array([[4.0, 2.0], [2.0, 2.0]]) * scale
+        assert np.allclose(cholesky(a), np.sqrt(scale) * np.array([[2.0, 0.0], [1.0, 1.0]]))
+        # asymmetric at the matrix's own scale, whatever that scale is
+        skew = a + np.array([[0.0, 1e-3], [0.0, 0.0]]) * scale
+        with pytest.raises(ValueError, match="symmetric"):
+            cholesky(skew)
+
     def test_exact_pd_predicate(self):
         assert Matrix([[4, 2], [2, 2]]).is_positive_definite()
         assert not Matrix.diagonal([1, -1]).is_positive_definite()
@@ -228,6 +237,21 @@ class TestTextFormat:
     def test_non_finite_rejected(self, token, exact):
         with pytest.raises(ValueError):
             parse_matrix(iter(["2 2", f"1 {token}", "3 4"]), exact=exact)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("lines", [[], ["2 2"], ["2 2", "1 2"]])
+    def test_truncated_rejected(self, lines, exact):
+        with pytest.raises(ValueError, match="truncated"):
+            parse_matrix(iter(lines), exact=exact)
+
+    def test_oversized_header_rejected(self):
+        # 8e14 bytes cannot be preallocated; the header alone is refused
+        with pytest.raises(ValueError, match="too large"):
+            parse_matrix(iter(["1000000000 100000"]))
+
+    def test_fraction_rows_in_float_mode(self):
+        back = parse_matrix(iter(["2 2", "1/2 3", "-4 7/5"]))
+        assert back.tolist() == [[0.5, 3.0], [-4.0, 1.4]]
 
     def test_overflow_rejected_in_float_mode(self):
         with pytest.raises(ValueError, match="inf"):

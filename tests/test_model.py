@@ -17,7 +17,9 @@ from kronmle.model import (
     profile_k1,
     sample_matrix_normal,
     scatter_k1,
+    scatter_k1_whitened,
     scatter_k2,
+    scatter_k2_whitened,
     thresholds,
 )
 
@@ -116,6 +118,15 @@ class TestScatterKernels:
             got, ref = batched(s, k), loop(s, k)
             assert np.array_equal(got, got.T)
             assert np.abs(got - ref).max() <= self.RTOL * np.abs(ref).max()
+        # The whitened kernels take a factor F and match the loop at K = F F^T.
+        for whitened, loop, k in (
+            (scatter_k2_whitened, loop_scatter_k2, k2),
+            (scatter_k1_whitened, loop_scatter_k1, k1),
+        ):
+            f = np.linalg.cholesky(k)
+            got, ref = whitened(s, f), loop(s, f @ f.T)
+            assert np.array_equal(got, got.T)
+            assert np.abs(got - ref).max() <= self.RTOL * np.abs(ref).max()
 
     @pytest.mark.parametrize(
         "m1, m2, n", [(4, 3, 5), (6, 4, 1), (5, 1, 7), (1, 4, 3), (1, 1, 1), (30, 30, 3)]
@@ -143,6 +154,8 @@ class TestScatterKernels:
         s = SampleSet(m1=2, m2=2, n=2, data=data)
         ref = loop_scatter_k2(s.to_float(), np.eye(2))
         assert np.abs(scatter_k2(s, np.eye(2)) - ref).max() <= self.RTOL * np.abs(ref).max()
+        got = scatter_k2_whitened(s, np.eye(2))
+        assert np.abs(got - ref).max() <= self.RTOL * np.abs(ref).max()
 
 
 class TestGaussianLoglik:

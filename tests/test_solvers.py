@@ -1,13 +1,25 @@
 """Closed-form k = 1 estimator, flip-flop ascent, and the dispatcher."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kronmle
 from kronmle.cli import EXIT_OK, main
 from kronmle.linalg import Matrix, NotPD
-from kronmle.model import SampleSet, format_sample_set, kron_loglik, sample_matrix_normal
+from kronmle.model import (
+    SampleSet,
+    format_sample_set,
+    kron_loglik,
+    sample_matrix_normal,
+    scatter_k1,
+    scatter_k2,
+)
 from kronmle.solvers import (
     MLENotExists,
     WrongRegime,
@@ -188,6 +200,55 @@ class TestFlipflop:
         s = sample_matrix_normal(np.eye(3), np.eye(2), 3, seed=10)
         with pytest.raises(NotPD):
             flipflop(s, init_k2=np.diag([1.0, -1.0]))
+
+
+def scatter_sweeps(sample, k2, sweeps):
+    """Reference flip-flop on the concentration matrices themselves.
+
+    Each sweep sets K1 = (S(K2)/(n*m2))^-1 and K2 = (S(K1)/(n*m1))^-1 from
+    the batched scatters, then rescales the pair to det(K2) = 1.
+    """
+    n, m1, m2 = sample.n, sample.m1, sample.m2
+    pairs = []
+    for _ in range(sweeps):
+        k1 = np.linalg.inv(scatter_k2(sample, k2) / (n * m2))
+        k2 = np.linalg.inv(scatter_k1(sample, k1) / (n * m1))
+        c = np.linalg.det(k2) ** (1.0 / m2)
+        k1, k2 = k1 * c, k2 / c
+        pairs.append((k1, k2))
+    return pairs
+
+
+class TestWhitenedSweeps:
+    @pytest.mark.parametrize("shape, seed", [((4, 3, 4), 6), ((12, 6, 3), 1), ((7, 2, 4), 4)])
+    def test_first_iterates_match_scatter_sweeps(self, shape, seed):
+        m1, m2, n = shape
+        s = sample_matrix_normal(np.eye(m1), np.eye(m2), n, seed=seed)
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((m2, m2))
+        init = g @ g.T + np.eye(m2)
+        pairs = []
+        flipflop(
+            s, init_k2=init, tol=0.0, max_iter=5,
+            callback=lambda i, k1, k2: pairs.append((k1, k2)),
+        )
+        ref = scatter_sweeps(s, init, 5)
+        assert len(pairs) == 5
+        for got, want in zip(pairs, ref):
+            for a, b in zip(got, want):
+                assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+
+    def test_import_does_not_load_scipy(self):
+        # flipflop imports scipy on its first call; importing the package must not
+        code = (
+            "import sys, kronmle, kronmle.cli, kronmle.solvers; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(kronmle.__file__).resolve().parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestFlipflopInvariants:
