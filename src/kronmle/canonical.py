@@ -1,11 +1,12 @@
-"""Group-action reduction of the data to [I | C] form.
+"""Group-action reduction of the data to [I | C] form, and its dual sample.
 
 For a sample whose concatenation Y = [Y1|...|Yn] has a nonsingular left
 m1 x m1 block Y_*, left-multiplying by Y_*^-1 puts the data into the form
 [I | C].  The kernel matrix D with D^T = [C^T | -I_k] then carries the
-whole likelihood: splitting D into n row-blocks of height m2 gives vectors
-d_ij whose outer-product sums D_ab = sum_i d_ia d_ib^T parameterize the
-reduced objective m2*logdet([tr(D_ab Sigma)]) - k*logdet(Sigma).
+whole likelihood.  Cut D^T into n blocks Z_i of size k x m2: they form a
+(k, m2, n) sample, the castling dual of the data (Derksen, Makam & Walter
+2022), and the reduced objective m2*logdet(T(Sigma)) - k*logdet(Sigma)
+reads T(Sigma) = sum_i Z_i Sigma Z_i^T off it as a scatter.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Matrix, SingularMatrix, kron
+from .linalg import Matrix, SingularMatrix, det, inverse
+from .model import SampleSet, scatter_k1, scatter_k2
 
 
 class DegenerateData(Exception):
@@ -32,34 +34,15 @@ class CanonicalForm:
     n: int
     k: int
     C: object  # m1 x k
-    D: object  # (n*m2) x k, D^T = [C^T | -I_k]
-    Dab: tuple  # k x k grid of m2 x m2 matrices
+    dual: SampleSet  # the n blocks Z_i (k x m2) of D^T = [C^T | -I_k]
 
     @property
     def is_exact(self):
         return isinstance(self.C, Matrix)
 
-    def d_block(self, i, j):
-        """The m2-vector d_ij (column j of row-block i of D), as a column."""
-        if self.is_exact:
-            return self.D.submatrix(range(i * self.m2, (i + 1) * self.m2), [j])
-        return self.D[i * self.m2 : (i + 1) * self.m2, j : j + 1]
-
-    def dab_grid(self):
-        """The stacked (m2*k) x (m2*k) block matrix [D_ab]."""
-        if self.is_exact:
-            rows = None
-            for a in range(self.k):
-                row = None
-                for b in range(self.k):
-                    row = self.Dab[a][b] if row is None else row.hstack(self.Dab[a][b])
-                rows = row if rows is None else rows.vstack(row)
-            return rows
-        return np.block([[self.Dab[a][b] for b in range(self.k)] for a in range(self.k)])
-
 
 def canonicalize(sample):
-    """Reduce a sample to [I | C] form and assemble D and the D_ab grid."""
+    """Reduce a sample to [I | C] form and cut D^T into the dual sample."""
     k = sample.k
     if k < 1:
         raise NonPositiveK(f"k = n*m2 - m1 = {k} must be >= 1")
@@ -71,104 +54,55 @@ def canonicalize(sample):
             c = ystar.solve(y.submatrix(range(m1), range(m1, n * m2)))
         except SingularMatrix:
             raise DegenerateData("left m1 x m1 block is singular") from None
-        d = c.vstack(Matrix.identity(k).scale(-1))
+        d_t = c.transpose().hstack(Matrix.identity(k).scale(-1))
     else:
         ystar = y[:, :m1]
         if np.linalg.cond(ystar) > 1e14:
             raise DegenerateData("left m1 x m1 block is singular")
         c = np.linalg.solve(ystar, y[:, m1:])
-        d = np.vstack([c, -np.eye(k)])
-
-    dab = tuple(
-        tuple(_dab_entry(d, m2, n, a, b) for b in range(k)) for a in range(k)
-    )
-    return CanonicalForm(m1=m1, m2=m2, n=n, k=k, C=c, D=d, Dab=dab)
+        d_t = np.hstack([c.T, -np.eye(k)])
+    dual = SampleSet.from_concatenation(d_t, m2)
+    return CanonicalForm(m1=m1, m2=m2, n=n, k=k, C=c, dual=dual)
 
 
-def _dab_entry(d, m2, n, a, b):
-    if isinstance(d, Matrix):
-        out = Matrix.zeros(m2, m2)
-        for i in range(n):
-            da = d.submatrix(range(i * m2, (i + 1) * m2), [a])
-            db = d.submatrix(range(i * m2, (i + 1) * m2), [b])
-            out = out + da @ db.transpose()
-        return out
-    out = np.zeros((m2, m2))
-    for i in range(n):
-        da = d[i * m2 : (i + 1) * m2, a : a + 1]
-        db = d[i * m2 : (i + 1) * m2, b : b + 1]
-        out += da @ db.T
-    return out
-
-
-def _as_float_block(block):
-    return block.to_numpy() if isinstance(block, Matrix) else block
-
-
-def canonical_blocks(cf):
-    """The n matrices of the canonicalized sample [I | C], split m2-wise."""
-    y = cf.C
+def canonical_sample(cf):
+    """The canonicalized data [I | C] as a sample of n m1 x m2 matrices."""
     if cf.is_exact:
-        full = Matrix.identity(cf.m1).hstack(y)
-        return [
-            full.submatrix(range(cf.m1), range(i * cf.m2, (i + 1) * cf.m2))
-            for i in range(cf.n)
-        ]
-    full = np.hstack([np.eye(cf.m1), y])
-    return [full[:, i * cf.m2 : (i + 1) * cf.m2] for i in range(cf.n)]
+        y = Matrix.identity(cf.m1).hstack(cf.C)
+    else:
+        y = np.hstack([np.eye(cf.m1), cf.C])
+    return SampleSet.from_concatenation(y, cf.m2)
 
 
 def det_reduction_check(cf, k_mat):
     """Both sides of the determinant reduction identity.
 
-    lhs = det(Y (I_n kron K) Y^T) for Y = [I | C];
-    rhs = det(K)^n * det(D^T (I_n kron K^-1) D).
-    Equal for every nonsingular K; exact over rationals.
+    lhs = det(sum_i Y_i K Y_i^T) over the blocks Y_i of [I | C];
+    rhs = det(K)^n * det(sum_i Z_i K^-1 Z_i^T) over the dual sample.
+    Equal for every nonsingular K; exact when cf is exact and K a Matrix.
     """
-    n = cf.n
-    if cf.is_exact:
-        k_inv = k_mat.inverse()  # raises SingularMatrix when K is singular
-        ident_kron_k = Matrix.identity(n).kron(k_mat)
-        y = Matrix.identity(cf.m1).hstack(cf.C)
-        lhs = (y @ ident_kron_k @ y.transpose()).det()
-        inner = cf.D.transpose() @ Matrix.identity(n).kron(k_inv) @ cf.D
-        rhs = k_mat.det() ** n * inner.det()
-        return lhs, rhs
-    k_arr = np.asarray(k_mat, dtype=float)
-    y = np.hstack([np.eye(cf.m1), cf.C])
-    lhs = float(np.linalg.det(y @ kron(np.eye(n), k_arr) @ y.T))
-    inner = cf.D.T @ kron(np.eye(n), np.linalg.inv(k_arr)) @ cf.D
-    rhs = float(np.linalg.det(k_arr)) ** n * float(np.linalg.det(inner))
+    if not isinstance(k_mat, Matrix):
+        k_mat = np.asarray(k_mat, dtype=float)
+    k_inv = inverse(k_mat)  # raises SingularMatrix when K is singular
+    lhs = det(scatter_k2(canonical_sample(cf), k_mat))
+    rhs = det(k_mat) ** cf.n * det(scatter_k2(cf.dual, k_inv))
     return lhs, rhs
 
 
 def trace_form(cf, sigma):
-    """The k x k matrix with (a, b) entry tr(D_ab @ Sigma).
+    """T(Sigma) = sum_i Z_i Sigma Z_i^T, the k x k scatter of the dual sample.
 
-    Equals D^T (I_n kron Sigma) D entrywise.
+    Equals D^T (I_n kron Sigma) D; exact when cf is exact and Sigma a Matrix.
     """
-    if cf.is_exact and isinstance(sigma, Matrix):
-        if sigma.shape != (cf.m2, cf.m2):
-            raise ValueError("Sigma dimension mismatch")
-        return Matrix(
-            [
-                [(cf.Dab[a][b] @ sigma).trace() for b in range(cf.k)]
-                for a in range(cf.k)
-            ]
-        )
-    sigma = sigma.to_numpy() if isinstance(sigma, Matrix) else np.asarray(sigma, dtype=float)
+    if not isinstance(sigma, Matrix):
+        sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (cf.m2, cf.m2):
         raise ValueError("Sigma dimension mismatch")
-    return np.array(
-        [
-            [float(np.trace(_as_float_block(cf.Dab[a][b]) @ sigma)) for b in range(cf.k)]
-            for a in range(cf.k)
-        ]
-    )
+    return scatter_k2(cf.dual, sigma)
 
 
 def reduced_objective(cf, sigma):
-    """m2*logdet([tr(D_ab Sigma)]) - k*logdet(Sigma), float evaluation."""
+    """m2*logdet(T(Sigma)) - k*logdet(Sigma), float evaluation."""
     sigma = np.asarray(sigma, dtype=float)
     t = trace_form(cf, sigma)
     sign_t, ld_t = np.linalg.slogdet(t)
@@ -181,21 +115,10 @@ def reduced_objective(cf, sigma):
 def reduced_gradient(cf, sigma):
     """Unconstrained matrix gradient of reduced_objective at Sigma.
 
-    d/dSigma [m2*logdet(T(Sigma))] = m2 * sum_ab (T^-1)_ba * D_ab^T;
-    at symmetric Sigma the result is symmetric and vanishes at the MLE.
+    d/dSigma [m2*logdet(T(Sigma))] = m2 * sum_i Z_i^T T^-1 Z_i, the dual
+    sample's other scatter at T^-1; at symmetric Sigma the result is
+    symmetric and vanishes at the MLE.
     """
     sigma = np.asarray(sigma, dtype=float)
-    t = trace_form(cf, sigma)
-    t_inv = np.linalg.inv(t)
-    grad = np.zeros((cf.m2, cf.m2))
-    for a in range(cf.k):
-        for b in range(cf.k):
-            grad += t_inv[b, a] * _as_float_block(cf.Dab[a][b]).T
-    return cf.m2 * grad - cf.k * np.linalg.inv(sigma).T
-
-
-def format_canonical_form(cf):
-    """Serialize: header "m1 m2 n k", then C in the shared matrix format."""
-    from .linalg import format_matrix
-
-    return f"{cf.m1} {cf.m2} {cf.n} {cf.k}\n" + format_matrix(cf.C)
+    t_inv = np.linalg.inv(trace_form(cf, sigma))
+    return cf.m2 * scatter_k1(cf.dual, t_inv) - cf.k * np.linalg.inv(sigma).T

@@ -21,6 +21,7 @@ from .canonical import DegenerateData, canonicalize, det_reduction_check
 from .linalg import Matrix
 from .mldegree import TIMEOUT, b_zero_quadratic, ml_degree, ml_multiplicity_prop43
 from .model import (
+    SampleSet,
     format_sample_set,
     parse_sample_set,
     sample_matrix_normal,
@@ -87,26 +88,17 @@ def cmd_mle(args):
 
 def _pinned_example():
     """The worked 4x2x3 instance: both determinants equal 16640."""
-    sample_y = Matrix.identity(4).hstack(Matrix([[1, 2], [3, 4], [5, 6], [7, 8]]))
-    from .model import SampleSet
-
-    data = tuple(sample_y.submatrix(range(4), range(2 * i, 2 * i + 2)) for i in range(3))
-    cf = canonicalize(SampleSet(m1=4, m2=2, n=3, data=data))
+    y = Matrix.identity(4).hstack(Matrix([[1, 2], [3, 4], [5, 6], [7, 8]]))
+    cf = canonicalize(SampleSet.from_concatenation(y, 2))
     k = Matrix([[3, 1], [1, 3]])
     return det_reduction_check(cf, k)
 
 
 def random_lemma_instance(rng, m2, k, n):
     """Random exact (canonical form, PD rational K) for the identity check."""
-    from .model import SampleSet
-
     m1 = n * m2 - k
     c = Matrix([[int(rng.integers(-8, 9)) for _ in range(k)] for _ in range(m1)])
-    y = Matrix.identity(m1).hstack(c)
-    data = tuple(
-        y.submatrix(range(m1), range(i * m2, (i + 1) * m2)) for i in range(n)
-    )
-    cf = canonicalize(SampleSet(m1=m1, m2=m2, n=n, data=data))
+    cf = canonicalize(SampleSet.from_concatenation(Matrix.identity(m1).hstack(c), m2))
     l = Matrix([[int(rng.integers(-3, 4)) for _ in range(m2)] for _ in range(m2)])
     k_mat = l @ l.transpose() + Matrix.identity(m2)
     return cf, k_mat

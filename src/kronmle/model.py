@@ -41,6 +41,27 @@ class SampleSet:
             if y.shape != (self.m1, self.m2):
                 raise ValueError("data matrix has wrong shape")
 
+    @classmethod
+    def from_concatenation(cls, y, m2):
+        """Split an m1 x (n*m2) concatenation [Y1 | ... | Yn] into its n blocks.
+
+        y is a Matrix or a 2-D float array; the blocks are submatrices or
+        column views of it.  A C-contiguous float64 y is the sample's
+        `stacked` array as it is, without a copy.
+        """
+        m1, cols = y.shape
+        if m2 < 1 or cols % m2:
+            raise ValueError(f"{cols} columns do not split into blocks of width {m2}")
+        n = cols // m2
+        if isinstance(y, Matrix):
+            data = tuple(y.submatrix(range(m1), range(i * m2, (i + 1) * m2)) for i in range(n))
+        else:
+            data = tuple(y[:, i * m2 : (i + 1) * m2] for i in range(n))
+        sample = cls(m1=m1, m2=m2, n=n, data=data)
+        if isinstance(y, np.ndarray) and y.dtype == np.float64 and y.flags.c_contiguous:
+            vars(sample)["stacked"] = y  # the slot where cached_property keeps its value
+        return sample
+
     @property
     def k(self):
         return self.n * self.m2 - self.m1
@@ -100,14 +121,20 @@ def gaussian_loglik(s, k_mat, n):
 
 
 def scatter_k2(sample, k2):
-    """The m1 x m1 matrix sum_i Yi K2 Yi^T, symmetrized.
+    """The m1 x m1 matrix sum_i Yi K2 Yi^T.
 
-    One GEMM pair over the stacked data: the rows of Y reshaped to
-    (m1*n, m2) are the rows of every Yi, so multiplying them by K2 and
-    reshaping back gives [Y1 K2 | ... | Yn K2], whose product with Y^T is
-    the sum.
+    An exact sample with a Matrix K2 gives the exact sum, one block at a
+    time.  Otherwise it is one GEMM pair over the stacked float data,
+    symmetrized: the rows of Y reshaped to (m1*n, m2) are the rows of every
+    Yi, so multiplying them by K2 and reshaping back gives
+    [Y1 K2 | ... | Yn K2], whose product with Y^T is the sum.
     """
     m1, m2, n = sample.m1, sample.m2, sample.n
+    if sample.is_exact and isinstance(k2, Matrix):
+        out = Matrix.zeros(m1, m1)
+        for y in sample.data:
+            out = out + y @ k2 @ y.transpose()
+        return out
     y = sample.stacked
     out = (y.reshape(m1 * n, m2) @ _as_array(k2)).reshape(m1, n * m2) @ y.T
     return (out + out.T) / 2
@@ -215,10 +242,4 @@ def parse_sample_set(text, exact=False):
     y = parse_matrix(lines, exact=exact)
     if y.shape != (m1, n * m2):
         raise ValueError("concatenated data has wrong shape")
-    if exact:
-        data = tuple(
-            y.submatrix(range(m1), range(i * m2, (i + 1) * m2)) for i in range(n)
-        )
-    else:
-        data = tuple(y[:, i * m2 : (i + 1) * m2] for i in range(n))
-    return SampleSet(m1=m1, m2=m2, n=n, data=data)
+    return SampleSet.from_concatenation(y, m2)

@@ -14,7 +14,13 @@ import numpy as np
 
 from .canonical import DegenerateData, canonicalize
 from .linalg import Matrix, NotPD, cholesky, format_matrix
-from .model import kron_loglik, scatter_k1_whitened, scatter_k2_whitened, thresholds
+from .model import (
+    kron_loglik,
+    scatter_k1_whitened,
+    scatter_k2,
+    scatter_k2_whitened,
+    thresholds,
+)
 
 
 class WrongRegime(Exception):
@@ -71,17 +77,19 @@ def exact_mle_k1(sample, tol=1e-10, max_iter=10000):
     if sample.n < sample.m2:
         raise MLENotExists(f"n = {sample.n} < m2 = {sample.m2}")
     cf = canonicalize(sample)  # raises DegenerateData when Y_* is singular
+    # v_i^T is the single row of the dual block Z_i.  The outer products are
+    # summed in order, not by a GEMM: on float data K2 starts flip-flop, and
+    # its last bits decide which runs near the roundoff floor converge.
+    m2 = sample.m2
+    k2 = Matrix.zeros(m2, m2) if sample.is_exact else np.zeros((m2, m2))
+    for z in cf.dual.data:
+        k2 = k2 + z.transpose() @ z
 
     if sample.is_exact:
-        k2_exact = cf.Dab[0][0]
-        if not k2_exact.is_positive_definite():
+        if not k2.is_positive_definite():
             raise MLENotExists("sum_i v_i v_i^T is not positive definite")
-        scatter = Matrix.zeros(sample.m1, sample.m1)
-        for y in sample.data:
-            scatter = scatter + y @ k2_exact @ y.transpose()
-        k1_exact = scatter.scale(Fraction(1, sample.n * sample.m2)).inverse()
-        det_k2 = k2_exact.det()
-        k2f, k1f = normalize_det1(k2_exact.to_numpy(), k1_exact.to_numpy())
+        k1_exact = scatter_k2(sample, k2).scale(Fraction(1, sample.n * m2)).inverse()
+        k2f, k1f = normalize_det1(k2.to_numpy(), k1_exact.to_numpy())
         ll = kron_loglik(sample.to_float(), k1f, k2f)
         return KroneckerEstimate(
             k1=k1f,
@@ -91,14 +99,14 @@ def exact_mle_k1(sample, tol=1e-10, max_iter=10000):
             iterations=0,
             converged=True,
             k1_exact=k1_exact,
-            k2_exact=k2_exact,
-            det_k2_exact=det_k2,
+            k2_exact=k2,
+            det_k2_exact=k2.det(),
         )
 
     # Float data: the closed-form K2 starts flip-flop, whose stop rule then
     # certifies the pair (one sweep when the closed form is accurate).
     try:
-        est = flipflop(sample, init_k2=cf.Dab[0][0], tol=tol, max_iter=max_iter)
+        est = flipflop(sample, init_k2=k2, tol=tol, max_iter=max_iter)
     except NotPD:
         raise MLENotExists("sum_i v_i v_i^T is not positive definite") from None
     return replace(est, method="exact")

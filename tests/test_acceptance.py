@@ -13,25 +13,17 @@ from kronmle.model import SampleSet, g_objective, sample_matrix_normal
 from kronmle.solvers import MLENotExists, exact_mle_k1, flipflop, normalize_det1
 
 
-def exact_sample_from_concat(y, m2):
-    m1 = y.rows
-    n = y.cols // m2
-    data = tuple(
-        y.submatrix(range(m1), range(i * m2, (i + 1) * m2)) for i in range(n)
-    )
-    return SampleSet(m1=m1, m2=m2, n=n, data=data)
-
-
 def test_01_worked_example_identity():
     start = time.monotonic()
     c = Matrix([[1, 2], [3, 4], [5, 6], [7, 8]])
-    sample = exact_sample_from_concat(Matrix.identity(4).hstack(c), 2)
+    sample = SampleSet.from_concatenation(Matrix.identity(4).hstack(c), 2)
     cf = canonicalize(sample)
     k = Matrix([[3, 1], [1, 3]])
     lhs, rhs = det_reduction_check(cf, k)
     assert lhs == 16640
     assert rhs == 16640
-    inner = cf.D.transpose() @ kron(Matrix.identity(3), k.inverse()) @ cf.D
+    d = cf.dual.concatenated().transpose()  # D: its transpose concatenates the dual blocks
+    inner = d.transpose() @ kron(Matrix.identity(3), k.inverse()) @ d
     assert inner == Matrix(
         [
             [Fraction(179, 8), Fraction(207, 8)],
@@ -59,7 +51,7 @@ def test_02_identity_property_suite():
         if not 1 <= m1 <= 10:
             continue
         c = Matrix([[int(rng.integers(-8, 9)) for _ in range(k)] for _ in range(m1)])
-        sample = exact_sample_from_concat(Matrix.identity(m1).hstack(c), m2)
+        sample = SampleSet.from_concatenation(Matrix.identity(m1).hstack(c), m2)
         l = Matrix([[int(rng.integers(-3, 4)) for _ in range(m2)] for _ in range(m2)])
         k_mat = l @ l.transpose() + Matrix.identity(m2)
         lhs, rhs = det_reduction_check(canonicalize(sample), k_mat)

@@ -1,4 +1,4 @@
-"""Reduction to [I | C] form, the D matrix, and the trace-form machinery."""
+"""Reduction to [I | C] form, the dual sample, and the trace-form machinery."""
 
 from fractions import Fraction
 
@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from kronmle.canonical import (
-    CanonicalForm,
     DegenerateData,
     NonPositiveK,
-    canonical_blocks,
+    canonical_sample,
     canonicalize,
     det_reduction_check,
-    format_canonical_form,
     reduced_gradient,
     reduced_objective,
     trace_form,
@@ -21,29 +19,20 @@ from kronmle.linalg import Matrix, kron
 from kronmle.model import SampleSet, g_objective, sample_matrix_normal
 
 
-def sample_from_concat(y, m2, exact=True):
-    """Split an m1 x (n*m2) concatenation into a SampleSet."""
-    m1 = y.rows if exact else y.shape[0]
-    total = y.cols if exact else y.shape[1]
-    n = total // m2
-    if exact:
-        data = tuple(
-            y.submatrix(range(m1), range(i * m2, (i + 1) * m2)) for i in range(n)
-        )
-    else:
-        data = tuple(y[:, i * m2 : (i + 1) * m2] for i in range(n))
-    return SampleSet(m1=m1, m2=m2, n=n, data=data)
+def d_matrix(cf):
+    """The kernel matrix D, whose transpose concatenates the dual sample."""
+    return cf.dual.concatenated().transpose()
 
 
 def worked_example():
     c = Matrix([[1, 2], [3, 4], [5, 6], [7, 8]])
-    return sample_from_concat(Matrix.identity(4).hstack(c), 2)
+    return SampleSet.from_concatenation(Matrix.identity(4).hstack(c), 2)
 
 
 def random_canonical_instance(rng, m2, k, n):
     m1 = n * m2 - k
     c = Matrix([[int(rng.integers(-8, 9)) for _ in range(k)] for _ in range(m1)])
-    cf = canonicalize(sample_from_concat(Matrix.identity(m1).hstack(c), m2))
+    cf = canonicalize(SampleSet.from_concatenation(Matrix.identity(m1).hstack(c), m2))
     l = Matrix([[int(rng.integers(-3, 4)) for _ in range(m2)] for _ in range(m2)])
     k_mat = l @ l.transpose() + Matrix.identity(m2)
     return cf, k_mat
@@ -59,23 +48,23 @@ class TestCanonicalize:
     def test_d_layout(self):
         cf = canonicalize(worked_example())
         expect_dt = cf.C.transpose().hstack(Matrix.identity(2).scale(-1))
-        assert cf.D.transpose() == expect_dt
+        assert (cf.dual.m1, cf.dual.m2, cf.dual.n) == (cf.k, cf.m2, cf.n)
+        assert cf.dual.concatenated() == expect_dt
 
     def test_nontrivial_left_block(self):
         rng = np.random.default_rng(0)
         base = Matrix([[int(rng.integers(-4, 5)) for _ in range(6)] for _ in range(4)])
-        s = sample_from_concat(base, 2)
+        s = SampleSet.from_concatenation(base, 2)
         cf = canonicalize(s)
         ystar = base.submatrix(range(4), range(4))
         assert ystar @ cf.C == base.submatrix(range(4), range(4, 6))
 
     def test_k1_hand_example(self):
         y = Matrix.identity(3).hstack(Matrix.column([1, 0, 0]))
-        cf = canonicalize(sample_from_concat(y, 2))
+        cf = canonicalize(SampleSet.from_concatenation(y, 2))
         assert cf.k == 1
-        assert cf.D == Matrix.column([1, 0, 0, -1])
-        assert cf.d_block(0, 0) == Matrix.column([1, 0])
-        assert cf.d_block(1, 0) == Matrix.column([0, -1])
+        assert d_matrix(cf) == Matrix.column([1, 0, 0, -1])
+        assert cf.dual.data == (Matrix([[1, 0]]), Matrix([[0, -1]]))
 
     def test_kernel_property(self):
         rng = np.random.default_rng(1)
@@ -88,15 +77,15 @@ class TestCanonicalize:
                     break
             cf, _ = random_canonical_instance(rng, m2, k, n)
             y = Matrix.identity(cf.m1).hstack(cf.C)
-            assert y @ cf.D == Matrix.zeros(cf.m1, cf.k)
+            assert y @ d_matrix(cf) == Matrix.zeros(cf.m1, cf.k)
 
     def test_degenerate_left_block(self):
         y = Matrix([[1, 1, 5], [1, 1, 7]])
         with pytest.raises(DegenerateData):
-            canonicalize(sample_from_concat(y, 3))
+            canonicalize(SampleSet.from_concatenation(y, 3))
 
     def test_nonpositive_k(self):
-        s = sample_from_concat(Matrix([[1, 2], [3, 5]]), 2)
+        s = SampleSet.from_concatenation(Matrix([[1, 2], [3, 5]]), 2)
         with pytest.raises(NonPositiveK):
             canonicalize(s)
 
@@ -104,33 +93,7 @@ class TestCanonicalize:
         cf_e = canonicalize(worked_example())
         cf_f = canonicalize(worked_example().to_float())
         assert np.allclose(cf_f.C, cf_e.C.to_numpy())
-        assert np.allclose(cf_f.D, cf_e.D.to_numpy())
-
-
-class TestDabBlocks:
-    def test_block_transpose_symmetry(self):
-        rng = np.random.default_rng(2)
-        cf, _ = random_canonical_instance(rng, 3, 3, 2)
-        for a in range(cf.k):
-            for b in range(cf.k):
-                assert cf.Dab[a][b] == cf.Dab[b][a].transpose()
-
-    def test_grid_is_sum_of_outer_products(self):
-        rng = np.random.default_rng(3)
-        cf, _ = random_canonical_instance(rng, 2, 3, 3)
-        expect = Matrix.zeros(cf.m2 * cf.k, cf.m2 * cf.k)
-        for i in range(cf.n):
-            stacked = cf.d_block(i, 0)
-            for j in range(1, cf.k):
-                stacked = stacked.vstack(cf.d_block(i, j))
-            expect = expect + stacked @ stacked.transpose()
-        assert cf.dab_grid() == expect
-
-    def test_grid_positive_semidefinite(self):
-        rng = np.random.default_rng(4)
-        cf, _ = random_canonical_instance(rng, 2, 2, 2)
-        eigs = np.linalg.eigvalsh(cf.dab_grid().to_numpy())
-        assert eigs.min() >= -1e-9
+        assert np.allclose(d_matrix(cf_f), d_matrix(cf_e).to_numpy())
 
 
 class TestDetReduction:
@@ -140,7 +103,8 @@ class TestDetReduction:
         lhs, rhs = det_reduction_check(cf, k)
         assert lhs == rhs == 16640
         assert k.det() ** 3 == 512
-        inner = cf.D.transpose() @ kron(Matrix.identity(3), k.inverse()) @ cf.D
+        d = d_matrix(cf)
+        inner = d.transpose() @ kron(Matrix.identity(3), k.inverse()) @ d
         assert inner == Matrix(
             [
                 [Fraction(179, 8), Fraction(207, 8)],
@@ -164,9 +128,8 @@ class TestDetReduction:
         cf, k_mat = random_canonical_instance(rng, 2, 1, 2)
         lhs, rhs = det_reduction_check(cf, k_mat)
         scalar = Fraction(0)
-        for i in range(cf.n):
-            d = cf.d_block(i, 0)
-            scalar += (d.transpose() @ k_mat.inverse() @ d)[0, 0]
+        for z in cf.dual.data:  # the single row of each dual block
+            scalar += (z @ k_mat.inverse() @ z.transpose())[0, 0]
         assert rhs == k_mat.det() ** cf.n * scalar
         assert lhs == rhs
 
@@ -193,7 +156,8 @@ class TestDetReduction:
 class TestTraceForm:
     def test_sigma_identity_gives_gram(self):
         cf = canonicalize(worked_example())
-        assert trace_form(cf, Matrix.identity(2)) == cf.D.transpose() @ cf.D
+        d = d_matrix(cf)
+        assert trace_form(cf, Matrix.identity(2)) == d.transpose() @ d
 
     def test_worked_example_matrix(self):
         cf = canonicalize(worked_example())
@@ -212,10 +176,32 @@ class TestTraceForm:
         for _ in range(10):
             cf, k_mat = random_canonical_instance(rng, 3, 2, 2)
             sigma = k_mat.inverse()
-            direct = (
-                cf.D.transpose() @ kron(Matrix.identity(cf.n), sigma) @ cf.D
-            )
+            d = d_matrix(cf)
+            direct = d.transpose() @ kron(Matrix.identity(cf.n), sigma) @ d
             assert trace_form(cf, sigma) == direct
+        # float samples: the GEMM scatter agrees with the kron product to roundoff
+        for m1, m2, n in ((4, 3, 2), (5, 2, 4), (7, 3, 3)):
+            s = sample_matrix_normal(np.eye(m1), np.eye(m2), n, seed=m1 + n)
+            cf = canonicalize(s)
+            a = rng.standard_normal((m2, m2))
+            sigma = a @ a.T + np.eye(m2)
+            d = d_matrix(cf)
+            direct = d.T @ kron(np.eye(n), sigma) @ d
+            got = trace_form(cf, sigma)
+            assert got.shape == (cf.k, cf.k)
+            assert np.abs(got - direct).max() <= 1e-12 * np.abs(direct).max()
+
+    def test_symmetric_pd_at_pd_sigma(self):
+        # T(Sigma) = D^T (I_n kron Sigma) D with D of full column rank k
+        rng = np.random.default_rng(2)
+        for m2, k, n in ((3, 3, 2), (2, 2, 2), (2, 3, 3)):
+            cf, k_mat = random_canonical_instance(rng, m2, k, n)
+            t = trace_form(cf, k_mat.inverse())
+            assert t == t.transpose()
+            assert t.is_positive_definite()
+            tf = trace_form(canonicalize(canonical_sample(cf).to_float()), k_mat.to_numpy())
+            assert np.array_equal(tf, tf.T)
+            assert np.linalg.eigvalsh(tf).min() > 0
 
     def test_dimension_mismatch(self):
         cf = canonicalize(worked_example())
@@ -227,9 +213,7 @@ class TestReducedObjective:
     def test_matches_g_objective_on_canonical_data(self):
         rng = np.random.default_rng(9)
         cf, k_mat = random_canonical_instance(rng, 3, 2, 2)
-        s = sample_from_concat(
-            np.hstack([np.eye(cf.m1), cf.C.to_numpy()]), cf.m2, exact=False
-        )
+        s = canonical_sample(cf).to_float()
         k_arr = k_mat.to_numpy()
         expect = g_objective(s, k_arr)
         got = reduced_objective(cf, np.linalg.inv(k_arr))
@@ -261,16 +245,8 @@ class TestReducedObjective:
 
         s = sample_matrix_normal(np.eye(3), np.eye(2), 3, seed=21)
         cf = canonicalize(s)
-        canon = SampleSet(m1=3, m2=2, n=3, data=tuple(canonical_blocks(cf)))
+        canon = canonical_sample(cf)
         est_raw = flipflop(s, tol=1e-12)
         est_canon = flipflop(canon, tol=1e-12)
         assert np.abs(est_raw.k2 - est_canon.k2).max() <= 1e-6
 
-
-class TestSerialization:
-    def test_header_and_c(self):
-        cf = canonicalize(worked_example())
-        text = format_canonical_form(cf)
-        lines = text.splitlines()
-        assert lines[0] == "4 2 3 2"
-        assert lines[1] == "4 2"

@@ -66,6 +66,28 @@ class TestSampleSet:
         assert y.shape == (4, 15)
         assert np.array_equal(y[:, 3:6], sample.data[1])
 
+    def test_from_concatenation(self):
+        y = np.arange(24.0).reshape(4, 6)
+        s = SampleSet.from_concatenation(y, 2)
+        assert (s.m1, s.m2, s.n) == (4, 2, 3)
+        assert np.array_equal(s.data[1], y[:, 2:4])
+        assert s.stacked is y
+        # a Fortran-ordered array is copied into a C-contiguous one
+        f = np.asfortranarray(y)
+        s2 = SampleSet.from_concatenation(f, 3)
+        assert s2.stacked.flags.c_contiguous and not np.shares_memory(s2.stacked, f)
+        assert np.array_equal(s2.stacked, y)
+        e = SampleSet.from_concatenation(Matrix([[1, 2, 3, 4]]), 2)
+        assert e.data == (Matrix([[1, 2]]), Matrix([[3, 4]]))
+        for bad in (0, 4):
+            with pytest.raises(ValueError):
+                SampleSet.from_concatenation(y, bad)
+
+    def test_parsed_sample_is_not_copied(self, sample):
+        s = parse_sample_set(format_sample_set(sample))
+        assert np.shares_memory(s.stacked, s.data[0])
+        assert np.array_equal(s.stacked, sample.concatenated())
+
     def test_exact_round_trip(self):
         data = (Matrix([[1, 2], [3, 4]]), Matrix([[5, 6], [7, 8]]))
         s = SampleSet(m1=2, m2=2, n=2, data=data)
@@ -156,6 +178,10 @@ class TestScatterKernels:
         assert np.abs(scatter_k2(s, np.eye(2)) - ref).max() <= self.RTOL * np.abs(ref).max()
         got = scatter_k2_whitened(s, np.eye(2))
         assert np.abs(got - ref).max() <= self.RTOL * np.abs(ref).max()
+        # A Matrix K2 takes the exact branch: Y (I_n kron K2) Y^T over rationals.
+        k2 = Matrix([[2, Fraction(1, 3)], [Fraction(1, 3), 1]])
+        y = s.concatenated()
+        assert scatter_k2(s, k2) == y @ kron(Matrix.identity(2), k2) @ y.transpose()
 
 
 class TestGaussianLoglik:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import kronmle
+from kronmle import solvers
 from kronmle.cli import EXIT_OK, main
 from kronmle.linalg import Matrix, NotPD
 from kronmle.model import (
@@ -32,13 +33,7 @@ from kronmle.solvers import (
 
 
 def exact_sample(rows, m2):
-    y = Matrix(rows)
-    m1 = y.rows
-    n = y.cols // m2
-    data = tuple(
-        y.submatrix(range(m1), range(i * m2, (i + 1) * m2)) for i in range(n)
-    )
-    return SampleSet(m1=m1, m2=m2, n=n, data=data)
+    return SampleSet.from_concatenation(Matrix(rows), m2)
 
 
 def _cholesky_ld(k):
@@ -163,6 +158,29 @@ class TestExactK1:
         b = exact_mle_k1(s.to_float())
         assert np.allclose(a.k1, b.k1)
         assert np.allclose(a.k2, b.k2)
+
+    @pytest.mark.parametrize("m1, m2, n, seed", [(23, 4, 6, 0), (23, 4, 6, 1), (11, 2, 6, 2)])
+    def test_float_start_is_in_order_outer_product_sum(self, monkeypatch, m1, m2, n, seed):
+        # The float start decides which runs near flip-flop's roundoff floor
+        # converge, so it must stay this exact sum, bit for bit.
+        rng = np.random.default_rng(seed)
+        a = conditioned_factor(rng, m1, 1e6)
+        s = sample_matrix_normal(a, np.eye(m2), n, seed=seed)
+        y = s.concatenated()
+        v = np.append(np.linalg.solve(y[:, :m1], y[:, m1:]).ravel(), -1.0)
+        expect = np.zeros((m2, m2))
+        for i in range(n):
+            expect += np.outer(v[i * m2 : (i + 1) * m2], v[i * m2 : (i + 1) * m2])
+        seen = []
+
+        def spy(sample, init_k2=None, **kwargs):
+            seen.append(init_k2)
+            return flipflop(sample, init_k2=init_k2, **kwargs)
+
+        monkeypatch.setattr(solvers, "flipflop", spy)
+        exact_mle_k1(s)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], expect)
 
 
 class TestFlipflop:
