@@ -153,6 +153,54 @@ class TestDetReduction:
         assert rhs == pytest.approx(16640.0, rel=1e-9)
 
 
+def dab_grid(cf):
+    """The (m2*k) x (m2*k) grid of blocks D_ab, read off T at unit matrices.
+
+    T is linear in Sigma, and T(E_pq)[a, b] = sum_i Z_i[a, p] Z_i[b, q] is
+    entry (p, q) of block D_ab, so the grid holds every coefficient of T.
+    """
+    m2, k = cf.m2, cf.k
+    rows = [[0] * (m2 * k) for _ in range(m2 * k)]
+    for p in range(m2):
+        for q in range(m2):
+            e = Matrix([[int(i == p and j == q) for j in range(m2)] for i in range(m2)])
+            t = trace_form(cf, e)
+            for a in range(k):
+                for b in range(k):
+                    rows[a * m2 + p][b * m2 + q] = t[a, b]
+    return Matrix(rows)
+
+
+def dab_block(grid, m2, a, b):
+    return grid.submatrix(range(a * m2, (a + 1) * m2), range(b * m2, (b + 1) * m2))
+
+
+class TestDabBlocks:
+    def test_block_transpose_symmetry(self):
+        rng = np.random.default_rng(2)
+        cf, _ = random_canonical_instance(rng, 3, 3, 2)
+        grid = dab_grid(cf)
+        for a in range(cf.k):
+            for b in range(cf.k):
+                assert dab_block(grid, cf.m2, a, b) == dab_block(grid, cf.m2, b, a).transpose()
+
+    def test_grid_is_sum_of_outer_products(self):
+        rng = np.random.default_rng(3)
+        cf, _ = random_canonical_instance(rng, 2, 3, 3)
+        expect = Matrix.zeros(cf.m2 * cf.k, cf.m2 * cf.k)
+        for z in cf.dual.data:
+            # the rows of Z_i, each as an m2-column, stacked
+            stacked = Matrix.column([z[a, p] for a in range(cf.k) for p in range(cf.m2)])
+            expect = expect + stacked @ stacked.transpose()
+        assert dab_grid(cf) == expect
+
+    def test_grid_positive_semidefinite(self):
+        rng = np.random.default_rng(4)
+        cf, _ = random_canonical_instance(rng, 2, 2, 2)
+        eigs = np.linalg.eigvalsh(dab_grid(cf).to_numpy())
+        assert eigs.min() >= -1e-9
+
+
 class TestTraceForm:
     def test_sigma_identity_gives_gram(self):
         cf = canonicalize(worked_example())
