@@ -28,7 +28,10 @@ class NotPD(Exception):
 
 
 def _as_fraction_rows(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    # Entries that already are Fractions are kept, not re-wrapped.
+    return tuple(
+        tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows
+    )
 
 
 class Matrix:
@@ -163,17 +166,10 @@ class Matrix:
         return Fraction((-1) ** swaps * pivots[-1], scale)
 
     def solve(self, rhs):
-        """Exact solve of self @ X = rhs by one fraction-free pass over [A | B]."""
+        """Exact solve of self @ X = rhs: solve_fraction_free, then one division."""
         self._check_square()
-        if rhs.rows != self.rows:
-            raise ValueError("rhs row count mismatch")
-        n = self.rows
-        pivots, _, reduced, _ = _bareiss(
-            [ra + rb for ra, rb in zip(self.data, rhs.data)], n, reduce_above=True
-        )
-        if len(pivots) < n:
-            raise SingularMatrix("exact rank deficiency")
-        return Matrix([[Fraction(x, pivots[-1]) for x in row[n:]] for row in reduced])
+        d, dx = solve_fraction_free(self.data, rhs.data)
+        return Matrix([[Fraction(x, d) for x in row] for row in dx])
 
     def inverse(self):
         return self.solve(Matrix.identity(self.rows))
@@ -191,6 +187,25 @@ class Matrix:
             return False
         pivots, swaps, _, _ = _bareiss(self.data, self.cols)
         return len(pivots) == self.rows and not swaps and all(p > 0 for p in pivots)
+
+
+def solve_fraction_free(a, b):
+    """Integer d != 0 and the integer rows of d*X, where A @ X = B.
+
+    a (square) and b are sequences of rows of ints or Fractions.  One
+    Bareiss pass over [A | B] (see _bareiss) leaves d*I | d*X, d its last
+    pivot; Matrix.solve divides by d, and callers that keep working over
+    the integers do not.  Raises SingularMatrix when A is singular.
+    """
+    n = len(a)
+    if len(b) != n:
+        raise ValueError("rhs row count mismatch")
+    pivots, _, reduced, _ = _bareiss(
+        [tuple(ra) + tuple(rb) for ra, rb in zip(a, b)], n, reduce_above=True
+    )
+    if len(pivots) < n:
+        raise SingularMatrix("exact rank deficiency")
+    return pivots[-1], [row[n:] for row in reduced]
 
 
 def _bareiss(rows, ncols, reduce_above=False):

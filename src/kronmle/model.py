@@ -82,7 +82,7 @@ class SampleSet:
     @cached_property
     def stacked(self):
         """The concatenation as one C-contiguous float array, built once per sample."""
-        return np.ascontiguousarray(self.to_float().concatenated())
+        return np.ascontiguousarray(self.to_float().concatenated(), dtype=np.float64)
 
     def to_float(self):
         if not self.is_exact:

@@ -9,15 +9,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
 from .canonical import DegenerateData, canonicalize
-from .linalg import Matrix, NotPD, cholesky, format_matrix
+from .linalg import (
+    Matrix,
+    NotPD,
+    SingularMatrix,
+    cholesky,
+    format_matrix,
+    solve_fraction_free,
+)
 from .model import (
     kron_loglik,
     scatter_k1_whitened,
-    scatter_k2,
     scatter_k2_whitened,
     thresholds,
 )
@@ -67,42 +74,26 @@ def exact_mle_k1(sample, tol=1e-10, max_iter=10000):
 
     Recipe: split Y = [Y_* | y], form v = (Y_*^-1 y, -1), cut v into n
     blocks v_i of length m2, and set K2 = sum_i v_i v_i^T; K1 is the
-    profile maximizer at K2.  Exists iff n >= m2 and K2 is PD; over
-    rational data the unnormalized pair is exactly rational.  On float
-    data the closed-form K2 is handed to flipflop (with tol and max_iter)
-    as its start, so the estimate carries flipflop's residual guarantee.
+    profile maximizer at K2.  Exists iff n >= m2 and K2 is PD.  Over
+    rational data the unnormalized pair is exact, and K1 comes from the
+    rank-one formula of _exact_k1 without forming the m1 x m1 scatter.  On
+    float data the closed-form K2 is handed to flipflop (with tol and
+    max_iter) as its start, so the estimate carries flipflop's residual
+    guarantee.
     """
     if sample.k != 1:
         raise WrongRegime(f"exact engine needs k = 1, got k = {sample.k}")
     if sample.n < sample.m2:
         raise MLENotExists(f"n = {sample.n} < m2 = {sample.m2}")
+    if sample.is_exact:
+        return _exact_k1(sample)
     cf = canonicalize(sample)  # raises DegenerateData when Y_* is singular
     # v_i^T is the single row of the dual block Z_i.  The outer products are
     # summed in order, not by a GEMM: on float data K2 starts flip-flop, and
     # its last bits decide which runs near the roundoff floor converge.
-    m2 = sample.m2
-    k2 = Matrix.zeros(m2, m2) if sample.is_exact else np.zeros((m2, m2))
+    k2 = np.zeros((sample.m2, sample.m2))
     for z in cf.dual.data:
         k2 = k2 + z.transpose() @ z
-
-    if sample.is_exact:
-        if not k2.is_positive_definite():
-            raise MLENotExists("sum_i v_i v_i^T is not positive definite")
-        k1_exact = scatter_k2(sample, k2).scale(Fraction(1, sample.n * m2)).inverse()
-        k2f, k1f = normalize_det1(k2.to_numpy(), k1_exact.to_numpy())
-        ll = kron_loglik(sample.to_float(), k1f, k2f)
-        return KroneckerEstimate(
-            k1=k1f,
-            k2=k2f,
-            loglik=ll,
-            method="exact",
-            iterations=0,
-            converged=True,
-            k1_exact=k1_exact,
-            k2_exact=k2,
-            det_k2_exact=k2.det(),
-        )
-
     # Float data: the closed-form K2 starts flip-flop, whose stop rule then
     # certifies the pair (one sweep when the closed form is accurate).
     try:
@@ -110,6 +101,68 @@ def exact_mle_k1(sample, tol=1e-10, max_iter=10000):
     except NotPD:
         raise MLENotExists("sum_i v_i v_i^T is not positive definite") from None
     return replace(est, method="exact")
+
+
+def _dot(a, b):
+    return sum(map(mul, a, b))
+
+
+def _exact_k1(sample):
+    """The exact k = 1 pair over Python ints, one Fraction per entry at the end.
+
+    With A = I_n kron K2, W = [Y_*^-1; 0] and v^T A^-1 v = tr(K2^-1 K2) = m2,
+    the inverse of the scatter Y A Y^T is W^T (A^-1 - A^-1 v v^T A^-1 / m2) W,
+    so K1 = n*m2 * W^T [I_n kron K2^-1 - u u^T / m2] W with u = A^-1 v.
+    Integer form: one fraction-free pass over [Y_* | I | y] gives
+    G = d*Y_*^-1 and w = d*v; a second one gives H = e*(d^2 K2)^-1 with
+    e = det(d^2 K2).  With G padded by a zero row and U = (I_n kron H) w,
+    K1 = n * (e*m2 * G^T (I_n kron H) G - (G^T U)(G^T U)^T) / e^2.
+    """
+    m1, m2, n = sample.m1, sample.m2, sample.n
+    rows = [tuple(x for y in sample.data for x in y.data[r]) for r in range(m1)]
+    unit = [(0,) * r + (1,) + (0,) * (m1 - 1 - r) for r in range(m1)]
+    try:
+        d, dx = solve_fraction_free(
+            [row[:m1] for row in rows], [u + row[m1:] for u, row in zip(unit, rows)]
+        )
+    except SingularMatrix:
+        raise DegenerateData("left m1 x m1 block is singular") from None
+    g = [row[:m1] for row in dx] + [(0,) * m1]  # d * W
+    w = [row[m1] for row in dx] + [-d]  # d * v
+    blocks = range(0, n * m2, m2)
+    k2_int = [
+        [sum(w[b + p] * w[b + q] for b in blocks) for q in range(m2)] for p in range(m2)
+    ]
+    d2 = d * d
+    k2 = Matrix([[Fraction(x, d2) for x in row] for row in k2_int])
+    if not k2.is_positive_definite():
+        raise MLENotExists("sum_i v_i v_i^T is not positive definite")
+    # Integer rows need no scaling and a PD matrix no row swap, so e is det(d^2 K2).
+    e, h = solve_fraction_free(k2_int, [[int(i == j) for j in range(m2)] for i in range(m2)])
+    # (I_n kron H) applied to w and, block by block, to the columns of G.
+    u = [_dot(hrow, w[b : b + m2]) for b in blocks for hrow in h]
+    hg = [[_dot(hrow, col) for col in zip(*g[b : b + m2])] for b in blocks for hrow in h]
+    g_t, hg_t = list(zip(*g)), list(zip(*hg))
+    gu = [_dot(col, u) for col in g_t]
+    em2, e2 = e * m2, e * e
+    k1 = [[None] * m1 for _ in range(m1)]
+    for i in range(m1):
+        for j in range(i, m1):
+            x = Fraction(n * (em2 * _dot(g_t[i], hg_t[j]) - gu[i] * gu[j]), e2)
+            k1[i][j] = k1[j][i] = x
+    k1 = Matrix(k1)
+    k2f, k1f = normalize_det1(k2.to_numpy(), k1.to_numpy())
+    return KroneckerEstimate(
+        k1=k1f,
+        k2=k2f,
+        loglik=kron_loglik(sample.to_float(), k1f, k2f),
+        method="exact",
+        iterations=0,
+        converged=True,
+        k1_exact=k1,
+        k2_exact=k2,
+        det_k2_exact=Fraction(e, d2**m2),
+    )
 
 
 def _inverse_factor(lapack, s):

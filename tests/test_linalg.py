@@ -17,6 +17,7 @@ from kronmle.linalg import (
     logdet_pd,
     parse_matrix,
     solve,
+    solve_fraction_free,
 )
 
 
@@ -37,6 +38,13 @@ class TestMatrixBasics:
         assert a.shape == (3, 2)
         assert a[2, 1] == 6
         assert isinstance(a[0, 0], Fraction)
+
+    def test_fraction_entries_kept(self):
+        f = Fraction(7, 3)
+        a = Matrix([[f, 2, "1/2"]])
+        assert a[0, 0] is f
+        assert a.data == ((Fraction(7, 3), Fraction(2), Fraction(1, 2)),)
+        assert all(type(x) is Fraction for x in a.data[0])
 
     def test_immutable(self):
         a = Matrix([[1]])
@@ -166,6 +174,16 @@ class TestSolveInverse:
             n = int(rng.integers(1, 6))
             a = random_nonsingular(rng, n)
             assert a @ a.inverse() == Matrix.identity(n)
+
+    def test_fraction_free_solve_over_ints(self):
+        # d * X is integral, and solve divides it by d.
+        a = [[2, 1], [1, 3]]
+        d, dx = solve_fraction_free(a, [[1, 0], [0, 1]])
+        assert all(type(x) is int for row in dx for x in row)
+        assert Matrix(a) @ Matrix(dx) == Matrix.identity(2).scale(d)
+        assert Matrix(dx).scale(Fraction(1, d)) == Matrix(a).inverse()
+        with pytest.raises(SingularMatrix):
+            solve_fraction_free([[1, 2], [2, 4]], [[1], [1]])
 
     def test_exact_singular_raises(self):
         with pytest.raises(SingularMatrix):

@@ -83,6 +83,13 @@ class TestSampleSet:
             with pytest.raises(ValueError):
                 SampleSet.from_concatenation(y, bad)
 
+    def test_stacked_is_float(self):
+        s = SampleSet.from_concatenation(np.arange(24).reshape(4, 6), 3)
+        assert s.stacked.dtype == np.float64
+        assert np.array_equal(s.stacked, np.arange(24.0).reshape(4, 6))
+        e = SampleSet.from_concatenation(Matrix([[1, 2, 3, 4]]), 2)
+        assert e.stacked.dtype == np.float64
+
     def test_parsed_sample_is_not_copied(self, sample):
         s = parse_sample_set(format_sample_set(sample))
         assert np.shares_memory(s.stacked, s.data[0])

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kronmle.linalg import Matrix, SingularMatrix, _bareiss
+from kronmle.linalg import Matrix, SingularMatrix, _bareiss, solve_fraction_free
 from kronmle.poly import Poly, exact_divide, poly_gcd
 
 entries = st.integers(min_value=-9, max_value=9)
@@ -131,6 +131,16 @@ class TestEliminationAgainstSympy:
             return
         assert to_sympy(a.solve(b)) == sa.LUsolve(to_sympy(b))
         assert to_sympy(a.inverse()) == sa.inv()
+
+    @given(systems())
+    @settings(max_examples=60, deadline=None)
+    def test_fraction_free_solve_is_integral(self, ab):
+        a, b = ab
+        if a.det() == 0:
+            return
+        d, dx = solve_fraction_free(a.data, b.data)
+        assert d != 0 and all(type(x) is int for row in dx for x in row)
+        assert a @ Matrix(dx) == b.scale(d)
 
     @given(singular_matrices(), st.integers(min_value=1, max_value=3))
     @settings(max_examples=40, deadline=None)

@@ -8,10 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import kronmle
 from kronmle import solvers
 from kronmle.cli import EXIT_OK, main
+from kronmle.canonical import DegenerateData, canonicalize
 from kronmle.linalg import Matrix, NotPD
 from kronmle.model import (
     SampleSet,
@@ -181,6 +184,113 @@ class TestExactK1:
         exact_mle_k1(s)
         assert len(seen) == 1
         assert np.array_equal(seen[0], expect)
+
+
+# Every k = 1 shape (m1, m2, n) with n*m2 = m1 + 1, n >= m2 and m1 <= 17.
+K1_SHAPES = [
+    (n * m2 - 1, m2, n)
+    for m2 in range(1, 5)
+    for n in range(max(m2, 2), 19)
+    if n * m2 - 1 <= 17
+]
+
+
+@st.composite
+def k1_integer_samples(draw, min_m2=1):
+    """Signed integer data at a k = 1 shape, as rows of the concatenation."""
+    m1, m2, n = draw(st.sampled_from([s for s in K1_SHAPES if s[1] >= min_m2]))
+    entries = st.integers(min_value=-9, max_value=9)
+    row = st.lists(entries, min_size=n * m2, max_size=n * m2)
+    return draw(st.lists(row, min_size=m1, max_size=m1)), m2
+
+
+def scatter_inverse_k1(sample, k2):
+    """The profile K1 by inverting the m1 x m1 scatter: the oracle of exact_mle_k1."""
+    return scatter_k2(sample, k2).scale(Fraction(1, sample.n * sample.m2)).inverse()
+
+
+def closed_form_k2(sample):
+    """K2 = sum_i v_i v_i^T, read off the dual sample of the canonical form."""
+    k2 = Matrix.zeros(sample.m2, sample.m2)
+    for z in canonicalize(sample).dual.data:
+        k2 = k2 + z.transpose() @ z
+    return k2
+
+
+class TestExactK1Formula:
+    """The rank-one formula over the integers against the scatter inverse."""
+
+    def check(self, s):
+        m1, m2, n = s.m1, s.m2, s.n
+        k2 = closed_form_k2(s)
+        if not k2.is_positive_definite():
+            with pytest.raises(MLENotExists):
+                exact_mle_k1(s)
+            return
+        est = exact_mle_k1(s)
+        assert est.k2_exact == k2
+        assert est.det_k2_exact == k2.det()
+        assert est.k1_exact == scatter_inverse_k1(s, k2)
+        # Both stationarity equations, exactly.
+        k1 = est.k1_exact
+        s1 = Matrix.zeros(m2, m2)
+        for y in s.data:
+            s1 = s1 + y.transpose() @ k1 @ y
+        assert k1 @ scatter_k2(s, k2) == Matrix.identity(m1).scale(n * m2)
+        assert k2 @ s1 == Matrix.identity(m2).scale(n * m1)
+
+    @given(k1_integer_samples())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scatter_inverse(self, drawn):
+        rows, m2 = drawn
+        s = exact_sample(rows, m2)
+        if Matrix(rows).submatrix(range(s.m1), range(s.m1)).det() == 0:
+            with pytest.raises(DegenerateData):
+                exact_mle_k1(s)
+            return
+        self.check(s)
+
+    @pytest.mark.parametrize("m1, m2, n", [(5, 2, 3), (11, 3, 4)])
+    def test_rational_entries(self, m1, m2, n):
+        rng = np.random.default_rng(m1)
+        rows = [
+            [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7))) for _ in range(n * m2)]
+            for _ in range(m1)
+        ]
+        self.check(exact_sample(rows, m2))
+
+    @given(k1_integer_samples())
+    @settings(max_examples=20, deadline=None)
+    def test_singular_left_block_is_degenerate(self, drawn):
+        rows, m2 = drawn
+        assume(len(rows) >= 2)
+        for row in rows:
+            row[1] = row[0]
+        with pytest.raises(DegenerateData):
+            exact_mle_k1(exact_sample(rows, m2))
+
+    @given(k1_integer_samples(min_m2=2))
+    @settings(max_examples=20, deadline=None)
+    def test_singular_k2_raises_before_its_inverse(self, drawn):
+        # A zero last column makes v = (0, ..., 0, -1), so K2 has rank one.
+        rows, m2 = drawn
+        m1 = len(rows)
+        assume(Matrix(rows).submatrix(range(m1), range(m1)).det() != 0)
+        for row in rows:
+            row[-1] = 0
+        calls = []
+        solve = solvers.solve_fraction_free
+
+        def spy(a, b):
+            calls.append(len(a))
+            return solve(a, b)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(solvers, "solve_fraction_free", spy)
+            with pytest.raises(MLENotExists):
+                exact_mle_k1(exact_sample(rows, m2))
+        # Only the pass over Y_* ran; K2 (whose determinant is e) was never solved.
+        assert calls == [m1]
 
 
 class TestFlipflop:
