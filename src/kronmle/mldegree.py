@@ -4,12 +4,18 @@ The likelihood equations are built on the chart K = [[1, k12], [k12, k22]]
 from g1 = det(sum_i Yi K Yi^T) and g2 = det(K): the score numerators are
 m2*g2*d(g1)/de - m1*g1*d(g2)/de for e in {k22, k12}.  Saturating by
 g1*g2*k22 removes the degenerate loci before counting solutions.
+
+The count runs Buchberger over Q and everything after it modulo word-size
+primes: the multiplication-by-f matrix on the residue ring and the stable
+rank of its powers are taken mod each prime of PRIMES, and two primes must
+agree before a count is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -19,13 +25,12 @@ from .groebner import (
     PolyIdeal,
     buchberger,
     dim_and_degree,
-    normal_form,
     saturate_rabinowitsch,
     standard_monomials,
 )
 from .linalg import Matrix
 from .model import SampleSet
-from .poly import Poly, exact_divide, poly_gcd
+from .poly import ORDER_KEYS, Poly, exact_divide, poly_gcd
 
 
 class Timeout:
@@ -128,9 +133,11 @@ def count_solutions_off_locus(gens, f, pair_budget=DEFAULT_PAIR_BUDGET):
     Any common factor of the two score polynomials is split off first: if
     some factor does not divide f, a whole curve of solutions survives and
     the count is reported as 0 (the positive-dimensional convention).
-    Otherwise the count is the localized quotient dimension, obtained as
-    the stable rank of the multiplication-by-f operator on the residue
-    ring of the cofactor system.
+    Otherwise the count is the localized quotient dimension: the stable
+    rank of the multiplication-by-f operator on the residue ring of the
+    cofactor system, whose Groebner basis is computed over Q.  The operator
+    and its rank are then taken modulo the word-size primes of PRIMES (see
+    _modular_stable_rank).
     """
     p, q = gens
     if p.is_zero() or q.is_zero() or f.is_zero():
@@ -153,62 +160,134 @@ def count_solutions_off_locus(gens, f, pair_budget=DEFAULT_PAIR_BUDGET):
     monos = standard_monomials(gb)
     if not monos:
         return 0
-    return _stable_rank(_multiplication_matrix(f, gb, monos))
+    return _modular_stable_rank(f, gb, monos)
 
 
-def _multiplication_matrix(f, gb, monos):
-    """Matrix of multiplication by f on the residue ring, in the given basis."""
+# Primes just below 2**61: a residue fits a machine word and a product of
+# two fits two; 2**61 - 1 is a Mersenne prime.
+PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45, 2**61 - 229, 2**61 - 259, 2**61 - 283)
+
+
+class PrimesExhausted(ArithmeticError):
+    """No two primes of PRIMES agreed on the largest stable rank."""
+
+
+def _modular_stable_rank(f, gb, monos):
+    """Stable rank of multiplication by f on Q[x]/<gb>, counted mod primes.
+
+    The basis is monic, so where p divides no denominator of the basis or
+    of f, its image mod p is still a Groebner basis with the same standard
+    monomials, and the operator mod p is the image of the one over Q.  A
+    rank mod p never exceeds the rank over Q, so each good prime gives a
+    lower bound; the count is returned once two primes agree on the
+    largest bound seen.
+    """
+    key = ORDER_KEYS[gb.order]
+    best, agreeing = -1, 0
+    for prime in PRIMES:
+        basis = [_terms_mod(g, prime) for g in gb.basis]
+        f_mod = _terms_mod(f, prime)
+        if f_mod is None or None in basis:
+            continue  # prime divides a denominator
+        mat = _multiplication_matrix_mod(f_mod, basis, monos, key, prime)
+        r = _stable_rank_mod(mat, prime)
+        if r > best:
+            best, agreeing = r, 1
+        elif r == best:
+            agreeing += 1
+        if agreeing == 2:
+            return best
+    raise PrimesExhausted(f"no two of {len(PRIMES)} primes agreed on a stable rank")
+
+
+def _terms_mod(poly, prime):
+    """Exponent -> coefficient mod prime, or None if prime divides a denominator."""
+    out = {}
+    for e, c in poly.terms.items():
+        if c.denominator % prime == 0:
+            return None
+        r = c.numerator * pow(c.denominator, -1, prime) % prime
+        if r:
+            out[e] = r
+    return out
+
+
+def _multiplication_matrix_mod(f, basis, monos, key, prime):
+    """Column j: normal form mod prime of f times the j-th standard monomial.
+
+    f and the monic basis are exponent -> int maps mod prime; each normal
+    form is one division loop that cancels the current leading term.
+    """
+    leads = [(max(g, key=key), g) for g in basis]
+
+    @cache
+    def tail(exp):
+        # Non-leading terms of the first basis element whose leading
+        # monomial divides exp, shifted by the quotient; None if exp is a
+        # standard monomial.
+        for lexp, g in leads:
+            if all(x <= y for x, y in zip(lexp, exp)):
+                shift = tuple(a - b for a, b in zip(exp, lexp))
+                return [
+                    (tuple(a + b for a, b in zip(gexp, shift)), gc)
+                    for gexp, gc in g.items()
+                    if gexp != lexp
+                ]
+        return None
+
+    order_key = cache(key)
     index = {m: i for i, m in enumerate(monos)}
     d = len(monos)
     mat = [[0] * d for _ in range(d)]
     for j, mono in enumerate(monos):
-        shifted = Poly(
-            f.vars,
-            {tuple(a + b for a, b in zip(e, mono)): c for e, c in f.terms.items()},
-        )
-        nf = normal_form(shifted, list(gb.basis), gb.order)
-        for e, c in nf.terms.items():
-            mat[index[e]][j] = c
-    return Matrix(mat)
+        work = {tuple(a + b for a, b in zip(e, mono)): c for e, c in f.items()}
+        while work:
+            exp = max(work, key=order_key)
+            coeff = work.pop(exp)
+            terms = tail(exp)
+            if terms is None:
+                mat[index[exp]][j] = coeff
+                continue
+            for tgt, gc in terms:
+                s = (work.get(tgt, 0) - coeff * gc) % prime
+                if s:
+                    work[tgt] = s
+                else:
+                    work.pop(tgt, None)
+    return mat
 
 
-def _rank(mat):
-    """Exact rank by Gaussian elimination over the rationals.
-
-    Kept on Fraction rather than the Bareiss kernel of linalg: these
-    matrices are dense with mixed denominators of thousands of bits, and
-    the fraction-free route was measured 1.5-4x slower on them.
-    """
-    a = [list(row) for row in mat.data]
-    nrows = len(a)
-    ncols = len(a[0])
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if a[r][col] != 0), None)
+def _rank_mod(rows, prime):
+    """Rank over the integers mod prime, by Gaussian elimination."""
+    a = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(a[0])):
+        pivot = next((i for i in range(rank, len(a)) if a[i][col]), None)
         if pivot is None:
             continue
-        a[row], a[pivot] = a[pivot], a[row]
-        pv = a[row][col]
-        a[row] = [x / pv for x in a[row]]
-        for r in range(nrows):
-            if r != row and a[r][col] != 0:
-                fac = a[r][col]
-                a[r] = [x - fac * y for x, y in zip(a[r], a[row])]
-        row += 1
-        if row == nrows:
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inv = pow(a[rank][col], -1, prime)
+        prow = [x * inv % prime for x in a[rank]]
+        for i in range(rank + 1, len(a)):
+            fac = a[i][col]
+            if fac:
+                a[i] = [(x - fac * y) % prime for x, y in zip(a[i], prow)]
+        rank += 1
+        if rank == len(a):
             break
-    return row
+    return rank
 
 
-def _stable_rank(mat):
-    """Rank of high powers of mat; counts components where f is invertible."""
-    r_prev = _rank(mat)
-    if r_prev in (0, mat.rows):
+def _stable_rank_mod(mat, prime):
+    """Rank mod prime of high powers of mat: stop when a power keeps the rank."""
+    r_prev = _rank_mod(mat, prime)
+    if r_prev in (0, len(mat)):
         return r_prev
+    cols = list(zip(*mat))
     power = mat
     while True:
-        power = power @ mat
-        r = _rank(power)
+        power = [[sum(x * y for x, y in zip(row, col)) % prime for col in cols] for row in power]
+        r = _rank_mod(power, prime)
         if r == r_prev:
             return r
         r_prev = r

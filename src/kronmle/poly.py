@@ -8,7 +8,10 @@ is exact; zero coefficients are never stored.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import product
+from math import gcd, lcm, prod
+
+from .linalg import Matrix
 
 
 def lex_key(exp):
@@ -331,31 +334,64 @@ def _pseudo_rem(a, b, x):
 
 
 def poly_det(grid):
-    """Determinant of a square grid of Poly by memoized cofactor expansion."""
+    """Determinant of a square grid of Poly, by evaluation and interpolation.
+
+    In each variable the determinant has degree at most D, the sum over the
+    rows of the largest degree of that variable in the row.  Its values on
+    the integer box [0, D_1] x ... x [0, D_k] therefore fix it: each value is
+    Matrix.det of the grid evaluated there, with every row scaled to integer
+    coefficients first, and Newton divided differences over Fraction then
+    interpolate one variable at a time.
+    """
     n = len(grid)
     if any(len(row) != n for row in grid):
         raise ValueError("square grid required")
     vars = grid[0][0].vars
+    if any(p.vars != vars for row in grid for p in row):
+        raise ValueError("polynomials from different rings")
+    bounds = tuple(
+        sum(max((e[i] for p in row for e in p.terms), default=0) for row in grid)
+        for i in range(len(vars))
+    )
+    scales = [lcm(*(c.denominator for p in row for c in p.terms.values())) for row in grid]
+    rows = [
+        [[(e, c.numerator * (s // c.denominator)) for e, c in p.terms.items()] for p in row]
+        for row, s in zip(grid, scales)
+    ]
+    exps = {e for row in rows for entry in row for e, _ in entry}
+    table = {}
+    for point in product(*(range(b + 1) for b in bounds)):
+        monos = {e: prod(x**k for x, k in zip(point, e)) for e in exps}
+        table[point] = Matrix(
+            [[sum(c * monos[e] for e, c in entry) for entry in row] for row in rows]
+        ).det()
+    for i, b in enumerate(bounds):
+        if b == 0:
+            continue
+        coeffs = {}
+        for key in table:
+            if key[i] == 0:
+                line = [table[key[:i] + (x,) + key[i + 1 :]] for x in range(b + 1)]
+                for k, c in enumerate(_interpolate_at_naturals(line)):
+                    coeffs[key[:i] + (k,) + key[i + 1 :]] = c
+        table = coeffs
+    scale = prod(scales)
+    return Poly(vars, {e: c / scale for e, c in table.items()})
 
-    memo = {}
 
-    def minor(cols):
-        # Determinant of rows [n - len(cols), n) restricted to `cols`.
-        if not cols:
-            return Poly.constant(vars, 1)
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
-        row = n - len(cols)
-        total = Poly.constant(vars, 0)
-        for pos, col in enumerate(cols):
-            entry = grid[row][col]
-            if entry.is_zero():
-                continue
-            sub = minor(cols[:pos] + cols[pos + 1 :])
-            term = entry * sub
-            total = total + term if pos % 2 == 0 else total - term
-        memo[cols] = total
-        return total
-
-    return minor(tuple(range(n)))
+def _interpolate_at_naturals(values):
+    """Coefficients, lowest degree first, of the polynomial of degree
+    < len(values) that takes values[x] at x = 0, 1, ...: Newton divided
+    differences, then the Newton form expanded by Horner's rule."""
+    c = list(values)
+    n = len(c)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / j
+    out = [c[-1]]
+    for k in range(n - 2, -1, -1):
+        # out <- out * (x - k) + c[k]
+        out = [c[k] - k * out[0]] + [
+            a - k * b for a, b in zip(out, out[1:] + [0])
+        ]
+    return out

@@ -4,12 +4,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kronmle.groebner import buchberger, dim_and_degree
+from kronmle import mldegree
+from kronmle.groebner import buchberger, dim_and_degree, normal_form
+from kronmle.linalg import Matrix
 from kronmle.mldegree import (
+    PRIMES,
     TIMEOUT,
     SCORE_VARS,
+    PrimesExhausted,
     Timeout,
+    _stable_rank_mod,
     b_zero_quadratic,
     count_solutions_off_locus,
     likelihood_equations_m2_2,
@@ -21,11 +28,87 @@ from kronmle.mldegree import (
 )
 from kronmle.poly import Poly
 from kronmle.solvers import exact_mle_k1
+from test_acceptance import TABLE_CELLS
 
 
 def xy_ring():
     vars = ("x", "y")
     return Poly.variable(vars, "x"), Poly.variable(vars, "y")
+
+
+# The Fraction route that count_solutions_off_locus used before its rank
+# step moved to word-size primes; it stays here as the oracle.
+
+
+def multiplication_matrix(f, gb, monos):
+    """Matrix of multiplication by f on the residue ring, in the given basis."""
+    index = {m: i for i, m in enumerate(monos)}
+    d = len(monos)
+    mat = [[0] * d for _ in range(d)]
+    for j, mono in enumerate(monos):
+        shifted = Poly(
+            f.vars,
+            {tuple(a + b for a, b in zip(e, mono)): c for e, c in f.terms.items()},
+        )
+        nf = normal_form(shifted, list(gb.basis), gb.order)
+        for e, c in nf.terms.items():
+            mat[index[e]][j] = c
+    return Matrix(mat)
+
+
+def fraction_rank(mat):
+    """Exact rank by Gaussian elimination over the rationals.
+
+    Kept on Fraction rather than the Bareiss kernel of linalg: these
+    matrices are dense with mixed denominators of thousands of bits, and
+    the fraction-free route was measured 1.5-4x slower on them.
+    """
+    a = [list(row) for row in mat.data]
+    nrows = len(a)
+    ncols = len(a[0])
+    row = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(row, nrows) if a[r][col] != 0), None)
+        if pivot is None:
+            continue
+        a[row], a[pivot] = a[pivot], a[row]
+        pv = a[row][col]
+        a[row] = [x / pv for x in a[row]]
+        for r in range(nrows):
+            if r != row and a[r][col] != 0:
+                fac = a[r][col]
+                a[r] = [x - fac * y for x, y in zip(a[r], a[row])]
+        row += 1
+        if row == nrows:
+            break
+    return row
+
+
+def fraction_stable_rank(mat):
+    """Rank of high powers of mat; counts components where f is invertible."""
+    r_prev = fraction_rank(mat)
+    if r_prev in (0, mat.rows):
+        return r_prev
+    power = mat
+    while True:
+        power = power @ mat
+        r = fraction_rank(power)
+        if r == r_prev:
+            return r
+        r_prev = r
+
+
+def spy_on_primes(monkeypatch):
+    """Record the prime of every modular stable rank taken."""
+    used = []
+    real = mldegree._stable_rank_mod
+
+    def spy(mat, prime):
+        used.append(prime)
+        return real(mat, prime)
+
+    monkeypatch.setattr(mldegree, "_stable_rank_mod", spy)
+    return used
 
 
 class TestRandomSample:
@@ -126,6 +209,120 @@ class TestCountSolutions:
         gens = (x**3 + y**3 - 1, x**2 * y - 3 * x + 1)
         assert count_solutions_off_locus(gens, x, pair_budget=1) == TIMEOUT
         assert Timeout() == TIMEOUT
+
+
+BAD_PRIME = PRIMES[0]
+
+
+class TestModularCount:
+    # Both routes share Buchberger, so agreement here does not confirm a
+    # cell: (4,4) is compared with the oracle but not pinned.
+    BENCHMARK_CELLS = [
+        (2, 3), (2, 4), (3, 3), (3, 4), (2, 5), (4, 3),
+        (5, 3), (5, 4), (6, 4), (7, 4), (9, 5), (4, 4),
+    ]
+
+    @pytest.mark.parametrize(
+        "m1,n,seed",
+        [(m1, n, seed) for m1, n, _ in TABLE_CELLS for seed in (1, 2)]
+        + [(m1, n, 0) for m1, n in BENCHMARK_CELLS],
+    )
+    def test_matches_fraction_count(self, monkeypatch, m1, n, seed):
+        calls = []
+        real = mldegree._modular_stable_rank
+
+        def spy(f, gb, monos):
+            calls.append((f, gb, monos))
+            return real(f, gb, monos)
+
+        monkeypatch.setattr(mldegree, "_modular_stable_rank", spy)
+        got = ml_degree(m1, n, seed)
+        (f, gb, monos), = calls
+        assert got == fraction_stable_rank(multiplication_matrix(f, gb, monos))
+
+    def test_basis_denominator_skips_prime(self, monkeypatch):
+        x, y = xy_ring()
+        used = spy_on_primes(monkeypatch)
+        # reduced basis {x^2 - x/P, y}: roots x = 0 and x = 1/P
+        gens = (x * (x - Fraction(1, BAD_PRIME)), y)
+        assert count_solutions_off_locus(gens, x) == 1
+        assert used and BAD_PRIME not in used
+
+    def test_f_denominator_skips_prime(self, monkeypatch):
+        x, y = xy_ring()
+        used = spy_on_primes(monkeypatch)
+        gens = (x**2 * (x - 1), y)
+        assert count_solutions_off_locus(gens, x - Fraction(1, BAD_PRIME)) == 3
+        assert used and BAD_PRIME not in used
+
+    def test_unlucky_prime_is_outvoted(self, monkeypatch):
+        x, y = xy_ring()
+        # f = x - 5 is x mod 5, which vanishes at the root x = 0
+        gens = (x * (x - 1), y)
+        monkeypatch.setattr(mldegree, "PRIMES", (5, 7, 11))
+        used = spy_on_primes(monkeypatch)
+        assert count_solutions_off_locus(gens, x - 5) == 2
+        assert used == [5, 7, 11]
+
+    def test_no_agreement_raises(self, monkeypatch):
+        x, y = xy_ring()
+        monkeypatch.setattr(mldegree, "PRIMES", (5, 7))
+        with pytest.raises(PrimesExhausted):
+            count_solutions_off_locus((x * (x - 1), y), x - 5)
+
+    def test_all_primes_bad_raises(self, monkeypatch):
+        x, y = xy_ring()
+        monkeypatch.setattr(mldegree, "PRIMES", (BAD_PRIME,))
+        gens = (x * (x - Fraction(1, BAD_PRIME)), y)
+        with pytest.raises(PrimesExhausted):
+            count_solutions_off_locus(gens, x)
+
+
+small_ints = st.integers(min_value=-4, max_value=4)
+
+
+@st.composite
+def square_integer_matrices(draw):
+    """Integer matrices whose rank may fall with each power."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    kind = draw(st.sampled_from(["random", "low_rank_product", "jordan"]))
+    if kind == "random":
+        return draw(st.lists(st.lists(small_ints, min_size=n, max_size=n), min_size=n, max_size=n))
+    if kind == "low_rank_product":
+        r = draw(st.integers(min_value=0, max_value=n))
+        a = draw(st.lists(st.lists(small_ints, min_size=r, max_size=r), min_size=n, max_size=n))
+        b = draw(st.lists(st.lists(small_ints, min_size=n, max_size=n), min_size=r, max_size=r))
+        return [[sum(a[i][t] * b[t][j] for t in range(r)) for j in range(n)] for i in range(n)]
+    # A nilpotent Jordan block of size k (rank k - 1, k - 2, ..., 0 along
+    # the powers) beside a random block, conjugated by a unimodular S.
+    k = draw(st.integers(min_value=1, max_value=n))
+    rest = draw(st.lists(st.lists(small_ints, min_size=n - k, max_size=n - k), min_size=n - k, max_size=n - k))
+    j = [[0] * n for _ in range(n)]
+    for i in range(k - 1):
+        j[i][i + 1] = 1
+    for i in range(n - k):
+        for c in range(n - k):
+            j[k + i][k + c] = rest[i][c]
+    upper = draw(st.lists(small_ints, min_size=n * n, max_size=n * n))
+    s = Matrix([[1 if r == c else (upper[r * n + c] if c > r else 0) for c in range(n)] for r in range(n)])
+    conj = s @ Matrix(j) @ s.inverse()
+    return [[int(x) for x in row] for row in conj.data]
+
+
+class TestStableRankMod:
+    @given(square_integer_matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_fraction_stable_rank(self, rows):
+        expect = fraction_stable_rank(Matrix(rows))
+        for prime in PRIMES[:2]:
+            assert _stable_rank_mod([[x % prime for x in row] for row in rows], prime) == expect
+
+    def test_nilpotent_block_ranks(self):
+        # J_3 has ranks 2, 1, 0 along its powers; beside the identity the
+        # stable rank is the identity's size.
+        rows = [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
+        assert _stable_rank_mod(rows, PRIMES[0]) == 2
+        assert fraction_stable_rank(Matrix(rows)) == 2
 
 
 class TestMlDegree:

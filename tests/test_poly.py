@@ -5,7 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kronmle import poly
 from kronmle.linalg import Matrix
+from kronmle.mldegree import random_integer_sample, score_polynomials
 from kronmle.poly import Poly, exact_divide, poly_det, poly_gcd
 
 VARS = ("x", "y")
@@ -198,6 +203,77 @@ class TestGcd:
             )
             # equal up to a constant multiple
             assert sympy.simplify(got_s.as_expr() * expect.LC() - expect.as_expr() * got_s.LC()) == 0
+
+
+def cofactor_det(grid):
+    """Determinant of a square grid of Poly by memoized cofactor expansion.
+
+    poly_det's route before it moved to evaluation and interpolation; kept
+    as the oracle.
+    """
+    n = len(grid)
+    vars = grid[0][0].vars
+    memo = {}
+
+    def minor(cols):
+        # Determinant of rows [n - len(cols), n) restricted to `cols`.
+        if not cols:
+            return Poly.constant(vars, 1)
+        cached = memo.get(cols)
+        if cached is not None:
+            return cached
+        row = n - len(cols)
+        total = Poly.constant(vars, 0)
+        for pos, col in enumerate(cols):
+            entry = grid[row][col]
+            if entry.is_zero():
+                continue
+            term = entry * minor(cols[:pos] + cols[pos + 1 :])
+            total = total + term if pos % 2 == 0 else total - term
+        memo[cols] = total
+        return total
+
+    return minor(tuple(range(n)))
+
+
+@st.composite
+def poly_grids(draw):
+    """Square grids of Poly in 1-3 variables, n <= 5, entries of degree <= 2."""
+    vars = ("x", "y", "z")[: draw(st.integers(min_value=1, max_value=3))]
+    n = draw(st.integers(min_value=1, max_value=5))
+    kind = draw(st.sampled_from(["general", "zero_row", "constant"]))
+    if kind == "constant":
+        exps = st.just((0,) * len(vars))
+    else:
+        exps = st.tuples(*(st.integers(min_value=0, max_value=2) for _ in vars)).filter(
+            lambda e: sum(e) <= 2
+        )
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+    entries = st.dictionaries(exps, coeffs, max_size=3).map(lambda t: Poly(vars, t))
+    grid = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if kind == "zero_row":
+        grid[draw(st.integers(min_value=0, max_value=n - 1))] = [Poly(vars)] * n
+    return grid
+
+
+class TestPolyDetOracle:
+    @given(poly_grids())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_cofactor_expansion(self, grid):
+        assert poly_det(grid) == cofactor_det(grid)
+
+    @pytest.mark.parametrize("m1,n", [(5, 4), (9, 5), (4, 4)])
+    def test_score_g1_equals_cofactor(self, monkeypatch, m1, n):
+        grids = []
+        real = poly.poly_det
+
+        def spy(grid):
+            grids.append(grid)
+            return real(grid)
+
+        monkeypatch.setattr(poly, "poly_det", spy)
+        g1, _, _ = score_polynomials(random_integer_sample(m1, n, seed=0))
+        assert g1 == cofactor_det(grids[0])
 
 
 class TestPolyDet:
