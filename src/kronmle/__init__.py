@@ -1,109 +1,26 @@
 """Maximum likelihood estimation under Kronecker-structured covariance.
 
-Numeric side: matrix normal likelihoods, the closed-form k = 1 MLE, and
-the flip-flop block-coordinate ascent.  Exact side: rational linear
-algebra, the determinant reduction identity, and Groebner-basis counting
-of likelihood-equation solutions (ML degree / ML multiplicity).
+Numeric side: the closed-form k = 1 MLE and the flip-flop block-coordinate
+ascent.  Exact side: the determinant reduction identity and Groebner-basis
+counting of likelihood-equation solutions (ML degree / ML multiplicity).
+The layers themselves live in the submodules.
 """
 
-from .canonical import (
-    CanonicalForm,
-    DegenerateData,
-    NonPositiveK,
-    canonicalize,
-    det_reduction_check,
-    reduced_gradient,
-    reduced_objective,
-    trace_form,
-)
-from .groebner import (
-    GroebnerBasis,
-    PairBudgetExceeded,
-    PolyIdeal,
-    buchberger,
-    dim_and_degree,
-    saturate_rabinowitsch,
-)
-from .linalg import Matrix, NotPD, SingularMatrix, cholesky, det, inverse, kron, solve
-from .mldegree import (
-    TIMEOUT,
-    Timeout,
-    b_zero_quadratic,
-    likelihood_equations_m2_2,
-    ml_degree,
-    ml_multiplicity_prop43,
-    prop43_system,
-    random_integer_sample,
-    score_polynomials,
-)
-from .model import (
-    SampleSet,
-    ThresholdBounds,
-    g_objective,
-    gaussian_loglik,
-    kron_loglik,
-    profile_k1,
-    sample_matrix_normal,
-    thresholds,
-)
-from .poly import Poly, poly_det
-from .solvers import (
-    KroneckerEstimate,
-    MLENotExists,
-    WrongRegime,
-    exact_mle_k1,
-    flipflop,
-    mle,
-    normalize_det1,
-)
+from .canonical import DegenerateData, canonicalize, det_reduction_check
+from .mldegree import PrimesExhausted, ml_degree, ml_multiplicity_prop43
+from .model import SampleSet
+from .solvers import MLENotExists, exact_mle_k1, flipflop, mle
 
 __all__ = [
-    "CanonicalForm",
     "DegenerateData",
-    "GroebnerBasis",
-    "KroneckerEstimate",
     "MLENotExists",
-    "Matrix",
-    "NonPositiveK",
-    "NotPD",
-    "PairBudgetExceeded",
-    "Poly",
-    "PolyIdeal",
+    "PrimesExhausted",
     "SampleSet",
-    "SingularMatrix",
-    "TIMEOUT",
-    "ThresholdBounds",
-    "Timeout",
-    "WrongRegime",
-    "b_zero_quadratic",
-    "buchberger",
     "canonicalize",
-    "cholesky",
-    "det",
     "det_reduction_check",
-    "dim_and_degree",
     "exact_mle_k1",
     "flipflop",
-    "g_objective",
-    "gaussian_loglik",
-    "inverse",
-    "kron",
-    "kron_loglik",
-    "likelihood_equations_m2_2",
     "ml_degree",
     "ml_multiplicity_prop43",
     "mle",
-    "normalize_det1",
-    "poly_det",
-    "profile_k1",
-    "prop43_system",
-    "random_integer_sample",
-    "reduced_gradient",
-    "reduced_objective",
-    "sample_matrix_normal",
-    "saturate_rabinowitsch",
-    "score_polynomials",
-    "solve",
-    "thresholds",
-    "trace_form",
 ]

@@ -34,7 +34,7 @@ class CanonicalForm:
     n: int
     k: int
     C: object  # m1 x k
-    dual: SampleSet  # the n blocks Z_i (k x m2) of D^T = [C^T | -I_k]
+    dual: SampleSet  # D^T = [C^T | -I_k]: n blocks Z_i of size k x m2
 
     @property
     def is_exact(self):
@@ -46,7 +46,7 @@ def canonicalize(sample):
     k = sample.k
     if k < 1:
         raise NonPositiveK(f"k = n*m2 - m1 = {k} must be >= 1")
-    y = sample.concatenated()
+    y = sample.y
     m1, m2, n = sample.m1, sample.m2, sample.n
     if sample.is_exact:
         ystar = y.submatrix(range(m1), range(m1))
@@ -61,8 +61,7 @@ def canonicalize(sample):
             raise DegenerateData("left m1 x m1 block is singular")
         c = np.linalg.solve(ystar, y[:, m1:])
         d_t = np.hstack([c.T, -np.eye(k)])
-    dual = SampleSet.from_concatenation(d_t, m2)
-    return CanonicalForm(m1=m1, m2=m2, n=n, k=k, C=c, dual=dual)
+    return CanonicalForm(m1=m1, m2=m2, n=n, k=k, C=c, dual=SampleSet(d_t, m2))
 
 
 def canonical_sample(cf):
@@ -71,7 +70,7 @@ def canonical_sample(cf):
         y = Matrix.identity(cf.m1).hstack(cf.C)
     else:
         y = np.hstack([np.eye(cf.m1), cf.C])
-    return SampleSet.from_concatenation(y, cf.m2)
+    return SampleSet(y, cf.m2)
 
 
 def det_reduction_check(cf, k_mat):

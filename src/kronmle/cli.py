@@ -1,7 +1,8 @@
 """Command-line front end: sample, mle, verify-lemma, mldegree, multiplicity.
 
 Exit codes: 0 success (Timeout cells included), 2 degenerate data,
-3 MLE nonexistence, 4 bad arguments.
+3 MLE nonexistence, 4 bad arguments or input, or an ML-degree count that
+no two primes of mldegree.PRIMES confirmed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,14 @@ import numpy as np
 
 from .canonical import DegenerateData, canonicalize, det_reduction_check
 from .linalg import Matrix
-from .mldegree import TIMEOUT, b_zero_quadratic, ml_degree, ml_multiplicity_prop43
+from .mldegree import (
+    PROP43_UPPER,
+    TIMEOUT,
+    PrimesExhausted,
+    b_zero_quadratic,
+    ml_degree,
+    ml_multiplicity_prop43,
+)
 from .model import (
     SampleSet,
     format_sample_set,
@@ -89,7 +97,7 @@ def cmd_mle(args):
 def _pinned_example():
     """The worked 4x2x3 instance: both determinants equal 16640."""
     y = Matrix.identity(4).hstack(Matrix([[1, 2], [3, 4], [5, 6], [7, 8]]))
-    cf = canonicalize(SampleSet.from_concatenation(y, 2))
+    cf = canonicalize(SampleSet(y, 2))
     k = Matrix([[3, 1], [1, 3]])
     return det_reduction_check(cf, k)
 
@@ -98,7 +106,7 @@ def random_lemma_instance(rng, m2, k, n):
     """Random exact (canonical form, PD rational K) for the identity check."""
     m1 = n * m2 - k
     c = Matrix([[int(rng.integers(-8, 9)) for _ in range(k)] for _ in range(m1)])
-    cf = canonicalize(SampleSet.from_concatenation(Matrix.identity(m1).hstack(c), m2))
+    cf = canonicalize(SampleSet(Matrix.identity(m1).hstack(c), m2))
     l = Matrix([[int(rng.integers(-3, 4)) for _ in range(m2)] for _ in range(m2)])
     k_mat = l @ l.transpose() + Matrix.identity(m2)
     return cf, k_mat
@@ -148,6 +156,10 @@ def _mldegree_cell(task):
     }
 
 
+def _cell_path(cache_dir, m1, n, seed):
+    return os.path.join(cache_dir, f"cell_{m1}_{n}_{seed}.json")
+
+
 def cmd_mldegree(args):
     if args.m2 != 2:
         print("mldegree supports m2 = 2 only", file=sys.stderr)
@@ -160,9 +172,7 @@ def cmd_mldegree(args):
     pending = []
     for m1 in m1s:
         for n in ns:
-            cache = os.path.join(
-                args.cache_dir, f"cell_{m1}_{n}_{args.seed}.json"
-            )
+            cache = _cell_path(args.cache_dir, m1, n, args.seed)
             if os.path.exists(cache):
                 with open(cache) as fh:
                     results.append(json.load(fh))
@@ -172,10 +182,7 @@ def cmd_mldegree(args):
     if pending:
         with ProcessPoolExecutor(max_workers=_worker_count(len(pending))) as pool:
             for cell in pool.map(_mldegree_cell, pending):
-                cache = os.path.join(
-                    args.cache_dir,
-                    f"cell_{cell['m1']}_{cell['n']}_{cell['seed']}.json",
-                )
+                cache = _cell_path(args.cache_dir, cell["m1"], cell["n"], cell["seed"])
                 with open(cache, "w") as fh:
                     json.dump(cell, fh)
                 results.append(cell)
@@ -213,7 +220,7 @@ def cmd_multiplicity(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
-    upper = 5 if case == "one" else 4
+    upper = PROP43_UPPER[case]
     print(f"case {case}, m2 = {args.m2}, k = {args.k}")
     print(f"b = 0 quadratic: {quad}")
     print(f"discriminant: {quad.discriminant}")
@@ -282,7 +289,7 @@ def main(argv=None):
     except MLENotExists as exc:
         print(f"MLE does not exist: {exc}", file=sys.stderr)
         return EXIT_NO_MLE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, PrimesExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
 

@@ -29,7 +29,7 @@ from .groebner import (
     standard_monomials,
 )
 from .linalg import Matrix
-from .model import SampleSet
+from .model import SampleSet, scatter_k2
 from .poly import ORDER_KEYS, Poly, exact_divide, poly_gcd
 
 
@@ -54,51 +54,40 @@ SCORE_VARS = ("k12", "k22")
 def random_integer_sample(m1, n, seed, m2=2, entry_bound=17):
     """n exact integer data matrices with entries uniform on {0,...,16}."""
     rng = np.random.default_rng(seed)
-    data = tuple(
-        Matrix([[int(x) for x in row] for row in rng.integers(0, entry_bound, (m1, m2))])
-        for _ in range(n)
-    )
-    return SampleSet(m1=m1, m2=m2, n=n, data=data)
+    blocks = [rng.integers(0, entry_bound, (m1, m2)) for _ in range(n)]
+    return SampleSet(Matrix(np.hstack(blocks).tolist()), m2)
 
 
-def _chart_matrix():
-    k12 = Poly.variable(SCORE_VARS, "k12")
-    k22 = Poly.variable(SCORE_VARS, "k22")
-    one = Poly.constant(SCORE_VARS, 1)
-    return [[one, k12], [k12, k22]]
+# K = [[1, k12], [k12, k22]] is E11 + k12*(E12 + E21) + k22*E22: each
+# coefficient matrix, paired with its monomial's exponent in SCORE_VARS.
+_CHART_TERMS = (
+    ((0, 0), Matrix([[1, 0], [0, 0]])),
+    ((1, 0), Matrix([[0, 1], [1, 0]])),
+    ((0, 1), Matrix([[0, 0], [0, 1]])),
+)
+
+
+def _poly_grid(terms):
+    """The grid of Polys sum x^exp * M over the (exp, square Matrix M) terms."""
+    size = terms[0][1].rows
+    return [
+        [Poly(SCORE_VARS, {exp: m[i, j] for exp, m in terms}) for j in range(size)]
+        for i in range(size)
+    ]
 
 
 def score_polynomials(sample):
-    """(g1, g2, score equations) on the k11 = 1 chart for an exact m2=2 sample."""
+    """(g1, g2, score equations) on the k11 = 1 chart for an exact m2=2 sample.
+
+    The grid sum_i Yi K Yi^T is linear in K, so its entries are read off
+    the three exact scatters at the coefficient matrices of 1, k12 and k22.
+    """
     if sample.m2 != 2 or not sample.is_exact:
         raise ValueError("exact sample with m2 = 2 required")
     from .poly import poly_det
 
-    k_chart = _chart_matrix()
-    acc = None
-    for y in sample.data:
-        # y K y^T as an m1 x m1 grid of polynomials
-        rows = []
-        for i in range(sample.m1):
-            row = []
-            for j in range(sample.m1):
-                entry = Poly.constant(SCORE_VARS, 0)
-                for a in range(2):
-                    for b in range(2):
-                        coeff = y[i, a] * y[j, b]
-                        if coeff != 0:
-                            entry = entry + coeff * k_chart[a][b]
-                row.append(entry)
-            rows.append(row)
-        if acc is None:
-            acc = rows
-        else:
-            acc = [
-                [acc[i][j] + rows[i][j] for j in range(sample.m1)]
-                for i in range(sample.m1)
-            ]
-    g1 = poly_det(acc)
-    g2 = poly_det(k_chart)
+    g1 = poly_det(_poly_grid([(exp, scatter_k2(sample, e)) for exp, e in _CHART_TERMS]))
+    g2 = poly_det(_poly_grid(_CHART_TERMS))
     m1, m2 = sample.m1, sample.m2
     gens = tuple(
         m2 * g2 * g1.diff(e) - m1 * g1 * g2.diff(e) for e in ("k22", "k12")
@@ -385,14 +374,19 @@ def prop43_system(m2, k, case_id):
     return saturate_rabinowitsch(ideal, den1 * den2)
 
 
+# The largest solution count Prop. 4.3 allows for each constructed case;
+# the smallest is 2.
+PROP43_UPPER = {"one": 5, "two": 4}
+
+
 def ml_multiplicity_prop43(m2, k, case_id, pair_budget=DEFAULT_PAIR_BUDGET):
-    """Solution count of the constructed system; in [2, 5] (case one) or [2, 4]."""
+    """Solution count of the constructed system, in [2, PROP43_UPPER[case_id]]."""
     ideal = prop43_system(m2, k, case_id)
     gb = buchberger(ideal, order="grevlex", pair_budget=pair_budget)
     zero_dim, degree = dim_and_degree(gb)
     if not zero_dim:
         raise ValueError("constructed system should be zero-dimensional")
-    upper = 5 if case_id == "one" else 4
+    upper = PROP43_UPPER[case_id]
     if not 2 <= degree <= upper:
         raise ValueError(f"solution count {degree} outside expected [2, {upper}]")
     return degree

@@ -27,67 +27,51 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class SampleSet:
-    """n data matrices of shape (m1, m2); exact (Matrix) or float (ndarray)."""
+    """n data matrices Yi of shape (m1, m2), kept as Y = [Y1 | ... | Yn].
 
-    m1: int
+    y is the m1 x (n*m2) concatenation: an exact Matrix, or a float array
+    stored C-contiguous in float64 (without a copy when it already is).
+    """
+
+    y: object
     m2: int
-    n: int
-    data: tuple
 
     def __post_init__(self):
-        if len(self.data) != self.n:
-            raise ValueError("need exactly n data matrices")
-        for y in self.data:
-            if y.shape != (self.m1, self.m2):
-                raise ValueError("data matrix has wrong shape")
+        if not isinstance(self.y, Matrix):
+            object.__setattr__(self, "y", np.ascontiguousarray(self.y, dtype=np.float64))
+            if self.y.ndim != 2:
+                raise ValueError("the concatenation must be a 2-D array")
+        cols = self.y.shape[1]
+        if self.m2 < 1 or cols % self.m2:
+            raise ValueError(f"{cols} columns do not split into blocks of width {self.m2}")
 
-    @classmethod
-    def from_concatenation(cls, y, m2):
-        """Split an m1 x (n*m2) concatenation [Y1 | ... | Yn] into its n blocks.
+    @cached_property
+    def m1(self):
+        return self.y.shape[0]
 
-        y is a Matrix or a 2-D float array; the blocks are submatrices or
-        column views of it.  A C-contiguous float64 y is the sample's
-        `stacked` array as it is, without a copy.
-        """
-        m1, cols = y.shape
-        if m2 < 1 or cols % m2:
-            raise ValueError(f"{cols} columns do not split into blocks of width {m2}")
-        n = cols // m2
-        if isinstance(y, Matrix):
-            data = tuple(y.submatrix(range(m1), range(i * m2, (i + 1) * m2)) for i in range(n))
-        else:
-            data = tuple(y[:, i * m2 : (i + 1) * m2] for i in range(n))
-        sample = cls(m1=m1, m2=m2, n=n, data=data)
-        if isinstance(y, np.ndarray) and y.dtype == np.float64 and y.flags.c_contiguous:
-            vars(sample)["stacked"] = y  # the slot where cached_property keeps its value
-        return sample
+    @cached_property
+    def n(self):
+        return self.y.shape[1] // self.m2
 
     @property
     def k(self):
         return self.n * self.m2 - self.m1
 
-    @property
+    @cached_property
     def is_exact(self):
-        return isinstance(self.data[0], Matrix)
-
-    def concatenated(self):
-        """The m1 x (n*m2) concatenation [Y1 | ... | Yn]."""
-        if self.is_exact:
-            out = self.data[0]
-            for y in self.data[1:]:
-                out = out.hstack(y)
-            return out
-        return np.hstack(self.data)
+        return isinstance(self.y, Matrix)
 
     @cached_property
-    def stacked(self):
-        """The concatenation as one C-contiguous float array, built once per sample."""
-        return np.ascontiguousarray(self.to_float().concatenated(), dtype=np.float64)
+    def blocks(self):
+        """The n blocks Yi: submatrices of an exact y, column views of a float one."""
+        m1, m2 = self.m1, self.m2
+        cuts = range(0, self.n * m2, m2)
+        if self.is_exact:
+            return tuple(self.y.submatrix(range(m1), range(c, c + m2)) for c in cuts)
+        return tuple(self.y[:, c : c + m2] for c in cuts)
 
     def to_float(self):
-        if not self.is_exact:
-            return self
-        return SampleSet(self.m1, self.m2, self.n, tuple(y.to_numpy() for y in self.data))
+        return SampleSet(self.y.to_numpy(), self.m2) if self.is_exact else self
 
 
 @dataclass(frozen=True)
@@ -124,7 +108,7 @@ def scatter_k2(sample, k2):
     """The m1 x m1 matrix sum_i Yi K2 Yi^T.
 
     An exact sample with a Matrix K2 gives the exact sum, one block at a
-    time.  Otherwise it is one GEMM pair over the stacked float data,
+    time.  Otherwise it is one GEMM pair over the float concatenation Y,
     symmetrized: the rows of Y reshaped to (m1*n, m2) are the rows of every
     Yi, so multiplying them by K2 and reshaping back gives
     [Y1 K2 | ... | Yn K2], whose product with Y^T is the sum.
@@ -132,10 +116,10 @@ def scatter_k2(sample, k2):
     m1, m2, n = sample.m1, sample.m2, sample.n
     if sample.is_exact and isinstance(k2, Matrix):
         out = Matrix.zeros(m1, m1)
-        for y in sample.data:
+        for y in sample.blocks:
             out = out + y @ k2 @ y.transpose()
         return out
-    y = sample.stacked
+    y = sample.to_float().y
     out = (y.reshape(m1 * n, m2) @ _as_array(k2)).reshape(m1, n * m2) @ y.T
     return (out + out.T) / 2
 
@@ -143,7 +127,7 @@ def scatter_k2(sample, k2):
 def scatter_k1(sample, k1):
     """The m2 x m2 matrix sum_i Yi^T K1 Yi, symmetrized (same layout as scatter_k2)."""
     m1, m2, n = sample.m1, sample.m2, sample.n
-    y = sample.stacked
+    y = sample.to_float().y
     out = y.reshape(m1 * n, m2).T @ (_as_array(k1) @ y).reshape(m1 * n, m2)
     return (out + out.T) / 2
 
@@ -151,18 +135,19 @@ def scatter_k1(sample, k1):
 def scatter_k2_whitened(sample, f2):
     """sum_i Yi K2 Yi^T for K2 = F2 F2^T, with the data whitened first.
 
-    The stacked rows (see scatter_k2) times F2 give V = [Y1 F2 | ... | Yn F2],
-    and the sum is V V^T: a SYRK, so the result is exactly symmetric.
+    The rows of Y reshaped to (m1*n, m2) (see scatter_k2) times F2 give
+    V = [Y1 F2 | ... | Yn F2], and the sum is V V^T: a SYRK, so the result
+    is exactly symmetric.
     """
     m1, m2, n = sample.m1, sample.m2, sample.n
-    v = (sample.stacked.reshape(m1 * n, m2) @ f2).reshape(m1, n * m2)
+    v = (sample.to_float().y.reshape(m1 * n, m2) @ f2).reshape(m1, n * m2)
     return v @ v.T
 
 
 def scatter_k1_whitened(sample, f1):
     """sum_i Yi^T K1 Yi for K1 = F1 F1^T: one SYRK over the rows of F1^T Yi."""
     m1, m2, n = sample.m1, sample.m2, sample.n
-    z = (f1.T @ sample.stacked).reshape(m1 * n, m2)
+    z = (f1.T @ sample.to_float().y).reshape(m1 * n, m2)
     return z.T @ z
 
 
@@ -221,16 +206,16 @@ def sample_matrix_normal(a, b, n, seed):
     """
     a = _as_array(a)
     b = _as_array(b)
-    m1 = a.shape[0]
-    m2 = b.shape[1]
+    if n < 1:
+        raise ValueError("need at least one data matrix")
     rng = np.random.default_rng(seed)
-    data = tuple(a @ rng.standard_normal((a.shape[1], b.shape[0])) @ b for _ in range(n))
-    return SampleSet(m1=m1, m2=m2, n=n, data=data)
+    blocks = [a @ rng.standard_normal((a.shape[1], b.shape[0])) @ b for _ in range(n)]
+    return SampleSet(np.hstack(blocks), b.shape[1])
 
 
 def format_sample_set(sample):
     """Serialize: header "m1 m2 n", then the concatenation [Y1|...|Yn]."""
-    return f"{sample.m1} {sample.m2} {sample.n}\n" + format_matrix(sample.concatenated())
+    return f"{sample.m1} {sample.m2} {sample.n}\n" + format_matrix(sample.y)
 
 
 def parse_sample_set(text, exact=False):
@@ -242,4 +227,4 @@ def parse_sample_set(text, exact=False):
     y = parse_matrix(lines, exact=exact)
     if y.shape != (m1, n * m2):
         raise ValueError("concatenated data has wrong shape")
-    return SampleSet.from_concatenation(y, m2)
+    return SampleSet(y, m2)

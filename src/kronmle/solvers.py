@@ -92,7 +92,7 @@ def exact_mle_k1(sample, tol=1e-10, max_iter=10000):
     # summed in order, not by a GEMM: on float data K2 starts flip-flop, and
     # its last bits decide which runs near the roundoff floor converge.
     k2 = np.zeros((sample.m2, sample.m2))
-    for z in cf.dual.data:
+    for z in cf.dual.blocks:
         k2 = k2 + z.transpose() @ z
     # Float data: the closed-form K2 starts flip-flop, whose stop rule then
     # certifies the pair (one sweep when the closed form is accurate).
@@ -119,7 +119,7 @@ def _exact_k1(sample):
     K1 = n * (e*m2 * G^T (I_n kron H) G - (G^T U)(G^T U)^T) / e^2.
     """
     m1, m2, n = sample.m1, sample.m2, sample.n
-    rows = [tuple(x for y in sample.data for x in y.data[r]) for r in range(m1)]
+    rows = sample.y.data  # Y = [Y_* | y]
     unit = [(0,) * r + (1,) + (0,) * (m1 - 1 - r) for r in range(m1)]
     try:
         d, dx = solve_fraction_free(

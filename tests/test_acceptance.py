@@ -16,13 +16,13 @@ from kronmle.solvers import MLENotExists, exact_mle_k1, flipflop, normalize_det1
 def test_01_worked_example_identity():
     start = time.monotonic()
     c = Matrix([[1, 2], [3, 4], [5, 6], [7, 8]])
-    sample = SampleSet.from_concatenation(Matrix.identity(4).hstack(c), 2)
+    sample = SampleSet(Matrix.identity(4).hstack(c), 2)
     cf = canonicalize(sample)
     k = Matrix([[3, 1], [1, 3]])
     lhs, rhs = det_reduction_check(cf, k)
     assert lhs == 16640
     assert rhs == 16640
-    d = cf.dual.concatenated().transpose()  # D: its transpose concatenates the dual blocks
+    d = cf.dual.y.transpose()  # D: its transpose concatenates the dual blocks
     inner = d.transpose() @ kron(Matrix.identity(3), k.inverse()) @ d
     assert inner == Matrix(
         [
@@ -51,7 +51,7 @@ def test_02_identity_property_suite():
         if not 1 <= m1 <= 10:
             continue
         c = Matrix([[int(rng.integers(-8, 9)) for _ in range(k)] for _ in range(m1)])
-        sample = SampleSet.from_concatenation(Matrix.identity(m1).hstack(c), m2)
+        sample = SampleSet(Matrix.identity(m1).hstack(c), m2)
         l = Matrix([[int(rng.integers(-3, 4)) for _ in range(m2)] for _ in range(m2)])
         k_mat = l @ l.transpose() + Matrix.identity(m2)
         lhs, rhs = det_reduction_check(canonicalize(sample), k_mat)
@@ -195,9 +195,7 @@ def test_08_invariance_suite():
     for _ in range(50):
         sample = sample_matrix_normal(np.eye(3), np.eye(2), 3, seed=int(rng.integers(1 << 30)))
         a = rng.standard_normal((3, 3)) + 2 * np.eye(3)
-        moved = SampleSet(
-            m1=3, m2=2, n=3, data=tuple(a @ y for y in sample.data)
-        )
+        moved = SampleSet(a @ sample.y, 2)
         k2 = np.eye(2) + 0.3 * np.ones((2, 2))
         shift = g_objective(moved, k2) - g_objective(sample, k2)
         _, logabsdet = np.linalg.slogdet(a)
@@ -209,9 +207,7 @@ def test_08_invariance_suite():
         a = rng.standard_normal((3, 3)) + 2 * np.eye(3)
         b = rng.standard_normal((2, 2)) + 2 * np.eye(2)
         base = flipflop(sample, tol=1e-13)
-        moved = SampleSet(
-            m1=3, m2=2, n=3, data=tuple(a @ y @ b.T for y in sample.data)
-        )
+        moved = SampleSet(np.hstack([a @ y @ b.T for y in sample.blocks]), 2)
         est = flipflop(moved, tol=1e-13)
         expect_k2 = normalize_det1(np.linalg.inv(b).T @ base.k2 @ np.linalg.inv(b))
         assert np.abs(est.k2 - expect_k2).max() <= 1e-6

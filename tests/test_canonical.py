@@ -21,18 +21,18 @@ from kronmle.model import SampleSet, g_objective, sample_matrix_normal
 
 def d_matrix(cf):
     """The kernel matrix D, whose transpose concatenates the dual sample."""
-    return cf.dual.concatenated().transpose()
+    return cf.dual.y.transpose()
 
 
 def worked_example():
     c = Matrix([[1, 2], [3, 4], [5, 6], [7, 8]])
-    return SampleSet.from_concatenation(Matrix.identity(4).hstack(c), 2)
+    return SampleSet(Matrix.identity(4).hstack(c), 2)
 
 
 def random_canonical_instance(rng, m2, k, n):
     m1 = n * m2 - k
     c = Matrix([[int(rng.integers(-8, 9)) for _ in range(k)] for _ in range(m1)])
-    cf = canonicalize(SampleSet.from_concatenation(Matrix.identity(m1).hstack(c), m2))
+    cf = canonicalize(SampleSet(Matrix.identity(m1).hstack(c), m2))
     l = Matrix([[int(rng.integers(-3, 4)) for _ in range(m2)] for _ in range(m2)])
     k_mat = l @ l.transpose() + Matrix.identity(m2)
     return cf, k_mat
@@ -49,22 +49,22 @@ class TestCanonicalize:
         cf = canonicalize(worked_example())
         expect_dt = cf.C.transpose().hstack(Matrix.identity(2).scale(-1))
         assert (cf.dual.m1, cf.dual.m2, cf.dual.n) == (cf.k, cf.m2, cf.n)
-        assert cf.dual.concatenated() == expect_dt
+        assert cf.dual.y == expect_dt
 
     def test_nontrivial_left_block(self):
         rng = np.random.default_rng(0)
         base = Matrix([[int(rng.integers(-4, 5)) for _ in range(6)] for _ in range(4)])
-        s = SampleSet.from_concatenation(base, 2)
+        s = SampleSet(base, 2)
         cf = canonicalize(s)
         ystar = base.submatrix(range(4), range(4))
         assert ystar @ cf.C == base.submatrix(range(4), range(4, 6))
 
     def test_k1_hand_example(self):
         y = Matrix.identity(3).hstack(Matrix.column([1, 0, 0]))
-        cf = canonicalize(SampleSet.from_concatenation(y, 2))
+        cf = canonicalize(SampleSet(y, 2))
         assert cf.k == 1
         assert d_matrix(cf) == Matrix.column([1, 0, 0, -1])
-        assert cf.dual.data == (Matrix([[1, 0]]), Matrix([[0, -1]]))
+        assert cf.dual.blocks == (Matrix([[1, 0]]), Matrix([[0, -1]]))
 
     def test_kernel_property(self):
         rng = np.random.default_rng(1)
@@ -82,10 +82,10 @@ class TestCanonicalize:
     def test_degenerate_left_block(self):
         y = Matrix([[1, 1, 5], [1, 1, 7]])
         with pytest.raises(DegenerateData):
-            canonicalize(SampleSet.from_concatenation(y, 3))
+            canonicalize(SampleSet(y, 3))
 
     def test_nonpositive_k(self):
-        s = SampleSet.from_concatenation(Matrix([[1, 2], [3, 5]]), 2)
+        s = SampleSet(Matrix([[1, 2], [3, 5]]), 2)
         with pytest.raises(NonPositiveK):
             canonicalize(s)
 
@@ -128,7 +128,7 @@ class TestDetReduction:
         cf, k_mat = random_canonical_instance(rng, 2, 1, 2)
         lhs, rhs = det_reduction_check(cf, k_mat)
         scalar = Fraction(0)
-        for z in cf.dual.data:  # the single row of each dual block
+        for z in cf.dual.blocks:  # the single row of each dual block
             scalar += (z @ k_mat.inverse() @ z.transpose())[0, 0]
         assert rhs == k_mat.det() ** cf.n * scalar
         assert lhs == rhs
@@ -188,7 +188,7 @@ class TestDabBlocks:
         rng = np.random.default_rng(3)
         cf, _ = random_canonical_instance(rng, 2, 3, 3)
         expect = Matrix.zeros(cf.m2 * cf.k, cf.m2 * cf.k)
-        for z in cf.dual.data:
+        for z in cf.dual.blocks:
             # the rows of Z_i, each as an m2-column, stacked
             stacked = Matrix.column([z[a, p] for a in range(cf.k) for p in range(cf.m2)])
             expect = expect + stacked @ stacked.transpose()

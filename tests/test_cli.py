@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from kronmle import cli, mldegree
 from kronmle.cli import (
     EXIT_BAD_ARGS,
     EXIT_DEGENERATE,
@@ -16,6 +17,22 @@ from kronmle.cli import (
     main,
 )
 from kronmle.model import format_sample_set, parse_sample_set, sample_matrix_normal
+
+
+class SerialExecutor:
+    """Stand-in for ProcessPoolExecutor that maps lazily in this process."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
 
 
 def run(capsys, *argv):
@@ -42,6 +59,11 @@ class TestSample:
             run(capsys, "sample", "--m1", "4", "--m2", "3", "--n", "2", "--seed", "9",
                 "--out", str(path))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_no_matrices_rejected(self, capsys):
+        code, stdout, err = run(capsys, "sample", "--m1", "2", "--m2", "2", "--n", "0")
+        assert code == EXIT_BAD_ARGS
+        assert stdout == "" and err == "error: need at least one data matrix\n"
 
     def test_threshold_bounds_printed(self, capsys):
         code, _, err = run(capsys, "sample", "--m1", "7", "--m2", "2", "--n", "4")
@@ -215,6 +237,23 @@ class TestMlDegreeCommand:
         )
         cells = json.loads(out_json)
         assert cells[0]["degree"] == 1
+
+    def test_primes_exhausted(self, tmp_path, capsys, monkeypatch):
+        # With no prime to confirm a modular count, the command reports one
+        # error line, exits 4 and caches no result for that cell.  The cells
+        # run in this process, so that the patched PRIMES reaches them.
+        monkeypatch.setattr(mldegree, "PRIMES", ())
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialExecutor)
+        cache = tmp_path / "cache"
+        code, stdout, err = run(
+            capsys, "mldegree", "--m1", "2", "--n", "2:3", "--seed", "1",
+            "--cache-dir", str(cache),
+        )
+        assert code == EXIT_BAD_ARGS
+        assert stdout == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert (cache / "cell_2_2_1.json").exists()  # degree 0 needs no prime
+        assert not (cache / "cell_2_3_1.json").exists()
 
     def test_m2_restriction(self, capsys):
         code, _, _ = run(capsys, "mldegree", "--m1", "3", "--n", "2", "--m2", "3")

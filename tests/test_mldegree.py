@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kronmle import mldegree
+from kronmle import mldegree, poly
 from kronmle.groebner import buchberger, dim_and_degree, normal_form
 from kronmle.linalg import Matrix
 from kronmle.mldegree import (
     PRIMES,
+    PROP43_UPPER,
     TIMEOUT,
     SCORE_VARS,
     PrimesExhausted,
@@ -84,6 +85,32 @@ def fraction_rank(mat):
     return row
 
 
+# The cells of the benchmark's mldegree rectangles (perfbench/spec.json).
+BENCHMARK_CELLS = [
+    (2, 3), (2, 4), (3, 3), (3, 4), (2, 5), (4, 3),
+    (5, 3), (5, 4), (6, 4), (7, 4), (9, 5), (4, 4),
+]
+
+
+def per_block_grid(sample):
+    """sum_i Yi K Yi^T on the k11 = 1 chart, one block and one entry at a time."""
+    one = Poly.constant(SCORE_VARS, 1)
+    k12 = Poly.variable(SCORE_VARS, "k12")
+    k22 = Poly.variable(SCORE_VARS, "k22")
+    k_chart = [[one, k12], [k12, k22]]
+    m1 = sample.m1
+    acc = [[Poly.constant(SCORE_VARS, 0)] * m1 for _ in range(m1)]
+    for y in sample.blocks:
+        for i in range(m1):
+            for j in range(m1):
+                for a in range(2):
+                    for b in range(2):
+                        coeff = y[i, a] * y[j, b]
+                        if coeff != 0:
+                            acc[i][j] = acc[i][j] + coeff * k_chart[a][b]
+    return acc
+
+
 def fraction_stable_rank(mat):
     """Rank of high powers of mat; counts components where f is invertible."""
     r_prev = fraction_rank(mat)
@@ -114,7 +141,7 @@ def spy_on_primes(monkeypatch):
 class TestRandomSample:
     def test_entries_in_range(self):
         s = random_integer_sample(4, 3, seed=0)
-        for y in s.data:
+        for y in s.blocks:
             for i in range(4):
                 for j in range(2):
                     assert 0 <= y[i, j] <= 16
@@ -123,7 +150,13 @@ class TestRandomSample:
     def test_deterministic(self):
         a = random_integer_sample(3, 2, seed=5)
         b = random_integer_sample(3, 2, seed=5)
-        assert a.data == b.data
+        assert a.y == b.y
+
+    def test_draws_pinned(self):
+        # The pinned ML-degree cells depend on these draws: block by block,
+        # each block's rows in order.
+        s = random_integer_sample(3, 2, seed=5)
+        assert s.y == Matrix([[11, 13, 10, 4], [0, 13, 16, 0], [7, 8, 4, 6]])
 
 
 class TestScorePolynomials:
@@ -131,6 +164,20 @@ class TestScorePolynomials:
         s = random_integer_sample(3, 2, seed=1)
         with pytest.raises(ValueError):
             score_polynomials(s.to_float())
+
+    @pytest.mark.parametrize("m1,n", BENCHMARK_CELLS)
+    def test_grid_matches_per_block_loop(self, monkeypatch, m1, n):
+        grids = []
+        real = poly.poly_det
+
+        def spy(grid):
+            grids.append(grid)
+            return real(grid)
+
+        monkeypatch.setattr(poly, "poly_det", spy)
+        s = random_integer_sample(m1, n, seed=0)
+        score_polynomials(s)
+        assert grids[0] == per_block_grid(s)
 
     def test_g2_is_chart_determinant(self):
         s = random_integer_sample(3, 2, seed=1)
@@ -157,7 +204,7 @@ class TestScorePolynomials:
             [[1, pt["k12"]], [pt["k12"], pt["k22"]]]
         )
         acc = Matrix.zeros(3, 3)
-        for y in s.data:
+        for y in s.blocks:
             acc = acc + y @ k @ y.transpose()
         assert g1.evaluate(pt) == acc.det()
 
@@ -217,11 +264,6 @@ BAD_PRIME = PRIMES[0]
 class TestModularCount:
     # Both routes share Buchberger, so agreement here does not confirm a
     # cell: (4,4) is compared with the oracle but not pinned.
-    BENCHMARK_CELLS = [
-        (2, 3), (2, 4), (3, 3), (3, 4), (2, 5), (4, 3),
-        (5, 3), (5, 4), (6, 4), (7, 4), (9, 5), (4, 4),
-    ]
-
     @pytest.mark.parametrize(
         "m1,n,seed",
         [(m1, n, seed) for m1, n, _ in TABLE_CELLS for seed in (1, 2)]
@@ -407,6 +449,13 @@ class TestProp43:
     def test_case_two_counts(self):
         assert ml_multiplicity_prop43(2, 2, "two") == 2
         assert ml_multiplicity_prop43(2, 3, "two") == 4
+
+    def test_band(self):
+        # The band stays as it is until Prop. 4.3 is derived for case one at
+        # k >= 3, whose system has 6 solutions.
+        assert PROP43_UPPER == {"one": 5, "two": 4}
+        with pytest.raises(ValueError, match=r"count 6 outside expected \[2, 5\]"):
+            ml_multiplicity_prop43(3, 3, "one")
 
     def test_b_zero_roots_satisfy_system(self):
         # on the b = 0 slice the saturated system reduces to the quadratic;

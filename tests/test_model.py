@@ -32,7 +32,7 @@ def random_pd(rng, m, jitter=0.5):
 def loop_scatter_k2(sample, k2):
     """Reference: sum_i Yi K2 Yi^T, one matrix at a time."""
     out = np.zeros((sample.m1, sample.m1))
-    for y in sample.data:
+    for y in sample.blocks:
         out += y @ k2 @ y.T
     return out
 
@@ -40,7 +40,7 @@ def loop_scatter_k2(sample, k2):
 def loop_scatter_k1(sample, k1):
     """Reference: sum_i Yi^T K1 Yi, one matrix at a time."""
     out = np.zeros((sample.m2, sample.m2))
-    for y in sample.data:
+    for y in sample.blocks:
         out += y.T @ k1 @ y
     return out
 
@@ -55,53 +55,55 @@ class TestSampleSet:
         s = sample_matrix_normal(np.eye(3), np.eye(2), 2, seed=0)
         assert s.k == 2 * 2 - 3 == 1
 
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            SampleSet(m1=2, m2=2, n=1, data=(np.zeros((3, 2)),))
-        with pytest.raises(ValueError):
-            SampleSet(m1=2, m2=2, n=2, data=(np.zeros((2, 2)),))
-
     def test_concatenated(self, sample):
-        y = sample.concatenated()
-        assert y.shape == (4, 15)
-        assert np.array_equal(y[:, 3:6], sample.data[1])
+        # y is the concatenation [Y1 | ... | Yn]; the blocks are views of it
+        assert sample.y.shape == (4, 15)
+        assert (sample.m1, sample.m2, sample.n) == (4, 3, 5)
+        assert len(sample.blocks) == 5
+        assert np.array_equal(sample.y[:, 3:6], sample.blocks[1])
+        assert all(np.shares_memory(b, sample.y) for b in sample.blocks)
+        e = SampleSet(Matrix([[1, 2, 3, 4]]), 2)
+        assert e.blocks == (Matrix([[1, 2]]), Matrix([[3, 4]]))
 
-    def test_from_concatenation(self):
+    def test_constructor(self):
         y = np.arange(24.0).reshape(4, 6)
-        s = SampleSet.from_concatenation(y, 2)
-        assert (s.m1, s.m2, s.n) == (4, 2, 3)
-        assert np.array_equal(s.data[1], y[:, 2:4])
-        assert s.stacked is y
+        s = SampleSet(y, 2)
+        assert (s.m1, s.m2, s.n, s.k) == (4, 2, 3, 2)
+        assert s.y is y
         # a Fortran-ordered array is copied into a C-contiguous one
         f = np.asfortranarray(y)
-        s2 = SampleSet.from_concatenation(f, 3)
-        assert s2.stacked.flags.c_contiguous and not np.shares_memory(s2.stacked, f)
-        assert np.array_equal(s2.stacked, y)
-        e = SampleSet.from_concatenation(Matrix([[1, 2, 3, 4]]), 2)
-        assert e.data == (Matrix([[1, 2]]), Matrix([[3, 4]]))
-        for bad in (0, 4):
+        s2 = SampleSet(f, 3)
+        assert s2.y.flags.c_contiguous and not np.shares_memory(s2.y, f)
+        assert np.array_equal(s2.y, y)
+        # the width must split into n blocks of m2 >= 1 columns each
+        for bad in (0, -2, 4, 5):
             with pytest.raises(ValueError):
-                SampleSet.from_concatenation(y, bad)
+                SampleSet(y, bad)
+        with pytest.raises(ValueError):
+            SampleSet(np.zeros((2, 3)), 2)
+        with pytest.raises(ValueError):
+            SampleSet(Matrix([[1, 2, 3]]), 2)
+        with pytest.raises(ValueError):
+            SampleSet(np.zeros(6), 2)
 
-    def test_stacked_is_float(self):
-        s = SampleSet.from_concatenation(np.arange(24).reshape(4, 6), 3)
-        assert s.stacked.dtype == np.float64
-        assert np.array_equal(s.stacked, np.arange(24.0).reshape(4, 6))
-        e = SampleSet.from_concatenation(Matrix([[1, 2, 3, 4]]), 2)
-        assert e.stacked.dtype == np.float64
+    def test_float_input_is_float64(self):
+        s = SampleSet(np.arange(24).reshape(4, 6), 3)
+        assert s.y.dtype == np.float64
+        assert np.array_equal(s.y, np.arange(24.0).reshape(4, 6))
+        e = SampleSet(Matrix([[1, 2, 3, 4]]), 2)
+        assert e.to_float().y.dtype == np.float64
 
     def test_parsed_sample_is_not_copied(self, sample):
         s = parse_sample_set(format_sample_set(sample))
-        assert np.shares_memory(s.stacked, s.data[0])
-        assert np.array_equal(s.stacked, sample.concatenated())
+        assert np.shares_memory(s.y, s.blocks[0])
+        assert np.array_equal(s.y, sample.y)
 
     def test_exact_round_trip(self):
-        data = (Matrix([[1, 2], [3, 4]]), Matrix([[5, 6], [7, 8]]))
-        s = SampleSet(m1=2, m2=2, n=2, data=data)
+        s = SampleSet(Matrix([[1, 2, 5, 6], [3, 4, 7, 8]]), 2)
         assert s.is_exact
         f = s.to_float()
         assert not f.is_exact
-        assert np.array_equal(f.data[1], [[5.0, 6.0], [7.0, 8.0]])
+        assert np.array_equal(f.blocks[1], [[5.0, 6.0], [7.0, 8.0]])
 
 
 class TestThresholds:
@@ -165,29 +167,30 @@ class TestScatterKernels:
         self.check(sample_matrix_normal(np.eye(m1), np.eye(m2), n, seed=n), rng)
 
     def test_non_contiguous_column_views(self):
-        # every other column of a Fortran-ordered array: each Yi is a strided view
+        # every other column of a Fortran-ordered array: a strided view,
+        # which the sample copies into a C-contiguous concatenation
         rng = np.random.default_rng(3)
         big = np.asfortranarray(rng.standard_normal((5, 2 * 4 * 3)))[:, ::2]
-        data = tuple(big[:, i * 3 : (i + 1) * 3] for i in range(4))
-        assert not any(y.flags.c_contiguous or y.flags.f_contiguous for y in data)
-        self.check(SampleSet(m1=5, m2=3, n=4, data=data), rng)
+        assert not (big.flags.c_contiguous or big.flags.f_contiguous)
+        s = SampleSet(big, 3)
+        assert s.y.flags.c_contiguous and np.array_equal(s.y, big)
+        self.check(s, rng)
 
     def test_parsed_sample_views(self, sample):
         # parse_sample_set hands out column slices of one parsed array
         back = parse_sample_set(format_sample_set(sample))
-        assert not back.data[1].flags.c_contiguous
+        assert not back.blocks[1].flags.c_contiguous
         self.check(back, np.random.default_rng(4))
 
     def test_exact_sample(self):
-        data = (Matrix([[1, 2], [3, Fraction(1, 2)]]), Matrix([[0, -1], [2, 5]]))
-        s = SampleSet(m1=2, m2=2, n=2, data=data)
+        s = SampleSet(Matrix([[1, 2, 0, -1], [3, Fraction(1, 2), 2, 5]]), 2)
         ref = loop_scatter_k2(s.to_float(), np.eye(2))
         assert np.abs(scatter_k2(s, np.eye(2)) - ref).max() <= self.RTOL * np.abs(ref).max()
         got = scatter_k2_whitened(s, np.eye(2))
         assert np.abs(got - ref).max() <= self.RTOL * np.abs(ref).max()
         # A Matrix K2 takes the exact branch: Y (I_n kron K2) Y^T over rationals.
         k2 = Matrix([[2, Fraction(1, 3)], [Fraction(1, 3), 1]])
-        y = s.concatenated()
+        y = s.y
         assert scatter_k2(s, k2) == y @ kron(Matrix.identity(2), k2) @ y.transpose()
 
 
@@ -216,7 +219,7 @@ class TestKronLoglik:
         k1 = random_pd(rng, 4)
         k2 = random_pd(rng, 3)
         # column-major vectorization has covariance kron(Sigma2, Sigma1)
-        vecs = [y.flatten(order="F") for y in sample.data]
+        vecs = [y.flatten(order="F") for y in sample.blocks]
         s = sum(np.outer(v, v) for v in vecs) / sample.n
         expect = gaussian_loglik(s, kron(k2, k1), sample.n)
         assert kron_loglik(sample, k1, k2) == pytest.approx(expect, rel=1e-9)
@@ -230,7 +233,7 @@ class TestKronLoglik:
         )
 
     def test_zero_data(self):
-        s = SampleSet(m1=2, m2=2, n=3, data=tuple(np.zeros((2, 2)) for _ in range(3)))
+        s = SampleSet(np.zeros((2, 6)), 2)
         k1 = np.diag([2.0, 1.0])
         k2 = np.diag([1.0, 4.0])
         expect = 3 * 2 * np.log(2.0) + 3 * 2 * np.log(4.0)
@@ -243,7 +246,7 @@ class TestKronLoglik:
 
 class TestProfileK1:
     def test_scalar_case(self):
-        s = SampleSet(m1=1, m2=1, n=1, data=(np.array([[1.0]]),))
+        s = SampleSet(np.array([[1.0]]), 1)
         assert float(profile_k1(s, np.array([[1.0]]))[0, 0]) == pytest.approx(1.0)
 
     def test_stationarity(self, sample):
@@ -268,7 +271,7 @@ class TestProfileK1:
             profile_k1(s, np.eye(2))
 
     def test_degenerate_scatter(self):
-        s = SampleSet(m1=2, m2=2, n=2, data=tuple(np.zeros((2, 2)) for _ in range(2)))
+        s = SampleSet(np.zeros((2, 4)), 2)
         with pytest.raises(SingularMatrix):
             profile_k1(s, np.eye(2))
 
@@ -283,9 +286,7 @@ class TestGObjective:
     def test_left_action_shift(self, sample):
         rng = np.random.default_rng(9)
         a = rng.standard_normal((4, 4)) + 2 * np.eye(4)
-        moved = SampleSet(
-            m1=4, m2=3, n=5, data=tuple(a @ y for y in sample.data)
-        )
+        moved = SampleSet(a @ sample.y, 3)
         k2 = random_pd(rng, 3)
         shift = g_objective(moved, k2) - g_objective(sample, k2)
         _, logabsdet = np.linalg.slogdet(a)
@@ -311,7 +312,7 @@ class TestGObjective:
         assert const_a == pytest.approx(const_b, rel=1e-9)
 
     def test_singular_scatter_raises(self):
-        s = SampleSet(m1=2, m2=2, n=2, data=tuple(np.zeros((2, 2)) for _ in range(2)))
+        s = SampleSet(np.zeros((2, 4)), 2)
         with pytest.raises(SingularMatrix):
             g_objective(s, np.eye(2))
 
@@ -320,19 +321,25 @@ class TestSampling:
     def test_determinism(self):
         a = sample_matrix_normal(np.eye(3), np.eye(2), 4, seed=42)
         b = sample_matrix_normal(np.eye(3), np.eye(2), 4, seed=42)
-        for ya, yb in zip(a.data, b.data):
-            assert np.array_equal(ya, yb)
+        assert np.array_equal(a.y, b.y)
+
+    def test_draws_pinned(self):
+        # Block by block, each block's standard normals in row order.
+        s = sample_matrix_normal(np.eye(3), np.eye(2), 2, seed=0)
+        assert s.y[0].tolist() == [
+            0.1257302210933933, -0.1321048632913019, 1.3040000451301372, 0.9470809631292422
+        ]
 
     def test_identity_variance(self):
         n = 4000
         s = sample_matrix_normal(np.eye(2), np.eye(2), n, seed=0)
-        flat = np.concatenate([y.flatten() for y in s.data])
+        flat = np.concatenate([y.flatten() for y in s.blocks])
         assert abs(flat.var() - 1.0) <= 5 / np.sqrt(len(flat))
 
     def test_scaled_variance(self):
         n = 4000
         s = sample_matrix_normal(2 * np.eye(2), np.eye(2), n, seed=0)
-        flat = np.concatenate([y.flatten() for y in s.data])
+        flat = np.concatenate([y.flatten() for y in s.blocks])
         assert abs(flat.var() - 4.0) <= 20 / np.sqrt(len(flat))
 
     def test_covariance_factors(self):
@@ -342,7 +349,7 @@ class TestSampling:
         b = rng.standard_normal((2, 2)) + 2 * np.eye(2)
         n = 60000
         s = sample_matrix_normal(a, b, n, seed=3)
-        vecs = np.stack([y.flatten(order="F") for y in s.data])
+        vecs = np.stack([y.flatten(order="F") for y in s.blocks])
         emp = vecs.T @ vecs / n
         expect = np.kron(b.T @ b, a @ a.T)
         assert np.abs(emp - expect).max() <= 0.15 * np.abs(expect).max()
@@ -353,14 +360,13 @@ class TestSerialization:
         text = format_sample_set(sample)
         assert text.splitlines()[0] == "4 3 5"
         back = parse_sample_set(text)
-        for ya, yb in zip(back.data, sample.data):
+        for ya, yb in zip(back.blocks, sample.blocks):
             assert np.allclose(ya, yb)
 
     def test_round_trip_exact(self):
-        data = (Matrix([[1, Fraction(1, 2)]]), Matrix([[3, 4]]))
-        s = SampleSet(m1=1, m2=2, n=2, data=data)
+        s = SampleSet(Matrix([[1, Fraction(1, 2), 3, 4]]), 2)
         back = parse_sample_set(format_sample_set(s), exact=True)
-        assert back.data == data
+        assert back.y == s.y
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

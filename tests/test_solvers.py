@@ -36,7 +36,7 @@ from kronmle.solvers import (
 
 
 def exact_sample(rows, m2):
-    return SampleSet.from_concatenation(Matrix(rows), m2)
+    return SampleSet(Matrix(rows), m2)
 
 
 def _cholesky_ld(k):
@@ -62,7 +62,7 @@ def invariant_residual(sample, k1, k2):
     """
     n, m1, m2 = sample.n, sample.m1, sample.m2
     l1, l2 = _cholesky_ld(k1), _cholesky_ld(k2)
-    zs = [l1.T @ np.asarray(y, dtype=np.longdouble) @ l2 for y in sample.data]
+    zs = [l1.T @ np.asarray(y, dtype=np.longdouble) @ l2 for y in sample.blocks]
     e1 = sum(z @ z.T for z in zs) / (n * m2) - np.eye(m1)
     e2 = sum(z.T @ z for z in zs) / (n * m1) - np.eye(m2)
     return max(np.linalg.norm(e.astype(float), 2) for e in (e1, e2))
@@ -169,7 +169,7 @@ class TestExactK1:
         rng = np.random.default_rng(seed)
         a = conditioned_factor(rng, m1, 1e6)
         s = sample_matrix_normal(a, np.eye(m2), n, seed=seed)
-        y = s.concatenated()
+        y = s.y
         v = np.append(np.linalg.solve(y[:, :m1], y[:, m1:]).ravel(), -1.0)
         expect = np.zeros((m2, m2))
         for i in range(n):
@@ -212,7 +212,7 @@ def scatter_inverse_k1(sample, k2):
 def closed_form_k2(sample):
     """K2 = sum_i v_i v_i^T, read off the dual sample of the canonical form."""
     k2 = Matrix.zeros(sample.m2, sample.m2)
-    for z in canonicalize(sample).dual.data:
+    for z in canonicalize(sample).dual.blocks:
         k2 = k2 + z.transpose() @ z
     return k2
 
@@ -234,7 +234,7 @@ class TestExactK1Formula:
         # Both stationarity equations, exactly.
         k1 = est.k1_exact
         s1 = Matrix.zeros(m2, m2)
-        for y in s.data:
+        for y in s.blocks:
             s1 = s1 + y.transpose() @ k1 @ y
         assert k1 @ scatter_k2(s, k2) == Matrix.identity(m1).scale(n * m2)
         assert k2 @ s1 == Matrix.identity(m2).scale(n * m1)
@@ -489,9 +489,7 @@ class TestEquivariance:
         for _ in range(5):
             a = rng.standard_normal((4, 4)) + 2 * np.eye(4)
             b = rng.standard_normal((3, 3)) + 2 * np.eye(3)
-            moved = SampleSet(
-                m1=4, m2=3, n=4, data=tuple(a @ y @ b.T for y in s.data)
-            )
+            moved = SampleSet(np.hstack([a @ y @ b.T for y in s.blocks]), 3)
             est = flipflop(moved, tol=1e-13)
             expect_k2 = normalize_det1(
                 np.linalg.inv(b).T @ base.k2 @ np.linalg.inv(b)
