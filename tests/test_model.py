@@ -65,7 +65,8 @@ class TestSampleSet:
         e = SampleSet(Matrix([[1, 2, 3, 4]]), 2)
         assert e.blocks == (Matrix([[1, 2]]), Matrix([[3, 4]]))
 
-    def test_constructor(self):
+    def test_from_concatenation(self):
+        # the constructor takes the concatenation [Y1 | ... | Yn] itself
         y = np.arange(24.0).reshape(4, 6)
         s = SampleSet(y, 2)
         assert (s.m1, s.m2, s.n, s.k) == (4, 2, 3, 2)
@@ -75,7 +76,10 @@ class TestSampleSet:
         s2 = SampleSet(f, 3)
         assert s2.y.flags.c_contiguous and not np.shares_memory(s2.y, f)
         assert np.array_equal(s2.y, y)
+
+    def test_shape_validation(self):
         # the width must split into n blocks of m2 >= 1 columns each
+        y = np.arange(24.0).reshape(4, 6)
         for bad in (0, -2, 4, 5):
             with pytest.raises(ValueError):
                 SampleSet(y, bad)
