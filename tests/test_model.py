@@ -97,9 +97,20 @@ class TestSampleSet:
         e = SampleSet(Matrix([[1, 2, 3, 4]]), 2)
         assert e.to_float().y.dtype == np.float64
 
-    def test_parsed_sample_is_not_copied(self, sample):
+    def test_parsed_sample_is_not_copied(self, sample, monkeypatch):
+        # the sample must hold the very array parse_matrix returned
+        import kronmle.model as model
+
+        real_parse = model.parse_matrix
+        parsed = []
+
+        def spy(lines, exact=False):
+            parsed.append(real_parse(lines, exact=exact))
+            return parsed[-1]
+
+        monkeypatch.setattr(model, "parse_matrix", spy)
         s = parse_sample_set(format_sample_set(sample))
-        assert np.shares_memory(s.y, s.blocks[0])
+        assert len(parsed) == 1 and s.y is parsed[0]
         assert np.array_equal(s.y, sample.y)
 
     def test_exact_round_trip(self):
