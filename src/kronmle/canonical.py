@@ -29,12 +29,26 @@ class NonPositiveK(Exception):
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    m1: int
-    m2: int
-    n: int
-    k: int
+    """[I | C] and its dual sample; m1 and k are read off C, m2 and n off the dual."""
+
     C: object  # m1 x k
     dual: SampleSet  # D^T = [C^T | -I_k]: n blocks Z_i of size k x m2
+
+    @property
+    def m1(self):
+        return self.C.shape[0]
+
+    @property
+    def k(self):
+        return self.C.shape[1]
+
+    @property
+    def m2(self):
+        return self.dual.m2
+
+    @property
+    def n(self):
+        return self.dual.n
 
     @property
     def is_exact(self):
@@ -61,7 +75,7 @@ def canonicalize(sample):
             raise DegenerateData("left m1 x m1 block is singular")
         c = np.linalg.solve(ystar, y[:, m1:])
         d_t = np.hstack([c.T, -np.eye(k)])
-    return CanonicalForm(m1=m1, m2=m2, n=n, k=k, C=c, dual=SampleSet(d_t, m2))
+    return CanonicalForm(C=c, dual=SampleSet(d_t, m2))
 
 
 def canonical_sample(cf):

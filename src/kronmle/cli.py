@@ -50,6 +50,7 @@ def _worker_count(n_tasks):
 
 
 def cmd_sample(args):
+    bounds = thresholds(args.m1, args.m2)  # rejects m1, m2 < 1 before anything is written
     sample = sample_matrix_normal(np.eye(args.m1), np.eye(args.m2), args.n, args.seed)
     text = format_sample_set(sample)
     if args.out:
@@ -57,7 +58,6 @@ def cmd_sample(args):
             fh.write(text)
     else:
         sys.stdout.write(text)
-    bounds = thresholds(args.m1, args.m2)
     print(f"k = {sample.k}", file=sys.stderr)
     print(
         f"sample-size bounds: lower {bounds.lower} upper {bounds.upper}",

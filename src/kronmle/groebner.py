@@ -90,14 +90,6 @@ def normal_form(p, basis, order="grevlex"):
     return Poly(p.vars, remainder)
 
 
-def s_polynomial(f, g, order="grevlex"):
-    (ef, cf), (eg, cg) = f.leading(order), g.leading(order)
-    l = _lcm(ef, eg)
-    mf = Poly(f.vars, {_sub_exp(l, ef): 1 / cf})
-    mg = Poly(g.vars, {_sub_exp(l, eg): 1 / cg})
-    return mf * f - mg * g
-
-
 def _int_terms(p):
     """Exponent -> int coefficient map of the primitive part of p."""
     prim = p.primitive()
@@ -307,16 +299,3 @@ def dim_and_degree(gb):
         return False, None
     return True, len(monos)
 
-
-def ideal_membership_residual(p, gb):
-    """Normal form of p modulo the basis; zero iff p is in the ideal."""
-    return normal_form(p, list(gb.basis), gb.order)
-
-
-def format_ideal(ideal, order=None):
-    """One polynomial per line, after a ring header listing variables/order."""
-    head = "ring " + " ".join(ideal.vars)
-    if order:
-        head += f" order={order}"
-    gens = ideal.generators if isinstance(ideal, PolyIdeal) else ideal.basis
-    return head + "\n" + "\n".join(str(g) for g in gens) + "\n"

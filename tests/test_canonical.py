@@ -1,5 +1,6 @@
 """Reduction to [I | C] form, the dual sample, and the trace-form machinery."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -44,6 +45,14 @@ class TestCanonicalize:
         cf = canonicalize(worked_example())
         assert cf.C == c
         assert cf.k == 2
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_dimensions_derived(self, exact):
+        # only C and the dual are stored; m1, m2, n and k are read off them
+        s = SampleSet(Matrix([[int(i == j) + (i * j) % 3 for j in range(9)] for i in range(5)]), 3)
+        cf = canonicalize(s if exact else s.to_float())
+        assert [f.name for f in dataclasses.fields(cf)] == ["C", "dual"]
+        assert (cf.m1, cf.m2, cf.n, cf.k) == (s.m1, s.m2, s.n, s.k) == (5, 3, 3, 4)
 
     def test_d_layout(self):
         cf = canonicalize(worked_example())

@@ -65,6 +65,15 @@ class TestSample:
         assert code == EXIT_BAD_ARGS
         assert stdout == "" and err == "error: need at least one data matrix\n"
 
+    @pytest.mark.parametrize("m1, m2", [(0, 2), (2, 0), (-1, 3)])
+    def test_bad_dimensions_write_nothing(self, tmp_path, capsys, m1, m2):
+        for out in (None, tmp_path / "s.txt"):
+            args = ["sample", "--m1", str(m1), "--m2", str(m2), "--n", "2"]
+            code, stdout, err = run(capsys, *args, *(["--out", str(out)] if out else []))
+            assert code == EXIT_BAD_ARGS
+            assert stdout == "" and err == "error: dimensions must be positive\n"
+            assert out is None or not out.exists()
+
     def test_threshold_bounds_printed(self, capsys):
         code, _, err = run(capsys, "sample", "--m1", "7", "--m2", "2", "--n", "4")
         assert code == EXIT_OK

@@ -11,10 +11,7 @@ from kronmle.groebner import (
     PolyIdeal,
     buchberger,
     dim_and_degree,
-    format_ideal,
-    ideal_membership_residual,
     normal_form,
-    s_polynomial,
     saturate_rabinowitsch,
     standard_monomials,
 )
@@ -28,6 +25,29 @@ def make(vars, *term_dicts):
 def univariate(coeffs, vars=("x",)):
     """Poly from coefficient list, constant term first."""
     return Poly(vars, {(i,) + (0,) * (len(vars) - 1): c for i, c in enumerate(coeffs)})
+
+
+def s_polynomial(f, g, order="grevlex"):
+    """lcm(LM f, LM g) * (f / LT f - g / LT g)."""
+    (ef, cf), (eg, cg) = f.leading(order), g.leading(order)
+    l = tuple(map(max, ef, eg))
+    mf = Poly(f.vars, {tuple(a - b for a, b in zip(l, ef)): 1 / cf})
+    mg = Poly(g.vars, {tuple(a - b for a, b in zip(l, eg)): 1 / cg})
+    return mf * f - mg * g
+
+
+def ideal_membership_residual(p, gb):
+    """Normal form of p modulo the basis; zero iff p is in the ideal."""
+    return normal_form(p, list(gb.basis), gb.order)
+
+
+def format_ideal(ideal, order=None):
+    """One polynomial per line, after a ring header listing variables/order."""
+    head = "ring " + " ".join(ideal.vars)
+    if order:
+        head += f" order={order}"
+    gens = ideal.generators if isinstance(ideal, PolyIdeal) else ideal.basis
+    return head + "\n" + "\n".join(str(g) for g in gens) + "\n"
 
 
 def random_ideal(rng, vars, n_gens=2):

@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from kronmle.linalg import Matrix, NotPD, SingularMatrix, kron
+from kronmle.linalg import Matrix, NotPD, SingularMatrix, kron, logdet_pd
 from kronmle.model import (
     SampleSet,
     format_sample_set,
     g_objective,
-    gaussian_loglik,
     kron_loglik,
     parse_sample_set,
     profile_k1,
@@ -43,6 +44,20 @@ def loop_scatter_k1(sample, k1):
     for y in sample.blocks:
         out += y.T @ k1 @ y
     return out
+
+
+def block_loop_scatter_k2(sample, k2):
+    """Exact reference: sum_i Yi K2 Yi^T, one block at a time over Fractions."""
+    out = Matrix.zeros(sample.m1, sample.m1)
+    for y in sample.blocks:
+        out = out + y @ k2 @ y.transpose()
+    return out
+
+
+def gaussian_loglik(s, k_mat, n):
+    """Zero-mean Gaussian log-likelihood n*logdet(K) - n*tr(S K), constants dropped."""
+    s, k_mat = np.asarray(s, dtype=float), np.asarray(k_mat, dtype=float)
+    return n * logdet_pd(k_mat) - n * float(np.trace(s @ k_mat))
 
 
 @pytest.fixture
@@ -207,6 +222,38 @@ class TestScatterKernels:
         k2 = Matrix([[2, Fraction(1, 3)], [Fraction(1, 3), 1]])
         y = s.y
         assert scatter_k2(s, k2) == y @ kron(Matrix.identity(2), k2) @ y.transpose()
+
+
+# Rationals with mixed denominators, zero and negative entries included.
+RATIONALS = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+@st.composite
+def exact_scatter_cases(draw):
+    """An exact sample (sometimes all-integer) and a K2 that need not be symmetric."""
+    m1, m2, n = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = draw(st.sampled_from([RATIONALS, st.integers(-30, 30)]))
+    y = Matrix([[draw(entries) for _ in range(n * m2)] for _ in range(m1)])
+    k2 = Matrix([[draw(RATIONALS) for _ in range(m2)] for _ in range(m2)])
+    return SampleSet(y, m2), k2
+
+
+class TestExactScatter:
+    @given(exact_scatter_cases())
+    @settings(max_examples=200, deadline=None)
+    # n = 1; m2 = 1; an all-integer sample with a non-symmetric K2 of mixed
+    # denominators; a mixed-denominator sample with zero rows and entries.
+    @example((SampleSet(Matrix([[Fraction(1, 2), -3], [0, Fraction(5, 7)]]), 2),
+              Matrix([[Fraction(1, 3), -1], [Fraction(2, 5), 0]])))
+    @example((SampleSet(Matrix([[Fraction(-2, 3), 4, 0], [1, Fraction(1, 6), -5]]), 1),
+              Matrix([[Fraction(-7, 4)]])))
+    @example((SampleSet(Matrix([[3, -1, 0, 2], [0, 5, -4, 1], [7, 0, 0, -6]]), 2),
+              Matrix([[Fraction(3, 4), Fraction(-1, 6)], [Fraction(5, 9), 2]])))
+    @example((SampleSet(Matrix([[0, 0, 0, 0], [Fraction(1, 4), 0, Fraction(-3, 10), 1]]), 2),
+              Matrix([[0, Fraction(1, 8)], [-1, Fraction(2, 3)]])))
+    def test_matches_block_loop(self, case):
+        sample, k2 = case
+        assert scatter_k2(sample, k2) == block_loop_scatter_k2(sample, k2)
 
 
 class TestGaussianLoglik:
