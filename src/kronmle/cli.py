@@ -103,13 +103,21 @@ def _pinned_example():
 
 
 def random_lemma_instance(rng, m2, k, n):
-    """Random exact (canonical form, PD rational K) for the identity check."""
+    """Random exact (canonical form, PD rational K) for the identity check.
+
+    The data [I | C] and K = L L^T + I are built over Python ints and
+    wrapped in a Matrix once each.
+    """
     m1 = n * m2 - k
-    c = Matrix([[int(rng.integers(-8, 9)) for _ in range(k)] for _ in range(m1)])
-    cf = canonicalize(SampleSet(Matrix.identity(m1).hstack(c), m2))
-    l = Matrix([[int(rng.integers(-3, 4)) for _ in range(m2)] for _ in range(m2)])
-    k_mat = l @ l.transpose() + Matrix.identity(m2)
-    return cf, k_mat
+    y = [
+        [int(i == j) for j in range(m1)] + [int(rng.integers(-8, 9)) for _ in range(k)]
+        for i in range(m1)
+    ]
+    cf = canonicalize(SampleSet(Matrix(y), m2))
+    l = [[int(rng.integers(-3, 4)) for _ in range(m2)] for _ in range(m2)]
+    k_mat = [[sum(a * b for a, b in zip(li, lj)) + (i == j) for j, lj in enumerate(l)]
+             for i, li in enumerate(l)]
+    return cf, Matrix(k_mat)
 
 
 def cmd_verify_lemma(args):
@@ -160,6 +168,17 @@ def _cell_path(cache_dir, m1, n, seed):
     return os.path.join(cache_dir, f"cell_{m1}_{n}_{seed}.json")
 
 
+def _run_cells(pending):
+    """Yield each pending cell's result in order, on a process pool when
+    there are two or more; a lone cell runs here, as a pool of one worker
+    would add only its start-up."""
+    if len(pending) == 1:
+        yield _mldegree_cell(pending[0])
+    elif pending:
+        with ProcessPoolExecutor(max_workers=_worker_count(len(pending))) as pool:
+            yield from pool.map(_mldegree_cell, pending)
+
+
 def cmd_mldegree(args):
     if args.m2 != 2:
         print("mldegree supports m2 = 2 only", file=sys.stderr)
@@ -179,13 +198,11 @@ def cmd_mldegree(args):
             else:
                 pending.append((m1, n, args.seed, args.pair_budget))
 
-    if pending:
-        with ProcessPoolExecutor(max_workers=_worker_count(len(pending))) as pool:
-            for cell in pool.map(_mldegree_cell, pending):
-                cache = _cell_path(args.cache_dir, cell["m1"], cell["n"], cell["seed"])
-                with open(cache, "w") as fh:
-                    json.dump(cell, fh)
-                results.append(cell)
+    for cell in _run_cells(pending):
+        cache = _cell_path(args.cache_dir, cell["m1"], cell["n"], cell["seed"])
+        with open(cache, "w") as fh:
+            json.dump(cell, fh)
+        results.append(cell)
 
     results.sort(key=lambda c: (c["m1"], c["n"]))
     out = _emit_cells(results, args.format)

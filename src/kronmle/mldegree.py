@@ -5,10 +5,12 @@ from g1 = det(sum_i Yi K Yi^T) and g2 = det(K): the score numerators are
 m2*g2*d(g1)/de - m1*g1*d(g2)/de for e in {k22, k12}.  Saturating by
 g1*g2*k22 removes the degenerate loci before counting solutions.
 
-The count runs Buchberger over Q and everything after it modulo word-size
-primes: the multiplication-by-f matrix on the residue ring and the stable
-rank of its powers are taken mod each prime of PRIMES, and two primes must
-agree before a count is returned.
+ml_degree divides g2 out of the score polynomials, a certificate mod a
+word-size prime proves the pair coprime (the PRS gcd over Q runs only when
+it cannot), and the count runs Buchberger over Q and everything after it
+modulo word-size primes: the multiplication-by-f matrix on the residue ring
+and the stable rank of its powers are taken mod each prime of PRIMES, and
+two primes must agree before a count is returned.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .groebner import (
 )
 from .linalg import Matrix
 from .model import SampleSet, scatter_k2
-from .poly import ORDER_KEYS, Poly, exact_divide, poly_gcd
+from .poly import ORDER_KEYS, Poly, certify_coprime, exact_divide, poly_gcd
 
 
 class Timeout:
@@ -107,31 +109,49 @@ def likelihood_equations_m2_2(m1, n, seed):
 def ml_degree(m1, n, seed, pair_budget=DEFAULT_PAIR_BUDGET):
     """Solution count (with multiplicity) of the saturated likelihood equations.
 
+    g2 = det K is divided out of both score polynomials as often as it
+    divides them.  It divides f = g1*g2*k22, so it is a unit off the locus,
+    and the solutions there and their multiplicities do not change.  (On
+    every cell tried, a power of g2 was the only common factor of the two.)
+
     Returns 0 when the saturated system is positive-dimensional or empty
     (degenerate regime) and TIMEOUT when the pair budget runs out.
     """
     sample = random_integer_sample(m1, n, seed)
     g1, g2, gens = score_polynomials(sample)
     k22 = Poly.variable(SCORE_VARS, "k22")
+    gens = tuple(_divide_out(g, g2) for g in gens)
     return count_solutions_off_locus(gens, g1 * g2 * k22, pair_budget)
+
+
+def _divide_out(p, d):
+    """p divided by d for as long as d divides it exactly."""
+    while not p.is_zero():
+        try:
+            p = exact_divide(p, d)
+        except ValueError:
+            break
+    return p
 
 
 def count_solutions_off_locus(gens, f, pair_budget=DEFAULT_PAIR_BUDGET):
     """Solutions of a bivariate system with f != 0, counted with multiplicity.
 
-    Any common factor of the two score polynomials is split off first: if
-    some factor does not divide f, a whole curve of solutions survives and
-    the count is reported as 0 (the positive-dimensional convention).
-    Otherwise the count is the localized quotient dimension: the stable
-    rank of the multiplication-by-f operator on the residue ring of the
-    cofactor system, whose Groebner basis is computed over Q.  The operator
-    and its rank are then taken modulo the word-size primes of PRIMES (see
-    _modular_stable_rank).
+    A common factor of the two polynomials must be split off first.
+    poly.certify_coprime proves most pairs coprime mod a word-size prime at
+    little cost; only when it cannot does the primitive PRS (poly_gcd) run.
+    If some factor of the gcd does not divide f, a whole curve of solutions
+    survives and the count is reported as 0 (the positive-dimensional
+    convention).  Otherwise the count is the localized quotient dimension:
+    the stable rank of the multiplication-by-f operator on the residue ring
+    of the cofactor system, whose Groebner basis is computed over Q.  The
+    operator and its rank are then taken modulo the word-size primes of
+    PRIMES (see _modular_stable_rank).
     """
     p, q = gens
     if p.is_zero() or q.is_zero() or f.is_zero():
         return 0
-    h = poly_gcd(p, q)
+    h = Poly.constant(p.vars, 1) if certify_coprime(p, q) else poly_gcd(p, q)
     if h.total_degree() > 0:
         residual = h
         while residual.total_degree() > 0:

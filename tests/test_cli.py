@@ -16,7 +16,9 @@ from kronmle.cli import (
     EXIT_OK,
     main,
 )
-from kronmle.model import format_sample_set, parse_sample_set, sample_matrix_normal
+from kronmle.canonical import canonicalize
+from kronmle.linalg import Matrix
+from kronmle.model import SampleSet, format_sample_set, parse_sample_set, sample_matrix_normal
 
 
 class SerialExecutor:
@@ -171,12 +173,33 @@ class TestMle:
         assert code == EXIT_BAD_ARGS
 
 
+def matrix_lemma_instance(rng, m2, k, n):
+    """random_lemma_instance as it was built with Matrix arithmetic; the oracle."""
+    m1 = n * m2 - k
+    c = Matrix([[int(rng.integers(-8, 9)) for _ in range(k)] for _ in range(m1)])
+    cf = canonicalize(SampleSet(Matrix.identity(m1).hstack(c), m2))
+    l = Matrix([[int(rng.integers(-3, 4)) for _ in range(m2)] for _ in range(m2)])
+    return cf, l @ l.transpose() + Matrix.identity(m2)
+
+
 class TestVerifyLemma:
     def test_pinned_and_random(self, capsys):
         code, stdout, _ = run(capsys, "verify-lemma", "--seed", "1", "--count", "20")
         assert code == EXIT_OK
         assert "16640" in stdout
         assert "20 passed, 0 failed" in stdout
+
+    def test_instances_match_matrix_build(self):
+        # Same draws in the same order: the instances, and so the output,
+        # of any seed are unchanged.
+        shapes = [(2, 1, 1), (2, 3, 2), (3, 4, 4), (4, 2, 3), (4, 4, 2), (2, 1, 4)]
+        rng_a, rng_b = np.random.default_rng(20240116), np.random.default_rng(20240116)
+        for m2, k, n in shapes * 5:
+            cf, k_mat = cli.random_lemma_instance(rng_a, m2, k, n)
+            cf_ref, k_ref = matrix_lemma_instance(rng_b, m2, k, n)
+            assert cf.C == cf_ref.C and cf.dual.y == cf_ref.dual.y and cf.dual.m2 == m2
+            assert k_mat == k_ref
+        assert rng_a.integers(1 << 30) == rng_b.integers(1 << 30)
 
 
 class TestMlDegreeCommand:
@@ -196,6 +219,29 @@ class TestMlDegreeCommand:
         assert cells[(2, 3)] == "3"
         assert cells[(3, 2)] == "1"
         assert cells[(3, 3)] == "4"
+
+    def test_lone_cell_runs_without_pool(self, tmp_path, capsys, monkeypatch):
+        pools = []
+
+        class CountingExecutor(SerialExecutor):
+            def __init__(self, max_workers=None):
+                pools.append(max_workers)
+
+        monkeypatch.setenv("KRONMLE_WORKERS", "2")
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingExecutor)
+        cache = tmp_path / "cache"
+        code, stdout, _ = run(capsys, "mldegree", "--m1", "3", "--n", "3", "--seed", "1",
+                              "--cache-dir", str(cache))
+        assert code == EXIT_OK and stdout.splitlines()[1].split()[2] == "4"
+        assert (cache / "cell_3_3_1.json").exists()
+        assert pools == []
+        code, stdout, _ = run(capsys, "mldegree", "--m1", "3", "--n", "2:3", "--seed", "1",
+                              "--cache-dir", str(cache))
+        assert code == EXIT_OK and len(stdout.splitlines()) == 3
+        assert pools == []  # (3,3) came from the cache: one cell pending
+        run(capsys, "mldegree", "--m1", "2", "--n", "2:3", "--seed", "1",
+            "--cache-dir", str(cache))
+        assert pools == [2]
 
     def test_cache_reused(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("KRONMLE_WORKERS", "1")

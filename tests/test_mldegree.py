@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kronmle import mldegree, poly
-from kronmle.groebner import buchberger, dim_and_degree, normal_form
+from kronmle.groebner import (
+    PairBudgetExceeded,
+    PolyIdeal,
+    buchberger,
+    dim_and_degree,
+    normal_form,
+    standard_monomials,
+)
 from kronmle.linalg import Matrix
 from kronmle.mldegree import (
     PRIMES,
@@ -17,6 +24,8 @@ from kronmle.mldegree import (
     SCORE_VARS,
     PrimesExhausted,
     Timeout,
+    _divide_out,
+    _modular_stable_rank,
     _stable_rank_mod,
     b_zero_quadratic,
     count_solutions_off_locus,
@@ -27,7 +36,7 @@ from kronmle.mldegree import (
     random_integer_sample,
     score_polynomials,
 )
-from kronmle.poly import Poly
+from kronmle.poly import Poly, exact_divide, poly_gcd
 from kronmle.solvers import exact_mle_k1
 from test_acceptance import TABLE_CELLS
 
@@ -123,6 +132,55 @@ def fraction_stable_rank(mat):
         if r == r_prev:
             return r
         r_prev = r
+
+
+# The route ml_degree took before it divided det K out of the score
+# polynomials and certified their gcd mod a prime: the primitive PRS on the
+# undivided pair, then the locus loop.  It stays here as the oracle.
+
+
+def prs_count_solutions_off_locus(gens, f):
+    p, q = gens
+    if p.is_zero() or q.is_zero() or f.is_zero():
+        return 0
+    h = poly_gcd(p, q)
+    if h.total_degree() > 0:
+        residual = h
+        while residual.total_degree() > 0:
+            shared = poly_gcd(residual, f)
+            if shared.total_degree() == 0:
+                return 0
+            residual = exact_divide(residual, shared)
+        p = exact_divide(p, h)
+        q = exact_divide(q, h)
+    ideal = PolyIdeal(generators=(p.primitive(), q.primitive()))
+    try:
+        gb = buchberger(ideal, order="grevlex")
+    except PairBudgetExceeded:
+        return TIMEOUT
+    monos = standard_monomials(gb)
+    if not monos:
+        return 0
+    return _modular_stable_rank(f, gb, monos)
+
+
+def prs_ml_degree(m1, n, seed):
+    g1, g2, gens = score_polynomials(random_integer_sample(m1, n, seed))
+    k22 = Poly.variable(SCORE_VARS, "k22")
+    return prs_count_solutions_off_locus(gens, g1 * g2 * k22)
+
+
+def spy_on_gcd(monkeypatch):
+    """Record the arguments of every PRS gcd that count_solutions_off_locus runs."""
+    calls = []
+    real = mldegree.poly_gcd
+
+    def spy(p, q):
+        calls.append((p, q))
+        return real(p, q)
+
+    monkeypatch.setattr(mldegree, "poly_gcd", spy)
+    return calls
 
 
 def spy_on_primes(monkeypatch):
@@ -256,6 +314,48 @@ class TestCountSolutions:
         gens = (x**3 + y**3 - 1, x**2 * y - 3 * x + 1)
         assert count_solutions_off_locus(gens, x, pair_budget=1) == TIMEOUT
         assert Timeout() == TIMEOUT
+
+
+class TestCertifiedRoute:
+    # The two routes share Buchberger and the modular rank, so agreement
+    # confirms no cell: (4,4), (5,5) and (7,6) are compared, not pinned.
+    @pytest.mark.parametrize(
+        "m1,n,seed",
+        [(m1, n, seed) for m1, n, _ in TABLE_CELLS for seed in (1, 2)]
+        + [(m1, n, 0) for m1, n in BENCHMARK_CELLS + [(5, 5), (7, 6)]],
+    )
+    def test_matches_prs_route(self, m1, n, seed):
+        assert ml_degree(m1, n, seed) == prs_ml_degree(m1, n, seed)
+
+    def test_benchmark_cells_skip_fallback(self, monkeypatch):
+        calls = spy_on_gcd(monkeypatch)
+        for m1, n in BENCHMARK_CELLS:
+            ml_degree(m1, n, seed=0)
+        assert calls == []
+
+    def test_divide_out_every_power(self):
+        x, y = xy_ring()
+        g = x - y**2
+        assert _divide_out(g**3 * (x + 1), g) == x + 1
+        assert _divide_out(x + 1, g) == x + 1
+        zero = Poly.constant(("x", "y"), 0)
+        assert _divide_out(zero, g) == zero
+
+    def test_common_factor_off_f_counts_zero_through_fallback(self, monkeypatch):
+        x, y = xy_ring()
+        calls = spy_on_gcd(monkeypatch)
+        # the line x = 1 survives localization at y
+        gens = ((x - 1) * x, (x - 1) * (y - 2))
+        assert count_solutions_off_locus(gens, y) == 0
+        assert calls
+
+    def test_coprime_pair_skips_fallback(self, monkeypatch):
+        x, y = xy_ring()
+        # The certificate keeps its own prime, whatever PRIMES holds.
+        monkeypatch.setattr(mldegree, "PRIMES", (5, 7, 11))
+        calls = spy_on_gcd(monkeypatch)
+        assert count_solutions_off_locus((x * (x - 1), y), x) == 1
+        assert calls == []
 
 
 BAD_PRIME = PRIMES[0]

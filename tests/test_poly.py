@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from kronmle import poly
 from kronmle.linalg import Matrix
 from kronmle.mldegree import random_integer_sample, score_polynomials
-from kronmle.poly import Poly, exact_divide, poly_det, poly_gcd
+from kronmle.poly import CERTIFY_PRIME, Poly, certify_coprime, exact_divide, poly_det, poly_gcd
 
 VARS = ("x", "y")
 
@@ -203,6 +203,88 @@ class TestGcd:
             )
             # equal up to a constant multiple
             assert sympy.simplify(got_s.as_expr() * expect.LC() - expect.as_expr() * got_s.LC()) == 0
+
+
+small_coeffs = st.integers(min_value=-4, max_value=4)
+
+
+@st.composite
+def bivariate_polys(draw, max_deg=2):
+    """Polys in x, y with small integer coefficients and degree <= max_deg in each."""
+    exps = st.tuples(st.integers(0, max_deg), st.integers(0, max_deg))
+    return Poly(VARS, draw(st.dictionaries(exps, small_coeffs, max_size=4)))
+
+
+class TestCertifyCoprime:
+    def test_coprime_pairs_certified(self):
+        x, y = x_y()
+        assert certify_coprime(x + 1, y + 2)
+        assert certify_coprime(x**2 - y, x * y + 1)
+        assert certify_coprime(x * y + 1, x * y + 2)
+        rng = np.random.default_rng(6)
+        certified = 0
+        for _ in range(20):
+            p, q = random_poly(rng), random_poly(rng)
+            if p.is_zero() or q.is_zero() or poly_gcd(p, q).total_degree() > 0:
+                continue
+            assert certify_coprime(p, q)
+            certified += 1
+        assert certified >= 10
+
+    def test_score_pairs_without_det_k_certified(self):
+        from kronmle.mldegree import _divide_out
+
+        for m1, n in ((3, 3), (5, 3), (4, 4)):
+            _, g2, gens = score_polynomials(random_integer_sample(m1, n, seed=0))
+            p, q = (_divide_out(g, g2) for g in gens)
+            assert certify_coprime(p, q)
+            if m1 > n:
+                # a power of det K is common to the undivided pair
+                assert not certify_coprime(*gens)
+
+    @given(bivariate_polys(), bivariate_polys(), bivariate_polys())
+    @settings(max_examples=150, deadline=None)
+    def test_common_factor_never_certified(self, h, a, b):
+        if h.total_degree() <= 0 or a.is_zero() or b.is_zero():
+            return
+        # Small points make leading coefficients vanish far more often.
+        for points in (poly.CERTIFY_POINTS, (0, 1, -1), (0,)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(poly, "CERTIFY_POINTS", points)
+                assert not certify_coprime(h * a, h * b)
+
+    def test_point_where_leading_coefficient_vanishes_is_skipped(self, monkeypatch):
+        x, y = x_y()
+        monkeypatch.setattr(poly, "CERTIFY_POINTS", (0, 5))
+        # At y = 0 (and at x = 0) the factor x*y + 1 becomes the constant 1
+        # and the images are coprime; only the next point shows the factor.
+        h = x * y + 1
+        assert not certify_coprime(h * (x + y + 3), h * (x - y + 5))
+        # A coprime pair whose leading coefficients vanish at 0 is still
+        # certified at 5.
+        assert certify_coprime(x * y + 1, x * y + 2)
+        monkeypatch.setattr(poly, "CERTIFY_POINTS", (0,))
+        assert not certify_coprime(x * y + 1, x * y + 2)
+
+    def test_every_variable_certified(self):
+        x, y = x_y()
+        # Each factor has degree 0 in one variable, where the images stay
+        # coprime; only the other variable sees it.
+        assert not certify_coprime((x + 1) * (x * y + 2), (x + 1) * (y + 3 * x))
+        assert not certify_coprime((y + 1) * (x * y + 2), (y + 1) * (x + 3 * y))
+
+    def test_denominator_divisible_by_prime(self):
+        x, y = x_y()
+        # Scaled to integers, x*y - 1/P is P*x*y - 1, whose leading
+        # coefficient in y vanishes mod P at every point: not proved, and
+        # no error.
+        p = x * y - Fraction(1, CERTIFY_PRIME)
+        assert not certify_coprime(p, y - 2)
+        assert poly_gcd(p, y - 2).total_degree() == 0
+
+    def test_zero_never_certified(self):
+        x, _ = x_y()
+        assert not certify_coprime(Poly.constant(VARS, 0), x)
 
 
 def cofactor_det(grid):
