@@ -318,25 +318,23 @@ def logdet_pd(s):
     return 2.0 * float(np.sum(np.log(np.diag(l))))
 
 
-def _format_entry(x):
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-    return repr(float(x))
+def _format_fraction(x):
+    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 def format_matrix(a):
-    """Shared text format: "rows cols" header, then one line per row."""
+    """Shared text format: "rows cols" header, then one line per row.
+
+    Float entries are written by repr, which round-trips every binary64.
+    """
     if isinstance(a, Matrix):
-        rows = a.data
         r, c = a.shape
+        rows = (" ".join(map(_format_fraction, row)) for row in a.data)
     else:
         a = np.asarray(a, dtype=float)
-        rows = a.tolist()
         r, c = a.shape
-    lines = [f"{r} {c}"]
-    for row in rows:
-        lines.append(" ".join(_format_entry(x) for x in row))
-    return "\n".join(lines) + "\n"
+        rows = (" ".join(map(repr, row)) for row in a.tolist())
+    return "\n".join([f"{r} {c}", *rows]) + "\n"
 
 
 def parse_matrix(lines, exact=False):

@@ -10,7 +10,9 @@ word-size prime proves the pair coprime (the PRS gcd over Q runs only when
 it cannot), and the count runs Buchberger over Q and everything after it
 modulo word-size primes: the multiplication-by-f matrix on the residue ring
 and the stable rank of its powers are taken mod each prime of PRIMES, and
-two primes must agree before a count is returned.
+two primes must agree before a count is returned.  Per prime, f is reduced
+only once; the other columns of the matrix come from the multiplication
+matrices of the variables, as in FGLM (Faugere, Gianni, Lazard & Mora 1993).
 """
 
 from __future__ import annotations
@@ -222,10 +224,18 @@ def _terms_mod(poly, prime):
 
 
 def _multiplication_matrix_mod(f, basis, monos, key, prime):
-    """Column j: normal form mod prime of f times the j-th standard monomial.
+    """Matrix mod prime of multiplication by f on the standard monomials.
 
-    f and the monic basis are exponent -> int maps mod prime; each normal
-    form is one division loop that cancels the current leading term.
+    Column j is the normal form of f times the j-th standard monomial; f
+    and the monic basis are exponent -> int maps mod prime.  Only the
+    column of the monomial 1, NF(f), runs the division loop on f.  Every
+    other column m is M_v times the column of m / x_v, for the first
+    variable v of m, where column s of M_v is NF(x_v * s): a unit vector
+    when x_v * s is standard, else one short division of that border
+    monomial, built when first needed.  This is sound because the standard
+    monomials are closed under division (m / x_v is standard, and visiting
+    by total degree builds its column first) and multiplication commutes:
+    [f x_v m'] = M_v [f m'].
     """
     leads = [(max(g, key=key), g) for g in basis]
 
@@ -246,16 +256,17 @@ def _multiplication_matrix_mod(f, basis, monos, key, prime):
 
     order_key = cache(key)
     index = {m: i for i, m in enumerate(monos)}
-    d = len(monos)
-    mat = [[0] * d for _ in range(d)]
-    for j, mono in enumerate(monos):
-        work = {tuple(a + b for a, b in zip(e, mono)): c for e, c in f.items()}
+
+    def normal_form(work):
+        # (row, coefficient) pairs of the normal form of the exponent ->
+        # coefficient map work, by a loop that cancels the leading term.
+        out = []
         while work:
             exp = max(work, key=order_key)
             coeff = work.pop(exp)
             terms = tail(exp)
             if terms is None:
-                mat[index[exp]][j] = coeff
+                out.append((index[exp], coeff))
                 continue
             for tgt, gc in terms:
                 s = (work.get(tgt, 0) - coeff * gc) % prime
@@ -263,7 +274,31 @@ def _multiplication_matrix_mod(f, basis, monos, key, prime):
                     work[tgt] = s
                 else:
                     work.pop(tgt, None)
-    return mat
+        return out
+
+    @cache
+    def var_column(v, s):
+        # Column s of M_v: the normal form of x_v times the monomial s.
+        exp = monos[s][:v] + (monos[s][v] + 1,) + monos[s][v + 1:]
+        return [(index[exp], 1)] if exp in index else normal_form({exp: 1})
+
+    d = len(monos)
+    cols = {}
+    for mono in sorted(monos, key=sum):
+        col = [0] * d
+        v = next((i for i, e in enumerate(mono) if e), None)
+        if v is None:
+            for i, c in normal_form(dict(f)):
+                col[i] = c
+        else:
+            prev = cols[mono[:v] + (mono[v] - 1,) + mono[v + 1:]]
+            for s, c in enumerate(prev):
+                if c:
+                    for i, a in var_column(v, s):
+                        col[i] += a * c
+            col = [x % prime for x in col]
+        cols[mono] = col
+    return [list(row) for row in zip(*(cols[m] for m in monos))]
 
 
 def _rank_mod(rows, prime):

@@ -19,6 +19,7 @@ from kronmle.cli import (
 from kronmle.canonical import canonicalize
 from kronmle.linalg import Matrix
 from kronmle.model import SampleSet, format_sample_set, parse_sample_set, sample_matrix_normal
+from kronmle.solvers import flipflop, mle
 
 
 class SerialExecutor:
@@ -110,6 +111,36 @@ class TestMle:
         devs = {int(r[0]): float(r[1]) for r in rows}
         # the report ends at the sweep where flip-flop stopped
         assert devs[max(devs)] < devs[3]
+
+    @pytest.mark.parametrize(
+        "cond,max_iter",
+        [(1.0, 10000), (1.0, 20), (1.0, 7), (1e6, 10000)],
+    )
+    def test_sweep_report_matches_every_sweep_route(self, tmp_path, capsys, cond, max_iter):
+        # The report used to take the deviation at every sweep; it keeps K2
+        # only at the printed sweeps and the run's own last K2, and must
+        # print the same bytes.  Cases: converged at 141, stopped by
+        # max_iter on a printed sweep (20) and off one (7), stalled at 17.
+        k1 = np.diag(np.geomspace(1, cond, 7))
+        k2 = np.diag(np.geomspace(1, cond, 2))
+        path = tmp_path / "sample.txt"
+        path.write_text(format_sample_set(sample_matrix_normal(k1, k2, 4, seed=3)))
+        sample = parse_sample_set(path.read_text())
+        exact_k2 = mle(sample, max_iter=max_iter).k2
+        deviations = {}
+
+        def record(sweep, k1, k2):
+            deviations[sweep] = float(np.abs(k2 - exact_k2).max())
+
+        flipflop(sample, max_iter=min(max_iter, 500), callback=record)
+        report_at = [1, 2, 3, 5, 10, 20, 50, 100, 200, 500]
+        sweeps = sorted({s for s in report_at if s in deviations} | {max(deviations)})
+        expect = "sweep  max-abs deviation from exact K2\n" + "".join(
+            f"{sweep:5d}  {deviations[sweep]:.3e}\n" for sweep in sweeps
+        )
+        code, stdout, _ = run(capsys, "mle", "--in", str(path), "--max-iter", str(max_iter))
+        assert code == EXIT_OK
+        assert stdout.split("method: ")[0] == expect
 
     def test_flipflop_path(self, tmp_path, capsys):
         path = self.write_sample(tmp_path, 2, 2, 3, seed=5)

@@ -233,6 +233,21 @@ class TestPD:
             logdet_pd(np.diag([1.0, -1.0]))
 
 
+def per_entry_format(a):
+    """The text format written one entry at a time, with a type check per
+    entry; format_matrix wrote floats this way before it mapped repr over
+    each row."""
+
+    def entry(x):
+        if isinstance(x, Fraction):
+            return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+        return repr(float(x))
+
+    rows = a.data if isinstance(a, Matrix) else np.asarray(a, dtype=float).tolist()
+    r, c = a.shape
+    return "\n".join([f"{r} {c}"] + [" ".join(entry(x) for x in row) for row in rows]) + "\n"
+
+
 class TestTextFormat:
     def test_round_trip_exact(self):
         a = Matrix([[Fraction(1, 2), 3], [-4, Fraction(7, 5)]])
@@ -245,6 +260,22 @@ class TestTextFormat:
         a = np.array([[0.5, 3.0], [-4.0, 1.4]])
         back = parse_matrix(iter(format_matrix(a).splitlines()))
         assert np.allclose(back, a)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.array([[-0.0, 0.0, 5e-324], [2.2250738585072e-309, -1e-320, 1e300]]),
+            np.array([[1.0, -2.0, 3e15], [1e16, 2.0**53 + 2, -7.0]]),
+            np.array([[0.1, -1 / 3, np.nextafter(1.0, 2.0)]]),
+            np.zeros((0, 3)),
+        ],
+    )
+    def test_float_rows_match_per_entry_route(self, a):
+        assert format_matrix(a) == per_entry_format(a)
+
+    def test_exact_rows_match_per_entry_route(self):
+        a = Matrix([[Fraction(-1, 2), 0, 3], [Fraction(10**30, 7), -4, Fraction(7, 5)]])
+        assert format_matrix(a) == per_entry_format(a)
 
     def test_bad_width_rejected(self):
         with pytest.raises(ValueError):

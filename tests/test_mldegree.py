@@ -26,6 +26,7 @@ from kronmle.mldegree import (
     Timeout,
     _divide_out,
     _modular_stable_rank,
+    _multiplication_matrix_mod,
     _stable_rank_mod,
     b_zero_quadratic,
     count_solutions_off_locus,
@@ -36,7 +37,7 @@ from kronmle.mldegree import (
     random_integer_sample,
     score_polynomials,
 )
-from kronmle.poly import Poly, exact_divide, poly_gcd
+from kronmle.poly import ORDER_KEYS, Poly, exact_divide, poly_gcd
 from kronmle.solvers import exact_mle_k1
 from test_acceptance import TABLE_CELLS
 
@@ -92,6 +93,46 @@ def fraction_rank(mat):
         if row == nrows:
             break
     return row
+
+
+# The division loop that built the modular multiplication matrix one
+# column at a time, reducing f times each standard monomial from scratch;
+# it stays here as the oracle for the variable-matrix route.
+
+
+def column_by_column_matrix_mod(f, basis, monos, key, prime):
+    leads = [(max(g, key=key), g) for g in basis]
+
+    def tail(exp):
+        for lexp, g in leads:
+            if all(x <= y for x, y in zip(lexp, exp)):
+                shift = tuple(a - b for a, b in zip(exp, lexp))
+                return [
+                    (tuple(a + b for a, b in zip(gexp, shift)), gc)
+                    for gexp, gc in g.items()
+                    if gexp != lexp
+                ]
+        return None
+
+    index = {m: i for i, m in enumerate(monos)}
+    d = len(monos)
+    mat = [[0] * d for _ in range(d)]
+    for j, mono in enumerate(monos):
+        work = {tuple(a + b for a, b in zip(e, mono)): c for e, c in f.items()}
+        while work:
+            exp = max(work, key=key)
+            coeff = work.pop(exp)
+            terms = tail(exp)
+            if terms is None:
+                mat[index[exp]][j] = coeff
+                continue
+            for tgt, gc in terms:
+                s = (work.get(tgt, 0) - coeff * gc) % prime
+                if s:
+                    work[tgt] = s
+                else:
+                    work.pop(tgt, None)
+    return mat
 
 
 # The cells of the benchmark's mldegree rectangles (perfbench/spec.json).
@@ -168,6 +209,30 @@ def prs_ml_degree(m1, n, seed):
     g1, g2, gens = score_polynomials(random_integer_sample(m1, n, seed))
     k22 = Poly.variable(SCORE_VARS, "k22")
     return prs_count_solutions_off_locus(gens, g1 * g2 * k22)
+
+
+def rank_inputs(monkeypatch, m1, n, seed):
+    """The (f, gb, monos) that ml_degree hands to the modular stable rank."""
+    calls = []
+    real = mldegree._modular_stable_rank
+
+    def spy(f, gb, monos):
+        calls.append((f, gb, monos))
+        return real(f, gb, monos)
+
+    monkeypatch.setattr(mldegree, "_modular_stable_rank", spy)
+    degree = ml_degree(m1, n, seed)
+    (inputs,) = calls
+    return degree, inputs
+
+
+def both_matrices_mod(f, gb, monos, prime):
+    """The multiplication matrix mod prime by the variable matrices and by
+    the column-by-column oracle."""
+    basis = [mldegree._terms_mod(g, prime) for g in gb.basis]
+    f_mod = mldegree._terms_mod(f, prime)
+    args = (f_mod, basis, monos, ORDER_KEYS[gb.order], prime)
+    return _multiplication_matrix_mod(*args), column_by_column_matrix_mod(*args)
 
 
 def spy_on_gcd(monkeypatch):
@@ -370,16 +435,7 @@ class TestModularCount:
         + [(m1, n, 0) for m1, n in BENCHMARK_CELLS],
     )
     def test_matches_fraction_count(self, monkeypatch, m1, n, seed):
-        calls = []
-        real = mldegree._modular_stable_rank
-
-        def spy(f, gb, monos):
-            calls.append((f, gb, monos))
-            return real(f, gb, monos)
-
-        monkeypatch.setattr(mldegree, "_modular_stable_rank", spy)
-        got = ml_degree(m1, n, seed)
-        (f, gb, monos), = calls
+        got, (f, gb, monos) = rank_inputs(monkeypatch, m1, n, seed)
         assert got == fraction_stable_rank(multiplication_matrix(f, gb, monos))
 
     def test_basis_denominator_skips_prime(self, monkeypatch):
@@ -418,6 +474,62 @@ class TestModularCount:
         gens = (x * (x - Fraction(1, BAD_PRIME)), y)
         with pytest.raises(PrimesExhausted):
             count_solutions_off_locus(gens, x)
+
+
+THREE_POINTS = [(1, 2), (3, 5), (-2, 7)]
+
+
+def three_point_basis():
+    """Reduced grevlex basis of THREE_POINTS in (k12, k22), built by
+    interpolation: each degree-2 monomial minus the combination of 1, k12,
+    k22 that agrees with it on the three points.  The standard monomials
+    are 1, k22 and k12, so k12 is reached from 1 only through k12 and k22
+    only through k22."""
+    vander = Matrix([[1, a, b] for a, b in THREE_POINTS])
+    one = Poly.constant(SCORE_VARS, 1)
+    k12 = Poly.variable(SCORE_VARS, "k12")
+    k22 = Poly.variable(SCORE_VARS, "k22")
+    gens = []
+    for mono in (k12 * k12, k12 * k22, k22 * k22):
+        values = Matrix.column([mono.evaluate({"k12": a, "k22": b}) for a, b in THREE_POINTS])
+        c = vander.solve(values)
+        gens.append(mono - c[0, 0] * one - c[1, 0] * k12 - c[2, 0] * k22)
+    return buchberger(PolyIdeal(generators=tuple(gens)), order="grevlex")
+
+
+class TestMultiplicationMatrixMod:
+    # The variable-matrix route must give the column-by-column matrix
+    # entry for entry, at the two primes a count usually needs.
+    @pytest.mark.parametrize(
+        "m1,n,seed",
+        [(m1, n, seed) for m1, n in BENCHMARK_CELLS for seed in (0, 1, 2)]
+        + [(5, 5, 0), (6, 6, 0)],
+    )
+    def test_matches_column_by_column(self, monkeypatch, m1, n, seed):
+        _, (f, gb, monos) = rank_inputs(monkeypatch, m1, n, seed)
+        for prime in PRIMES[:2]:
+            got, expect = both_matrices_mod(f, gb, monos, prime)
+            assert got == expect
+
+    def test_monomials_reached_through_one_variable(self):
+        gb = three_point_basis()
+        assert all(g.evaluate({"k12": a, "k22": b}) == 0 for g in gb.basis for a, b in THREE_POINTS)
+        monos = standard_monomials(gb)
+        assert sorted(monos) == [(0, 0), (0, 1), (1, 0)]
+        k12 = Poly.variable(SCORE_VARS, "k12")
+        k22 = Poly.variable(SCORE_VARS, "k22")
+        f = 2 + 3 * k12 - 5 * k22 + 7 * k12 * k22 + k12 * k12 * k22 - k22**3
+        for prime in PRIMES[:2]:
+            got, expect = both_matrices_mod(f, gb, monos, prime)
+            assert got == expect
+            # The values of the standard monomials at a point form a left
+            # eigenvector, with eigenvalue f there: NF(f m)(p) = f(p) m(p).
+            for a, b in THREE_POINTS:
+                values = [a**i * b**j for i, j in monos]
+                at_p = f.evaluate({"k12": a, "k22": b})
+                for j in range(len(monos)):
+                    left = sum(v * got[i][j] for i, v in enumerate(values))
+                    assert (left - at_p * values[j]) % prime == 0
 
 
 small_ints = st.integers(min_value=-4, max_value=4)
