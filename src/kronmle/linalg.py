@@ -1,17 +1,20 @@
 """Dense linear algebra over exact rationals and binary64 floats.
 
-The exact side is a small immutable ``Matrix`` class over
-``fractions.Fraction`` whose determinant, solve, inverse and PD test share
-one fraction-free integer elimination, dividing once at the end.  The float
-side dispatches to numpy.  Both sides share the same text serialization: a
-"rows cols" header line followed by whitespace-separated rows, rationals
-written as ``p/q``.
+The exact side is a small immutable ``Matrix`` class that stores integer
+rows over one common positive denominator, in lowest terms.  Its sums,
+products, stacking, determinant, solve, inverse and PD test all run over
+Python ints; the last four share one fraction-free (Bareiss) elimination
+kernel.  A ``Fraction`` is made only where one is read: an entry, a
+determinant, or ``data``.  The float side dispatches to numpy.  Both sides
+share the same text serialization: a "rows cols" header line followed by
+whitespace-separated rows, rationals written as ``p/q``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -27,96 +30,119 @@ class NotPD(Exception):
     """Raised when a Cholesky factorization fails; a normal outcome, not a bug."""
 
 
-def _as_fraction_rows(rows):
-    # Entries that already are Fractions are kept, not re-wrapped.
-    return tuple(
-        tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows
-    )
-
-
 class Matrix:
-    """Immutable dense matrix with exact rational entries, stored row-major."""
+    """Immutable dense rational matrix: the integer rows num over one int den.
 
-    __slots__ = ("rows", "cols", "data")
+    den > 0 and gcd(den, every entry of num) = 1, so a value has exactly one
+    (num, den) and == and hash compare values.
+    """
+
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, rows):
-        data = _as_fraction_rows(rows)
-        if not data or not data[0]:
+        """Rows of ints, Fractions, or anything Fraction() accepts ("1/2")."""
+        rows = [tuple(r) for r in rows]
+        if not rows or not rows[0]:
             raise ValueError("matrix must be non-empty")
-        ncols = len(data[0])
-        if any(len(r) != ncols for r in data):
+        if any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", ncols)
+        den = 1
+        if not all(type(x) is int for r in rows for x in r):
+            rows = [[x if type(x) is int else Fraction(x) for x in r] for r in rows]
+            # Over the lcm of reduced denominators the rows are in lowest terms.
+            den = math.lcm(*(x.denominator for r in rows for x in r))
+            rows = [tuple(x.numerator * (den // x.denominator) for x in r) for r in rows]
+        self._set(tuple(rows), den)
+
+    def _set(self, num, den):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "rows", len(num))
+        object.__setattr__(self, "cols", len(num[0]))
+
+    @classmethod
+    def _of(cls, num, den):
+        """The matrix num / den, for tuple rows already in lowest terms."""
+        m = object.__new__(cls)
+        m._set(num, den)
+        return m
+
+    @classmethod
+    def from_ints(cls, num, den=1):
+        """The matrix num / den for integer rows num and an int den != 0.
+
+        den is made positive and gcd(den, *num) divided out.
+        """
+        num = tuple(map(tuple, num))
+        if den < 0:
+            num = tuple(tuple(-x for x in row) for row in num)
+            den = -den
+        g = den
+        for row in num:
+            if g == 1:
+                break
+            g = math.gcd(g, *row)
+        if g > 1:
+            num = tuple(tuple(x // g for x in row) for row in num)
+            den //= g
+        return cls._of(num, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, r, c):
         return cls([[0] * c for _ in range(r)])
 
-    @classmethod
-    def diagonal(cls, entries):
-        n = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def column(cls, entries):
-        return cls([[x] for x in entries])
+    @property
+    def data(self):
+        """The entries as rows of Fractions, made afresh on each read."""
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.data[i][j]
+        return Fraction(self.num[i][j], self.den)
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.data == other.data
+        return isinstance(other, Matrix) and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(self.data)
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"Matrix({[list(r) for r in self.data]})"
 
     def __add__(self, other):
         self._check_same_shape(other)
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
+        a, b, den = _over_common_den(self, other)
+        return Matrix.from_ints([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)], den)
 
     def __sub__(self, other):
         self._check_same_shape(other)
-        return Matrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
+        a, b, den = _over_common_den(self, other)
+        return Matrix.from_ints([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)], den)
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, c):
         c = Fraction(c)
-        return Matrix([[c * x for x in row] for row in self.data])
+        p = c.numerator
+        den = self.den * c.denominator
+        return Matrix.from_ints([[p * x for x in row] for row in self.num], den)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        bt = other.transpose().data
-        return Matrix(
-            [
-                [sum(a * b for a, b in zip(row, col)) for col in bt]
-                for row in self.data
-            ]
+        bt = tuple(zip(*other.num))
+        return Matrix.from_ints(
+            [[sum(map(mul, row, col)) for col in bt] for row in self.num],
+            self.den * other.den,
         )
 
     @property
@@ -124,30 +150,27 @@ class Matrix:
         return (self.rows, self.cols)
 
     def transpose(self):
-        return Matrix(list(zip(*self.data)))
-
-    def trace(self):
-        self._check_square()
-        return sum(self.data[i][i] for i in range(self.rows))
+        return Matrix._of(tuple(zip(*self.num)), self.den)
 
     def is_symmetric(self):
-        return self.rows == self.cols and self.data == self.transpose().data
+        return self.rows == self.cols and self.num == tuple(zip(*self.num))
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
-        return Matrix([ra + rb for ra, rb in zip(self.data, other.data)])
-
-    def vstack(self, other):
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch")
-        return Matrix(self.data + other.data)
+        # Each side keeps an entry prime to each prime power of its own den,
+        # so the rows over the lcm of the two dens are in lowest terms.
+        a, b, den = _over_common_den(self, other)
+        return Matrix._of(tuple(ra + rb for ra, rb in zip(a, b)), den)
 
     def submatrix(self, row_idx, col_idx):
-        return Matrix([[self.data[i][j] for j in col_idx] for i in row_idx])
+        num = self.num
+        return Matrix.from_ints([[num[i][j] for j in col_idx] for i in row_idx], self.den)
 
     def to_numpy(self):
-        return np.array([[float(x) for x in row] for row in self.data])
+        # int / int is correctly rounded, as float(Fraction) is, at any size.
+        den = self.den
+        return np.array([[x / den for x in row] for row in self.num])
 
     def _check_square(self):
         if self.rows != self.cols:
@@ -158,68 +181,95 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
 
     def det(self):
-        """Exact determinant: the sign times the last Bareiss pivot, unscaled."""
+        """Exact determinant: the sign times the last Bareiss pivot of num, over den^rows."""
         self._check_square()
-        pivots, swaps, _, scale = _bareiss(self.data, self.cols)
+        pivots, swaps, _ = _bareiss(self.num, self.cols)
         if len(pivots) < self.rows:
             return Fraction(0)
-        return Fraction((-1) ** swaps * pivots[-1], scale)
+        return Fraction((-1) ** swaps * pivots[-1], self.den**self.rows)
 
     def solve(self, rhs):
-        """Exact solve of self @ X = rhs: solve_fraction_free, then one division."""
+        """Exact solve of self @ X = rhs over the integer rows, then one division.
+
+        With A = num/den and B = rhs.num/rhs.den, X = den * num^-1 rhs.num / rhs.den.
+        """
         self._check_square()
-        d, dx = solve_fraction_free(self.data, rhs.data)
-        return Matrix([[Fraction(x, d) for x in row] for row in dx])
+        d, dx = solve_fraction_free(self.num, rhs.num)
+        den = self.den
+        return Matrix.from_ints([[den * x for x in row] for row in dx], d * rhs.den)
 
     def inverse(self):
         return self.solve(Matrix.identity(self.rows))
 
-    def kron(self, other):
-        return _kron_exact(self, other)
-
     def is_positive_definite(self):
         """Exact PD test via leading principal minors (requires symmetry).
 
-        Without a row swap the Bareiss pivots are the leading principal
-        minors, each times a positive row scale; a swap means a zero minor.
+        Without a row swap the Bareiss pivots of num are its leading
+        principal minors, and den > 0 keeps their signs; a swap means a
+        zero minor.
         """
         if not self.is_symmetric():
             return False
-        pivots, swaps, _, _ = _bareiss(self.data, self.cols)
+        pivots, swaps, _ = _bareiss(self.num, self.cols)
         return len(pivots) == self.rows and not swaps and all(p > 0 for p in pivots)
+
+
+def _over_common_den(a, b):
+    """(rows of a, rows of b, den): both matrices' integer rows over one den."""
+    if a.den == b.den:
+        return a.num, b.num, a.den
+    den = math.lcm(a.den, b.den)
+    sa, sb = den // a.den, den // b.den
+    return (
+        tuple(tuple(sa * x for x in row) for row in a.num),
+        tuple(tuple(sb * x for x in row) for row in b.num),
+        den,
+    )
 
 
 def solve_fraction_free(a, b):
     """Integer d != 0 and the integer rows of d*X, where A @ X = B.
 
-    a (square) and b are sequences of rows of ints or Fractions.  One
-    Bareiss pass over [A | B] (see _bareiss) leaves d*I | d*X, d its last
-    pivot; Matrix.solve divides by d, and callers that keep working over
-    the integers do not.  Raises SingularMatrix when A is singular.
+    a (square) and b are sequences of rows of ints or Fractions.  A row of
+    [A | B] that is not all ints is scaled once by the lcm of its
+    denominators, which leaves X unchanged.  One Bareiss pass over the
+    integer rows (see _bareiss) then leaves d*I | d*X, d its last pivot;
+    Matrix.solve divides by d, and callers that keep working over the
+    integers do not.  Raises SingularMatrix when A is singular.
     """
     n = len(a)
     if len(b) != n:
         raise ValueError("rhs row count mismatch")
-    pivots, _, reduced, _ = _bareiss(
-        [tuple(ra) + tuple(rb) for ra, rb in zip(a, b)], n, reduce_above=True
+    pivots, _, reduced = _bareiss(
+        [_integer_row(tuple(ra) + tuple(rb)) for ra, rb in zip(a, b)], n, reduce_above=True
     )
     if len(pivots) < n:
         raise SingularMatrix("exact rank deficiency")
     return pivots[-1], [row[n:] for row in reduced]
 
 
-def _bareiss(rows, ncols, reduce_above=False):
-    """Fraction-free (Bareiss 1968) elimination of rational rows.
+def _integer_row(row):
+    """row itself when it holds only ints, else row times the lcm of its denominators."""
+    if all(type(x) is int for x in row):
+        return row
+    s = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (s // x.denominator) for x in row]
 
-    Rows are scaled by the lcm of their denominators, so the work is over
-    ints and every division is exact.  Pivots come from the first `ncols`
-    columns; a column without one is skipped.  reduce_above also clears the
-    rows above each pivot (Gauss-Jordan), leaving a full-rank square block
-    as d * I, d the last pivot.  Returns (pivots, row swaps, reduced rows,
-    product of row scales); det of the scaled block is (-1)**swaps * d.
+
+def _bareiss(rows, ncols, reduce_above=False):
+    """Fraction-free (Bareiss 1968) elimination of integer rows.
+
+    Pivots come from the first `ncols` columns; a column without one is
+    skipped.  Step k maps each other row to (p*row - f*pivot row) / prev,
+    p the new pivot, f the row's entry under it and prev the last pivot;
+    every division is exact.  A row with f = 0 is only rescaled by p/prev,
+    and left as it is when p == prev (so an identity block costs nothing).
+    reduce_above also clears the rows above each pivot (Gauss-Jordan),
+    leaving a full-rank square block as d * I, d the last pivot.  Returns
+    (pivots, row swaps, reduced rows); the determinant of the square block
+    is (-1)**swaps * d.
     """
-    scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
-    a = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(rows, scales)]
+    a = [list(row) for row in rows]
     swaps = 0
     pivots = []
     prev = 1
@@ -234,30 +284,19 @@ def _bareiss(rows, ncols, reduce_above=False):
         prow = a[r]
         p = prow[k]
         for i in range(0 if reduce_above else r + 1, len(a)):
-            if i != r:
-                row = a[i]
-                f = row[k]
-                # Below the pivot row, columns left of k are already zero.
-                j = 0 if i < r else k
+            if i == r:
+                continue
+            row = a[i]
+            f = row[k]
+            # Below the pivot row, columns left of k are already zero.
+            j = 0 if i < r else k
+            if f:
                 row[j:] = [(p * x - f * y) // prev for x, y in zip(row[j:], prow[j:])]
+            elif p != prev:
+                row[j:] = [p * x // prev for x in row[j:]]
         pivots.append(p)
         prev = p
-    return pivots, swaps, a, math.prod(scales)
-
-
-def _kron_exact(a, b):
-    out = []
-    for ra in a.data:
-        for rb in b.data:
-            out.append([x * y for x in ra for y in rb])
-    return Matrix(out)
-
-
-def kron(a, b):
-    """Kronecker product; block (i, j) of the result is a[i, j] * b."""
-    if isinstance(a, Matrix):
-        return _kron_exact(a, b)
-    return np.kron(a, b)
+    return pivots, swaps, a
 
 
 def det(a):

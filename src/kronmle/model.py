@@ -96,33 +96,30 @@ def _as_array(a):
     return a.to_numpy() if isinstance(a, Matrix) else np.asarray(a, dtype=float)
 
 
-def _integer_rows(a):
-    """(d, rows of d*A as ints), d the lcm of the denominators of the Matrix A."""
-    d = math.lcm(*(x.denominator for row in a.data for x in row))
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in a.data]
-
-
 def scatter_k2(sample, k2):
     """The m1 x m1 matrix sum_i Yi K2 Yi^T.
 
     Both routes use one layout: the rows of Y cut into m2-wide pieces are
     the rows of every Yi, so multiplying them by K2 gives
     [Y1 K2 | ... | Yn K2], whose product with Y^T is the sum.  An exact
-    sample with a Matrix K2 gives the exact sum over Python ints: Y and K2
-    are cleared of denominators once, by the lcms dy and dk of their
-    entries' denominators, and each entry of the integer product becomes
-    one Fraction over dy^2 * dk.  Otherwise it is one GEMM pair over the
-    float concatenation, symmetrized.
+    sample with a Matrix K2 gives the exact sum over Python ints: with
+    Y = NY/dy and K2 = NK/dk as integer rows over one denominator each,
+    the integer product NY (I_n kron NK) NY^T is returned over dy^2 * dk.
+    Otherwise it is one GEMM pair over the float concatenation,
+    symmetrized.
     """
     m1, m2, n = sample.m1, sample.m2, sample.n
     if sample.is_exact and isinstance(k2, Matrix):
-        dy, y = _integer_rows(sample.y)
-        dk, k = _integer_rows(k2)
-        k_cols = list(zip(*k))
+        y = sample.y
+        k_cols = tuple(zip(*k2.num))
         cuts = range(0, n * m2, m2)
-        yk = [[sum(map(mul, row[c : c + m2], col)) for c in cuts for col in k_cols] for row in y]
-        den = dy * dy * dk
-        return Matrix([[Fraction(sum(map(mul, a, b)), den) for b in y] for a in yk])
+        yk = [
+            [sum(map(mul, row[c : c + m2], col)) for c in cuts for col in k_cols]
+            for row in y.num
+        ]
+        return Matrix.from_ints(
+            [[sum(map(mul, a, b)) for b in y.num] for a in yk], y.den * y.den * k2.den
+        )
     y = sample.to_float().y
     out = (y.reshape(m1 * n, m2) @ _as_array(k2)).reshape(m1, n * m2) @ y.T
     return (out + out.T) / 2

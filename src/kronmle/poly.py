@@ -415,9 +415,9 @@ def poly_det(grid):
     In each variable the determinant has degree at most D, the sum over the
     rows of the largest degree of that variable in the row.  Its values on
     the integer box [0, D_1] x ... x [0, D_k] therefore fix it: each value is
-    Matrix.det of the grid evaluated there, with every row scaled to integer
-    coefficients first, and Newton divided differences over Fraction then
-    interpolate one variable at a time.
+    Matrix.det of the grid evaluated there as an integer matrix, with every
+    row scaled to integer coefficients first, and Newton divided differences
+    over Fraction then interpolate one variable at a time.
     """
     n = len(grid)
     if any(len(row) != n for row in grid):
@@ -438,7 +438,7 @@ def poly_det(grid):
     table = {}
     for point in product(*(range(b + 1) for b in bounds)):
         monos = {e: prod(x**k for x, k in zip(point, e)) for e in exps}
-        table[point] = Matrix(
+        table[point] = Matrix.from_ints(
             [[sum(c * monos[e] for e, c in entry) for entry in row] for row in rows]
         ).det()
     for i, b in enumerate(bounds):

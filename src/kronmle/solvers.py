@@ -108,18 +108,21 @@ def _dot(a, b):
 
 
 def _exact_k1(sample):
-    """The exact k = 1 pair over Python ints, one Fraction per entry at the end.
+    """The exact k = 1 pair over Python ints: integer rows over one denominator.
 
     With A = I_n kron K2, W = [Y_*^-1; 0] and v^T A^-1 v = tr(K2^-1 K2) = m2,
     the inverse of the scatter Y A Y^T is W^T (A^-1 - A^-1 v v^T A^-1 / m2) W,
     so K1 = n*m2 * W^T [I_n kron K2^-1 - u u^T / m2] W with u = A^-1 v.
-    Integer form: one fraction-free pass over [Y_* | I | y] gives
-    G = d*Y_*^-1 and w = d*v; a second one gives H = e*(d^2 K2)^-1 with
-    e = det(d^2 K2).  With G padded by a zero row and U = (I_n kron H) w,
-    K1 = n * (e*m2 * G^T (I_n kron H) G - (G^T U)(G^T U)^T) / e^2.
+    Integer form, on the integer rows N = delta*Y of the data: one
+    fraction-free pass over [N_* | I | N_y] gives G = d*N_*^-1 and
+    w = d*v (v does not change when Y is scaled); a second one gives
+    H = e*(d^2 K2)^-1 with e = det(d^2 K2).  K2 is the integer rows of
+    d^2 K2 over d^2.  With G padded by a zero row and U = (I_n kron H) w,
+    K1 = n * delta^2 * (e*m2 * G^T (I_n kron H) G - (G^T U)(G^T U)^T) / e^2,
+    the delta^2 because W = delta * [N_*^-1; 0].
     """
     m1, m2, n = sample.m1, sample.m2, sample.n
-    rows = sample.y.data  # Y = [Y_* | y]
+    rows = sample.y.num  # N = [N_* | N_y]
     unit = [(0,) * r + (1,) + (0,) * (m1 - 1 - r) for r in range(m1)]
     try:
         d, dx = solve_fraction_free(
@@ -127,14 +130,14 @@ def _exact_k1(sample):
         )
     except SingularMatrix:
         raise DegenerateData("left m1 x m1 block is singular") from None
-    g = [row[:m1] for row in dx] + [(0,) * m1]  # d * W
+    g = [row[:m1] for row in dx] + [(0,) * m1]  # d * N_*^-1, padded
     w = [row[m1] for row in dx] + [-d]  # d * v
     blocks = range(0, n * m2, m2)
     k2_int = [
         [sum(w[b + p] * w[b + q] for b in blocks) for q in range(m2)] for p in range(m2)
     ]
     d2 = d * d
-    k2 = Matrix([[Fraction(x, d2) for x in row] for row in k2_int])
+    k2 = Matrix.from_ints(k2_int, d2)
     if not k2.is_positive_definite():
         raise MLENotExists("sum_i v_i v_i^T is not positive definite")
     # Integer rows need no scaling and a PD matrix no row swap, so e is det(d^2 K2).
@@ -144,13 +147,12 @@ def _exact_k1(sample):
     hg = [[_dot(hrow, col) for col in zip(*g[b : b + m2])] for b in blocks for hrow in h]
     g_t, hg_t = list(zip(*g)), list(zip(*hg))
     gu = [_dot(col, u) for col in g_t]
-    em2, e2 = e * m2, e * e
+    em2, scale = e * m2, n * sample.y.den ** 2
     k1 = [[None] * m1 for _ in range(m1)]
     for i in range(m1):
         for j in range(i, m1):
-            x = Fraction(n * (em2 * _dot(g_t[i], hg_t[j]) - gu[i] * gu[j]), e2)
-            k1[i][j] = k1[j][i] = x
-    k1 = Matrix(k1)
+            k1[i][j] = k1[j][i] = scale * (em2 * _dot(g_t[i], hg_t[j]) - gu[i] * gu[j])
+    k1 = Matrix.from_ints(k1, e * e)
     k2f, k1f = normalize_det1(k2.to_numpy(), k1.to_numpy())
     return KroneckerEstimate(
         k1=k1f,

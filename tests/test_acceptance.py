@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from kronmle.canonical import canonicalize, det_reduction_check, reduced_gradient, reduced_objective
-from kronmle.linalg import Matrix, kron
+from kronmle.linalg import Matrix
 from kronmle.mldegree import ml_degree, ml_multiplicity_prop43, b_zero_quadratic, random_integer_sample, score_polynomials
 from kronmle.model import SampleSet, g_objective, sample_matrix_normal
 from kronmle.solvers import MLENotExists, exact_mle_k1, flipflop, normalize_det1
+from matrix_helpers import kron
 
 
 def test_01_worked_example_identity():

@@ -16,8 +16,9 @@ from kronmle.canonical import (
     reduced_objective,
     trace_form,
 )
-from kronmle.linalg import Matrix, kron
+from kronmle.linalg import Matrix
 from kronmle.model import SampleSet, g_objective, sample_matrix_normal
+from matrix_helpers import column, kron
 
 
 def d_matrix(cf):
@@ -69,10 +70,10 @@ class TestCanonicalize:
         assert ystar @ cf.C == base.submatrix(range(4), range(4, 6))
 
     def test_k1_hand_example(self):
-        y = Matrix.identity(3).hstack(Matrix.column([1, 0, 0]))
+        y = Matrix.identity(3).hstack(column([1, 0, 0]))
         cf = canonicalize(SampleSet(y, 2))
         assert cf.k == 1
-        assert d_matrix(cf) == Matrix.column([1, 0, 0, -1])
+        assert d_matrix(cf) == column([1, 0, 0, -1])
         assert cf.dual.blocks == (Matrix([[1, 0]]), Matrix([[0, -1]]))
 
     def test_kernel_property(self):
@@ -199,7 +200,7 @@ class TestDabBlocks:
         expect = Matrix.zeros(cf.m2 * cf.k, cf.m2 * cf.k)
         for z in cf.dual.blocks:
             # the rows of Z_i, each as an m2-column, stacked
-            stacked = Matrix.column([z[a, p] for a in range(cf.k) for p in range(cf.m2)])
+            stacked = column([z[a, p] for a in range(cf.k) for p in range(cf.m2)])
             expect = expect + stacked @ stacked.transpose()
         assert dab_grid(cf) == expect
 

@@ -39,6 +39,7 @@ from kronmle.mldegree import (
 )
 from kronmle.poly import ORDER_KEYS, Poly, exact_divide, poly_gcd
 from kronmle.solvers import exact_mle_k1
+from matrix_helpers import column
 from test_acceptance import TABLE_CELLS
 
 
@@ -491,7 +492,7 @@ def three_point_basis():
     k22 = Poly.variable(SCORE_VARS, "k22")
     gens = []
     for mono in (k12 * k12, k12 * k22, k22 * k22):
-        values = Matrix.column([mono.evaluate({"k12": a, "k22": b}) for a, b in THREE_POINTS])
+        values = column([mono.evaluate({"k12": a, "k22": b}) for a, b in THREE_POINTS])
         c = vander.solve(values)
         gens.append(mono - c[0, 0] * one - c[1, 0] * k12 - c[2, 0] * k22)
     return buchberger(PolyIdeal(generators=tuple(gens)), order="grevlex")

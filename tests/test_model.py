@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kronmle.linalg import Matrix, NotPD, SingularMatrix, kron, logdet_pd
+from kronmle.linalg import Matrix, NotPD, SingularMatrix, logdet_pd
 from kronmle.model import (
     SampleSet,
     format_sample_set,
@@ -23,6 +23,7 @@ from kronmle.model import (
     scatter_k2_whitened,
     thresholds,
 )
+from matrix_helpers import kron
 
 
 def random_pd(rng, m, jitter=0.5):

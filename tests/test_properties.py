@@ -1,14 +1,17 @@
 """Property-based checks with hypothesis for the exact arithmetic layers."""
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kronmle.linalg import Matrix, SingularMatrix, _bareiss, solve_fraction_free
 from kronmle.poly import Poly, exact_divide, poly_gcd
+from matrix_helpers import kron
 
 entries = st.integers(min_value=-9, max_value=9)
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -100,7 +103,7 @@ class TestMatrixProperties:
     @given(square_matrices(2), square_matrices(3))
     @settings(max_examples=30, deadline=None)
     def test_kron_det(self, a, b):
-        assert a.kron(b).det() == a.det() ** 3 * b.det() ** 2
+        assert kron(a, b).det() == a.det() ** 3 * b.det() ** 2
 
     @given(square_matrices(3))
     @settings(max_examples=30, deadline=None)
@@ -148,7 +151,7 @@ class TestEliminationAgainstSympy:
         assert a.det() == 0 == to_sympy(a).det()
         # In the transpose a column can depend on earlier ones; it gets no pivot.
         rank = to_sympy(a).rank()
-        assert len(_bareiss(a.data, a.cols)[0]) == len(_bareiss(a.transpose().data, a.cols)[0]) == rank
+        assert len(_bareiss(a.num, a.cols)[0]) == len(_bareiss(a.transpose().num, a.cols)[0]) == rank
         with pytest.raises(SingularMatrix):
             a.inverse()
         with pytest.raises(SingularMatrix):
@@ -163,6 +166,105 @@ class TestEliminationAgainstSympy:
     @settings(max_examples=30, deadline=None)
     def test_positive_definite_needs_symmetry(self, a):
         assert a.is_positive_definite() == (a.is_symmetric() and to_sympy(a).is_positive_definite)
+
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[2, 1], [0, 3]],  # det 6: the zero row is rescaled by 2, then divided by 1
+            [[2, 1, 0, 0], [1, 3, 0, 0], [0, 0, 5, 2], [0, 0, 1, 4]],  # block diagonal
+            [[3, 0, 0], [0, 5, 0], [0, 0, 7]],
+        ],
+    )
+    def test_zero_multiplier_rows(self, rows):
+        # A row with a zero under the pivot is only rescaled by p/prev; the
+        # rescale may be skipped only when p == prev.
+        a = Matrix(rows)
+        sa = sympy.Matrix(rows)
+        assert sympy.Rational(a.det()) == sa.det()
+        assert to_sympy(a.inverse()) == sa.inv()
+        b = Matrix([[1, -2], [0, 3]] + [[i, 1] for i in range(a.rows - 2)])
+        assert to_sympy(a.solve(b)) == sa.LUsolve(to_sympy(b))
+
+    def test_identity_block_solve(self):
+        # The [I | C] solve of canonicalize: every multiplier is zero and p == prev.
+        c = Matrix([[1, 2, -3], [Fraction(4, 5), 0, 6], [7, Fraction(-8, 3), 9]])
+        assert Matrix.identity(3).solve(c) == c
+        d, dx = solve_fraction_free(Matrix.identity(3).num, c.num)
+        assert d == 1 and Matrix(dx) == Matrix.from_ints(c.num)
+        ystar = Matrix([[2, 0, 0], [0, 2, 0], [1, 0, 2]])
+        assert to_sympy(ystar.solve(c)) == to_sympy(ystar).LUsolve(to_sympy(c))
+
+
+def lowest_terms(m):
+    return m.den > 0 and math.gcd(m.den, *(x for row in m.num for x in row)) == 1
+
+
+# Entries whose numerator and denominator each overflow a float while the
+# value does not, e.g. (10**400 + 1) / 10**399.
+huge_rationals = st.builds(
+    lambda s, k, e: Fraction(s * 10**e + k, 10 ** (e - 1)),
+    st.integers(-9, 9),
+    st.integers(-(10**6), 10**6),
+    st.integers(300, 420),
+)
+mixed_rationals = st.one_of(rationals, huge_rationals)
+
+
+class TestCommonDenominatorForm:
+    @given(systems())
+    @settings(max_examples=60, deadline=None)
+    def test_stored_in_lowest_terms(self, ab):
+        a, b = ab
+        built = [a, b, a + a, a - a, -a, a.scale(Fraction(-3, 4)), a.scale(0), a @ b,
+                 a.transpose(), a.hstack(b), a.submatrix(range(a.rows), [0])]
+        if a.det() != 0:
+            built += [a.solve(b), a.inverse()]
+        for m in built:
+            assert lowest_terms(m)
+
+    @given(row_lists(3, 2, rationals))
+    @settings(max_examples=60, deadline=None)
+    @example([[Fraction(1, 2)] * 3, [Fraction(-1, 2), 0, Fraction(2, 4)]])
+    def test_equal_values_compare_and_hash_equal(self, rows):
+        m = Matrix(rows)
+        doubled = Matrix([[2 * x for x in row] for row in rows])
+        a = Matrix([[2, 1], [1, 1]])
+        routes = [
+            Matrix([[Fraction(2 * x.numerator, 2 * x.denominator) for x in row] for row in rows]),
+            Matrix([[f"{x.numerator}/{x.denominator}" for x in row] for row in rows]),
+            doubled.scale(Fraction(1, 2)),
+            Matrix.identity(2).scale(Fraction(1, 2)) @ doubled,
+            a.solve(a @ m),
+        ]
+        for r in routes:
+            assert r == m and hash(r) == hash(m) and (r.num, r.den) == (m.num, m.den)
+
+    def test_half_by_every_route(self):
+        routes = [
+            Matrix([[Fraction(2, 4)]]),
+            Matrix([["1/2"]]),
+            Matrix([[1]]).scale(Fraction(1, 2)),
+            Matrix([[1, 0]]) @ Matrix([["1/2"], [7]]),
+            Matrix([[2]]).solve(Matrix([[1]])),
+        ]
+        assert len(set(routes)) == 1 and routes[0].num == ((1,),) and routes[0].den == 2
+
+    @given(sizes.flatmap(lambda n: row_lists(n, n, mixed_rationals)))
+    @settings(max_examples=60, deadline=None)
+    def test_data_round_trip(self, rows):
+        m = Matrix(rows)
+        assert Matrix(m.data) == m
+        assert all(type(x) is Fraction for row in m.data for x in row)
+
+    @given(sizes.flatmap(lambda n: row_lists(n, 2, mixed_rationals)))
+    @settings(max_examples=80, deadline=None)
+    @example([[Fraction(10**400 + 1, 10**399), Fraction(1, 3)], [Fraction(-1, 10**320), 0]])
+    def test_to_numpy_bit_for_bit(self, rows):
+        m = Matrix(rows)
+        expect = np.array([[float(x) for x in row] for row in m.data])
+        got = m.to_numpy()
+        assert got.dtype == np.float64 and got.tobytes() == expect.tobytes()
 
 
 class TestPolyProperties:

@@ -33,6 +33,7 @@ from kronmle.solvers import (
     mle,
     normalize_det1,
 )
+from matrix_helpers import diagonal
 
 
 def exact_sample(rows, m2):
@@ -107,7 +108,7 @@ class TestExactK1:
         est = exact_mle_k1(hand_k1_sample())
         assert est.method == "exact"
         assert est.k2_exact == Matrix.identity(2)
-        assert est.k1_exact == Matrix.diagonal([2, 4, 4])
+        assert est.k1_exact == diagonal([2, 4, 4])
         assert est.det_k2_exact == 1
 
     def test_scalar_recipe(self):
