@@ -7,6 +7,7 @@ The layers themselves live in the submodules.
 """
 
 from .canonical import DegenerateData, canonicalize, det_reduction_check
+from .groebner import PairBudgetExceeded
 from .mldegree import PrimesExhausted, ml_degree, ml_multiplicity_prop43
 from .model import SampleSet
 from .solvers import MLENotExists, exact_mle_k1, flipflop, mle
@@ -14,6 +15,7 @@ from .solvers import MLENotExists, exact_mle_k1, flipflop, mle
 __all__ = [
     "DegenerateData",
     "MLENotExists",
+    "PairBudgetExceeded",
     "PrimesExhausted",
     "SampleSet",
     "canonicalize",

@@ -1,8 +1,9 @@
 """Command-line front end: sample, mle, verify-lemma, mldegree, multiplicity.
 
-Exit codes: 0 success (Timeout cells included), 2 degenerate data,
-3 MLE nonexistence, 4 bad arguments or input, or an ML-degree count that
-no two primes of mldegree.PRIMES confirmed.
+Exit codes: 0 success (mldegree "timeout" cells included; they are not
+cached), 2 degenerate data, 3 MLE nonexistence, 4 bad arguments or input, an
+ML-degree count that no two primes of mldegree.PRIMES confirmed, or a spent
+multiplicity pair budget.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .canonical import DegenerateData, canonicalize, det_reduction_check
+from .groebner import PairBudgetExceeded
 from .linalg import Matrix
 from .mldegree import (
     PROP43_UPPER,
-    TIMEOUT,
     PrimesExhausted,
     b_zero_quadratic,
     ml_degree,
@@ -156,13 +157,16 @@ def _parse_range(spec):
 def _mldegree_cell(task):
     m1, n, seed, pair_budget = task
     start = time.monotonic()
-    degree = ml_degree(m1, n, seed, pair_budget=pair_budget)
+    try:
+        degree = ml_degree(m1, n, seed, pair_budget=pair_budget)
+    except PairBudgetExceeded:
+        degree = "timeout"
     elapsed = time.monotonic() - start
     return {
         "m1": m1,
         "n": n,
         "seed": seed,
-        "degree": "timeout" if degree is TIMEOUT else degree,
+        "degree": degree,
         "seconds": round(elapsed, 3),
     }
 
@@ -202,9 +206,11 @@ def cmd_mldegree(args):
                 pending.append((m1, n, args.seed, args.pair_budget))
 
     for cell in _run_cells(pending):
-        cache = _cell_path(args.cache_dir, cell["m1"], cell["n"], cell["seed"])
-        with open(cache, "w") as fh:
-            json.dump(cell, fh)
+        # A timeout depends on --pair-budget, which the cache key omits.
+        if cell["degree"] != "timeout":
+            cache = _cell_path(args.cache_dir, cell["m1"], cell["n"], cell["seed"])
+            with open(cache, "w") as fh:
+                json.dump(cell, fh)
         results.append(cell)
 
     results.sort(key=lambda c: (c["m1"], c["n"]))
@@ -309,7 +315,7 @@ def main(argv=None):
     except MLENotExists as exc:
         print(f"MLE does not exist: {exc}", file=sys.stderr)
         return EXIT_NO_MLE
-    except (ValueError, OSError, PrimesExhausted) as exc:
+    except (ValueError, OSError, PrimesExhausted, PairBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
 

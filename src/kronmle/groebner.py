@@ -39,7 +39,6 @@ class PolyIdeal:
 class GroebnerBasis:
     basis: tuple
     order: str
-    reduced: bool = True
 
     @property
     def vars(self):

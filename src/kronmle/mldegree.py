@@ -13,6 +13,8 @@ and the stable rank of its powers are taken mod each prime of PRIMES, and
 two primes must agree before a count is returned.  Per prime, f is reduced
 only once; the other columns of the matrix come from the multiplication
 matrices of the variables, as in FGLM (Faugere, Gianni, Lazard & Mora 1993).
+The Prop. 4.3 multiplicities use the same count, localized at their
+denominators.  A spent pair budget raises PairBudgetExceeded on both.
 """
 
 from __future__ import annotations
@@ -25,10 +27,8 @@ import numpy as np
 
 from .groebner import (
     DEFAULT_PAIR_BUDGET,
-    PairBudgetExceeded,
     PolyIdeal,
     buchberger,
-    dim_and_degree,
     saturate_rabinowitsch,
     standard_monomials,
 )
@@ -36,21 +36,6 @@ from .linalg import Matrix
 from .model import SampleSet, scatter_k2
 from .poly import ORDER_KEYS, Poly, certify_coprime, exact_divide, poly_gcd
 
-
-class Timeout:
-    """Sentinel outcome for a computation that exhausted its pair budget."""
-
-    def __repr__(self):
-        return "Timeout"
-
-    def __eq__(self, other):
-        return isinstance(other, Timeout)
-
-    def __hash__(self):
-        return hash(Timeout)
-
-
-TIMEOUT = Timeout()
 
 SCORE_VARS = ("k12", "k22")
 
@@ -117,7 +102,8 @@ def ml_degree(m1, n, seed, pair_budget=DEFAULT_PAIR_BUDGET):
     every cell tried, a power of g2 was the only common factor of the two.)
 
     Returns 0 when the saturated system is positive-dimensional or empty
-    (degenerate regime) and TIMEOUT when the pair budget runs out.
+    (degenerate regime); raises PairBudgetExceeded when the pair budget
+    runs out.
     """
     sample = random_integer_sample(m1, n, seed)
     g1, g2, gens = score_polynomials(sample)
@@ -148,7 +134,8 @@ def count_solutions_off_locus(gens, f, pair_budget=DEFAULT_PAIR_BUDGET):
     the stable rank of the multiplication-by-f operator on the residue ring
     of the cofactor system, whose Groebner basis is computed over Q.  The
     operator and its rank are then taken modulo the word-size primes of
-    PRIMES (see _modular_stable_rank).
+    PRIMES (see _modular_stable_rank).  A spent pair_budget raises
+    PairBudgetExceeded.
     """
     p, q = gens
     if p.is_zero() or q.is_zero() or f.is_zero():
@@ -164,10 +151,7 @@ def count_solutions_off_locus(gens, f, pair_budget=DEFAULT_PAIR_BUDGET):
         p = exact_divide(p, h)
         q = exact_divide(q, h)
     ideal = PolyIdeal(generators=(p.primitive(), q.primitive()))
-    try:
-        gb = buchberger(ideal, order="grevlex", pair_budget=pair_budget)
-    except PairBudgetExceeded:
-        return TIMEOUT
+    gb = buchberger(ideal, order="grevlex", pair_budget=pair_budget)
     monos = standard_monomials(gb)
     if not monos:
         return 0
@@ -380,14 +364,14 @@ def _fraction_sum(terms, vars):
     return num, den
 
 
-def prop43_system(m2, k, case_id):
-    """Score system for the constructed multiplicity > 1 data sets.
+def _prop43_pair(m2, k, case_id):
+    """Score numerators of the constructed multiplicity > 1 data sets.
 
     Case one (m2 > 2, k >= 2) works in the trace variable t, case two
-    (m2 = 2, k >= 2) in the free diagonal entry c; both include the
-    Rabinowitsch generator for the nonvanishing denominators.  Rational
-    terms with a zero numerator are dropped before combining, matching
-    how a CAS reduces the fraction.
+    (m2 = 2, k >= 2) in the free diagonal entry c.  Returns the two
+    primitive numerators and the product of their denominators, which must
+    not vanish at a solution.  Rational terms with a zero numerator are
+    dropped before combining, matching how a CAS reduces the fraction.
     """
     if k < 2:
         raise ValueError("cases require k >= 2")
@@ -425,8 +409,15 @@ def prop43_system(m2, k, case_id):
     e2_terms = [(as_poly(n), as_poly(d)) for n, d in e2_terms]
     num1, den1 = _fraction_sum(e1_terms, vars)
     num2, den2 = _fraction_sum(e2_terms, vars)
-    ideal = PolyIdeal(generators=(num1.primitive(), num2.primitive()))
-    return saturate_rabinowitsch(ideal, den1 * den2)
+    return (num1.primitive(), num2.primitive()), den1 * den2
+
+
+def prop43_system(m2, k, case_id):
+    """The constructed score system with the Rabinowitsch generator for its
+    nonvanishing denominators adjoined: a three-variable ideal whose degree
+    is the solution count, kept as an oracle for ml_multiplicity_prop43."""
+    gens, f = _prop43_pair(m2, k, case_id)
+    return saturate_rabinowitsch(PolyIdeal(generators=gens), f)
 
 
 # The largest solution count Prop. 4.3 allows for each constructed case;
@@ -435,13 +426,10 @@ PROP43_UPPER = {"one": 5, "two": 4}
 
 
 def ml_multiplicity_prop43(m2, k, case_id, pair_budget=DEFAULT_PAIR_BUDGET):
-    """Solution count of the constructed system, in [2, PROP43_UPPER[case_id]]."""
-    ideal = prop43_system(m2, k, case_id)
-    gb = buchberger(ideal, order="grevlex", pair_budget=pair_budget)
-    zero_dim, degree = dim_and_degree(gb)
-    if not zero_dim:
-        raise ValueError("constructed system should be zero-dimensional")
+    """Solution count off the denominators' locus, in [2, PROP43_UPPER[case_id]]."""
+    gens, f = _prop43_pair(m2, k, case_id)
+    count = count_solutions_off_locus(gens, f, pair_budget)
     upper = PROP43_UPPER[case_id]
-    if not 2 <= degree <= upper:
-        raise ValueError(f"solution count {degree} outside expected [2, {upper}]")
-    return degree
+    if not 2 <= count <= upper:
+        raise ValueError(f"solution count {count} outside expected [2, {upper}]")
+    return count

@@ -309,6 +309,20 @@ class TestMlDegreeCommand:
         assert code == EXIT_OK
         assert "timeout" in stdout
 
+    def test_timeout_not_cached(self, tmp_path, capsys, monkeypatch):
+        # A timeout depends on the budget, which the cache key omits, so a
+        # rerun at the default budget must count the cell.
+        monkeypatch.setenv("KRONMLE_WORKERS", "1")
+        cache = tmp_path / "cache"
+        _, stdout, _ = run(capsys, "mldegree", "--m1", "3", "--n", "3", "--seed", "1",
+                           "--pair-budget", "1", "--cache-dir", str(cache))
+        assert stdout.splitlines()[1].split()[2] == "timeout"
+        assert not (cache / "cell_3_3_1.json").exists()
+        code, stdout, _ = run(capsys, "mldegree", "--m1", "3", "--n", "3", "--seed", "1",
+                              "--cache-dir", str(cache))
+        assert code == EXIT_OK and stdout.splitlines()[1].split()[2] == "4"
+        assert json.loads((cache / "cell_3_3_1.json").read_text())["degree"] == 4
+
     def test_csv_and_json_formats(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("KRONMLE_WORKERS", "1")
         _, out_csv, _ = run(
@@ -370,6 +384,16 @@ class TestMultiplicity:
         )
         assert code == EXIT_BAD_ARGS
         assert "case one requires m2 > 2" in err
+
+    def test_budget_exhausted(self, capsys):
+        code, stdout, err = run(
+            capsys, "multiplicity", "--case", "two", "--m2", "2", "--k", "3",
+            "--pair-budget", "1",
+        )
+        assert code == EXIT_BAD_ARGS
+        assert stdout == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
 
 class TestArgParsing:

@@ -20,13 +20,12 @@ from kronmle.linalg import Matrix
 from kronmle.mldegree import (
     PRIMES,
     PROP43_UPPER,
-    TIMEOUT,
     SCORE_VARS,
     PrimesExhausted,
-    Timeout,
     _divide_out,
     _modular_stable_rank,
     _multiplication_matrix_mod,
+    _prop43_pair,
     _stable_rank_mod,
     b_zero_quadratic,
     count_solutions_off_locus,
@@ -196,10 +195,7 @@ def prs_count_solutions_off_locus(gens, f):
         p = exact_divide(p, h)
         q = exact_divide(q, h)
     ideal = PolyIdeal(generators=(p.primitive(), q.primitive()))
-    try:
-        gb = buchberger(ideal, order="grevlex")
-    except PairBudgetExceeded:
-        return TIMEOUT
+    gb = buchberger(ideal, order="grevlex")
     monos = standard_monomials(gb)
     if not monos:
         return 0
@@ -378,8 +374,8 @@ class TestCountSolutions:
     def test_budget_exhaustion(self):
         x, y = xy_ring()
         gens = (x**3 + y**3 - 1, x**2 * y - 3 * x + 1)
-        assert count_solutions_off_locus(gens, x, pair_budget=1) == TIMEOUT
-        assert Timeout() == TIMEOUT
+        with pytest.raises(PairBudgetExceeded):
+            count_solutions_off_locus(gens, x, pair_budget=1)
 
 
 class TestCertifiedRoute:
@@ -669,6 +665,41 @@ class TestProp43:
         assert PROP43_UPPER == {"one": 5, "two": 4}
         with pytest.raises(ValueError, match=r"count 6 outside expected \[2, 5\]"):
             ml_multiplicity_prop43(3, 3, "one")
+
+    # Case one at k = 2 and at k >= 3 (6 solutions, outside the band), and
+    # case two at k = 2..6.  Counting with f = 1 instead of the denominators
+    # gives 7 at case one k >= 3 and 6/9/9/9/9 at case two.
+    @pytest.mark.parametrize(
+        "case_id,m2,k,count",
+        [("one", 3, 2, 4), ("one", 4, 2, 4), ("one", 5, 2, 4),
+         ("one", 3, 3, 6), ("one", 4, 3, 6), ("one", 3, 4, 6)]
+        + [("two", 2, k, 2 if k == 2 else 4) for k in range(2, 7)],
+    )
+    def test_count_matches_rabinowitsch_oracle(self, case_id, m2, k, count):
+        gens, f = _prop43_pair(m2, k, case_id)
+        zero_dim, degree = dim_and_degree(buchberger(prop43_system(m2, k, case_id)))
+        assert zero_dim
+        assert count_solutions_off_locus(gens, f) == degree == count
+
+    def test_counts_through_count_solutions_off_locus(self, monkeypatch):
+        calls = []
+        real = mldegree.count_solutions_off_locus
+
+        def spy(gens, f, pair_budget):
+            calls.append(pair_budget)
+            return real(gens, f, pair_budget)
+
+        monkeypatch.setattr(mldegree, "count_solutions_off_locus", spy)
+        assert ml_multiplicity_prop43(2, 3, "two", pair_budget=1000) == 4
+        assert calls == [1000]
+        # no solution off the locus is outside the band too
+        monkeypatch.setattr(mldegree, "count_solutions_off_locus", lambda *a: 0)
+        with pytest.raises(ValueError, match=r"count 0 outside expected \[2, 4\]"):
+            ml_multiplicity_prop43(2, 3, "two")
+
+    def test_budget_exhaustion_raises(self):
+        with pytest.raises(PairBudgetExceeded):
+            ml_multiplicity_prop43(2, 3, "two", pair_budget=1)
 
     def test_b_zero_roots_satisfy_system(self):
         # on the b = 0 slice the saturated system reduces to the quadratic;
