@@ -5,8 +5,10 @@ m1 x m1 block Y_*, left-multiplying by Y_*^-1 puts the data into the form
 [I | C].  The kernel matrix D with D^T = [C^T | -I_k] then carries the
 whole likelihood.  Cut D^T into n blocks Z_i of size k x m2: they form a
 (k, m2, n) sample, the castling dual of the data (Derksen, Makam & Walter
-2022), and the reduced objective m2*logdet(T(Sigma)) - k*logdet(Sigma)
-reads T(Sigma) = sum_i Z_i Sigma Z_i^T off it as a scatter.
+2022).  Its scatter scatter_k2(dual, Sigma) = sum_i Z_i Sigma Z_i^T is the
+trace form T(Sigma) of the reduced objective
+m2*logdet(T(Sigma)) - k*logdet(Sigma).  The determinant reduction identity
+det(sum_i Y_i K Y_i^T) = det(K)^n * det(T(K^-1)) is checked exactly, over Q.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Matrix, SingularMatrix, det, inverse
-from .model import SampleSet, scatter_k1, scatter_k2
+from .linalg import Matrix, SingularMatrix
+from .model import SampleSet, scatter_k2
 
 
 class DegenerateData(Exception):
@@ -79,59 +81,21 @@ def canonicalize(sample):
 
 
 def canonical_sample(cf):
-    """The canonicalized data [I | C] as a sample of n m1 x m2 matrices."""
-    if cf.is_exact:
-        y = Matrix.identity(cf.m1).hstack(cf.C)
-    else:
-        y = np.hstack([np.eye(cf.m1), cf.C])
-    return SampleSet(y, cf.m2)
+    """The canonicalized data [I | C] of an exact cf, as a sample of n m1 x m2 matrices."""
+    return SampleSet(Matrix.identity(cf.m1).hstack(cf.C), cf.m2)
 
 
 def det_reduction_check(cf, k_mat):
-    """Both sides of the determinant reduction identity.
+    """Both sides of the determinant reduction identity, over Q.
 
     lhs = det(sum_i Y_i K Y_i^T) over the blocks Y_i of [I | C];
     rhs = det(K)^n * det(sum_i Z_i K^-1 Z_i^T) over the dual sample.
-    Equal for every nonsingular K; exact when cf is exact and K a Matrix.
+    Equal for every nonsingular K.  Raises ValueError unless cf is exact
+    and K an m2 x m2 Matrix, and SingularMatrix when K is singular.
     """
-    if not isinstance(k_mat, Matrix):
-        k_mat = np.asarray(k_mat, dtype=float)
-    k_inv = inverse(k_mat)  # raises SingularMatrix when K is singular
-    lhs = det(scatter_k2(canonical_sample(cf), k_mat))
-    rhs = det(k_mat) ** cf.n * det(scatter_k2(cf.dual, k_inv))
+    if not (cf.is_exact and isinstance(k_mat, Matrix)):
+        raise ValueError("the identity is checked over Q: exact data and a Matrix K")
+    k_inv = k_mat.inverse()
+    lhs = scatter_k2(canonical_sample(cf), k_mat).det()
+    rhs = k_mat.det() ** cf.n * scatter_k2(cf.dual, k_inv).det()
     return lhs, rhs
-
-
-def trace_form(cf, sigma):
-    """T(Sigma) = sum_i Z_i Sigma Z_i^T, the k x k scatter of the dual sample.
-
-    Equals D^T (I_n kron Sigma) D; exact when cf is exact and Sigma a Matrix.
-    """
-    if not isinstance(sigma, Matrix):
-        sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (cf.m2, cf.m2):
-        raise ValueError("Sigma dimension mismatch")
-    return scatter_k2(cf.dual, sigma)
-
-
-def reduced_objective(cf, sigma):
-    """m2*logdet(T(Sigma)) - k*logdet(Sigma), float evaluation."""
-    sigma = np.asarray(sigma, dtype=float)
-    t = trace_form(cf, sigma)
-    sign_t, ld_t = np.linalg.slogdet(t)
-    sign_s, ld_s = np.linalg.slogdet(sigma)
-    if sign_t <= 0 or sign_s <= 0:
-        raise SingularMatrix("objective undefined: nonpositive determinant")
-    return cf.m2 * ld_t - cf.k * ld_s
-
-
-def reduced_gradient(cf, sigma):
-    """Unconstrained matrix gradient of reduced_objective at Sigma.
-
-    d/dSigma [m2*logdet(T(Sigma))] = m2 * sum_i Z_i^T T^-1 Z_i, the dual
-    sample's other scatter at T^-1; at symmetric Sigma the result is
-    symmetric and vanishes at the MLE.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    t_inv = np.linalg.inv(trace_form(cf, sigma))
-    return cf.m2 * scatter_k1(cf.dual, t_inv) - cf.k * np.linalg.inv(sigma).T

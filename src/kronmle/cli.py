@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .canonical import DegenerateData, canonicalize, det_reduction_check
-from .groebner import PairBudgetExceeded
+from .groebner import DEFAULT_PAIR_BUDGET, PairBudgetExceeded
 from .linalg import Matrix
 from .mldegree import (
     PROP43_UPPER,
@@ -187,9 +187,6 @@ def _run_cells(pending):
 
 
 def cmd_mldegree(args):
-    if args.m2 != 2:
-        print("mldegree supports m2 = 2 only", file=sys.stderr)
-        return EXIT_BAD_ARGS
     m1s = _parse_range(args.m1)
     ns = _parse_range(args.n)
     os.makedirs(args.cache_dir, exist_ok=True)
@@ -283,9 +280,8 @@ def build_parser():
     p = sub.add_parser("mldegree", help="ML degree table for m2 = 2")
     p.add_argument("--m1", required=True, help="value or range lo:hi")
     p.add_argument("--n", required=True, help="value or range lo:hi")
-    p.add_argument("--m2", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pair-budget", type=int, default=200000)
+    p.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p.add_argument("--cache-dir", default=".kronmle_cache")
     p.add_argument("--out")
@@ -295,7 +291,7 @@ def build_parser():
     p.add_argument("--case", choices=["one", "two"], required=True)
     p.add_argument("--m2", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--pair-budget", type=int, default=200000)
+    p.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
     p.set_defaults(func=cmd_multiplicity)
 
     return parser

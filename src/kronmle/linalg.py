@@ -5,9 +5,10 @@ rows over one common positive denominator, in lowest terms.  Its sums,
 products, stacking, determinant, solve, inverse and PD test all run over
 Python ints; the last four share one fraction-free (Bareiss) elimination
 kernel.  A ``Fraction`` is made only where one is read: an entry, a
-determinant, or ``data``.  The float side dispatches to numpy.  Both sides
-share the same text serialization: a "rows cols" header line followed by
-whitespace-separated rows, rationals written as ``p/q``.
+determinant, or ``data``.  The float side is a Cholesky factorization
+and a log-determinant over numpy.  Both sides share the same text
+serialization: a "rows cols" header line followed by whitespace-separated
+rows, rationals written as ``p/q``.
 """
 
 from __future__ import annotations
@@ -18,12 +19,9 @@ from operator import mul
 
 import numpy as np
 
-# Relative pivot threshold below which a float matrix is treated as singular.
-FLOAT_PIVOT_RTOL = 1e-12
-
 
 class SingularMatrix(Exception):
-    """Raised when an inverse or solve hits a (numerically) singular matrix."""
+    """Raised when an exact inverse or solve hits a singular matrix."""
 
 
 class NotPD(Exception):
@@ -297,39 +295,6 @@ def _bareiss(rows, ncols, reduce_above=False):
         pivots.append(p)
         prev = p
     return pivots, swaps, a
-
-
-def det(a):
-    """Determinant: Bareiss over rationals, LU (numpy) over floats."""
-    if isinstance(a, Matrix):
-        return a.det()
-    return float(np.linalg.det(np.asarray(a, dtype=float)))
-
-
-def solve(a, b):
-    """Solve a @ X = b; raises SingularMatrix on (near-)rank deficiency."""
-    if isinstance(a, Matrix):
-        return a.solve(b)
-    a = np.asarray(a, dtype=float)
-    _check_float_nonsingular(a)
-    return np.linalg.solve(a, np.asarray(b, dtype=float))
-
-
-def inverse(a):
-    if isinstance(a, Matrix):
-        return a.inverse()
-    a = np.asarray(a, dtype=float)
-    _check_float_nonsingular(a)
-    return np.linalg.inv(a)
-
-
-def _check_float_nonsingular(a):
-    scale = np.abs(a).max()
-    if scale == 0:
-        raise SingularMatrix("zero matrix")
-    sign, _ = np.linalg.slogdet(a)
-    if sign == 0 or np.linalg.cond(a) > 1.0 / FLOAT_PIVOT_RTOL:
-        raise SingularMatrix("pivot below threshold")
 
 
 def cholesky(s):

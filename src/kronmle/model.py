@@ -15,15 +15,7 @@ from operator import mul
 
 import numpy as np
 
-from .linalg import (
-    Matrix,
-    NotPD,
-    SingularMatrix,
-    cholesky,
-    format_matrix,
-    logdet_pd,
-    parse_matrix,
-)
+from .linalg import Matrix, format_matrix, logdet_pd, parse_matrix
 
 
 @dataclass(frozen=True)
@@ -106,9 +98,11 @@ def scatter_k2(sample, k2):
     Y = NY/dy and K2 = NK/dk as integer rows over one denominator each,
     the integer product NY (I_n kron NK) NY^T is returned over dy^2 * dk.
     Otherwise it is one GEMM pair over the float concatenation,
-    symmetrized.
+    symmetrized.  Raises ValueError unless K2 is m2 x m2.
     """
     m1, m2, n = sample.m1, sample.m2, sample.n
+    if np.shape(k2) != (m2, m2):
+        raise ValueError(f"K2 must be {m2} x {m2}, got shape {np.shape(k2)}")
     if sample.is_exact and isinstance(k2, Matrix):
         y = sample.y
         k_cols = tuple(zip(*k2.num))
@@ -167,36 +161,6 @@ def kron_loglik(sample, k1, k2):
         + sample.n * sample.m1 * logdet_pd(k2)
         - trace_term
     )
-
-
-def profile_k1(sample, k2):
-    """Maximizer of the likelihood over K1 for fixed K2.
-
-    Returns ((1/(n*m2)) * sum_i Yi K2 Yi^T)^-1; requires n*m2 >= m1.
-    """
-    if sample.n * sample.m2 < sample.m1:
-        raise ValueError("profile update needs n*m2 >= m1")
-    cholesky(k2)  # raises NotPD early
-    avg = scatter_k2(sample, k2) / (sample.n * sample.m2)
-    sign, _ = np.linalg.slogdet(avg)
-    if sign <= 0 or np.linalg.cond(avg) > 1e14:
-        raise SingularMatrix("sum_i Yi K2 Yi^T is rank-deficient")
-    return np.linalg.inv(avg)
-
-
-def g_objective(sample, k2):
-    """Profile objective m2*logdet(sum_i Yi K2 Yi^T) - m1*logdet(K2).
-
-    Scale invariant: g(c*K2) = g(K2).  Minimizing g over PD(m2) yields the
-    second Kronecker factor of the MLE.
-    """
-    k2 = _as_array(k2)
-    s = scatter_k2(sample, k2)
-    try:
-        ld_s = logdet_pd(s)
-    except NotPD:
-        raise SingularMatrix("sum_i Yi K2 Yi^T is not positive definite") from None
-    return sample.m2 * ld_s - sample.m1 * logdet_pd(k2)
 
 
 def sample_matrix_normal(a, b, n, seed):

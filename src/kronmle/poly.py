@@ -130,17 +130,6 @@ class Poly:
                 out[tuple(new)] = c * exp[i]
         return Poly(self.vars, out)
 
-    def evaluate(self, point):
-        """Evaluate at a map {var: value}; exact when values are Fractions."""
-        total = Fraction(0) if all(isinstance(point[v], (int, Fraction)) for v in self.vars) else 0.0
-        for exp, c in self.terms.items():
-            term = c if isinstance(total, Fraction) else float(c)
-            for v, e in zip(self.vars, exp):
-                if e:
-                    term = term * point[v] ** e
-            total = total + term
-        return total
-
     def total_degree(self):
         if not self.terms:
             return -1
@@ -416,8 +405,9 @@ def poly_det(grid):
     rows of the largest degree of that variable in the row.  Its values on
     the integer box [0, D_1] x ... x [0, D_k] therefore fix it: each value is
     Matrix.det of the grid evaluated there as an integer matrix, with every
-    row scaled to integer coefficients first, and Newton divided differences
-    over Fraction then interpolate one variable at a time.
+    row scaled to integer coefficients first, so the scaled determinant has
+    integer coefficients, and Newton interpolation over ints (see
+    _interpolate_at_naturals) recovers them one variable at a time.
     """
     n = len(grid)
     if any(len(row) != n for row in grid):
@@ -440,7 +430,7 @@ def poly_det(grid):
         monos = {e: prod(x**k for x, k in zip(point, e)) for e in exps}
         table[point] = Matrix.from_ints(
             [[sum(c * monos[e] for e, c in entry) for entry in row] for row in rows]
-        ).det()
+        ).det().numerator
     for i, b in enumerate(bounds):
         if b == 0:
             continue
@@ -452,22 +442,32 @@ def poly_det(grid):
                     coeffs[key[:i] + (k,) + key[i + 1 :]] = c
         table = coeffs
     scale = prod(scales)
-    return Poly(vars, {e: c / scale for e, c in table.items()})
+    return Poly(vars, {e: Fraction(c, scale) for e, c in table.items()})
 
 
 def _interpolate_at_naturals(values):
-    """Coefficients, lowest degree first, of the polynomial of degree
-    < len(values) that takes values[x] at x = 0, 1, ...: Newton divided
-    differences, then the Newton form expanded by Horner's rule."""
+    """Integer coefficients, lowest degree first, of the polynomial of degree
+    < len(values) that takes the int values[x] at x = 0, 1, ..., when it has
+    integer coefficients.
+
+    The Newton form is sum_j (Delta^j values[0] / j!) * x(x-1)...(x-j+1).
+    Its forward differences are ints, and times (n-1)! every Newton
+    coefficient is one as well, so Horner's rule runs over ints and each
+    coefficient is divided by (n-1)! exactly once, at the end.
+    """
     c = list(values)
     n = len(c)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) / j
+            c[i] -= c[i - 1]
+    # Scale the j-th difference by (n-1)!/j!; f ends as (n-1)!.
+    f = 1
+    for j in range(n - 1, 0, -1):
+        c[j] *= f
+        f *= j
+    c[0] *= f
     out = [c[-1]]
     for k in range(n - 2, -1, -1):
         # out <- out * (x - k) + c[k]
-        out = [c[k] - k * out[0]] + [
-            a - k * b for a, b in zip(out, out[1:] + [0])
-        ]
-    return out
+        out = [c[k] - k * out[0]] + [a - k * b for a, b in zip(out, out[1:] + [0])]
+    return [a // f for a in out]

@@ -213,7 +213,8 @@ def flipflop(sample, init_k2=None, tol=1e-10, max_iter=10000, callback=None):
     returns it with converged=False when the residual has set no new
     minimum for 8 checks in a row ("stalled": its roundoff floor lies
     above tol) or when t = max_iter ("max_iter").  stop_reason says which,
-    and residual is the returned pair's.
+    and residual is the returned pair's.  Raises ValueError unless
+    0 <= tol < inf and max_iter >= 1.
     """
     sample = sample.to_float()
     n, m1, m2 = sample.n, sample.m1, sample.m2
@@ -221,6 +222,8 @@ def flipflop(sample, init_k2=None, tol=1e-10, max_iter=10000, callback=None):
         raise WrongRegime("flip-flop needs n*m2 >= m1 and n*m1 >= m2")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     if init_k2 is None:
         init_k2 = np.eye(m2)
     f2 = cholesky(init_k2)  # init must be PD

@@ -1,0 +1,78 @@
+"""The paper's objectives that only the tests evaluate.
+
+The profile objective g and the profile maximizer of K1 on the data, the
+reduced objective and its gradient on the dual sample of the canonical
+form, and polynomial evaluation.  The estimators never evaluate these; the
+tests use them to check invariances, stationarity and score roots.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+from kronmle.linalg import NotPD, SingularMatrix, cholesky, logdet_pd
+from kronmle.model import scatter_k1, scatter_k2
+
+
+def profile_k1(sample, k2):
+    """Maximizer of the likelihood over K1 for fixed K2.
+
+    Returns ((1/(n*m2)) * sum_i Yi K2 Yi^T)^-1; requires n*m2 >= m1.
+    """
+    if sample.n * sample.m2 < sample.m1:
+        raise ValueError("profile update needs n*m2 >= m1")
+    cholesky(k2)  # raises NotPD early
+    avg = scatter_k2(sample, k2) / (sample.n * sample.m2)
+    sign, _ = np.linalg.slogdet(avg)
+    if sign <= 0 or np.linalg.cond(avg) > 1e14:
+        raise SingularMatrix("sum_i Yi K2 Yi^T is rank-deficient")
+    return np.linalg.inv(avg)
+
+
+def g_objective(sample, k2):
+    """Profile objective m2*logdet(sum_i Yi K2 Yi^T) - m1*logdet(K2).
+
+    Scale invariant: g(c*K2) = g(K2).  Minimizing g over PD(m2) yields the
+    second Kronecker factor of the MLE.
+    """
+    k2 = np.asarray(k2, dtype=float)
+    try:
+        ld_s = logdet_pd(scatter_k2(sample, k2))
+    except NotPD:
+        raise SingularMatrix("sum_i Yi K2 Yi^T is not positive definite") from None
+    return sample.m2 * ld_s - sample.m1 * logdet_pd(k2)
+
+
+def reduced_objective(cf, sigma):
+    """m2*logdet(T(Sigma)) - k*logdet(Sigma), T(Sigma) the dual sample's scatter."""
+    sigma = np.asarray(sigma, dtype=float)
+    sign_t, ld_t = np.linalg.slogdet(scatter_k2(cf.dual, sigma))
+    sign_s, ld_s = np.linalg.slogdet(sigma)
+    if sign_t <= 0 or sign_s <= 0:
+        raise SingularMatrix("objective undefined: nonpositive determinant")
+    return cf.m2 * ld_t - cf.k * ld_s
+
+
+def reduced_gradient(cf, sigma):
+    """Unconstrained matrix gradient of reduced_objective at Sigma.
+
+    d/dSigma [m2*logdet(T(Sigma))] = m2 * sum_i Z_i^T T^-1 Z_i, the dual
+    sample's other scatter at T^-1; at symmetric Sigma the result is
+    symmetric and vanishes at the MLE.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    t_inv = np.linalg.inv(scatter_k2(cf.dual, sigma))
+    return cf.m2 * scatter_k1(cf.dual, t_inv) - cf.k * np.linalg.inv(sigma).T
+
+
+def evaluate(p, point):
+    """The Poly p at a map {var: value}; exact when every value is an int or Fraction."""
+    exact = all(isinstance(point[v], (int, Fraction)) for v in p.vars)
+    total = Fraction(0) if exact else 0.0
+    for exp, c in p.terms.items():
+        term = c if exact else float(c)
+        for v, e in zip(p.vars, exp):
+            if e:
+                term = term * point[v] ** e
+        total = total + term
+    return total

@@ -1,4 +1,4 @@
-"""Reduction to [I | C] form, the dual sample, and the trace-form machinery."""
+"""Reduction to [I | C] form, the dual sample, and its scatter, the trace form."""
 
 import dataclasses
 from fractions import Fraction
@@ -12,13 +12,11 @@ from kronmle.canonical import (
     canonical_sample,
     canonicalize,
     det_reduction_check,
-    reduced_gradient,
-    reduced_objective,
-    trace_form,
 )
 from kronmle.linalg import Matrix
-from kronmle.model import SampleSet, g_objective, sample_matrix_normal
+from kronmle.model import SampleSet, sample_matrix_normal, scatter_k2
 from matrix_helpers import column, kron
+from paper_helpers import g_objective, reduced_gradient, reduced_objective
 
 
 def d_matrix(cf):
@@ -156,11 +154,17 @@ class TestDetReduction:
             lhs, rhs = det_reduction_check(cf, k_mat)
             assert lhs == rhs
 
-    def test_float_path_agrees(self):
-        cf = canonicalize(worked_example().to_float())
-        lhs, rhs = det_reduction_check(cf, np.array([[3.0, 1.0], [1.0, 3.0]]))
-        assert lhs == pytest.approx(16640.0, rel=1e-9)
-        assert rhs == pytest.approx(16640.0, rel=1e-9)
+    def test_float_input_rejected(self):
+        k = Matrix([[3, 1], [1, 3]])
+        with pytest.raises(ValueError):
+            det_reduction_check(canonicalize(worked_example().to_float()), k)
+        with pytest.raises(ValueError):
+            det_reduction_check(canonicalize(worked_example()), k.to_numpy())
+
+    def test_wrong_k_shape_rejected(self):
+        # A K of the wrong shape is rejected, not reported as a failed identity.
+        with pytest.raises(ValueError):
+            det_reduction_check(canonicalize(worked_example()), Matrix.identity(3))
 
 
 def dab_grid(cf):
@@ -174,7 +178,7 @@ def dab_grid(cf):
     for p in range(m2):
         for q in range(m2):
             e = Matrix([[int(i == p and j == q) for j in range(m2)] for i in range(m2)])
-            t = trace_form(cf, e)
+            t = scatter_k2(cf.dual, e)
             for a in range(k):
                 for b in range(k):
                     rows[a * m2 + p][b * m2 + q] = t[a, b]
@@ -215,12 +219,12 @@ class TestTraceForm:
     def test_sigma_identity_gives_gram(self):
         cf = canonicalize(worked_example())
         d = d_matrix(cf)
-        assert trace_form(cf, Matrix.identity(2)) == d.transpose() @ d
+        assert scatter_k2(cf.dual, Matrix.identity(2)) == d.transpose() @ d
 
     def test_worked_example_matrix(self):
         cf = canonicalize(worked_example())
         k = Matrix([[3, 1], [1, 3]])
-        t = trace_form(cf, k.inverse())
+        t = scatter_k2(cf.dual, k.inverse())
         assert t == Matrix(
             [
                 [Fraction(179, 8), Fraction(207, 8)],
@@ -236,7 +240,7 @@ class TestTraceForm:
             sigma = k_mat.inverse()
             d = d_matrix(cf)
             direct = d.transpose() @ kron(Matrix.identity(cf.n), sigma) @ d
-            assert trace_form(cf, sigma) == direct
+            assert scatter_k2(cf.dual, sigma) == direct
         # float samples: the GEMM scatter agrees with the kron product to roundoff
         for m1, m2, n in ((4, 3, 2), (5, 2, 4), (7, 3, 3)):
             s = sample_matrix_normal(np.eye(m1), np.eye(m2), n, seed=m1 + n)
@@ -245,7 +249,7 @@ class TestTraceForm:
             sigma = a @ a.T + np.eye(m2)
             d = d_matrix(cf)
             direct = d.T @ kron(np.eye(n), sigma) @ d
-            got = trace_form(cf, sigma)
+            got = scatter_k2(cf.dual, sigma)
             assert got.shape == (cf.k, cf.k)
             assert np.abs(got - direct).max() <= 1e-12 * np.abs(direct).max()
 
@@ -254,17 +258,23 @@ class TestTraceForm:
         rng = np.random.default_rng(2)
         for m2, k, n in ((3, 3, 2), (2, 2, 2), (2, 3, 3)):
             cf, k_mat = random_canonical_instance(rng, m2, k, n)
-            t = trace_form(cf, k_mat.inverse())
+            t = scatter_k2(cf.dual, k_mat.inverse())
             assert t == t.transpose()
             assert t.is_positive_definite()
-            tf = trace_form(canonicalize(canonical_sample(cf).to_float()), k_mat.to_numpy())
+            tf = scatter_k2(canonicalize(canonical_sample(cf).to_float()).dual, k_mat.to_numpy())
             assert np.array_equal(tf, tf.T)
             assert np.linalg.eigvalsh(tf).min() > 0
 
     def test_dimension_mismatch(self):
-        cf = canonicalize(worked_example())
-        with pytest.raises(ValueError):
-            trace_form(cf, Matrix.identity(3))
+        # Both branches check K2's shape; the exact one must not zip the
+        # 2-wide pieces of each row against columns of another length.
+        exact = canonicalize(worked_example()).dual
+        floats = canonicalize(worked_example().to_float()).dual
+        for size in (1, 3):
+            with pytest.raises(ValueError, match="K2 must be 2 x 2"):
+                scatter_k2(exact, Matrix.identity(size))
+            with pytest.raises(ValueError, match="K2 must be 2 x 2"):
+                scatter_k2(floats, np.eye(size))
 
 
 class TestReducedObjective:
@@ -303,7 +313,7 @@ class TestReducedObjective:
 
         s = sample_matrix_normal(np.eye(3), np.eye(2), 3, seed=21)
         cf = canonicalize(s)
-        canon = canonical_sample(cf)
+        canon = SampleSet(np.hstack([np.eye(cf.m1), cf.C]), cf.m2)
         est_raw = flipflop(s, tol=1e-12)
         est_canon = flipflop(canon, tol=1e-12)
         assert np.abs(est_raw.k2 - est_canon.k2).max() <= 1e-6

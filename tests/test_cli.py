@@ -3,7 +3,6 @@
 import csv
 import io
 import json
-import os
 
 import numpy as np
 import pytest
@@ -141,6 +140,24 @@ class TestMle:
         code, stdout, _ = run(capsys, "mle", "--in", str(path), "--max-iter", str(max_iter))
         assert code == EXIT_OK
         assert stdout.split("method: ")[0] == expect
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tol_exit_code(self, tmp_path, capsys, tol):
+        # tol = inf would pass one sweep at residual 0.356 as "converged";
+        # nan and -1 could never converge.
+        path = self.write_sample(tmp_path, 4, 3, 3, seed=2)
+        out = tmp_path / "est.txt"
+        code, stdout, err = run(capsys, "mle", "--in", str(path), f"--tol={tol}", "--out", str(out))
+        assert code == EXIT_BAD_ARGS
+        assert stdout == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_zero_tol_accepted(self, tmp_path, capsys):
+        path = self.write_sample(tmp_path, 4, 3, 3, seed=2)
+        code, stdout, _ = run(capsys, "mle", "--in", str(path), "--tol", "0")
+        assert code == EXIT_OK
+        assert "converged: False" in stdout
 
     def test_flipflop_path(self, tmp_path, capsys):
         path = self.write_sample(tmp_path, 2, 2, 3, seed=5)
@@ -356,8 +373,10 @@ class TestMlDegreeCommand:
         assert not (cache / "cell_2_3_1.json").exists()
 
     def test_m2_restriction(self, capsys):
-        code, _, _ = run(capsys, "mldegree", "--m1", "3", "--n", "2", "--m2", "3")
+        # The table is for m2 = 2 only, so there is no --m2 to set, not even to 2.
+        code, _, err = run(capsys, "mldegree", "--m1", "3", "--n", "2", "--m2", "2")
         assert code == EXIT_BAD_ARGS
+        assert "unrecognized arguments: --m2 2" in err
 
 
 class TestMultiplicity:

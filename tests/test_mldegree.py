@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +38,7 @@ from kronmle.mldegree import (
 from kronmle.poly import ORDER_KEYS, Poly, exact_divide, poly_gcd
 from kronmle.solvers import exact_mle_k1
 from matrix_helpers import column
+from paper_helpers import evaluate
 from test_acceptance import TABLE_CELLS
 
 
@@ -315,8 +315,6 @@ class TestScorePolynomials:
                 assert g.total_degree() <= 2 * m1 - 1
 
     def test_g1_matches_numeric_determinant(self):
-        from kronmle.linalg import Matrix
-
         s = random_integer_sample(3, 2, seed=3)
         g1, _, _ = score_polynomials(s)
         pt = {"k12": Fraction(1, 3), "k22": Fraction(7, 2)}
@@ -326,7 +324,7 @@ class TestScorePolynomials:
         acc = Matrix.zeros(3, 3)
         for y in s.blocks:
             acc = acc + y @ k @ y.transpose()
-        assert g1.evaluate(pt) == acc.det()
+        assert evaluate(g1, pt) == acc.det()
 
     def test_generators_vanish_at_exact_mle(self):
         # k = 1 instances have a rational MLE; on the k11 = 1 chart it must
@@ -341,7 +339,7 @@ class TestScorePolynomials:
                 "k22": est.k2_exact[1, 1] / scale,
             }
             for g in gens:
-                assert g.evaluate(pt) == 0
+                assert evaluate(g, pt) == 0
 
 
 class TestCountSolutions:
@@ -488,7 +486,7 @@ def three_point_basis():
     k22 = Poly.variable(SCORE_VARS, "k22")
     gens = []
     for mono in (k12 * k12, k12 * k22, k22 * k22):
-        values = column([mono.evaluate({"k12": a, "k22": b}) for a, b in THREE_POINTS])
+        values = column([evaluate(mono, {"k12": a, "k22": b}) for a, b in THREE_POINTS])
         c = vander.solve(values)
         gens.append(mono - c[0, 0] * one - c[1, 0] * k12 - c[2, 0] * k22)
     return buchberger(PolyIdeal(generators=tuple(gens)), order="grevlex")
@@ -510,7 +508,7 @@ class TestMultiplicationMatrixMod:
 
     def test_monomials_reached_through_one_variable(self):
         gb = three_point_basis()
-        assert all(g.evaluate({"k12": a, "k22": b}) == 0 for g in gb.basis for a, b in THREE_POINTS)
+        assert all(evaluate(g, {"k12": a, "k22": b}) == 0 for g in gb.basis for a, b in THREE_POINTS)
         monos = standard_monomials(gb)
         assert sorted(monos) == [(0, 0), (0, 1), (1, 0)]
         k12 = Poly.variable(SCORE_VARS, "k12")
@@ -523,7 +521,7 @@ class TestMultiplicationMatrixMod:
             # eigenvector, with eigenvalue f there: NF(f m)(p) = f(p) m(p).
             for a, b in THREE_POINTS:
                 values = [a**i * b**j for i, j in monos]
-                at_p = f.evaluate({"k12": a, "k22": b})
+                at_p = evaluate(f, {"k12": a, "k22": b})
                 for j in range(len(monos)):
                     left = sum(v * got[i][j] for i, v in enumerate(values))
                     assert (left - at_p * values[j]) % prime == 0

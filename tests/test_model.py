@@ -12,10 +12,8 @@ from kronmle.linalg import Matrix, NotPD, SingularMatrix, logdet_pd
 from kronmle.model import (
     SampleSet,
     format_sample_set,
-    g_objective,
     kron_loglik,
     parse_sample_set,
-    profile_k1,
     sample_matrix_normal,
     scatter_k1,
     scatter_k1_whitened,
@@ -24,6 +22,7 @@ from kronmle.model import (
     thresholds,
 )
 from matrix_helpers import kron
+from paper_helpers import g_objective, profile_k1
 
 
 def random_pd(rng, m, jitter=0.5):

@@ -12,6 +12,7 @@ from kronmle import poly
 from kronmle.linalg import Matrix
 from kronmle.mldegree import random_integer_sample, score_polynomials
 from kronmle.poly import CERTIFY_PRIME, Poly, certify_coprime, exact_divide, poly_det, poly_gcd
+from paper_helpers import evaluate
 
 VARS = ("x", "y")
 
@@ -40,9 +41,9 @@ class TestArithmetic:
 
     def test_constant_and_variable(self):
         c = Poly.constant(VARS, Fraction(3, 2))
-        assert c.evaluate({"x": 5, "y": 7}) == Fraction(3, 2)
+        assert evaluate(c, {"x": 5, "y": 7}) == Fraction(3, 2)
         x, _ = x_y()
-        assert x.evaluate({"x": 5, "y": 7}) == 5
+        assert evaluate(x, {"x": 5, "y": 7}) == 5
 
     def test_evaluation_homomorphism(self):
         rng = np.random.default_rng(0)
@@ -50,9 +51,9 @@ class TestArithmetic:
             p = random_poly(rng)
             q = random_poly(rng)
             pt = random_point(rng)
-            assert (p + q).evaluate(pt) == p.evaluate(pt) + q.evaluate(pt)
-            assert (p * q).evaluate(pt) == p.evaluate(pt) * q.evaluate(pt)
-            assert (p - q).evaluate(pt) == p.evaluate(pt) - q.evaluate(pt)
+            assert evaluate(p + q, pt) == evaluate(p, pt) + evaluate(q, pt)
+            assert evaluate(p * q, pt) == evaluate(p, pt) * evaluate(q, pt)
+            assert evaluate(p - q, pt) == evaluate(p, pt) - evaluate(q, pt)
 
     def test_pow(self):
         x, y = x_y()
@@ -94,7 +95,7 @@ class TestArithmetic:
         x, _ = x_y()
         lifted = x.lift(("t", "x", "y"))
         assert lifted.vars == ("t", "x", "y")
-        assert lifted.evaluate({"t": 99, "x": 5, "y": 0}) == 5
+        assert evaluate(lifted, {"t": 99, "x": 5, "y": 0}) == 5
 
     def test_str_canonical(self):
         p = Poly(("k12", "k22"), {(2, 1): Fraction(3, 2), (0, 0): -5})
@@ -377,9 +378,9 @@ class TestPolyDet:
             n = int(rng.integers(1, 5))
             grid = [[random_poly(rng, max_deg=1, n_terms=2) for _ in range(n)] for _ in range(n)]
             pt = random_point(rng)
-            symbolic = poly_det(grid).evaluate(pt)
+            symbolic = evaluate(poly_det(grid), pt)
             numeric = Matrix(
-                [[grid[i][j].evaluate(pt) for j in range(n)] for i in range(n)]
+                [[evaluate(grid[i][j], pt) for j in range(n)] for i in range(n)]
             ).det()
             assert symbolic == numeric
 
@@ -387,3 +388,15 @@ class TestPolyDet:
         x, y = x_y()
         with pytest.raises(ValueError):
             poly_det([[x, y]])
+
+    def test_interpolation_over_ints(self):
+        # Integer values of an integer polynomial at 0, 1, ... give back its
+        # coefficients as ints, degree 0 and falling-factorial cases included.
+        rng = np.random.default_rng(12)
+        cases = [[7], [0, -1, 1], [0, 2, -3, 1]]
+        cases += [[int(c) for c in rng.integers(-50, 51, n)] for n in range(1, 10)]
+        for coeffs in cases:
+            values = [sum(c * x**k for k, c in enumerate(coeffs)) for x in range(len(coeffs))]
+            got = poly._interpolate_at_naturals(values)
+            assert got == coeffs
+            assert all(type(c) is int for c in got)

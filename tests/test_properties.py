@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from kronmle.linalg import Matrix, SingularMatrix, _bareiss, solve_fraction_free
 from kronmle.poly import Poly, exact_divide, poly_gcd
 from matrix_helpers import kron
+from paper_helpers import evaluate
 
 entries = st.integers(min_value=-9, max_value=9)
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -271,8 +272,8 @@ class TestPolyProperties:
     @given(polys, polys, points)
     @settings(max_examples=80, deadline=None)
     def test_ring_homomorphism(self, p, q, pt):
-        assert (p + q).evaluate(pt) == p.evaluate(pt) + q.evaluate(pt)
-        assert (p * q).evaluate(pt) == p.evaluate(pt) * q.evaluate(pt)
+        assert evaluate(p + q, pt) == evaluate(p, pt) + evaluate(q, pt)
+        assert evaluate(p * q, pt) == evaluate(p, pt) * evaluate(q, pt)
 
     @given(polys, polys)
     @settings(max_examples=50, deadline=None)
