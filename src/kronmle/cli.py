@@ -36,7 +36,7 @@ from .model import (
     sample_matrix_normal,
     thresholds,
 )
-from .solvers import MLENotExists, flipflop, format_estimate, mle
+from .solvers import MLENotExists, format_estimate, mle
 
 EXIT_OK = 0
 EXIT_DEGENERATE = 2
@@ -48,6 +48,13 @@ def _worker_count(n_tasks):
     cap = os.environ.get("KRONMLE_WORKERS")
     workers = int(cap) if cap else (os.cpu_count() or 1)
     return max(1, min(workers, n_tasks))
+
+
+def _at_least(value, low, flag):
+    """value, or ValueError (exit 4) when it is below low."""
+    if value < low:
+        raise ValueError(f"{flag} must be at least {low}, got {value}")
+    return value
 
 
 def cmd_sample(args):
@@ -71,23 +78,8 @@ def cmd_mle(args):
     with open(args.infile) as fh:
         sample = parse_sample_set(fh.read())
     est = mle(sample, tol=args.tol, max_iter=args.max_iter)
-    if sample.k == 1:
-        # Compare flip-flop sweeps from the identity against the closed form:
-        # K2 is kept at the reported sweeps only, and the run's own K2 (the
-        # last sweep's) closes the report.
-        report_at = (1, 2, 3, 5, 10, 20, 50, 100, 200, 500)
-        kept = {}
-
-        def keep(sweep, k1, k2):
-            if sweep in report_at:
-                kept[sweep] = k2
-
-        run = flipflop(sample, tol=args.tol, max_iter=min(args.max_iter, 500), callback=keep)
-        kept[run.iterations] = run.k2
-        print("sweep  max-abs deviation from exact K2")
-        for sweep in sorted(kept):
-            print(f"{sweep:5d}  {float(np.abs(kept[sweep] - est.k2).max()):.3e}")
     print(f"method: {est.method}")
+    print(f"start: {est.start}")
     print(f"iterations: {est.iterations}  converged: {est.converged}")
     print(f"residual: {est.residual:.3e}  stop: {est.stop_reason}")
     print(f"loglik: {est.loglik:.6f}")
@@ -125,12 +117,13 @@ def random_lemma_instance(rng, m2, k, n):
 
 
 def cmd_verify_lemma(args):
+    count = _at_least(args.count, 1, "--count")
     lhs, rhs = _pinned_example()
     ok = lhs == rhs
     print(f"pinned example: lhs = {lhs} rhs = {rhs} {'PASS' if ok else 'FAIL'}")
     rng = np.random.default_rng(args.seed)
     passes = fails = 0
-    for _ in range(args.count):
+    for _ in range(count):
         while True:
             m2 = int(rng.integers(2, 5))
             k = int(rng.integers(1, 5))
@@ -150,7 +143,10 @@ def cmd_verify_lemma(args):
 def _parse_range(spec):
     if ":" in spec:
         lo, hi = spec.split(":")
-        return list(range(int(lo), int(hi) + 1))
+        values = list(range(int(lo), int(hi) + 1))
+        if not values:
+            raise ValueError(f"empty range {spec}: lo must not exceed hi")
+        return values
     return [int(spec)]
 
 
@@ -189,6 +185,9 @@ def _run_cells(pending):
 def cmd_mldegree(args):
     m1s = _parse_range(args.m1)
     ns = _parse_range(args.n)
+    _at_least(min(m1s), 1, "--m1")
+    _at_least(min(ns), 1, "--n")
+    _at_least(args.pair_budget, 1, "--pair-budget")
     os.makedirs(args.cache_dir, exist_ok=True)
 
     results = []
@@ -238,6 +237,7 @@ def _emit_cells(results, fmt):
 def cmd_multiplicity(args):
     case = args.case
     try:
+        _at_least(args.pair_budget, 1, "--pair-budget")
         quad = b_zero_quadratic(args.m2, args.k, case)
         count = ml_multiplicity_prop43(args.m2, args.k, case, pair_budget=args.pair_budget)
     except ValueError as exc:

@@ -43,8 +43,8 @@ class KroneckerEstimate:
     k1: np.ndarray  # m1 x m1, PD
     k2: np.ndarray  # m2 x m2, PD, det-normalized to 1
     loglik: float
-    method: str  # "exact" | "flipflop"
-    iterations: int
+    method: str  # "exact" | "flipflop" | "chain"
+    iterations: int  # flip-flop sweeps; after a castle, the dual's solve plus the polish
     converged: bool
     # Exact-mode extras: the unnormalized rational pair and det(K2_exact).
     k1_exact: Matrix | None = None
@@ -55,6 +55,9 @@ class KroneckerEstimate:
     # "converged", "stalled" or "max_iter" (see flipflop).
     residual: float = 0.0
     stop_reason: str = "converged"
+    # Where the run started: "identity", "closed form", or the castle step
+    # of mle, e.g. "castle (6,6,3)".
+    start: str = "identity"
 
 
 def normalize_det1(k2, k1=None):
@@ -100,7 +103,7 @@ def exact_mle_k1(sample, tol=1e-10, max_iter=10000):
         est = flipflop(sample, init_k2=k2, tol=tol, max_iter=max_iter)
     except NotPD:
         raise MLENotExists("sum_i v_i v_i^T is not positive definite") from None
-    return replace(est, method="exact")
+    return replace(est, method="exact", start="closed form")
 
 
 def _dot(a, b):
@@ -161,6 +164,7 @@ def _exact_k1(sample):
         method="exact",
         iterations=0,
         converged=True,
+        start="closed form",
         k1_exact=k1,
         k2_exact=k2,
         det_k2_exact=Fraction(e, d2**m2),
@@ -272,11 +276,38 @@ def flipflop(sample, init_k2=None, tol=1e-10, max_iter=10000, callback=None):
 
 
 def mle(sample, tol=1e-10, max_iter=10000):
-    """Front end: closed form when k = 1, flip-flop with identity init otherwise."""
+    """Front end: the closed form at k = 1, else flip-flop, from a castle when it helps.
+
+    When 1 <= k < m1, castling (Derksen, Makam & Walter 2022) maps the
+    sample to its dual (k, m2, n), a smaller problem whose likelihood is the
+    same up to the change of variable K2 -> K2^-1.  Flip-flop solves the
+    dual, and the inverse of its K2 starts flip-flop on the sample, whose
+    stop rule then certifies the pair.  The estimate is tagged "chain" and
+    iterations counts both runs' sweeps, which max_iter bounds together.
+    Any other shape, max_iter = 1, or a castle that fails on this data
+    (singular left block, dual outside flip-flop's regime, start not PD)
+    runs flip-flop from the identity instead, tagged "flipflop".
+    """
     if sample.k == 1:
         return exact_mle_k1(sample, tol=tol, max_iter=max_iter)
     if sample.n < thresholds(sample.m1, sample.m2).lower:
         raise MLENotExists(f"n = {sample.n} is below max(m1/m2, m2/m1)")
+    if 1 <= sample.k < sample.m1 and max_iter >= 2:
+        try:
+            dual = flipflop(canonicalize(sample).dual, tol=tol, max_iter=max_iter - 1)
+            k2 = np.linalg.inv(dual.k2)
+            k2 = (k2 + k2.T) / 2
+            cholesky(k2)  # NotPD unless PD
+        except (DegenerateData, WrongRegime, NotPD, np.linalg.LinAlgError):
+            pass
+        else:
+            est = flipflop(sample, init_k2=k2, tol=tol, max_iter=max_iter - dual.iterations)
+            return replace(
+                est,
+                method="chain",
+                iterations=dual.iterations + est.iterations,
+                start=f"castle ({sample.k},{sample.m2},{sample.n})",
+            )
     return flipflop(sample, tol=tol, max_iter=max_iter)
 
 

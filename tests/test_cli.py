@@ -1,13 +1,16 @@
 """End-to-end command-line behavior and exit codes."""
 
+import contextlib
 import csv
 import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kronmle import cli, mldegree
+from kronmle import cli, mldegree, solvers
 from kronmle.cli import (
     EXIT_BAD_ARGS,
     EXIT_DEGENERATE,
@@ -17,8 +20,7 @@ from kronmle.cli import (
 )
 from kronmle.canonical import canonicalize
 from kronmle.linalg import Matrix
-from kronmle.model import SampleSet, format_sample_set, parse_sample_set, sample_matrix_normal
-from kronmle.solvers import flipflop, mle
+from kronmle.model import SampleSet, format_sample_set, sample_matrix_normal
 
 
 class SerialExecutor:
@@ -98,48 +100,37 @@ class TestMle:
         assert "method: exact" in stdout
         assert out.exists()
 
-    def test_sweep_comparison_shrinks(self, tmp_path, capsys):
+    def test_k1_solves_once(self, tmp_path, capsys, monkeypatch):
+        # The closed form is the estimate: flip-flop runs once, as its
+        # certifying polish, with no re-solve from the identity and no
+        # sweep table.
+        starts = []
+        real = solvers.flipflop
+
+        def spy(*args, **kwargs):
+            starts.append(kwargs.get("init_k2") is not None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "flipflop", spy)
+        monkeypatch.setattr(cli, "flipflop", spy, raising=False)
         path = self.write_sample(tmp_path, 7, 2, 4, seed=4)
         code, stdout, _ = run(capsys, "mle", "--in", str(path))
         assert code == EXIT_OK
-        rows = [
-            line.split()
-            for line in stdout.splitlines()
-            if line and line.split()[0].isdigit()
-        ]
-        devs = {int(r[0]): float(r[1]) for r in rows}
-        # the report ends at the sweep where flip-flop stopped
-        assert devs[max(devs)] < devs[3]
+        assert starts == [True]
+        assert "sweep" not in stdout
+        assert stdout.splitlines()[:2] == ["method: exact", "start: closed form"]
 
-    @pytest.mark.parametrize(
-        "cond,max_iter",
-        [(1.0, 10000), (1.0, 20), (1.0, 7), (1e6, 10000)],
-    )
-    def test_sweep_report_matches_every_sweep_route(self, tmp_path, capsys, cond, max_iter):
-        # The report used to take the deviation at every sweep; it keeps K2
-        # only at the printed sweeps and the run's own last K2, and must
-        # print the same bytes.  Cases: converged at 141, stopped by
-        # max_iter on a printed sweep (20) and off one (7), stalled at 17.
-        k1 = np.diag(np.geomspace(1, cond, 7))
-        k2 = np.diag(np.geomspace(1, cond, 2))
-        path = tmp_path / "sample.txt"
-        path.write_text(format_sample_set(sample_matrix_normal(k1, k2, 4, seed=3)))
-        sample = parse_sample_set(path.read_text())
-        exact_k2 = mle(sample, max_iter=max_iter).k2
-        deviations = {}
-
-        def record(sweep, k1, k2):
-            deviations[sweep] = float(np.abs(k2 - exact_k2).max())
-
-        flipflop(sample, max_iter=min(max_iter, 500), callback=record)
-        report_at = [1, 2, 3, 5, 10, 20, 50, 100, 200, 500]
-        sweeps = sorted({s for s in report_at if s in deviations} | {max(deviations)})
-        expect = "sweep  max-abs deviation from exact K2\n" + "".join(
-            f"{sweep:5d}  {deviations[sweep]:.3e}\n" for sweep in sweeps
-        )
-        code, stdout, _ = run(capsys, "mle", "--in", str(path), "--max-iter", str(max_iter))
+    def test_chain_start_line(self, tmp_path, capsys):
+        path = self.write_sample(tmp_path, 13, 5, 3, seed=1)
+        out = tmp_path / "est.txt"
+        code, stdout, _ = run(capsys, "mle", "--in", str(path), "--out", str(out))
         assert code == EXIT_OK
-        assert stdout.split("method: ")[0] == expect
+        assert stdout.splitlines()[:2] == [
+            "method: chain",
+            "start: castle (2,5,3)",
+        ]
+        # the method stays one token of the estimate header
+        assert out.read_text().split("\n")[0].split()[:3] == ["13", "5", "chain"]
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_bad_tol_exit_code(self, tmp_path, capsys, tol):
@@ -421,3 +412,109 @@ class TestArgParsing:
 
     def test_missing_required_flag(self, capsys):
         assert run(capsys, "sample", "--m1", "3")[0] == EXIT_BAD_ARGS
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["verify-lemma", "--count", "-3"], "--count"),
+            (["verify-lemma", "--count", "0"], "--count"),
+            (["mldegree", "--m1", "5:3", "--n", "2"], "empty range 5:3"),
+            (["mldegree", "--m1", "3", "--n", "1:0"], "empty range 1:0"),
+            (["mldegree", "--m1", "0", "--n", "2"], "--m1"),
+            (["mldegree", "--m1", "3", "--n", "0:2"], "--n"),
+            (["mldegree", "--m1", "3", "--n", "2", "--pair-budget", "-5"], "--pair-budget"),
+            (["mldegree", "--m1", "3", "--n", "2", "--pair-budget", "0"], "--pair-budget"),
+            (["multiplicity", "--case", "two", "--m2", "2", "--k", "2", "--pair-budget", "0"],
+             "--pair-budget"),
+        ],
+    )
+    def test_out_of_range_value_exit_code(self, tmp_path, capsys, argv, named):
+        # Refused before any work: no instances, no cells, no cache directory.
+        cache = tmp_path / "cache"
+        extra = ["--cache-dir", str(cache)] if argv[0] == "mldegree" else []
+        code, stdout, err = run(capsys, *argv, *extra)
+        assert code == EXIT_BAD_ARGS
+        assert stdout == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert named in err
+        assert not cache.exists()
+
+
+def _sample_files(root):
+    """Tiny sample files for the argv property, by kind: each ends in a documented way."""
+    files = {"missing": root / "missing.txt"}
+
+    def write(name, text):
+        files[name] = root / f"{name}.txt"
+        files[name].write_text(text)
+
+    for m1, m2, n in [(3, 2, 2), (4, 3, 2), (2, 2, 3), (3, 2, 1), (4, 2, 1), (2, 4, 2)]:
+        s = sample_matrix_normal(np.eye(m1), np.eye(m2), n, seed=m1 + m2 + n)
+        write(f"normal-{m1}x{m2}x{n}", format_sample_set(s))
+    write("zeros", "3 2 2\n3 4\n" + "0 0 0 0\n" * 3)
+    write("nan", "2 2 2\n2 4\n1 nan 0 1\n0 1 1 0\n")
+    write("truncated", "3 2 2\n3 4\n1 0 0 1\n")
+    write("bad-header", "3 2\n")
+    write("exact", "2 2 2\n2 4\n1 1/2 0 1\n0 1 -3/4 0\n")
+    return files
+
+
+_SMALL = st.integers(-1, 4).map(str)
+_RANGE = st.one_of(_SMALL, st.tuples(_SMALL, _SMALL).map(":".join))
+_BUDGET = st.sampled_from([[], ["--pair-budget", "-1"], ["--pair-budget", "0"],
+                           ["--pair-budget", "1"], ["--pair-budget", "50"]])
+
+
+@st.composite
+def _argv(draw, files, cache):
+    command = draw(st.sampled_from(["sample", "mle", "verify-lemma", "mldegree", "multiplicity"]))
+    if command == "sample":
+        argv = ["sample", "--m1", draw(_SMALL), "--m2", draw(_SMALL), "--n", draw(_SMALL)]
+    elif command == "mle":
+        path = files[draw(st.sampled_from(sorted(files)))]
+        argv = ["mle", "--in", str(path)]
+        argv += draw(st.sampled_from([[], ["--tol", "0"], ["--tol", "1e-3"], ["--tol", "nan"],
+                                      ["--tol", "-1"], ["--tol", "x"]]))
+        argv += draw(st.sampled_from([[], ["--max-iter", "0"], ["--max-iter", "1"],
+                                      ["--max-iter", "3"], ["--max-iter", "-2"]]))
+    elif command == "verify-lemma":
+        argv = ["verify-lemma", "--count", str(draw(st.integers(-2, 3))),
+                "--seed", str(draw(st.integers(0, 3)))]
+    elif command == "mldegree":
+        argv = ["mldegree", "--m1", draw(_RANGE), "--n", draw(_RANGE),
+                "--seed", str(draw(st.integers(0, 2))), "--cache-dir", str(cache)]
+        argv += draw(_BUDGET)
+        argv += draw(st.sampled_from([[], ["--format", "csv"], ["--format", "json"],
+                                      ["--format", "xml"]]))
+    else:
+        argv = ["multiplicity", "--case", draw(st.sampled_from(["one", "two", "three"])),
+                "--m2", draw(_SMALL), "--k", draw(_SMALL)]
+        argv += draw(_BUDGET)
+    # Sometimes drop a token or add an unknown flag: parse errors are exit 4 too.
+    edit = draw(st.sampled_from(["keep", "keep", "keep", "drop", "unknown"]))
+    if edit == "drop":
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    elif edit == "unknown":
+        argv.append("--bogus")
+    return argv
+
+
+class TestArgvGrammar:
+    @pytest.fixture(scope="class")
+    def grammar(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("argv")
+        return _argv(_sample_files(root), root / "cache")
+
+    def test_documented_exit_codes(self, grammar):
+        @settings(max_examples=150, deadline=None)
+        @given(grammar)
+        def check(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cli, "ProcessPoolExecutor", SerialExecutor)
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+            assert code in (EXIT_OK, EXIT_DEGENERATE, EXIT_NO_MLE, EXIT_BAD_ARGS), argv
+            assert "Traceback" not in err.getvalue(), argv
+
+        check()

@@ -472,6 +472,8 @@ class TestDispatcher:
         assert k1_sample.k == 1 and k2_sample.k == 2
         assert mle(k1_sample).method == "exact"
         assert mle(k2_sample).method == "flipflop"
+        chain_sample = sample_matrix_normal(np.eye(7), np.eye(3), 3, seed=11)
+        assert mle(chain_sample).method == "chain"
 
     def test_cross_engine_agreement(self):
         s = sample_matrix_normal(np.eye(5), np.eye(2), 3, seed=12)  # k = 1
@@ -480,6 +482,121 @@ class TestDispatcher:
         assert ff.converged
         assert np.abs(ff.k2 - exact.k2).max() <= 1e-6
         assert np.abs(ff.k1 - exact.k1).max() <= 1e-6 * np.abs(exact.k1).max()
+
+
+class TestChain:
+    """The castled start of mle, on i.i.d. standard normal data."""
+
+    @pytest.mark.parametrize(
+        "shape, start",
+        [
+            ((12, 6, 3), "castle (6,6,3)"),
+            ((13, 5, 3), "castle (2,5,3)"),
+            ((34, 13, 3), "castle (5,13,3)"),
+            ((56, 15, 4), "castle (4,15,4)"),
+            ((17, 7, 3), "castle (4,7,3)"),
+            ((7, 3, 3), "castle (2,3,3)"),
+            ((6, 4, 2), "castle (2,4,2)"),
+            ((30, 30, 3), "identity"),  # k = 60 > m1
+            ((23, 4, 6), "closed form"),  # k = 1
+        ],
+    )
+    def test_start(self, shape, start):
+        s = sample_matrix_normal(np.eye(shape[0]), np.eye(shape[1]), shape[2], seed=0)
+        assert mle(s).start == start
+
+    @pytest.mark.parametrize("shape", [(12, 6, 3), (40, 4, 12)])
+    def test_castle_inverts_the_dual_k2(self, shape):
+        # Castling keeps the likelihood with K2 -> K2^-1 (Derksen, Makam & Walter 2022).
+        s = sample_matrix_normal(np.eye(shape[0]), np.eye(shape[1]), shape[2], seed=1)
+        direct = flipflop(s, tol=1e-12)
+        dual = flipflop(canonicalize(s).dual, tol=1e-12)
+        assert direct.converged and dual.converged
+        assert np.abs(normalize_det1(np.linalg.inv(dual.k2)) - direct.k2).max() <= 1e-8
+
+    @pytest.mark.parametrize(
+        "shape", [(12, 6, 3), (40, 4, 12), (13, 5, 3), (17, 7, 3), (56, 15, 4), (7, 3, 3)]
+    )
+    def test_start_is_the_mle(self, shape):
+        s = sample_matrix_normal(np.eye(shape[0]), np.eye(shape[1]), shape[2], seed=2)
+        est = mle(s)
+        dual = flipflop(canonicalize(s).dual)
+        assert est.method == "chain" and est.converged
+        assert dual.iterations < est.iterations <= dual.iterations + 2  # the polish
+        assert invariant_residual(s, est.k1, est.k2) <= 1e-10
+        assert np.abs(normalize_det1(np.linalg.inv(dual.k2)) - est.k2).max() <= 1e-8
+        # Flip-flop from the identity stalls above 1e-12 at (56,15,4).
+        direct = flipflop(s, tol=1e-12)
+        assert direct.converged == (shape != (56, 15, 4))
+        if direct.converged:
+            assert np.abs(direct.k2 - est.k2).max() <= 1e-8
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 50, 10000])
+    def test_max_iter_bounds_both_runs(self, monkeypatch, max_iter):
+        # iterations counts the dual's sweeps and the polish's, and max_iter
+        # bounds their sum; with a single sweep there is no room for a castle.
+        runs = []
+        real = solvers.flipflop
+
+        def spy(*args, **kwargs):
+            runs.append(real(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(solvers, "flipflop", spy)
+        s = sample_matrix_normal(np.eye(12), np.eye(6), 3, seed=3)
+        est = mle(s, max_iter=max_iter)
+        assert est.iterations == sum(run.iterations for run in runs) <= max_iter
+        assert est.method == ("flipflop" if max_iter == 1 else "chain")
+        assert len(runs) == (1 if max_iter == 1 else 2)
+
+    @pytest.mark.parametrize("left, right", [(2, 5), (2, 11)])
+    def test_singular_left_block_falls_back(self, tmp_path, capsys, left, right):
+        # Two equal columns in the left 12 x 12 block: canonicalize refuses
+        # the castle, so mle runs flip-flop from the identity.  With equal
+        # columns within Y1 flip-flop is still unconverged after 300 sweeps
+        # (residual near 1e-4); across Y1 and Y2 it converges.
+        s = sample_matrix_normal(np.eye(12), np.eye(6), 3, seed=0)
+        y = s.y.copy()
+        y[:, right] = y[:, left]
+        s = SampleSet(y, 6)
+        with pytest.raises(DegenerateData):
+            canonicalize(s)
+        est = mle(s, max_iter=300)
+        assert est.method == "flipflop" and est.start == "identity"
+        assert np.array_equal(est.k2, flipflop(s, max_iter=300).k2)
+        path, out = tmp_path / "sample.txt", tmp_path / "est.txt"
+        path.write_text(format_sample_set(s))
+        code = main(["mle", "--in", str(path), "--out", str(out), "--max-iter", "300"])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        if est.converged:
+            lines = out.read_text().splitlines()
+            k1 = np.array([line.split() for line in lines[2:14]], dtype=float)
+            k2 = np.array([line.split() for line in lines[15:]], dtype=float)
+            assert invariant_residual(s, k1, k2) <= 1e-6
+        assert est.converged == (right == 11)
+
+    def test_start_not_pd_falls_back(self, monkeypatch):
+        s = sample_matrix_normal(np.eye(13), np.eye(5), 3, seed=3)
+        expect = flipflop(s)
+        monkeypatch.setattr(np.linalg, "inv", lambda a: -np.eye(len(a)))
+        est = mle(s)
+        assert est.method == "flipflop" and est.start == "identity"
+        assert np.array_equal(est.k2, expect.k2)
+
+    def test_dual_outside_its_regime_falls_back(self):
+        # (8,5,2) castles to (2,5,2), where n*m1 < m2: flip-flop refuses it
+        # and mle gives what flip-flop from the identity gives.
+        s = sample_matrix_normal(np.eye(8), np.eye(5), 2, seed=4)
+        with pytest.raises(WrongRegime):
+            flipflop(canonicalize(s).dual)
+        try:
+            expect = flipflop(s, max_iter=50)
+        except DegenerateData:
+            with pytest.raises(DegenerateData):
+                mle(s, max_iter=50)
+        else:
+            assert np.array_equal(mle(s, max_iter=50).k2, expect.k2)
 
 
 class TestEquivariance:
