@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -253,6 +254,7 @@ def cmd_multiplicity(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(prog="kronmle")
     sub = parser.add_subparsers(dest="command", required=True)

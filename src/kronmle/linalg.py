@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 from operator import mul
 
 import numpy as np
@@ -342,45 +343,45 @@ def format_matrix(a):
 
 
 def parse_matrix(lines, exact=False):
-    """Parse the shared text format from an iterator of lines.
+    """Parse the shared text format: a header, then the rows it declares.
 
-    Returns a Matrix when exact=True, else a float ndarray filled row by
-    row.  NaN and infinite entries (including floats that overflow), zero
-    denominators, a wrong row width and a file that ends before the header
-    or before the last declared row raise ValueError.
+    Returns a Matrix when exact=True, else a float ndarray read by numpy's
+    C text reader, or read exactly and rounded when any entry is "p/q".
+    Non-finite or unparsable entries, zero denominators, blank or short
+    rows and a file that ends before its last declared row raise ValueError.
     """
     it = iter(lines)
     header = next(it, None)
     if header is None:
         raise ValueError("truncated matrix: no header")
     r, c = (int(t) for t in header.split())
+    try:
+        np.empty((r, c))  # refuse a header no memory could hold before reading rows
+    except MemoryError:
+        raise ValueError(f"matrix header {r} x {c} is too large") from None
+    rows = list(islice(it, r))
+    if len(rows) < r:
+        raise ValueError(f"truncated matrix: {len(rows)} of {r} rows")
+    if any(not row or row.isspace() for row in rows):
+        raise ValueError("blank line inside the declared rows")
+    try:
+        if exact or any("/" in row for row in rows):
+            m = Matrix([row.split() for row in rows])  # Fraction() rejects "nan" and "inf"
+            out = m if exact else m.to_numpy()
+        elif r:
+            out = np.loadtxt(rows, dtype=float, comments=None, ndmin=2)
+        else:  # loadtxt warns on input with no rows
+            out = np.empty((0, c))
+    except ZeroDivisionError:
+        raise ValueError("non-finite matrix entry: zero denominator") from None
+    except OverflowError:
+        raise ValueError("non-finite matrix entry: a fraction overflows") from None
+    except MemoryError:
+        raise ValueError(f"matrix header {r} x {c} is too large") from None
+    if out.shape != (r, c):
+        raise ValueError("bad matrix row width")
     if exact:
-        rows = []
-    else:
-        try:
-            out = np.empty((r, c))
-        except MemoryError:
-            raise ValueError(f"matrix header {r} x {c} is too large") from None
-    for i in range(r):
-        line = next(it, None)
-        if line is None:
-            raise ValueError(f"truncated matrix: {i} of {r} rows")
-        toks = line.split()
-        if len(toks) != c:
-            raise ValueError("bad matrix row width")
-        try:
-            if exact:
-                rows.append([Fraction(t) for t in toks])
-            elif "/" in line:
-                out[i] = [float(Fraction(t)) for t in toks]
-            else:
-                out[i] = np.fromiter(map(float, toks), float, c)
-        except ZeroDivisionError:
-            raise ValueError("non-finite matrix entry: zero denominator") from None
-        except OverflowError:
-            raise ValueError("non-finite matrix entry: a fraction overflows") from None
-    if exact:
-        return Matrix(rows)  # Fraction() already rejects "nan" and "inf"
+        return out
     finite = np.isfinite(out)
     if not finite.all():
         raise ValueError(f"non-finite matrix entry {out[~finite][0]}")

@@ -192,4 +192,6 @@ def parse_sample_set(text, exact=False):
     y = parse_matrix(lines, exact=exact)
     if y.shape != (m1, n * m2):
         raise ValueError("concatenated data has wrong shape")
+    if any(line.strip() for line in lines):
+        raise ValueError("data after the declared rows")
     return SampleSet(y, m2)

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior and exit codes."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -191,6 +192,36 @@ class TestMle:
         assert code == EXIT_BAD_ARGS
         assert named in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661", "#", "0x10"])
+    def test_unparsable_entry_exit_code(self, tmp_path, capsys, token):
+        # float() would read "1_0" as 10 and the Arabic-Indic digit one as 1;
+        # sample files take ASCII decimals only
+        path = self.write_sample(tmp_path, 3, 2, 3, seed=1)
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].replace(lines[3].split()[2], token, 1)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "est.txt"
+        code, _, err = run(capsys, "mle", "--in", str(path), "--out", str(out))
+        assert code == EXIT_BAD_ARGS
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert token in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "tail, code",
+        [("0.5 1 2\n-1 0 3\n", EXIT_BAD_ARGS), ("#\n", EXIT_BAD_ARGS), ("\n  \n", EXIT_OK)],
+    )
+    def test_lines_after_declared_rows(self, tmp_path, capsys, tail, code):
+        # header "2 1 3", matrix header "2 3": only blank lines may follow the two rows
+        path = self.write_sample(tmp_path, 2, 1, 3, seed=2)
+        path.write_text(path.read_text() + tail)
+        out = tmp_path / "est.txt"
+        got, _, err = run(capsys, "mle", "--in", str(path), "--out", str(out))
+        assert got == code
+        assert out.exists() == (code == EXIT_OK)
+        if code != EXIT_OK:
+            assert err == "error: data after the declared rows\n"
 
     @pytest.mark.parametrize(
         "keep, named",
@@ -410,6 +441,42 @@ class TestArgParsing:
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == EXIT_BAD_ARGS
 
+    def test_parser_built_once(self, capsys, monkeypatch, request):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            built.append(self.prog)
+
+        cli.build_parser.cache_clear()
+        request.addfinalizer(cli.build_parser.cache_clear)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        for _ in range(2):
+            assert run(capsys, "sample", "--m1", "2", "--m2", "2", "--n", "1")[0] == EXIT_OK
+        assert built.count("kronmle") == 1
+
+    def test_options_do_not_leak_between_calls(self, tmp_path, capsys, monkeypatch):
+        seen = []
+        real = cli.mle
+
+        def spy(sample, tol, max_iter):
+            seen.append((tol, max_iter))
+            return real(sample, tol=tol, max_iter=max_iter)
+
+        monkeypatch.setattr(cli, "mle", spy)
+        s = sample_matrix_normal(np.eye(4), np.eye(3), 3, seed=2)
+        path = tmp_path / "sample.txt"
+        path.write_text(format_sample_set(s))
+        assert run(capsys, "mle", "--in", str(path), "--tol", "0", "--max-iter", "3")[0] == EXIT_OK
+        assert run(capsys, "mle", "--in", str(path))[0] == EXIT_OK
+        assert seen == [(0.0, 3), (1e-10, 10000)]
+        # a bad argv after good calls is still refused, and a good one still runs
+        assert run(capsys, "mle", "--in", str(path), "--max-iter", "x")[0] == EXIT_BAD_ARGS
+        assert run(capsys, "mle")[0] == EXIT_BAD_ARGS
+        assert run(capsys, "mle", "--in", str(path))[0] == EXIT_OK
+        assert seen[-1] == (1e-10, 10000)
+
     def test_missing_required_flag(self, capsys):
         assert run(capsys, "sample", "--m1", "3")[0] == EXIT_BAD_ARGS
 
@@ -516,5 +583,57 @@ class TestArgvGrammar:
                     code = main(argv)
             assert code in (EXIT_OK, EXIT_DEGENERATE, EXIT_NO_MLE, EXIT_BAD_ARGS), argv
             assert "Traceback" not in err.getvalue(), argv
+
+        check()
+
+
+_SPECIAL = st.sampled_from(["nan", "1e400", "1/0", "#", ""])
+
+
+@st.composite
+def _mutated_sample(draw, bases):
+    """A valid small sample file with one edit: a token dropped, doubled or
+    replaced, a line inserted, a row cut short, or rows added at the end."""
+    lines = [line.split() for line in draw(st.sampled_from(bases)).splitlines()]
+    edit = draw(st.sampled_from(["drop", "double", "replace", "insert", "cut", "trail"]))
+    i = draw(st.integers(0, len(lines) - 1))
+    j = draw(st.integers(0, len(lines[i]) - 1))
+    if edit == "drop":
+        del lines[i][j]
+    elif edit == "double":
+        lines[i].insert(j, lines[i][j])
+    elif edit == "replace":
+        lines[i][j] = draw(_SPECIAL)
+    elif edit == "insert":
+        lines.insert(draw(st.integers(0, len(lines))), [draw(_SPECIAL)])
+    elif edit == "cut":
+        lines[i] = lines[i][:j]
+    else:
+        lines += [lines[-1]] * draw(st.integers(1, 2))
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+class TestSampleFileContents:
+    @pytest.fixture(scope="class")
+    def bases(self):
+        texts = [format_sample_set(sample_matrix_normal(np.eye(m1), np.eye(m2), n, seed=m1 + n))
+                 for m1, m2, n in [(3, 2, 2), (2, 2, 3), (4, 3, 2)]]
+        return texts + ["2 2 2\n2 4\n1 1/2 0 1\n0 1 -3/4 0\n"]
+
+    def test_documented_exit_codes(self, bases, tmp_path_factory):
+        root = tmp_path_factory.mktemp("contents")
+        sample, out = root / "sample.txt", root / "est.txt"
+
+        @settings(max_examples=150, deadline=None)
+        @given(_mutated_sample(bases))
+        def check(text):
+            sample.write_text(text)
+            out.unlink(missing_ok=True)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["mle", "--in", str(sample), "--out", str(out)])
+            assert code in (EXIT_OK, EXIT_DEGENERATE, EXIT_NO_MLE, EXIT_BAD_ARGS), text
+            assert "Traceback" not in err.getvalue(), text
+            assert out.exists() == (code == EXIT_OK), text
 
         check()

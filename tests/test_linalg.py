@@ -1,9 +1,13 @@
 """Exact and float dense linear algebra."""
 
+import io
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kronmle.linalg import (
     Matrix,
@@ -251,6 +255,44 @@ class TestTextFormat:
         back = parse_matrix(iter(format_matrix(a).splitlines()))
         assert np.allclose(back, a)
 
+    @given(
+        arrays(
+            float,
+            st.tuples(st.integers(0, 4), st.integers(1, 4)),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    @example(np.array([[-0.0, 5e-324, -2.2250738585072e-309, 1.7976931348623157e308],
+                       [0.1, -1e-320, np.nextafter(1.0, 2.0), -1.7976931348623157e308]]))
+    @example(np.zeros((0, 3)))
+    def test_round_trip_float_bits(self, a):
+        # repr writes the shortest string that reads back to the same double;
+        # the parse must read it back bit for bit, sign of zero included
+        back = parse_matrix(iter(format_matrix(a).splitlines()))
+        assert back.shape == a.shape
+        assert np.array_equal(back.view(np.uint64), a.view(np.uint64))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize(
+        "text",
+        ["2 2\n1\t2\n3 4\n", "2 2\n  1    2\n\t3 \t 4  \n", "2 2\r\n1 2\r\n3 4\r\n"],
+    )
+    def test_tabs_spaces_and_crlf_accepted(self, text, exact):
+        # as split by str.splitlines (parse_sample_set) and as read from a file
+        for lines in (text.splitlines(), io.StringIO(text, newline="")):
+            back = parse_matrix(lines, exact=exact)
+            assert back.shape == (2, 2)
+            assert np.array_equal(back.to_numpy() if exact else back,
+                                  [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("row", ["", "  ", "#", "# comment", "1 # 2"])
+    def test_blank_or_comment_row_rejected(self, row, exact):
+        with pytest.raises(ValueError):
+            parse_matrix(iter(["3 2", "1 2", row, "3 4"]), exact=exact)
+        with pytest.raises(ValueError):
+            parse_matrix(iter(["1 2", row]), exact=exact)
+
     @pytest.mark.parametrize(
         "a",
         [
@@ -272,7 +314,7 @@ class TestTextFormat:
             parse_matrix(iter(["2 2", "1 2 3", "4 5"]))
 
     @pytest.mark.parametrize("exact", [False, True])
-    @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "1/0"])
+    @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "1/0", "1e400/1"])
     def test_non_finite_rejected(self, token, exact):
         with pytest.raises(ValueError):
             parse_matrix(iter(["2 2", f"1 {token}", "3 4"]), exact=exact)
@@ -295,3 +337,38 @@ class TestTextFormat:
     def test_overflow_rejected_in_float_mode(self):
         with pytest.raises(ValueError, match="inf"):
             parse_matrix(iter(["1 2", "1 1e400"]))
+
+    def test_fraction_overflow_rejected_in_float_mode(self):
+        big = f"{10**400}/3"
+        assert parse_matrix(iter(["1 2", f"1 {big}"]), exact=True)[0, 1] == Fraction(10**400, 3)
+        with pytest.raises(ValueError, match="overflows"):
+            parse_matrix(iter(["1 2", f"1 {big}"]))
+
+    @pytest.mark.parametrize(
+        "tokens",
+        [
+            ["1/3", "-2/7", "5"],
+            [f"{10**30}/7", "1/" + "1" + "0" * 320, "-3/" + "1" * 330],  # huge, subnormal, tiny
+            ["1/10", "0.1", "-1e-320"],  # decimals in a p/q matrix are rounded the same way
+        ],
+    )
+    def test_fraction_rows_round_like_float_of_fraction(self, tokens):
+        back = parse_matrix(iter(["2 3", " ".join(tokens), "1 2 3"]))
+        want = np.array([float(Fraction(t)) for t in tokens])
+        assert np.array_equal(back[0].view(np.uint64), want.view(np.uint64))
+
+    def test_memory_error_in_float_parse_is_too_large(self, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "loadtxt", exhausted)
+        with pytest.raises(ValueError, match="too large"):
+            parse_matrix(iter(["2 2", "1 2", "3 4"]))
+
+    @pytest.mark.parametrize("token, as_float", [("1_0", 10.0), ("\u0661", 1.0)])
+    def test_float_mode_reads_ascii_decimals_only(self, token, as_float):
+        # float() reads an underscore separator and a non-ASCII digit (here
+        # the Arabic-Indic one); numpy's C reader, behind float mode, does not
+        assert float(token) == as_float
+        with pytest.raises(ValueError):
+            parse_matrix(iter(["1 2", f"1 {token}"]))
