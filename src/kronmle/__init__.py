@@ -1,13 +1,13 @@
 """Maximum likelihood estimation under Kronecker-structured covariance.
 
 Numeric side: the closed-form k = 1 MLE and the flip-flop block-coordinate
-ascent.  Exact side: the determinant reduction identity and Groebner-basis
-counting of likelihood-equation solutions (ML degree / ML multiplicity).
+ascent.  Exact side: the determinant reduction identity and the count of
+likelihood-equation solutions (ML degree / ML multiplicity) by resultants
+modulo primes.
 The layers themselves live in the submodules.
 """
 
 from .canonical import DegenerateData, canonicalize, det_reduction_check
-from .groebner import PairBudgetExceeded
 from .mldegree import PrimesExhausted, ml_degree, ml_multiplicity_prop43
 from .model import SampleSet
 from .solvers import MLENotExists, exact_mle_k1, flipflop, mle
@@ -15,7 +15,6 @@ from .solvers import MLENotExists, exact_mle_k1, flipflop, mle
 __all__ = [
     "DegenerateData",
     "MLENotExists",
-    "PairBudgetExceeded",
     "PrimesExhausted",
     "SampleSet",
     "canonicalize",

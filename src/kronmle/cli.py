@@ -1,9 +1,8 @@
 """Command-line front end: sample, mle, verify-lemma, mldegree, multiplicity.
 
-Exit codes: 0 success (mldegree "timeout" cells included; they are not
-cached), 2 degenerate data, 3 MLE nonexistence, 4 bad arguments or input, an
-ML-degree count that no two primes of mldegree.PRIMES confirmed, or a spent
-multiplicity pair budget.
+Exit codes: 0 success, 2 degenerate data, 3 MLE nonexistence, 4 bad
+arguments or input, or a solution count that no two primes of
+mldegree.PRIMES confirmed.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .canonical import DegenerateData, canonicalize, det_reduction_check
-from .groebner import DEFAULT_PAIR_BUDGET, PairBudgetExceeded
 from .linalg import Matrix
 from .mldegree import (
     PROP43_UPPER,
@@ -152,20 +150,11 @@ def _parse_range(spec):
 
 
 def _mldegree_cell(task):
-    m1, n, seed, pair_budget = task
+    m1, n, seed = task
     start = time.monotonic()
-    try:
-        degree = ml_degree(m1, n, seed, pair_budget=pair_budget)
-    except PairBudgetExceeded:
-        degree = "timeout"
+    degree = ml_degree(m1, n, seed)
     elapsed = time.monotonic() - start
-    return {
-        "m1": m1,
-        "n": n,
-        "seed": seed,
-        "degree": degree,
-        "seconds": round(elapsed, 3),
-    }
+    return {"m1": m1, "n": n, "seed": seed, "degree": degree, "seconds": round(elapsed, 3)}
 
 
 def _cell_path(cache_dir, m1, n, seed):
@@ -188,7 +177,6 @@ def cmd_mldegree(args):
     ns = _parse_range(args.n)
     _at_least(min(m1s), 1, "--m1")
     _at_least(min(ns), 1, "--n")
-    _at_least(args.pair_budget, 1, "--pair-budget")
     os.makedirs(args.cache_dir, exist_ok=True)
 
     results = []
@@ -200,14 +188,12 @@ def cmd_mldegree(args):
                 with open(cache) as fh:
                     results.append(json.load(fh))
             else:
-                pending.append((m1, n, args.seed, args.pair_budget))
+                pending.append((m1, n, args.seed))
 
     for cell in _run_cells(pending):
-        # A timeout depends on --pair-budget, which the cache key omits.
-        if cell["degree"] != "timeout":
-            cache = _cell_path(args.cache_dir, cell["m1"], cell["n"], cell["seed"])
-            with open(cache, "w") as fh:
-                json.dump(cell, fh)
+        cache = _cell_path(args.cache_dir, cell["m1"], cell["n"], cell["seed"])
+        with open(cache, "w") as fh:
+            json.dump(cell, fh)
         results.append(cell)
 
     results.sort(key=lambda c: (c["m1"], c["n"]))
@@ -237,13 +223,8 @@ def _emit_cells(results, fmt):
 
 def cmd_multiplicity(args):
     case = args.case
-    try:
-        _at_least(args.pair_budget, 1, "--pair-budget")
-        quad = b_zero_quadratic(args.m2, args.k, case)
-        count = ml_multiplicity_prop43(args.m2, args.k, case, pair_budget=args.pair_budget)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_ARGS
+    quad = b_zero_quadratic(args.m2, args.k, case)
+    count = ml_multiplicity_prop43(args.m2, args.k, case)
     upper = PROP43_UPPER[case]
     print(f"case {case}, m2 = {args.m2}, k = {args.k}")
     print(f"b = 0 quadratic: {quad}")
@@ -283,7 +264,6 @@ def build_parser():
     p.add_argument("--m1", required=True, help="value or range lo:hi")
     p.add_argument("--n", required=True, help="value or range lo:hi")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p.add_argument("--cache-dir", default=".kronmle_cache")
     p.add_argument("--out")
@@ -293,7 +273,6 @@ def build_parser():
     p.add_argument("--case", choices=["one", "two"], required=True)
     p.add_argument("--m2", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
     p.set_defaults(func=cmd_multiplicity)
 
     return parser
@@ -313,7 +292,7 @@ def main(argv=None):
     except MLENotExists as exc:
         print(f"MLE does not exist: {exc}", file=sys.stderr)
         return EXIT_NO_MLE
-    except (ValueError, OSError, PrimesExhausted, PairBudgetExceeded) as exc:
+    except (ValueError, OSError, PrimesExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
 

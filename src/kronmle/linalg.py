@@ -366,7 +366,11 @@ def parse_matrix(lines, exact=False):
         raise ValueError("blank line inside the declared rows")
     try:
         if exact or any("/" in row for row in rows):
-            m = Matrix([row.split() for row in rows])  # Fraction() rejects "nan" and "inf"
+            # Fraction() reads "1_0" and non-ASCII digits, which the C reader
+            # refuses; it rejects "nan" and "inf" by itself.
+            if not all(row.isascii() and "_" not in row for row in rows):
+                raise ValueError("matrix entries must be ASCII numbers without '_'")
+            m = Matrix([row.split() for row in rows])
             out = m if exact else m.to_numpy()
         elif r:
             out = np.loadtxt(rows, dtype=float, comments=None, ndmin=2)

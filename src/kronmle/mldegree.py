@@ -2,19 +2,14 @@
 
 The likelihood equations are built on the chart K = [[1, k12], [k12, k22]]
 from g1 = det(sum_i Yi K Yi^T) and g2 = det(K): the score numerators are
-m2*g2*d(g1)/de - m1*g1*d(g2)/de for e in {k22, k12}.  Saturating by
-g1*g2*k22 removes the degenerate loci before counting solutions.
-
-ml_degree divides g2 out of the score polynomials, a certificate mod a
-word-size prime proves the pair coprime (the PRS gcd over Q runs only when
-it cannot), and the count runs Buchberger over Q and everything after it
-modulo word-size primes: the multiplication-by-f matrix on the residue ring
-and the stable rank of its powers are taken mod each prime of PRIMES, and
-two primes must agree before a count is returned.  Per prime, f is reduced
-only once; the other columns of the matrix come from the multiplication
-matrices of the variables, as in FGLM (Faugere, Gianni, Lazard & Mora 1993).
-The Prop. 4.3 multiplicities use the same count, localized at their
-denominators.  A spent pair budget raises PairBudgetExceeded on both.
+m2*g2*d(g1)/de - m1*g1*d(g2)/de for e in {k22, k12}.  Their solutions off
+the locus g1*g2*k22 = 0 are counted with multiplicity, modulo primes below
+2**31 by the sheared resultant (_count_by_trials).  ml_degree builds no
+polynomial over Q: sum_i Yi K Yi^T is A0 + k12*A1 + k22*A2 for three
+integer scatters, a batched int64 elimination gives g1 mod p on the
+(m1+1)^2 integer grid, and the score pair follows mod p.  Only a pair with
+a common factor goes back to Q, where the PRS gcd splits it.  The Prop. 4.3
+multiplicities use the same count, localized at their denominators.
 """
 
 from __future__ import annotations
@@ -22,94 +17,73 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
+from math import comb, prod
 
 import numpy as np
 
-from .groebner import (
-    DEFAULT_PAIR_BUDGET,
-    PolyIdeal,
-    buchberger,
-    saturate_rabinowitsch,
-    standard_monomials,
-)
+from .groebner import PolyIdeal, saturate_rabinowitsch
 from .linalg import Matrix
 from .model import SampleSet, scatter_k2
-from .poly import ORDER_KEYS, Poly, certify_coprime, exact_divide, poly_gcd
+from .poly import Poly, exact_divide, poly_gcd
 
 
 SCORE_VARS = ("k12", "k22")
 
 
+def _integer_data(m1, n, seed, m2=2, entry_bound=17):
+    """The m1 x (n*m2) concatenation of n integer blocks, entries on {0,...,16}."""
+    rng = np.random.default_rng(seed)
+    return np.hstack([rng.integers(0, entry_bound, (m1, m2)) for _ in range(n)])
+
+
 def random_integer_sample(m1, n, seed, m2=2, entry_bound=17):
     """n exact integer data matrices with entries uniform on {0,...,16}."""
-    rng = np.random.default_rng(seed)
-    blocks = [rng.integers(0, entry_bound, (m1, m2)) for _ in range(n)]
-    return SampleSet(Matrix(np.hstack(blocks).tolist()), m2)
-
-
-# K = [[1, k12], [k12, k22]] is E11 + k12*(E12 + E21) + k22*E22: each
-# coefficient matrix, paired with its monomial's exponent in SCORE_VARS.
-_CHART_TERMS = (
-    ((0, 0), Matrix([[1, 0], [0, 0]])),
-    ((1, 0), Matrix([[0, 1], [1, 0]])),
-    ((0, 1), Matrix([[0, 0], [0, 1]])),
-)
-
-
-def _poly_grid(terms):
-    """The grid of Polys sum x^exp * M over the (exp, square Matrix M) terms."""
-    size = terms[0][1].rows
-    return [
-        [Poly(SCORE_VARS, {exp: m[i, j] for exp, m in terms}) for j in range(size)]
-        for i in range(size)
-    ]
+    return SampleSet(Matrix(_integer_data(m1, n, seed, m2, entry_bound).tolist()), m2)
 
 
 def score_polynomials(sample):
     """(g1, g2, score equations) on the k11 = 1 chart for an exact m2=2 sample.
 
-    The grid sum_i Yi K Yi^T is linear in K, so its entries are read off
-    the three exact scatters at the coefficient matrices of 1, k12 and k22.
+    K = E11 + k12*(E12 + E21) + k22*E22, so the grid sum_i Yi K Yi^T is
+    A0 + k12*A1 + k22*A2 for the exact scatters at those three matrices.
     """
     if sample.m2 != 2 or not sample.is_exact:
         raise ValueError("exact sample with m2 = 2 required")
     from .poly import poly_det
 
-    g1 = poly_det(_poly_grid([(exp, scatter_k2(sample, e)) for exp, e in _CHART_TERMS]))
-    g2 = poly_det(_poly_grid(_CHART_TERMS))
-    m1, m2 = sample.m1, sample.m2
-    gens = tuple(
-        m2 * g2 * g1.diff(e) - m1 * g1 * g2.diff(e) for e in ("k22", "k12")
-    )
+    a0, a1, a2 = (scatter_k2(sample, Matrix(e)) for e in ([[1, 0], [0, 0]], [[0, 1], [1, 0]], [[0, 0], [0, 1]]))
+    k12, k22 = (Poly.variable(SCORE_VARS, v) for v in SCORE_VARS)
+    m1 = sample.m1
+    g1 = poly_det([[a0[i, j] + a1[i, j] * k12 + a2[i, j] * k22 for j in range(m1)] for i in range(m1)])
+    g2 = k22 - k12 * k12
+    gens = tuple(2 * g2 * g1.diff(e) - m1 * g1 * g2.diff(e) for e in SCORE_VARS[::-1])
     return g1, g2, gens
 
 
 def likelihood_equations_m2_2(m1, n, seed):
     """Saturated likelihood-equation ideal for random integer data."""
-    sample = random_integer_sample(m1, n, seed)
-    g1, g2, gens = score_polynomials(sample)
+    g1, g2, gens = score_polynomials(random_integer_sample(m1, n, seed))
     k22 = Poly.variable(SCORE_VARS, "k22")
-    ideal = PolyIdeal(generators=gens)
-    return saturate_rabinowitsch(ideal, g1 * g2 * k22)
+    return saturate_rabinowitsch(PolyIdeal(generators=gens), g1 * g2 * k22)
 
 
-def ml_degree(m1, n, seed, pair_budget=DEFAULT_PAIR_BUDGET):
+def ml_degree(m1, n, seed):
     """Solution count (with multiplicity) of the saturated likelihood equations.
 
-    g2 = det K is divided out of both score polynomials as often as it
-    divides them.  It divides f = g1*g2*k22, so it is a unit off the locus,
-    and the solutions there and their multiplicities do not change.  (On
-    every cell tried, a power of g2 was the only common factor of the two.)
-
-    Returns 0 when the saturated system is positive-dimensional or empty
-    (degenerate regime); raises PairBudgetExceeded when the pair budget
-    runs out.
+    g2 = det K, a locus factor, is divided out of both score polynomials as
+    often as it divides them (on every cell tried, their only common factor).
+    Returns 0 when the saturated system is positive-dimensional or empty.
     """
-    sample = random_integer_sample(m1, n, seed)
-    g1, g2, gens = score_polynomials(sample)
+    y = _integer_data(m1, n, seed)
+    first, second = y[:, 0::2], y[:, 1::2]
+    scatters = (first @ first.T, first @ second.T + second @ first.T, second @ second.T)
+    count = _count_by_trials(lambda prime, shear: _chart_images(scatters, prime, shear))
+    if count is not None:
+        return count
+    g1, g2, gens = score_polynomials(random_integer_sample(m1, n, seed))
     k22 = Poly.variable(SCORE_VARS, "k22")
-    gens = tuple(_divide_out(g, g2) for g in gens)
-    return count_solutions_off_locus(gens, g1 * g2 * k22, pair_budget)
+    return count_solutions_off_locus(tuple(_divide_out(g, g2) for g in gens), (g1, g2, k22))
 
 
 def _divide_out(p, d):
@@ -122,203 +96,330 @@ def _divide_out(p, d):
     return p
 
 
-def count_solutions_off_locus(gens, f, pair_budget=DEFAULT_PAIR_BUDGET):
-    """Solutions of a bivariate system with f != 0, counted with multiplicity.
-
-    A common factor of the two polynomials must be split off first.
-    poly.certify_coprime proves most pairs coprime mod a word-size prime at
-    little cost; only when it cannot does the primitive PRS (poly_gcd) run.
-    If some factor of the gcd does not divide f, a whole curve of solutions
-    survives and the count is reported as 0 (the positive-dimensional
-    convention).  Otherwise the count is the localized quotient dimension:
-    the stable rank of the multiplication-by-f operator on the residue ring
-    of the cofactor system, whose Groebner basis is computed over Q.  The
-    operator and its rank are then taken modulo the word-size primes of
-    PRIMES (see _modular_stable_rank).  A spent pair_budget raises
-    PairBudgetExceeded.
-    """
+def count_solutions_off_locus(gens, factors):
+    """Solutions of a pair of bivariate Polys off the zeros of the factors,
+    counted with multiplicity by _count_by_trials.  When the resultant
+    vanishes, poly_gcd splits off the common factor: if a factor of it
+    divides no locus factor, a curve of solutions survives and the count is
+    0 (the positive-dimensional convention); else the cofactors count."""
     p, q = gens
-    if p.is_zero() or q.is_zero() or f.is_zero():
+    locus = prod(factors, start=Poly.constant(p.vars, 1))
+    if p.is_zero() or q.is_zero() or locus.is_zero():
         return 0
-    h = Poly.constant(p.vars, 1) if certify_coprime(p, q) else poly_gcd(p, q)
-    if h.total_degree() > 0:
-        residual = h
-        while residual.total_degree() > 0:
-            shared = poly_gcd(residual, f)
-            if shared.total_degree() == 0:
-                return 0
-            residual = exact_divide(residual, shared)
-        p = exact_divide(p, h)
-        q = exact_divide(q, h)
-    ideal = PolyIdeal(generators=(p.primitive(), q.primitive()))
-    gb = buchberger(ideal, order="grevlex", pair_budget=pair_budget)
-    monos = standard_monomials(gb)
-    if not monos:
-        return 0
-    return _modular_stable_rank(f, gb, monos)
+    count = _count_by_trials(lambda prime, shear: _poly_images((p, q, locus), prime, shear))
+    if count is not None:
+        return count
+    residual = h = poly_gcd(p, q)
+    if h.total_degree() == 0:
+        raise PrimesExhausted("the resultant of a coprime pair vanished on two primes")
+    while residual.total_degree() > 0:
+        shared = poly_gcd(residual, locus)
+        if shared.total_degree() == 0:
+            return 0
+        residual = exact_divide(residual, shared)
+    return count_solutions_off_locus((exact_divide(p, h), exact_divide(q, h)), factors)
 
 
-# Primes just below 2**61: a residue fits a machine word and a product of
-# two fits two; 2**61 - 1 is a Mersenne prime.
-PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45, 2**61 - 229, 2**61 - 259, 2**61 - 283)
+# Primes just below 2**31: two residues multiply within an int64.
+PRIMES = (2**31 - 1, 2**31 - 19, 2**31 - 61, 2**31 - 69, 2**31 - 85, 2**31 - 99)
 
 
 class PrimesExhausted(ArithmeticError):
-    """No two primes of PRIMES agreed on the largest stable rank."""
+    """No two primes of PRIMES agreed on the largest count."""
 
 
-def _modular_stable_rank(f, gb, monos):
-    """Stable rank of multiplication by f on Q[x]/<gb>, counted mod primes.
+def _shear(prime):
+    """The shear of the trial at prime: a large residue mod prime."""
+    return pow(3, 40, prime)
 
-    The basis is monic, so where p divides no denominator of the basis or
-    of f, its image mod p is still a Groebner basis with the same standard
-    monomials, and the operator mod p is the image of the one over Q.  A
-    rank mod p never exceeds the rank over Q, so each good prime gives a
-    lower bound; the count is returned once two primes agree on the
-    largest bound seen.
+
+def _count_by_trials(images):
+    """Count of solutions off a locus, by the sheared resultant mod primes.
+
+    images(prime, c) gives the images mod prime of the pair p, q and of the
+    product F of the locus factors after the shear y -> y + c*x, as dense
+    arrays in (x, y), or None when prime divides a denominator.  A trial
+    needs each leading coefficient in x, the top homogeneous part at (1, c),
+    to be a nonzero constant.  Then R(y) = Res_x(p, q), the image of the
+    resultant over Q, has a root at the y of each solution, of its
+    multiplicity, so deg R counts the solutions.  A solution on the locus
+    is a zero of p + c*q and F, so R is divided by its gcd with
+    L = Res_x(p + c*q, F) until that gcd is constant; the count is what is
+    left of deg R.  Bezout's bound deg p*deg q fixes the cost of a trial.
+
+    A failed trial can only undercount.  A bad shear can give a solution off
+    the locus the same y as a zero of p + c*q and F, which is then divided
+    out too; a bad prime can lower deg R or make the gcds larger.  So the
+    largest count is returned once two trials agree on it.  R != 0 mod prime
+    proves p, q coprime over Q; None when R vanished on two trials.
     """
-    key = ORDER_KEYS[gb.order]
-    best, agreeing = -1, 0
+    best, agreeing, vanished = -1, 0, 0
     for prime in PRIMES:
-        basis = [_terms_mod(g, prime) for g in gb.basis]
-        f_mod = _terms_mod(f, prime)
-        if f_mod is None or None in basis:
-            continue  # prime divides a denominator
-        mat = _multiplication_matrix_mod(f_mod, basis, monos, key, prime)
-        r = _stable_rank_mod(mat, prime)
-        if r > best:
-            best, agreeing = r, 1
-        elif r == best:
+        shear = _shear(prime)
+        image = images(prime, shear)
+        count = None if image is None else _sheared_count(*image, prime, shear)
+        if count is None:
+            continue
+        if count < 0:
+            vanished += 1
+            if vanished == 2:
+                return None
+        elif count > best:
+            best, agreeing = count, 1
+        elif count == best:
             agreeing += 1
         if agreeing == 2:
             return best
-    raise PrimesExhausted(f"no two of {len(PRIMES)} primes agreed on a stable rank")
+    raise PrimesExhausted(f"no two of {len(PRIMES)} primes agreed on a count")
 
 
-def _terms_mod(poly, prime):
-    """Exponent -> coefficient mod prime, or None if prime divides a denominator."""
-    out = {}
-    for e, c in poly.terms.items():
-        if c.denominator % prime == 0:
-            return None
-        r = c.numerator * pow(c.denominator, -1, prime) % prime
-        if r:
-            out[e] = r
+def _sheared_count(p, q, f, prime, shear):
+    """One trial: the count, -1 when R vanishes, or None when it proves nothing."""
+    if not p.any() or not q.any():
+        return -1
+    degrees = [_sheared_degree(a) for a in (p, q, f)]
+    if None in degrees:
+        return None
+    dp, dq, df = degrees
+    dm = max(dp, dq)
+    points = max(dp * dq, dm * df) + 1
+    if points > prime:
+        return None  # too few interpolation nodes
+    p_rows, q_rows, f_rows = (_rows_at(a, d, points, prime) for a, d in zip((p, q, f), degrees))
+    mix = np.zeros((points, dm + 1), dtype=np.int64)
+    mix[:, : dp + 1] = p_rows
+    mix[:, : dq + 1] = (mix[:, : dq + 1] + shear * q_rows) % prime
+    if not mix[0, dm]:
+        return None
+    r, locus = _interpolate(np.array([_resultants(p_rows, q_rows, prime), _resultants(mix, f_rows, prime)]), prime)
+    if not r:
+        return -1
+    while len(g := _gcd_mod(r, locus, prime)) > 1:
+        r = _divmod_mod(r, g, prime)[0]
+    return len(r) - 1
+
+
+def _sheared_degree(a):
+    """Total degree d of a dense array with a nonzero coefficient of x^d, else None."""
+    i, j = np.nonzero(a)
+    d = int((i + j).max()) if i.size else a.shape[0]
+    return d if d < a.shape[0] and a[d, 0] else None
+
+
+def _rows_at(a, d, points, prime):
+    """Coefficients in x, lowest first, of a at y = 0, ..., points-1: one
+    row per point, for a dense array of total degree d."""
+    t = np.arange(points, dtype=np.int64)
+    out = np.repeat(a[: d + 1, d : d + 1], points, axis=1)
+    for j in range(d - 1, -1, -1):
+        out = (out * t + a[: d + 1, j : j + 1]) % prime
+    return out.T
+
+
+def _resultants(a, b, prime):
+    """Res(a[k], b[k]) mod prime for each row k of two coefficient arrays,
+    lowest first, with nonzero last columns, by Euclid's algorithm on all
+    rows at once: Res(a, b) = (-1)^(deg a*deg b) * lc(b)^(deg a - deg r) *
+    Res(b, r) for r = a mod b.  The pseudo-remainder lc(b)^s * r, with
+    s = deg a - deg b + 1, scales Res(b, r) by lc(b)^(s*deg b), which is
+    divided out at the end.  A row whose remainder vanishes has Res = 0;
+    rows whose remainder drops more than one degree go on in groups."""
+    res, den = np.ones((2, a.shape[0]), dtype=np.int64)
+    while b.shape[1] > 1:
+        da, db = a.shape[1] - 1, b.shape[1] - 1
+        if da * db % 2:
+            res = -res % prime
+        if da < db:
+            a, b = b, a
+            continue
+        lc, s = b[:, -1:], da - db + 1
+        r = a.copy()
+        for k in range(da - db, -1, -1):
+            lead = r[:, k + db : k + db + 1].copy()
+            r[:, : k + db] *= lc
+            r[:, k : k + db] -= lead * b[:, :db]
+            r[:, : k + db] %= prime
+        r = r[:, :db]
+        if not r[:, -1].all():
+            nonzero = r != 0
+            deg = np.where(nonzero.any(axis=1), db - 1 - np.argmax(nonzero[:, ::-1], axis=1), -1)
+            out = np.zeros_like(res)
+            for d in set(deg.tolist()) - {-1}:
+                g = deg == d
+                out[g] = res[g] * _power(lc[g, 0], da - d, prime) % prime * _resultants(b[g], r[g, : d + 1], prime)
+            res, den = out % prime, den * _power(lc[:, 0], s * db, prime) % prime
+            break
+        den = den * _power(lc[:, 0], s * (db - 1), prime) % prime  # deg r = deg b - 1
+        a, b = b, r
+    else:
+        res = res * _power(b[:, 0], a.shape[1] - 1, prime) % prime
+    return res * np.array([pow(d, -1, prime) for d in den.tolist()], dtype=np.int64) % prime
+
+
+def _power(x, e, prime):
+    """x**e mod prime, elementwise, by squaring."""
+    out = np.ones_like(x)
+    for bit in bin(e)[:1:-1]:
+        out = out * x % prime if bit == "1" else out
+        x = x * x % prime
     return out
 
 
-def _multiplication_matrix_mod(f, basis, monos, key, prime):
-    """Matrix mod prime of multiplication by f on the standard monomials.
-
-    Column j is the normal form of f times the j-th standard monomial; f
-    and the monic basis are exponent -> int maps mod prime.  Only the
-    column of the monomial 1, NF(f), runs the division loop on f.  Every
-    other column m is M_v times the column of m / x_v, for the first
-    variable v of m, where column s of M_v is NF(x_v * s): a unit vector
-    when x_v * s is standard, else one short division of that border
-    monomial, built when first needed.  This is sound because the standard
-    monomials are closed under division (m / x_v is standard, and visiting
-    by total degree builds its column first) and multiplication commutes:
-    [f x_v m'] = M_v [f m'].
-    """
-    leads = [(max(g, key=key), g) for g in basis]
-
-    @cache
-    def tail(exp):
-        # Non-leading terms of the first basis element whose leading
-        # monomial divides exp, shifted by the quotient; None if exp is a
-        # standard monomial.
-        for lexp, g in leads:
-            if all(x <= y for x, y in zip(lexp, exp)):
-                shift = tuple(a - b for a, b in zip(exp, lexp))
-                return [
-                    (tuple(a + b for a, b in zip(gexp, shift)), gc)
-                    for gexp, gc in g.items()
-                    if gexp != lexp
-                ]
-        return None
-
-    order_key = cache(key)
-    index = {m: i for i, m in enumerate(monos)}
-
-    def normal_form(work):
-        # (row, coefficient) pairs of the normal form of the exponent ->
-        # coefficient map work, by a loop that cancels the leading term.
-        out = []
-        while work:
-            exp = max(work, key=order_key)
-            coeff = work.pop(exp)
-            terms = tail(exp)
-            if terms is None:
-                out.append((index[exp], coeff))
-                continue
-            for tgt, gc in terms:
-                s = (work.get(tgt, 0) - coeff * gc) % prime
-                if s:
-                    work[tgt] = s
-                else:
-                    work.pop(tgt, None)
-        return out
-
-    @cache
-    def var_column(v, s):
-        # Column s of M_v: the normal form of x_v times the monomial s.
-        exp = monos[s][:v] + (monos[s][v] + 1,) + monos[s][v + 1:]
-        return [(index[exp], 1)] if exp in index else normal_form({exp: 1})
-
-    d = len(monos)
-    cols = {}
-    for mono in sorted(monos, key=sum):
-        col = [0] * d
-        v = next((i for i, e in enumerate(mono) if e), None)
-        if v is None:
-            for i, c in normal_form(dict(f)):
-                col[i] = c
-        else:
-            prev = cols[mono[:v] + (mono[v] - 1,) + mono[v + 1:]]
-            for s, c in enumerate(prev):
-                if c:
-                    for i, a in var_column(v, s):
-                        col[i] += a * c
-            col = [x % prime for x in col]
-        cols[mono] = col
-    return [list(row) for row in zip(*(cols[m] for m in monos))]
+def _divmod_mod(a, b, prime):
+    """Quotient and remainder mod prime of coefficient lists, lowest first."""
+    r, db = list(a), len(b) - 1
+    inv = pow(b[-1], -1, prime)
+    quot = [0] * max(len(a) - db, 0)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = quot[k] = r[k + db] * inv % prime
+        r[k : k + db] = [(x - c * y) % prime for x, y in zip(r[k : k + db], b)]
+    del r[db:]
+    while r and not r[-1]:
+        r.pop()
+    return quot, r
 
 
-def _rank_mod(rows, prime):
-    """Rank over the integers mod prime, by Gaussian elimination."""
-    a = [list(row) for row in rows]
-    rank = 0
-    for col in range(len(a[0])):
-        pivot = next((i for i in range(rank, len(a)) if a[i][col]), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = pow(a[rank][col], -1, prime)
-        prow = [x * inv % prime for x in a[rank]]
-        for i in range(rank + 1, len(a)):
-            fac = a[i][col]
-            if fac:
-                a[i] = [(x - fac * y) % prime for x, y in zip(a[i], prow)]
-        rank += 1
-        if rank == len(a):
+def _gcd_mod(a, b, prime):
+    while b:
+        a, b = b, _divmod_mod(a, b, prime)[1]
+    return a
+
+
+def _interpolate(values, prime):
+    """Trimmed coefficient lists mod prime, lowest first, of the polynomials
+    of degree < n taking the values in each row at x = 0, ..., n-1."""
+    out = _matmul_mod(values, _interpolation_matrix(values.shape[1], prime).T, prime).tolist()
+    for row in out:
+        while row and not row[-1]:
+            row.pop()
+    return out
+
+
+@cache
+def _interpolation_matrix(n, prime):
+    """W mod prime with W @ [f(0), ..., f(n-1)] = the coefficients of f for
+    deg f < n: column k is the Lagrange polynomial M(x) / (x - k) /
+    ((-1)^(n-1-k) * k! * (n-1-k)!) for M(x) = x(x-1)...(x-n+1)."""
+    m = np.zeros(n + 1, dtype=np.int64)
+    m[0] = 1
+    for j in range(n):  # m <- m * (x - j)
+        m[1:] = (m[:-1] - j * m[1:]) % prime
+        m[0] = -j * m[0] % prime
+    nodes = np.arange(n, dtype=np.int64)
+    out = np.ones((n, n), dtype=np.int64)
+    for i in range(n - 1, 0, -1):  # synthetic division of M by x - k, for every k
+        out[i - 1] = (m[i] + nodes * out[i]) % prime
+    fact = list(accumulate(range(1, n), lambda f, j: f * j % prime, initial=1))
+    scale = [(-1) ** (n - 1 - k) * pow(fact[k] * fact[n - 1 - k], -1, prime) % prime for k in range(n)]
+    return out * np.array(scale, dtype=np.int64) % prime
+
+
+def _matmul_mod(a, b, prime):
+    """a @ b mod prime for int64 residues below 2**31: b is split into
+    16-bit halves, so that no sum of products leaves int64."""
+    return ((a @ (b >> 16)) % prime * 65536 + a @ (b & 65535)) % prime
+
+
+def _det_mod(mats, prime):
+    """Determinants mod prime of a stack of square int64 matrices, by
+    fraction-free elimination: clearing column j scales each later row by
+    the pivot, so the pivots' product is divided by prod pivot_j^(size-1-j)."""
+    a = mats % prime
+    count, size = a.shape[0], a.shape[-1]
+    det, run, den = (np.ones(count, dtype=np.int64) for _ in range(3))
+    for j in range(size):
+        if not a[:, j, j].all():
+            piv = j + np.argmax(a[:, j:, j] != 0, axis=1)
+            swap = np.nonzero(piv != j)[0]
+            a[swap, j], a[swap, piv[swap]] = a[swap, piv[swap]], a[swap, j]  # fancy indexing copies
+            det[swap] = -det[swap] % prime
+        pivot = a[:, j, j].copy()
+        det = det * pivot % prime
+        if j + 1 < size:
+            run = run * pivot % prime
+            den = den * run % prime
+            a[:, j + 1 :, j:] = (
+                a[:, j + 1 :, j:] * pivot[:, None, None] - a[:, j + 1 :, j : j + 1] * a[:, j : j + 1, j:]
+            ) % prime
+    return det * np.array([pow(d, -1, prime) if d else 0 for d in den.tolist()], dtype=np.int64) % prime
+
+
+def _chart_images(scatters, prime, shear):
+    """Images mod prime of the score pair with g2 divided out and of the
+    locus g1*g2*k22, in (k12, y) with k22 = y + c*k12: the shear moves into
+    the data, g1 = det(A0 + k12*(A1 + c*A2) + y*A2) on the integer grid,
+    and d/dk22 is d/dy and d/dk12 is d/dk12 - c*d/dy."""
+    m1 = scatters[0].shape[0]
+    if m1 >= prime:
+        return None  # too few interpolation nodes
+    a0, a1, a2 = (s % prime for s in scatters)
+    t = np.arange(m1 + 1, dtype=np.int64)[:, None, None, None]
+    grid = (a0 + t * ((a1 + shear * a2) % prime) + t.transpose(1, 0, 2, 3) * a2) % prime
+    values = _det_mod(grid.reshape(-1, m1, m1), prime).reshape(m1 + 1, m1 + 1)
+    w = _interpolation_matrix(m1 + 1, prime)
+    g1 = np.zeros((m1 + 4, m1 + 4), dtype=np.int64)
+    g1[: m1 + 1, : m1 + 1] = _matmul_mod(w, _matmul_mod(w, values, prime).T, prime).T
+    g2, k22 = np.zeros_like(g1), np.zeros_like(g1)
+    g2[0, 1] = k22[0, 1] = 1
+    g2[1, 0] = k22[1, 0] = shear
+    g2[2, 0] = prime - 1
+    # With g1 = g2^e * h, the score pair is g2^e times this pair.
+    h, e = _divide_g2(g1, shear, prime)
+    k = np.arange(1, m1 + 4, dtype=np.int64)
+    hx, hy = np.zeros_like(h), np.zeros_like(h)
+    hx[:-1] = h[1:] * k[:, None] % prime
+    hy[:, :-1] = h[:, 1:] * k % prime
+    p = (2 * _times(g2, hy, prime) + (2 * e - m1) * h) % prime
+    q = (2 * _times(g2, (hx - shear * hy) % prime, prime) + 2 * (m1 - 2 * e) * np.roll(h, 1, axis=0)) % prime
+    if 2 * e == m1:  # else g2 divides neither, as it does not divide h
+        p, q = _divide_g2(p, shear, prime)[0], _divide_g2(q, shear, prime)[0]
+    return p, q, _times(k22, _times(g2, g1, prime), prime)
+
+
+def _times(small, a, prime):
+    """small * a mod prime for dense arrays, when the product fits in a's shape."""
+    out, (rows, cols) = np.zeros_like(a), a.shape
+    for i, j in zip(*np.nonzero(small)):
+        out[i:, j:] = (out[i:, j:] + small[i, j] * a[: rows - i, : cols - j]) % prime
+    return out
+
+
+def _divide_g2(a, shear, prime):
+    """(a / g2^e, e) mod prime for the largest e, with g2 = y - (x^2 - c*x),
+    by synthetic division in y: the quotient's coefficient of y^(j-1) is
+    a_j + (x^2 - c*x) times that of y^j, and at j = 0 the remainder."""
+    rows, e = a.shape[0], 0
+    while a[:, 1:].any():
+        top = int(np.nonzero(a.any(axis=0))[0][-1])
+        work = np.zeros((rows + 2 * top, top + 1), dtype=np.int64)
+        work[:rows] = a[:, : top + 1]
+        for j in range(top - 1, -1, -1):
+            work[2:, j] += work[:-2, j + 1]
+            work[1:, j] -= shear * work[:-1, j + 1] % prime
+            work[:, j] %= prime
+        if work[:, 0].any():
             break
-    return rank
+        a = np.zeros_like(a)
+        a[:, :top] = work[:rows, 1:]
+        e += 1
+    return a, e
 
 
-def _stable_rank_mod(mat, prime):
-    """Rank mod prime of high powers of mat: stop when a power keeps the rank."""
-    r_prev = _rank_mod(mat, prime)
-    if r_prev in (0, len(mat)):
-        return r_prev
-    cols = list(zip(*mat))
-    power = mat
-    while True:
-        power = [[sum(x * y for x, y in zip(row, col)) % prime for col in cols] for row in power]
-        r = _rank_mod(power, prime)
-        if r == r_prev:
-            return r
-        r_prev = r
+def _poly_images(polys, prime, shear):
+    """Images mod prime of bivariate Polys f(x, y + c*x) as dense arrays, as
+    _count_by_trials takes them; None when prime divides a denominator."""
+    images = []
+    for poly in polys:
+        if any(c.denominator % prime == 0 for c in poly.terms.values()):
+            return None
+        size = max(poly.total_degree(), 0) + 1
+        a = np.zeros((size, size), dtype=np.int64)
+        for (i, j), c in poly.terms.items():
+            c = c.numerator * pow(c.denominator, -1, prime) % prime
+            for k in range(j + 1):
+                a[i + k, j - k] = (a[i + k, j - k] + c * comb(j, k) * pow(shear, k, prime) % prime) % prime
+        images.append(a)
+    return images
 
 
 @dataclass(frozen=True)
@@ -354,14 +455,12 @@ def b_zero_quadratic(m2, k, case_id):
     return QuadraticBranch(coefficients=coeffs, discriminant=c1 * c1 - 4 * c2 * c0)
 
 
-def _fraction_sum(terms, vars):
-    """Combine (numerator, denominator) pairs over the common denominator."""
-    num = Poly.constant(vars, 0)
-    den = Poly.constant(vars, 1)
+def _numerator(terms):
+    """Primitive numerator of sum n_i / d_i over the product of the d_i."""
+    num, den = 0, 1
     for n_i, d_i in terms:
-        num = num * d_i + n_i * den
-        den = den * d_i
-    return num, den
+        num, den = num * d_i + n_i * den, den * d_i
+    return num.primitive()
 
 
 def _prop43_pair(m2, k, case_id):
@@ -369,8 +468,8 @@ def _prop43_pair(m2, k, case_id):
 
     Case one (m2 > 2, k >= 2) works in the trace variable t, case two
     (m2 = 2, k >= 2) in the free diagonal entry c.  Returns the two
-    primitive numerators and the product of their denominators, which must
-    not vanish at a solution.  Rational terms with a zero numerator are
+    primitive numerators and their distinct denominators, which must not
+    vanish at a solution.  Rational terms with a zero numerator are
     dropped before combining, matching how a CAS reduces the fraction.
     """
     if k < 2:
@@ -385,8 +484,8 @@ def _prop43_pair(m2, k, case_id):
         e1_terms = [(-2 * m2 * b, q), (2 * k * b, 1 - b * b)]
         e2_terms = [(m2 * (8 * t + 4), q)]
         if k != 2:
-            e2_terms.append((m2 * (k - 2) * Poly.constant(vars, 1), t))
-        e2_terms.append((-k * (m2 - 2) * Poly.constant(vars, 1), t - 2))
+            e2_terms.append((Poly.constant(vars, m2 * (k - 2)), t))
+        e2_terms.append((Poly.constant(vars, -k * (m2 - 2)), t - 2))
     elif case_id == "two":
         if m2 != 2:
             raise ValueError("case two requires m2 = 2")
@@ -397,27 +496,20 @@ def _prop43_pair(m2, k, case_id):
         e1_terms = [(-2 * m2 * b, q), (2 * k * b, c - b * b)]
         e2_terms = [(m2 * (8 * c + 10), q)]
         if k != 2:
-            e2_terms.append((m2 * (k - 2) * Poly.constant(vars, 1), c + 1))
-        e2_terms.append((-k * Poly.constant(vars, 1), c - b * b))
+            e2_terms.append((Poly.constant(vars, m2 * (k - 2)), c + 1))
+        e2_terms.append((Poly.constant(vars, -k), c - b * b))
     else:
         raise ValueError("case_id must be 'one' or 'two'")
-
-    def as_poly(x):
-        return x if isinstance(x, Poly) else Poly.constant(vars, x)
-
-    e1_terms = [(as_poly(n), as_poly(d)) for n, d in e1_terms]
-    e2_terms = [(as_poly(n), as_poly(d)) for n, d in e2_terms]
-    num1, den1 = _fraction_sum(e1_terms, vars)
-    num2, den2 = _fraction_sum(e2_terms, vars)
-    return (num1.primitive(), num2.primitive()), den1 * den2
+    factors = list(dict.fromkeys(d for _, d in e1_terms + e2_terms))
+    return (_numerator(e1_terms), _numerator(e2_terms)), factors
 
 
 def prop43_system(m2, k, case_id):
     """The constructed score system with the Rabinowitsch generator for its
     nonvanishing denominators adjoined: a three-variable ideal whose degree
     is the solution count, kept as an oracle for ml_multiplicity_prop43."""
-    gens, f = _prop43_pair(m2, k, case_id)
-    return saturate_rabinowitsch(PolyIdeal(generators=gens), f)
+    gens, factors = _prop43_pair(m2, k, case_id)
+    return saturate_rabinowitsch(PolyIdeal(generators=gens), prod(factors))
 
 
 # The largest solution count Prop. 4.3 allows for each constructed case;
@@ -425,10 +517,10 @@ def prop43_system(m2, k, case_id):
 PROP43_UPPER = {"one": 5, "two": 4}
 
 
-def ml_multiplicity_prop43(m2, k, case_id, pair_budget=DEFAULT_PAIR_BUDGET):
+def ml_multiplicity_prop43(m2, k, case_id):
     """Solution count off the denominators' locus, in [2, PROP43_UPPER[case_id]]."""
-    gens, f = _prop43_pair(m2, k, case_id)
-    count = count_solutions_off_locus(gens, f, pair_budget)
+    gens, factors = _prop43_pair(m2, k, case_id)
+    count = count_solutions_off_locus(gens, factors)
     upper = PROP43_UPPER[case_id]
     if not 2 <= count <= upper:
         raise ValueError(f"solution count {count} outside expected [2, {upper}]")

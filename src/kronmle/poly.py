@@ -322,82 +322,6 @@ def _pseudo_rem(a, b, x):
     return r
 
 
-# The certificate's prime (the Mersenne prime 2**61 - 1) and the points it
-# tries, in order, for the variables set aside.
-CERTIFY_PRIME = 2**61 - 1
-CERTIFY_POINTS = tuple(pow(3, k, CERTIFY_PRIME) for k in range(61, 65))
-
-
-def certify_coprime(p, q):
-    """True when a modular certificate proves that gcd(p, q) over Q is constant.
-
-    p and q are scaled to integer coefficients.  For each variable x of
-    positive degree in both, every other variable is set to a point a of
-    CERTIFY_POINTS and the gcd of the images is taken in x by Euclid mod
-    CERTIFY_PRIME; points where the leading coefficient in x of p or q
-    vanishes mod the prime are skipped.  At a point where both survive, a
-    common factor h over Q (primitive in Z[vars] by Gauss's lemma) keeps its
-    degree in x and its image divides both images, so the modular gcd's
-    degree bounds deg_x h from above.  A constant modular gcd in every
-    variable therefore proves h constant.  False means only "not proved":
-    a common factor, an unlucky point, or no point left.
-    """
-    if p.is_zero() or q.is_zero():
-        return False
-    if p.vars != q.vars:
-        raise ValueError("polynomials from different rings")
-    p_int, q_int = _integer_terms(p), _integer_terms(q)
-    for i in range(len(p.vars)):
-        dp, dq = _degree_in(p, i), _degree_in(q, i)
-        if dp == 0 or dq == 0:
-            continue  # the gcd divides a polynomial free of x
-        for a in CERTIFY_POINTS:
-            a_p = _image_mod(p_int, i, a, CERTIFY_PRIME)
-            a_q = _image_mod(q_int, i, a, CERTIFY_PRIME)
-            if len(a_p) == dp + 1 and len(a_q) == dq + 1:
-                break
-        else:
-            return False  # a leading coefficient vanished at every point
-        if _gcd_degree_mod(a_p, a_q, CERTIFY_PRIME) > 0:
-            return False
-    return True
-
-
-def _integer_terms(p):
-    """Exponent -> integer coefficient of p times the lcm of its denominators."""
-    scale = lcm(*(c.denominator for c in p.terms.values()))
-    return [(e, c.numerator * (scale // c.denominator)) for e, c in p.terms.items()]
-
-
-def _image_mod(terms, i, a, prime):
-    """Coefficients mod prime, lowest degree first and trimmed, of the
-    polynomial in variable i left when every other variable is set to a."""
-    coeffs = {}
-    for e, c in terms:
-        coeffs[e[i]] = (coeffs.get(e[i], 0) + c * pow(a, sum(e) - e[i], prime)) % prime
-    out = [coeffs.get(d, 0) for d in range(max(coeffs) + 1)]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _gcd_degree_mod(a, b, prime):
-    """Degree of the gcd mod prime of two nonzero coefficient lists
-    (lowest degree first, trimmed), by Euclid's algorithm."""
-    while b:
-        inv = pow(b[-1], -1, prime)
-        r = list(a)
-        while len(r) >= len(b):
-            shift = len(r) - len(b)
-            fac = r[-1] * inv % prime
-            for j, c in enumerate(b):
-                r[shift + j] = (r[shift + j] - fac * c) % prime
-            while r and not r[-1]:
-                r.pop()
-        a, b = b, r
-    return len(a) - 1
-
-
 def poly_det(grid):
     """Determinant of a square grid of Poly, by evaluation and interpolation.
 

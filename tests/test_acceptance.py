@@ -101,6 +101,11 @@ TABLE_CELLS = [
     (2, 5, 3),
     (5, 4, 7),
     (6, 4, 3),
+    # Resultant and Buchberger routes agree, seeds 0-2
+    # (tests/test_mldegree.py TestCertifiedRoute::test_matches_prs_route).
+    (4, 4, 9),
+    (4, 5, 13),
+    (6, 5, 13),
 ]
 
 

@@ -339,29 +339,6 @@ class TestMlDegreeCommand:
             degrees.append(stdout.splitlines()[1].split()[2])
         assert degrees == ["4", "4"]
 
-    def test_timeout_marker(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("KRONMLE_WORKERS", "1")
-        code, stdout, _ = run(
-            capsys, "mldegree", "--m1", "3", "--n", "3", "--seed", "1",
-            "--pair-budget", "1", "--cache-dir", str(tmp_path / "cache"),
-        )
-        assert code == EXIT_OK
-        assert "timeout" in stdout
-
-    def test_timeout_not_cached(self, tmp_path, capsys, monkeypatch):
-        # A timeout depends on the budget, which the cache key omits, so a
-        # rerun at the default budget must count the cell.
-        monkeypatch.setenv("KRONMLE_WORKERS", "1")
-        cache = tmp_path / "cache"
-        _, stdout, _ = run(capsys, "mldegree", "--m1", "3", "--n", "3", "--seed", "1",
-                           "--pair-budget", "1", "--cache-dir", str(cache))
-        assert stdout.splitlines()[1].split()[2] == "timeout"
-        assert not (cache / "cell_3_3_1.json").exists()
-        code, stdout, _ = run(capsys, "mldegree", "--m1", "3", "--n", "3", "--seed", "1",
-                              "--cache-dir", str(cache))
-        assert code == EXIT_OK and stdout.splitlines()[1].split()[2] == "4"
-        assert json.loads((cache / "cell_3_3_1.json").read_text())["degree"] == 4
-
     def test_csv_and_json_formats(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("KRONMLE_WORKERS", "1")
         _, out_csv, _ = run(
@@ -379,8 +356,9 @@ class TestMlDegreeCommand:
 
     def test_primes_exhausted(self, tmp_path, capsys, monkeypatch):
         # With no prime to confirm a modular count, the command reports one
-        # error line, exits 4 and caches no result for that cell.  The cells
-        # run in this process, so that the patched PRIMES reaches them.
+        # error line, exits 4 and caches no result.  Every cell, degenerate
+        # ones too, counts mod primes.  The cells run in this process, so
+        # that the patched PRIMES reaches them.
         monkeypatch.setattr(mldegree, "PRIMES", ())
         monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialExecutor)
         cache = tmp_path / "cache"
@@ -391,8 +369,16 @@ class TestMlDegreeCommand:
         assert code == EXIT_BAD_ARGS
         assert stdout == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
-        assert (cache / "cell_2_2_1.json").exists()  # degree 0 needs no prime
+        assert not (cache / "cell_2_2_1.json").exists()
         assert not (cache / "cell_2_3_1.json").exists()
+
+    def test_pair_budget_is_unknown(self, tmp_path, capsys):
+        # The count has no S-pairs left to budget: Bezout's bound fixes its cost.
+        for argv in (["mldegree", "--m1", "3", "--n", "3", "--cache-dir", str(tmp_path)],
+                     ["multiplicity", "--case", "two", "--m2", "2", "--k", "3"]):
+            code, stdout, err = run(capsys, *argv, "--pair-budget", "5")
+            assert code == EXIT_BAD_ARGS and stdout == ""
+            assert "unrecognized arguments: --pair-budget 5" in err
 
     def test_m2_restriction(self, capsys):
         # The table is for m2 = 2 only, so there is no --m2 to set, not even to 2.
@@ -425,17 +411,6 @@ class TestMultiplicity:
         )
         assert code == EXIT_BAD_ARGS
         assert "case one requires m2 > 2" in err
-
-    def test_budget_exhausted(self, capsys):
-        code, stdout, err = run(
-            capsys, "multiplicity", "--case", "two", "--m2", "2", "--k", "3",
-            "--pair-budget", "1",
-        )
-        assert code == EXIT_BAD_ARGS
-        assert stdout == ""
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
-        assert "Traceback" not in err
-
 
 class TestArgParsing:
     def test_unknown_command(self, capsys):
@@ -489,10 +464,6 @@ class TestArgParsing:
             (["mldegree", "--m1", "3", "--n", "1:0"], "empty range 1:0"),
             (["mldegree", "--m1", "0", "--n", "2"], "--m1"),
             (["mldegree", "--m1", "3", "--n", "0:2"], "--n"),
-            (["mldegree", "--m1", "3", "--n", "2", "--pair-budget", "-5"], "--pair-budget"),
-            (["mldegree", "--m1", "3", "--n", "2", "--pair-budget", "0"], "--pair-budget"),
-            (["multiplicity", "--case", "two", "--m2", "2", "--k", "2", "--pair-budget", "0"],
-             "--pair-budget"),
         ],
     )
     def test_out_of_range_value_exit_code(self, tmp_path, capsys, argv, named):
@@ -528,8 +499,6 @@ def _sample_files(root):
 
 _SMALL = st.integers(-1, 4).map(str)
 _RANGE = st.one_of(_SMALL, st.tuples(_SMALL, _SMALL).map(":".join))
-_BUDGET = st.sampled_from([[], ["--pair-budget", "-1"], ["--pair-budget", "0"],
-                           ["--pair-budget", "1"], ["--pair-budget", "50"]])
 
 
 @st.composite
@@ -550,13 +519,11 @@ def _argv(draw, files, cache):
     elif command == "mldegree":
         argv = ["mldegree", "--m1", draw(_RANGE), "--n", draw(_RANGE),
                 "--seed", str(draw(st.integers(0, 2))), "--cache-dir", str(cache)]
-        argv += draw(_BUDGET)
         argv += draw(st.sampled_from([[], ["--format", "csv"], ["--format", "json"],
                                       ["--format", "xml"]]))
     else:
         argv = ["multiplicity", "--case", draw(st.sampled_from(["one", "two", "three"])),
                 "--m2", draw(_SMALL), "--k", draw(_SMALL)]
-        argv += draw(_BUDGET)
     # Sometimes drop a token or add an unknown flag: parse errors are exit 4 too.
     edit = draw(st.sampled_from(["keep", "keep", "keep", "drop", "unknown"]))
     if edit == "drop":

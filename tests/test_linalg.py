@@ -365,10 +365,25 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="too large"):
             parse_matrix(iter(["2 2", "1 2", "3 4"]))
 
-    @pytest.mark.parametrize("token, as_float", [("1_0", 10.0), ("\u0661", 1.0)])
-    def test_float_mode_reads_ascii_decimals_only(self, token, as_float):
-        # float() reads an underscore separator and a non-ASCII digit (here
-        # the Arabic-Indic one); numpy's C reader, behind float mode, does not
+    @pytest.mark.parametrize(
+        "first, token, as_float",
+        [
+            pytest.param("1", "1_0", 10.0, id="1_0-10.0"),
+            pytest.param("1", "\u0661", 1.0, id="\u0661-1.0"),
+            pytest.param("1/2", "1_0", 10.0, id="fraction-1_0"),
+            pytest.param("1/2", "\u0661", 1.0, id="fraction-\u0661"),
+        ],
+    )
+    def test_float_mode_reads_ascii_decimals_only(self, first, token, as_float):
+        # float() and Fraction() read an underscore separator and a
+        # non-ASCII digit (here the Arabic-Indic one); numpy's C reader,
+        # behind float mode, does not, and neither does a "p/q" row
         assert float(token) == as_float
         with pytest.raises(ValueError):
-            parse_matrix(iter(["1 2", f"1 {token}"]))
+            parse_matrix(iter(["1 2", f"{first} {token}"]))
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661", "1/2_0"])
+    def test_exact_mode_reads_ascii_numbers_only(self, token):
+        assert Fraction(token)
+        with pytest.raises(ValueError, match="ASCII"):
+            parse_matrix(iter(["1 2", f"1 {token}"]), exact=True)

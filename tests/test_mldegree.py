@@ -2,19 +2,13 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kronmle import mldegree, poly
-from kronmle.groebner import (
-    PairBudgetExceeded,
-    PolyIdeal,
-    buchberger,
-    dim_and_degree,
-    normal_form,
-    standard_monomials,
-)
+from kronmle import groebner, mldegree, poly
+from kronmle.groebner import PolyIdeal, buchberger, dim_and_degree, normal_form, standard_monomials
 from kronmle.linalg import Matrix
 from kronmle.mldegree import (
     PRIMES,
@@ -22,10 +16,7 @@ from kronmle.mldegree import (
     SCORE_VARS,
     PrimesExhausted,
     _divide_out,
-    _modular_stable_rank,
-    _multiplication_matrix_mod,
     _prop43_pair,
-    _stable_rank_mod,
     b_zero_quadratic,
     count_solutions_off_locus,
     likelihood_equations_m2_2,
@@ -35,8 +26,18 @@ from kronmle.mldegree import (
     random_integer_sample,
     score_polynomials,
 )
-from kronmle.poly import ORDER_KEYS, Poly, exact_divide, poly_gcd
+from kronmle.poly import ORDER_KEYS, Poly
 from kronmle.solvers import exact_mle_k1
+from count_oracle import PRIMES as ORACLE_PRIMES
+from count_oracle import (
+    ml_degree_by_buchberger,
+    modular_stable_rank,
+    multiplication_matrix_mod,
+    residue_ring,
+    score_system,
+    stable_rank_mod,
+    terms_mod,
+)
 from matrix_helpers import column
 from paper_helpers import evaluate
 from test_acceptance import TABLE_CELLS
@@ -47,8 +48,8 @@ def xy_ring():
     return Poly.variable(vars, "x"), Poly.variable(vars, "y")
 
 
-# The Fraction route that count_solutions_off_locus used before its rank
-# step moved to word-size primes; it stays here as the oracle.
+# The Fraction route that the Buchberger count used before its rank step
+# moved to word-size primes; it stays here as the oracle of that oracle.
 
 
 def multiplication_matrix(f, gb, monos):
@@ -175,61 +176,18 @@ def fraction_stable_rank(mat):
         r_prev = r
 
 
-# The route ml_degree took before it divided det K out of the score
-# polynomials and certified their gcd mod a prime: the primitive PRS on the
-# undivided pair, then the locus loop.  It stays here as the oracle.
-
-
-def prs_count_solutions_off_locus(gens, f):
-    p, q = gens
-    if p.is_zero() or q.is_zero() or f.is_zero():
-        return 0
-    h = poly_gcd(p, q)
-    if h.total_degree() > 0:
-        residual = h
-        while residual.total_degree() > 0:
-            shared = poly_gcd(residual, f)
-            if shared.total_degree() == 0:
-                return 0
-            residual = exact_divide(residual, shared)
-        p = exact_divide(p, h)
-        q = exact_divide(q, h)
-    ideal = PolyIdeal(generators=(p.primitive(), q.primitive()))
-    gb = buchberger(ideal, order="grevlex")
-    monos = standard_monomials(gb)
-    if not monos:
-        return 0
-    return _modular_stable_rank(f, gb, monos)
-
-
-def prs_ml_degree(m1, n, seed):
-    g1, g2, gens = score_polynomials(random_integer_sample(m1, n, seed))
-    k22 = Poly.variable(SCORE_VARS, "k22")
-    return prs_count_solutions_off_locus(gens, g1 * g2 * k22)
-
-
-def rank_inputs(monkeypatch, m1, n, seed):
-    """The (f, gb, monos) that ml_degree hands to the modular stable rank."""
-    calls = []
-    real = mldegree._modular_stable_rank
-
-    def spy(f, gb, monos):
-        calls.append((f, gb, monos))
-        return real(f, gb, monos)
-
-    monkeypatch.setattr(mldegree, "_modular_stable_rank", spy)
-    degree = ml_degree(m1, n, seed)
-    (inputs,) = calls
-    return degree, inputs
+def rank_inputs(m1, n, seed):
+    """The (f, basis, standard monomials) that the Buchberger oracle ranks."""
+    return residue_ring(*score_system(m1, n, seed))
 
 
 def both_matrices_mod(f, gb, monos, prime):
     """The multiplication matrix mod prime by the variable matrices and by
     the column-by-column oracle."""
-    basis = [mldegree._terms_mod(g, prime) for g in gb.basis]
-    f_mod = mldegree._terms_mod(f, prime)
+    basis = [terms_mod(g, prime) for g in gb.basis]
+    f_mod = terms_mod(f, prime)
     args = (f_mod, basis, monos, ORDER_KEYS[gb.order], prime)
-    return _multiplication_matrix_mod(*args), column_by_column_matrix_mod(*args)
+    return multiplication_matrix_mod(*args), column_by_column_matrix_mod(*args)
 
 
 def spy_on_gcd(monkeypatch):
@@ -246,15 +204,15 @@ def spy_on_gcd(monkeypatch):
 
 
 def spy_on_primes(monkeypatch):
-    """Record the prime of every modular stable rank taken."""
+    """Record the prime of every trial whose images exist."""
     used = []
-    real = mldegree._stable_rank_mod
+    real = mldegree._sheared_count
 
-    def spy(mat, prime):
+    def spy(p, q, f, prime, shear):
         used.append(prime)
-        return real(mat, prime)
+        return real(p, q, f, prime, shear)
 
-    monkeypatch.setattr(mldegree, "_stable_rank_mod", spy)
+    monkeypatch.setattr(mldegree, "_sheared_count", spy)
     return used
 
 
@@ -345,53 +303,64 @@ class TestScorePolynomials:
 class TestCountSolutions:
     def test_simple_localized_count(self):
         x, y = xy_ring()
-        # solutions (0, 0) and (1, 0); x != 0 keeps one of them
-        assert count_solutions_off_locus((x * (x - 1), y), x) == 1
+        # solutions (0, 0) and (1, 0); x != 0 keeps one of them, which has
+        # the y of the locus point: only the shear tells them apart
+        assert count_solutions_off_locus((x * (x - 1), y), (x,)) == 1
 
     def test_counts_with_multiplicity(self):
         x, y = xy_ring()
-        assert count_solutions_off_locus((x**2 * (x - 1), y), x - 5) == 3
+        assert count_solutions_off_locus((x**2 * (x - 1), y), (x - 5,)) == 3
 
     def test_common_factor_divides_f(self):
         x, y = xy_ring()
         # shared factor (x - 1) is killed by localizing at f = x - 1
         gens = ((x - 1) * x, (x - 1) * (y - 2))
-        assert count_solutions_off_locus(gens, (x - 1) * y) == 1
+        assert count_solutions_off_locus(gens, (x - 1, y)) == 1
 
     def test_positive_dimensional_reports_zero(self):
         x, y = xy_ring()
         # the line x = 1 survives localization at y
         gens = ((x - 1) * x, (x - 1) * (y - 2))
-        assert count_solutions_off_locus(gens, y) == 0
+        assert count_solutions_off_locus(gens, (y,)) == 0
 
     def test_zero_generator(self):
         x, y = xy_ring()
         zero = Poly.constant(("x", "y"), 0)
-        assert count_solutions_off_locus((zero, y), x) == 0
+        assert count_solutions_off_locus((zero, y), (x,)) == 0
 
-    def test_budget_exhaustion(self):
+    def test_each_factor_localizes(self):
         x, y = xy_ring()
-        gens = (x**3 + y**3 - 1, x**2 * y - 3 * x + 1)
-        with pytest.raises(PairBudgetExceeded):
-            count_solutions_off_locus(gens, x, pair_budget=1)
+        # solutions (0, 0), (1, 0), (2, 0) and (3, 0): each factor removes one
+        gens = (x * (x - 1) * (x - 2) * (x - 3), y)
+        assert count_solutions_off_locus(gens, ()) == 4
+        assert count_solutions_off_locus(gens, (x, x - 2)) == 2
+        assert count_solutions_off_locus(gens, (x * (x - 2),)) == 2
+        assert count_solutions_off_locus(gens, (x - 7, Poly.constant(("x", "y"), 3))) == 4
+
+
+def _oracle_cells():
+    """The cells compared with the Buchberger oracle, each once."""
+    cells = [(m1, n, seed) for m1, n, _ in TABLE_CELLS for seed in (0, 1, 2)]
+    cells += [(m1, n, seed) for m1, n in ((7, 4), (9, 5)) for seed in (0, 1, 2)]
+    cells += [(m1, n, 0) for m1, n in BENCHMARK_CELLS + [(5, 5), (7, 6)]]
+    return list(dict.fromkeys(cells))
 
 
 class TestCertifiedRoute:
-    # The two routes share Buchberger and the modular rank, so agreement
-    # confirms no cell: (4,4), (5,5) and (7,6) are compared, not pinned.
-    @pytest.mark.parametrize(
-        "m1,n,seed",
-        [(m1, n, seed) for m1, n, _ in TABLE_CELLS for seed in (1, 2)]
-        + [(m1, n, 0) for m1, n in BENCHMARK_CELLS + [(5, 5), (7, 6)]],
-    )
+    # The resultant mod primes against Buchberger over Q: every pinned cell
+    # and the benchmark's (7,4) and (9,5) at seeds 0-2, the other benchmark
+    # cells and (5,5), (7,6) at seed 0.
+    @pytest.mark.parametrize("m1,n,seed", _oracle_cells())
     def test_matches_prs_route(self, m1, n, seed):
-        assert ml_degree(m1, n, seed) == prs_ml_degree(m1, n, seed)
+        assert ml_degree(m1, n, seed) == ml_degree_by_buchberger(m1, n, seed)
 
     def test_benchmark_cells_skip_fallback(self, monkeypatch):
         calls = spy_on_gcd(monkeypatch)
+        built = []
+        monkeypatch.setattr(mldegree, "score_polynomials", lambda s: built.append(s))
         for m1, n in BENCHMARK_CELLS:
             ml_degree(m1, n, seed=0)
-        assert calls == []
+        assert calls == [] and built == []
 
     def test_divide_out_every_power(self):
         x, y = xy_ring()
@@ -406,69 +375,119 @@ class TestCertifiedRoute:
         calls = spy_on_gcd(monkeypatch)
         # the line x = 1 survives localization at y
         gens = ((x - 1) * x, (x - 1) * (y - 2))
-        assert count_solutions_off_locus(gens, y) == 0
+        assert count_solutions_off_locus(gens, (y,)) == 0
         assert calls
 
     def test_coprime_pair_skips_fallback(self, monkeypatch):
         x, y = xy_ring()
-        # The certificate keeps its own prime, whatever PRIMES holds.
+        # Small primes do for a pair this small.
         monkeypatch.setattr(mldegree, "PRIMES", (5, 7, 11))
         calls = spy_on_gcd(monkeypatch)
-        assert count_solutions_off_locus((x * (x - 1), y), x) == 1
+        assert count_solutions_off_locus((x * (x - 1), y), (x,)) == 1
         assert calls == []
+
+    def test_degenerate_cells_fall_back_to_q(self, monkeypatch):
+        # (2,2) has a common linear factor and (3,1) has g1 = 0: the
+        # resultant vanishes on every prime, and the split runs over Q.
+        calls = spy_on_gcd(monkeypatch)
+        assert ml_degree(2, 2, seed=1) == 0
+        assert calls
+        assert ml_degree(3, 1, seed=1) == 0
+
+    def test_no_buchberger_on_the_count(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Buchberger ran")
+
+        monkeypatch.setattr(groebner, "buchberger", refuse)
+        for m1, n in BENCHMARK_CELLS + [(2, 2)]:
+            ml_degree(m1, n, seed=0)
+        for case_id, m2, k in [("one", 3, 2), ("one", 4, 2), ("two", 2, 2), ("two", 2, 3), ("two", 2, 4)]:
+            ml_multiplicity_prop43(m2, k, case_id)
 
 
 BAD_PRIME = PRIMES[0]
 
 
 class TestModularCount:
-    # Both routes share Buchberger, so agreement here does not confirm a
-    # cell: (4,4) is compared with the oracle but not pinned.
+    # The Buchberger oracle's modular rank against its Fraction rank: both
+    # share Buchberger, so agreement here does not confirm a cell.
     @pytest.mark.parametrize(
         "m1,n,seed",
-        [(m1, n, seed) for m1, n, _ in TABLE_CELLS for seed in (1, 2)]
+        [(m1, n, seed) for m1, n, _ in TABLE_CELLS[:10] for seed in (1, 2)]
         + [(m1, n, 0) for m1, n in BENCHMARK_CELLS],
     )
-    def test_matches_fraction_count(self, monkeypatch, m1, n, seed):
-        got, (f, gb, monos) = rank_inputs(monkeypatch, m1, n, seed)
+    def test_matches_fraction_count(self, m1, n, seed):
+        f, gb, monos = rank_inputs(m1, n, seed)
+        got = modular_stable_rank(f, gb, monos)
         assert got == fraction_stable_rank(multiplication_matrix(f, gb, monos))
+        assert got == ml_degree(m1, n, seed)
 
     def test_basis_denominator_skips_prime(self, monkeypatch):
         x, y = xy_ring()
         used = spy_on_primes(monkeypatch)
-        # reduced basis {x^2 - x/P, y}: roots x = 0 and x = 1/P
+        # roots x = 0 and x = 1/P: the pair has no image mod P
         gens = (x * (x - Fraction(1, BAD_PRIME)), y)
-        assert count_solutions_off_locus(gens, x) == 1
+        assert count_solutions_off_locus(gens, (x,)) == 1
         assert used and BAD_PRIME not in used
 
     def test_f_denominator_skips_prime(self, monkeypatch):
         x, y = xy_ring()
         used = spy_on_primes(monkeypatch)
         gens = (x**2 * (x - 1), y)
-        assert count_solutions_off_locus(gens, x - Fraction(1, BAD_PRIME)) == 3
+        assert count_solutions_off_locus(gens, (x - Fraction(1, BAD_PRIME),)) == 3
         assert used and BAD_PRIME not in used
 
     def test_unlucky_prime_is_outvoted(self, monkeypatch):
         x, y = xy_ring()
         # f = x - 5 is x mod 5, which vanishes at the root x = 0
         gens = (x * (x - 1), y)
-        monkeypatch.setattr(mldegree, "PRIMES", (5, 7, 11))
+        monkeypatch.setattr(mldegree, "PRIMES", (5, 11, 17))
         used = spy_on_primes(monkeypatch)
-        assert count_solutions_off_locus(gens, x - 5) == 2
-        assert used == [5, 7, 11]
+        assert count_solutions_off_locus(gens, (x - 5,)) == 2
+        assert used == [5, 11, 17]
+
+    def test_unlucky_shear_is_outvoted(self, monkeypatch):
+        x, y = xy_ring()
+        # At 7 the shear is 4: the zero of p + 4q on f = 0 has y - 4x = 3,
+        # as the solution (1, 0) does, so that solution is divided out too.
+        gens = (x * (x - 1), y)
+        monkeypatch.setattr(mldegree, "PRIMES", (7, 11, 17))
+        counts = []
+        real = mldegree._sheared_count
+        monkeypatch.setattr(mldegree, "_sheared_count", lambda *a: counts.append(real(*a)) or counts[-1])
+        assert count_solutions_off_locus(gens, (x - 5,)) == 2
+        assert counts == [1, 2, 2]
 
     def test_no_agreement_raises(self, monkeypatch):
         x, y = xy_ring()
-        monkeypatch.setattr(mldegree, "PRIMES", (5, 7))
+        monkeypatch.setattr(mldegree, "PRIMES", (5, 11))
         with pytest.raises(PrimesExhausted):
-            count_solutions_off_locus((x * (x - 1), y), x - 5)
+            count_solutions_off_locus((x * (x - 1), y), (x - 5,))
 
     def test_all_primes_bad_raises(self, monkeypatch):
         x, y = xy_ring()
         monkeypatch.setattr(mldegree, "PRIMES", (BAD_PRIME,))
         gens = (x * (x - Fraction(1, BAD_PRIME)), y)
         with pytest.raises(PrimesExhausted):
-            count_solutions_off_locus(gens, x)
+            count_solutions_off_locus(gens, (x,))
+
+    def test_vanishing_leading_coefficient_skips_trial(self, monkeypatch):
+        x, y = xy_ring()
+        # The shear at 5 and at 11 is 1, where the top part x*(x - y) of the
+        # first polynomial vanishes at (1, c); only 7 and 13 count.
+        monkeypatch.setattr(mldegree, "PRIMES", (5, 7, 11, 13))
+        assert [mldegree._shear(p) for p in (5, 11)] == [1, 1]
+        used = spy_on_primes(monkeypatch)
+        counts = []
+        real = mldegree._sheared_count
+        monkeypatch.setattr(mldegree, "_sheared_count", lambda *a: counts.append(real(*a)) or counts[-1])
+        gens = (x * (x - y) + 1, y - 2)
+        assert count_solutions_off_locus(gens, ()) == 2
+        assert used == [5, 7, 11, 13] and counts == [None, 2, None, 2]
+        # The same for a locus factor: x - y at (1, 1).
+        used.clear(), counts.clear()
+        assert count_solutions_off_locus((x * x - 2, y - 1), (x - y,)) == 2
+        assert used == [5, 7, 11, 13] and counts == [None, 2, None, 2]
 
 
 THREE_POINTS = [(1, 2), (3, 5), (-2, 7)]
@@ -500,9 +519,9 @@ class TestMultiplicationMatrixMod:
         [(m1, n, seed) for m1, n in BENCHMARK_CELLS for seed in (0, 1, 2)]
         + [(5, 5, 0), (6, 6, 0)],
     )
-    def test_matches_column_by_column(self, monkeypatch, m1, n, seed):
-        _, (f, gb, monos) = rank_inputs(monkeypatch, m1, n, seed)
-        for prime in PRIMES[:2]:
+    def test_matches_column_by_column(self, m1, n, seed):
+        f, gb, monos = rank_inputs(m1, n, seed)
+        for prime in ORACLE_PRIMES[:2]:
             got, expect = both_matrices_mod(f, gb, monos, prime)
             assert got == expect
 
@@ -514,7 +533,7 @@ class TestMultiplicationMatrixMod:
         k12 = Poly.variable(SCORE_VARS, "k12")
         k22 = Poly.variable(SCORE_VARS, "k22")
         f = 2 + 3 * k12 - 5 * k22 + 7 * k12 * k22 + k12 * k12 * k22 - k22**3
-        for prime in PRIMES[:2]:
+        for prime in ORACLE_PRIMES[:2]:
             got, expect = both_matrices_mod(f, gb, monos, prime)
             assert got == expect
             # The values of the standard monomials at a point form a left
@@ -563,15 +582,95 @@ class TestStableRankMod:
     @settings(max_examples=80, deadline=None)
     def test_matches_fraction_stable_rank(self, rows):
         expect = fraction_stable_rank(Matrix(rows))
-        for prime in PRIMES[:2]:
-            assert _stable_rank_mod([[x % prime for x in row] for row in rows], prime) == expect
+        for prime in ORACLE_PRIMES[:2]:
+            assert stable_rank_mod([[x % prime for x in row] for row in rows], prime) == expect
 
     def test_nilpotent_block_ranks(self):
         # J_3 has ranks 2, 1, 0 along its powers; beside the identity the
         # stable rank is the identity's size.
         rows = [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
-        assert _stable_rank_mod(rows, PRIMES[0]) == 2
+        assert stable_rank_mod(rows, ORACLE_PRIMES[0]) == 2
         assert fraction_stable_rank(Matrix(rows)) == 2
+
+
+def _pad(a, size):
+    out = np.zeros((size, size), dtype=np.int64)
+    out[: a.shape[0], : a.shape[1]] = a
+    return out
+
+
+def sylvester_resultant(a, b, prime):
+    """Res(a, b) mod prime as the determinant of the Sylvester matrix, for
+    coefficient lists lowest first."""
+    da, db = len(a) - 1, len(b) - 1
+    rows = [[0] * i + a[::-1] + [0] * (db - 1 - i) for i in range(db)]
+    rows += [[0] * i + b[::-1] + [0] * (da - 1 - i) for i in range(da)]
+    return int(Matrix(rows).det()) % prime
+
+
+class TestModularKernels:
+    # The int64 kernels of the count against exact arithmetic over Python ints.
+    @given(st.lists(st.integers(0, 10**12), min_size=2, max_size=7),
+           st.lists(st.integers(0, 10**12), min_size=2, max_size=7),
+           st.sampled_from([5, 7, 101, PRIMES[0]]), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_resultants_match_sylvester(self, a, b, prime, common):
+        # A shared linear factor x - common makes the resultant vanish.
+        a, b = ([c % prime for c in f] for f in (a, b))
+        if common:
+            a, b = ([(y - common * x) % prime for x, y in zip(f + [0], [0] + f)] for f in (a, b))
+        if not (a[-1] and b[-1]):
+            return
+        want = sylvester_resultant(a, b, prime)
+        assert want == 0 or not common
+        assert mldegree._resultants(np.array([a]), np.array([b]), prime).tolist() == [want]
+
+    def test_resultants_by_rows(self):
+        # Rows whose remainders drop by different degrees go on in groups:
+        # x^2 + 1 mod x^2 + 3 is a constant, x^2 + 2 mod itself is 0, and
+        # (x + 1)^2 mod x^2 - 1 = 2x + 2 drops one degree.
+        prime = 101
+        a = [[1, 0, 1], [2, 0, 1], [1, 2, 1]]
+        b = [[3, 0, 1], [2, 0, 1], [prime - 1, 0, 1]]
+        want = [sylvester_resultant(u, v, prime) for u, v in zip(a, b)]
+        assert want[0] and want[1] == want[2] == 0
+        assert mldegree._resultants(np.array(a), np.array(b), prime).tolist() == want
+
+    @given(st.integers(1, 6), st.integers(0, 2**32), st.sampled_from([5, PRIMES[0]]))
+    @settings(max_examples=100, deadline=None)
+    def test_det_mod_matches_bareiss(self, size, seed, prime):
+        rng = np.random.default_rng(seed)
+        # low-rank and zero-pivot matrices beside full ones
+        mats = rng.integers(0, 4, (6, size, size))
+        mats[1] = mats[1] @ np.diag(rng.integers(0, 2, size))
+        mats[2, 0, 0] = 0
+        got = mldegree._det_mod(mats, prime)
+        assert got.tolist() == [int(Matrix(m.tolist()).det()) % prime for m in mats]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 17])
+    def test_interpolation_recovers_coefficients(self, n):
+        prime = PRIMES[1]
+        coeffs = np.random.default_rng(n).integers(0, prime, n)
+        values = np.array([sum(int(c) * pow(t, i, prime) for i, c in enumerate(coeffs)) % prime for t in range(n)])
+        w = mldegree._interpolation_matrix(n, prime)
+        assert mldegree._matmul_mod(w, values, prime).tolist() == coeffs.tolist()
+
+    @pytest.mark.parametrize("m1,n", [(3, 3), (4, 3), (5, 3), (9, 5), (4, 4), (2, 2)])
+    def test_chart_images_match_score_polynomials(self, m1, n):
+        # The int64 chart route gives the images of the exact pair with g2
+        # divided out and of g1*g2*k22, entry for entry.
+        g1, g2, gens = score_polynomials(random_integer_sample(m1, n, seed=0))
+        k22 = Poly.variable(SCORE_VARS, "k22")
+        y = mldegree._integer_data(m1, n, 0)
+        first, second = y[:, 0::2], y[:, 1::2]
+        scatters = (first @ first.T, first @ second.T + second @ first.T, second @ second.T)
+        prime = PRIMES[0]
+        shear = mldegree._shear(prime)
+        chart = mldegree._chart_images(scatters, prime, shear)
+        exact = mldegree._poly_images([_divide_out(g, g2) for g in gens] + [g1 * g2 * k22], prime, shear)
+        for got, want in zip(chart, exact):
+            size = max(got.shape[0], want.shape[0])
+            assert np.array_equal(_pad(got, size), _pad(want, size))
 
 
 class TestMlDegree:
@@ -674,30 +773,27 @@ class TestProp43:
         + [("two", 2, k, 2 if k == 2 else 4) for k in range(2, 7)],
     )
     def test_count_matches_rabinowitsch_oracle(self, case_id, m2, k, count):
-        gens, f = _prop43_pair(m2, k, case_id)
+        gens, factors = _prop43_pair(m2, k, case_id)
         zero_dim, degree = dim_and_degree(buchberger(prop43_system(m2, k, case_id)))
         assert zero_dim
-        assert count_solutions_off_locus(gens, f) == degree == count
+        assert count_solutions_off_locus(gens, factors) == degree == count
 
     def test_counts_through_count_solutions_off_locus(self, monkeypatch):
         calls = []
         real = mldegree.count_solutions_off_locus
 
-        def spy(gens, f, pair_budget):
-            calls.append(pair_budget)
-            return real(gens, f, pair_budget)
+        def spy(gens, factors):
+            calls.append(factors)
+            return real(gens, factors)
 
         monkeypatch.setattr(mldegree, "count_solutions_off_locus", spy)
-        assert ml_multiplicity_prop43(2, 3, "two", pair_budget=1000) == 4
-        assert calls == [1000]
+        assert ml_multiplicity_prop43(2, 3, "two") == 4
+        # each distinct denominator once: q, c - b^2 and c + 1
+        assert [sorted(f.total_degree() for f in factors) for factors in calls] == [[1, 2, 2]]
         # no solution off the locus is outside the band too
         monkeypatch.setattr(mldegree, "count_solutions_off_locus", lambda *a: 0)
         with pytest.raises(ValueError, match=r"count 0 outside expected \[2, 4\]"):
             ml_multiplicity_prop43(2, 3, "two")
-
-    def test_budget_exhaustion_raises(self):
-        with pytest.raises(PairBudgetExceeded):
-            ml_multiplicity_prop43(2, 3, "two", pair_budget=1)
 
     def test_b_zero_roots_satisfy_system(self):
         # on the b = 0 slice the saturated system reduces to the quadratic;

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kronmle import poly
+from kronmle import mldegree, poly
 from kronmle.linalg import Matrix
-from kronmle.mldegree import random_integer_sample, score_polynomials
-from kronmle.poly import CERTIFY_PRIME, Poly, certify_coprime, exact_divide, poly_det, poly_gcd
+from kronmle.mldegree import PRIMES, random_integer_sample, score_polynomials
+from kronmle.poly import Poly, exact_divide, poly_det, poly_gcd
 from paper_helpers import evaluate
 
 VARS = ("x", "y")
@@ -216,19 +216,36 @@ def bivariate_polys(draw, max_deg=2):
     return Poly(VARS, draw(st.dictionaries(exps, small_coeffs, max_size=4)))
 
 
+def resultant_certifies(p, q, primes=PRIMES):
+    """Whether the sheared resultant Res_x(p, q) mod prime is nonzero at the
+    first trial of mldegree's count whose images exist and keep their
+    leading coefficients in x: it is then the image of the resultant over
+    Q, which proves p and q coprime over Q."""
+    for prime in primes:
+        shear = mldegree._shear(prime)
+        image = mldegree._poly_images((p, q, Poly.constant(p.vars, 1)), prime, shear)
+        if image is None:
+            continue
+        count = mldegree._sheared_count(*image, prime, shear)
+        if count is not None:
+            return count >= 0
+    return False
+
+
 class TestCertifyCoprime:
+    # The certificate of coprimality is the resultant of the count itself.
     def test_coprime_pairs_certified(self):
         x, y = x_y()
-        assert certify_coprime(x + 1, y + 2)
-        assert certify_coprime(x**2 - y, x * y + 1)
-        assert certify_coprime(x * y + 1, x * y + 2)
+        assert resultant_certifies(x + 1, y + 2)
+        assert resultant_certifies(x**2 - y, x * y + 1)
+        assert resultant_certifies(x * y + 1, x * y + 2)
         rng = np.random.default_rng(6)
         certified = 0
         for _ in range(20):
             p, q = random_poly(rng), random_poly(rng)
             if p.is_zero() or q.is_zero() or poly_gcd(p, q).total_degree() > 0:
                 continue
-            assert certify_coprime(p, q)
+            assert resultant_certifies(p, q)
             certified += 1
         assert certified >= 10
 
@@ -238,54 +255,49 @@ class TestCertifyCoprime:
         for m1, n in ((3, 3), (5, 3), (4, 4)):
             _, g2, gens = score_polynomials(random_integer_sample(m1, n, seed=0))
             p, q = (_divide_out(g, g2) for g in gens)
-            assert certify_coprime(p, q)
+            assert resultant_certifies(p, q)
             if m1 > n:
                 # a power of det K is common to the undivided pair
-                assert not certify_coprime(*gens)
+                assert not resultant_certifies(*gens)
 
     @given(bivariate_polys(), bivariate_polys(), bivariate_polys())
     @settings(max_examples=150, deadline=None)
     def test_common_factor_never_certified(self, h, a, b):
         if h.total_degree() <= 0 or a.is_zero() or b.is_zero():
             return
-        # Small points make leading coefficients vanish far more often.
-        for points in (poly.CERTIFY_POINTS, (0, 1, -1), (0,)):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(poly, "CERTIFY_POINTS", points)
-                assert not certify_coprime(h * a, h * b)
+        # Small primes make leading coefficients vanish far more often.
+        for primes in (PRIMES, (5,), (7,), (11,)):
+            assert not resultant_certifies(h * a, h * b, primes)
 
-    def test_point_where_leading_coefficient_vanishes_is_skipped(self, monkeypatch):
+    def test_point_where_leading_coefficient_vanishes_is_skipped(self):
         x, y = x_y()
-        monkeypatch.setattr(poly, "CERTIFY_POINTS", (0, 5))
-        # At y = 0 (and at x = 0) the factor x*y + 1 becomes the constant 1
-        # and the images are coprime; only the next point shows the factor.
-        h = x * y + 1
-        assert not certify_coprime(h * (x + y + 3), h * (x - y + 5))
-        # A coprime pair whose leading coefficients vanish at 0 is still
-        # certified at 5.
-        assert certify_coprime(x * y + 1, x * y + 2)
-        monkeypatch.setattr(poly, "CERTIFY_POINTS", (0,))
-        assert not certify_coprime(x * y + 1, x * y + 2)
+        # The shear at 5 is 1, where the top part x*(x - y) of the first
+        # polynomial vanishes at (1, c): that trial proves nothing, and the
+        # one at 7 does.
+        p = x * (x - y) + 1
+        assert mldegree._shear(5) == 1
+        assert not resultant_certifies(p, y - 2, (5,))
+        assert resultant_certifies(p, y - 2, (5, 7))
 
     def test_every_variable_certified(self):
         x, y = x_y()
-        # Each factor has degree 0 in one variable, where the images stay
-        # coprime; only the other variable sees it.
-        assert not certify_coprime((x + 1) * (x * y + 2), (x + 1) * (y + 3 * x))
-        assert not certify_coprime((y + 1) * (x * y + 2), (y + 1) * (x + 3 * y))
+        # Each factor has degree 0 in one variable; after the shear both
+        # involve the eliminated one, and the resultant vanishes.
+        assert not resultant_certifies((x + 1) * (x * y + 2), (x + 1) * (y + 3 * x))
+        assert not resultant_certifies((y + 1) * (x * y + 2), (y + 1) * (x + 3 * y))
 
     def test_denominator_divisible_by_prime(self):
         x, y = x_y()
-        # Scaled to integers, x*y - 1/P is P*x*y - 1, whose leading
-        # coefficient in y vanishes mod P at every point: not proved, and
-        # no error.
-        p = x * y - Fraction(1, CERTIFY_PRIME)
-        assert not certify_coprime(p, y - 2)
+        # x*y - 1/P has no image mod P: that prime proves nothing, and no
+        # error is raised.
+        p = x * y - Fraction(1, PRIMES[0])
+        assert not resultant_certifies(p, y - 2, PRIMES[:1])
+        assert resultant_certifies(p, y - 2)
         assert poly_gcd(p, y - 2).total_degree() == 0
 
     def test_zero_never_certified(self):
         x, _ = x_y()
-        assert not certify_coprime(Poly.constant(VARS, 0), x)
+        assert not resultant_certifies(Poly.constant(VARS, 0), x)
 
 
 def cofactor_det(grid):
