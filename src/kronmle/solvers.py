@@ -1,4 +1,4 @@
-"""MLE engines: the closed-form rational solution for k = 1 and flip-flop.
+"""MLE engines: the exact closed form for k = 1, flip-flop, and the castle front end.
 
 Both return the concentration factors (K1, K2) with K2 normalized to
 det(K2) = 1 and K1 carrying the scale, which resolves the (c, 1/c) gauge
@@ -13,7 +13,7 @@ from operator import mul
 
 import numpy as np
 
-from .canonical import DegenerateData, canonicalize
+from .canonical import DegenerateData, castle
 from .linalg import (
     Matrix,
     NotPD,
@@ -24,6 +24,7 @@ from .linalg import (
 )
 from .model import (
     kron_loglik,
+    scatter_k1,
     scatter_k1_whitened,
     scatter_k2_whitened,
     thresholds,
@@ -43,7 +44,7 @@ class KroneckerEstimate:
     k1: np.ndarray  # m1 x m1, PD
     k2: np.ndarray  # m2 x m2, PD, det-normalized to 1
     loglik: float
-    method: str  # "exact" | "flipflop" | "chain"
+    method: str  # "exact" (rational data) | "flipflop" | "chain"
     iterations: int  # flip-flop sweeps; after a castle, the dual's solve plus the polish
     converged: bool
     # Exact-mode extras: the unnormalized rational pair and det(K2_exact).
@@ -55,8 +56,8 @@ class KroneckerEstimate:
     # "converged", "stalled" or "max_iter" (see flipflop).
     residual: float = 0.0
     stop_reason: str = "converged"
-    # Where the run started: "identity", "closed form", or the castle step
-    # of mle, e.g. "castle (6,6,3)".
+    # Where the run started: "identity", "closed form" (exact k = 1), or the
+    # castle step of mle, e.g. "castle (6,6,3)".
     start: str = "identity"
 
 
@@ -72,38 +73,22 @@ def normalize_det1(k2, k1=None):
     return k2 / c, np.asarray(k1, dtype=float) * c
 
 
-def exact_mle_k1(sample, tol=1e-10, max_iter=10000):
-    """Closed-form Kronecker MLE in the k = 1 regime (n*m2 = m1 + 1).
+def exact_mle_k1(sample):
+    """Closed-form Kronecker MLE of rational data at k = 1 (n*m2 = m1 + 1).
 
     Recipe: split Y = [Y_* | y], form v = (Y_*^-1 y, -1), cut v into n
     blocks v_i of length m2, and set K2 = sum_i v_i v_i^T; K1 is the
-    profile maximizer at K2.  Exists iff n >= m2 and K2 is PD.  Over
-    rational data the unnormalized pair is exact, and K1 comes from the
-    rank-one formula of _exact_k1 without forming the m1 x m1 scatter.  On
-    float data the closed-form K2 is handed to flipflop (with tol and
-    max_iter) as its start, so the estimate carries flipflop's residual
-    guarantee.
+    profile maximizer at K2.  Exists iff n >= m2 and K2 is PD.  The pair
+    is exact; K1 comes from the rank-one formula of _exact_k1 without the
+    m1 x m1 scatter.  Float data raise ValueError (mle castles them).
     """
+    if not sample.is_exact:
+        raise ValueError("exact_mle_k1 works over Q: exact data only")
     if sample.k != 1:
         raise WrongRegime(f"exact engine needs k = 1, got k = {sample.k}")
     if sample.n < sample.m2:
         raise MLENotExists(f"n = {sample.n} < m2 = {sample.m2}")
-    if sample.is_exact:
-        return _exact_k1(sample)
-    cf = canonicalize(sample)  # raises DegenerateData when Y_* is singular
-    # v_i^T is the single row of the dual block Z_i.  The outer products are
-    # summed in order, not by a GEMM: on float data K2 starts flip-flop, and
-    # its last bits decide which runs near the roundoff floor converge.
-    k2 = np.zeros((sample.m2, sample.m2))
-    for z in cf.dual.blocks:
-        k2 = k2 + z.transpose() @ z
-    # Float data: the closed-form K2 starts flip-flop, whose stop rule then
-    # certifies the pair (one sweep when the closed form is accurate).
-    try:
-        est = flipflop(sample, init_k2=k2, tol=tol, max_iter=max_iter)
-    except NotPD:
-        raise MLENotExists("sum_i v_i v_i^T is not positive definite") from None
-    return replace(est, method="exact", start="closed form")
+    return _exact_k1(sample)
 
 
 def _dot(a, b):
@@ -276,39 +261,42 @@ def flipflop(sample, init_k2=None, tol=1e-10, max_iter=10000, callback=None):
 
 
 def mle(sample, tol=1e-10, max_iter=10000):
-    """Front end: the closed form at k = 1, else flip-flop, from a castle when it helps.
+    """Front end: flip-flop, from a castle when 1 <= k < m1.
 
-    When 1 <= k < m1, castling (Derksen, Makam & Walter 2022) maps the
-    sample to its dual (k, m2, n), a smaller problem whose likelihood is the
-    same up to the change of variable K2 -> K2^-1.  Flip-flop solves the
-    dual, and the inverse of its K2 starts flip-flop on the sample, whose
-    stop rule then certifies the pair.  The estimate is tagged "chain" and
-    iterations counts both runs' sweeps, which max_iter bounds together.
-    Any other shape, max_iter = 1, or a castle that fails on this data
-    (singular left block, dual outside flip-flop's regime, start not PD)
-    runs flip-flop from the identity instead, tagged "flipflop".
+    Castling (Derksen, Makam & Walter 2022) maps the sample to its dual
+    (k, m2, n).  In Sigma = K2^-1 the profile log-likelihood is, up to a
+    constant, n*(k*logdet(Sigma) - m2*logdet(T(Sigma))), T the dual's scatter,
+    and a kernel vector w of the stacked blocks [Z_1; ...; Z_n] fixes T along
+    Sigma = I + t*w*w^T: no MLE exists when n*k < m2, or when the dual's
+    flip-flop finds sum_i Z_i^T K1 Z_i singular.  Otherwise that sum, the
+    inverse of the dual's K2 up to scale (at k = 1 the closed form, after
+    one sweep), starts flip-flop on the sample, tagged "chain"; max_iter
+    bounds both runs' sweeps, which iterations counts.  Other shapes,
+    max_iter = 1 or a start that is not PD run flip-flop from the identity.
     """
-    if sample.k == 1:
-        return exact_mle_k1(sample, tol=tol, max_iter=max_iter)
-    if sample.n < thresholds(sample.m1, sample.m2).lower:
-        raise MLENotExists(f"n = {sample.n} is below max(m1/m2, m2/m1)")
-    if 1 <= sample.k < sample.m1 and max_iter >= 2:
-        try:
-            dual = flipflop(canonicalize(sample).dual, tol=tol, max_iter=max_iter - 1)
-            k2 = np.linalg.inv(dual.k2)
-            k2 = (k2 + k2.T) / 2
-            cholesky(k2)  # NotPD unless PD
-        except (DegenerateData, WrongRegime, NotPD, np.linalg.LinAlgError):
-            pass
-        else:
-            est = flipflop(sample, init_k2=k2, tol=tol, max_iter=max_iter - dual.iterations)
-            return replace(
-                est,
-                method="chain",
-                iterations=dual.iterations + est.iterations,
-                start=f"castle ({sample.k},{sample.m2},{sample.n})",
-            )
-    return flipflop(sample, tol=tol, max_iter=max_iter)
+    m1, m2, n, k = sample.m1, sample.m2, sample.n, sample.k
+    if n < thresholds(m1, m2).lower:
+        raise MLENotExists(f"n = {n} is below max(m1/m2, m2/m1)")
+    if k >= 1 and n * k < m2:
+        raise MLENotExists(f"n*k = {n * k} < m2 = {m2}: the dual blocks share a kernel vector")
+    if not (1 <= k < m1 and max_iter >= 2):
+        return flipflop(sample, tol=tol, max_iter=max_iter)
+    dual = castle(sample)  # DegenerateData when Y is rank-deficient
+    try:
+        solved = flipflop(dual, tol=tol, max_iter=max_iter - 1)
+    except DegenerateData:
+        raise MLENotExists("the dual blocks share a kernel vector") from None
+    try:
+        k2 = scatter_k1(dual, solved.k1)
+        est = flipflop(sample, init_k2=k2, tol=tol, max_iter=max_iter - solved.iterations)
+    except NotPD:
+        return flipflop(sample, tol=tol, max_iter=max_iter)
+    return replace(
+        est,
+        method="chain",
+        iterations=solved.iterations + est.iterations,
+        start=f"castle ({k},{m2},{n})",
+    )
 
 
 def format_estimate(est, m1, m2):

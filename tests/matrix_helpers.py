@@ -1,13 +1,14 @@
 """Matrix helpers that only the tests use: Kronecker products, stacking,
-column and diagonal constructors, and the trace.
+column and diagonal constructors, the trace, and exact copies of float samples.
 
-Each one works entry by entry over ``Matrix.data``, independently of the
-integer rows that the exact kernels use.
+The Matrix helpers work entry by entry over ``Matrix.data``,
+independently of the integer rows that the exact kernels use.
 """
 
 import numpy as np
 
 from kronmle.linalg import Matrix
+from kronmle.model import SampleSet
 
 
 def kron(a, b):
@@ -43,3 +44,8 @@ def trace(a):
     if a.rows != a.cols:
         raise ValueError("square matrix required")
     return sum(a.data[i][i] for i in range(a.rows))
+
+
+def exact_copy(sample):
+    """The float sample over Q: Matrix reads each binary64 entry exactly."""
+    return SampleSet(Matrix(sample.y.tolist()), sample.m2)

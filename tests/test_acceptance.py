@@ -11,7 +11,7 @@ from kronmle.linalg import Matrix
 from kronmle.mldegree import ml_degree, ml_multiplicity_prop43, b_zero_quadratic, random_integer_sample, score_polynomials
 from kronmle.model import SampleSet, sample_matrix_normal
 from kronmle.solvers import MLENotExists, exact_mle_k1, flipflop, normalize_det1
-from matrix_helpers import kron
+from matrix_helpers import exact_copy, kron
 from paper_helpers import evaluate, g_objective, reduced_gradient, reduced_objective
 
 
@@ -68,7 +68,7 @@ def test_03_flipflop_vs_closed_form_23_4_6():
     start = time.monotonic()
     sample = sample_matrix_normal(np.eye(23), np.eye(4), 6, seed=7)
     assert sample.k == 1
-    exact = exact_mle_k1(sample)
+    exact = exact_mle_k1(exact_copy(sample))
     deviations = {}
 
     def record(sweep, k1, k2):
@@ -156,7 +156,7 @@ def test_06_constructed_multiplicity():
 def test_07_gradient_checks():
     start = time.monotonic()
     sample = sample_matrix_normal(np.eye(5), np.eye(3), 3, seed=3)
-    cf = canonicalize(sample)
+    cf = canonicalize(exact_copy(sample))
     rng = np.random.default_rng(70)
     h = 1e-6
     for _ in range(50):
@@ -176,9 +176,9 @@ def test_07_gradient_checks():
     # at the k = 1 closed-form solution the gradient vanishes
     k1_sample = sample_matrix_normal(np.eye(5), np.eye(2), 3, seed=5)
     assert k1_sample.k == 1
-    est = exact_mle_k1(k1_sample)
+    est = exact_mle_k1(exact_copy(k1_sample))
     sigma_hat = np.linalg.inv(est.k2)
-    grad = reduced_gradient(canonicalize(k1_sample), sigma_hat)
+    grad = reduced_gradient(canonicalize(exact_copy(k1_sample)), sigma_hat)
     assert np.abs(grad).max() <= 1e-8
     elapsed = time.monotonic() - start
     print(f"\nACCEPT 7 gradient vs finite differences: PASS ({elapsed:.3f}s)")
@@ -234,20 +234,20 @@ def test_09_existence_boundary():
     bad = sample_matrix_normal(np.eye(5), np.eye(3), 2, seed=1)
     assert bad.k == 1 and bad.n < bad.m2
     with pytest.raises(MLENotExists):
-        exact_mle_k1(bad)
+        exact_mle_k1(exact_copy(bad))
 
     # k = 1 with n >= m2 on generic data: a positive definite pair
     for m1, m2, n in ((3, 2, 2), (5, 2, 3), (5, 3, 2 * 3)):
         if n * m2 - m1 != 1:
             continue
         good = sample_matrix_normal(np.eye(m1), np.eye(m2), n, seed=2)
-        est = exact_mle_k1(good)
+        est = exact_mle_k1(exact_copy(good))
         assert np.linalg.eigvalsh(est.k1).min() > 0
         assert np.linalg.eigvalsh(est.k2).min() > 0
     # a larger regime with n = m2
     good = sample_matrix_normal(np.eye(11), np.eye(3), 4, seed=3)
     assert good.k == 1 and good.n >= good.m2
-    est = exact_mle_k1(good)
+    est = exact_mle_k1(exact_copy(good))
     assert np.linalg.eigvalsh(est.k1).min() > 0
     assert np.linalg.eigvalsh(est.k2).min() > 0
     elapsed = time.monotonic() - start

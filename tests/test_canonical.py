@@ -1,4 +1,4 @@
-"""Reduction to [I | C] form, the dual sample, and its scatter, the trace form."""
+"""The castle, the exact [I | C] form, their dual samples, and the trace form."""
 
 import dataclasses
 from fractions import Fraction
@@ -11,11 +11,12 @@ from kronmle.canonical import (
     NonPositiveK,
     canonical_sample,
     canonicalize,
+    castle,
     det_reduction_check,
 )
 from kronmle.linalg import Matrix
 from kronmle.model import SampleSet, sample_matrix_normal, scatter_k2
-from matrix_helpers import column, kron
+from matrix_helpers import column, exact_copy, kron
 from paper_helpers import g_objective, reduced_gradient, reduced_objective
 
 
@@ -49,7 +50,7 @@ class TestCanonicalize:
     def test_dimensions_derived(self, exact):
         # only C and the dual are stored; m1, m2, n and k are read off them
         s = SampleSet(Matrix([[int(i == j) + (i * j) % 3 for j in range(9)] for i in range(5)]), 3)
-        cf = canonicalize(s if exact else s.to_float())
+        cf = canonicalize(s if exact else exact_copy(s.to_float()))
         assert [f.name for f in dataclasses.fields(cf)] == ["C", "dual"]
         assert (cf.m1, cf.m2, cf.n, cf.k) == (s.m1, s.m2, s.n, s.k) == (5, 3, 3, 4)
 
@@ -97,11 +98,47 @@ class TestCanonicalize:
         with pytest.raises(NonPositiveK):
             canonicalize(s)
 
+    def test_float_input_rejected(self):
+        with pytest.raises(ValueError, match="exact data only"):
+            canonicalize(worked_example().to_float())
+
     def test_float_path_matches_exact(self):
+        # castle's rows B = A [C^T | -I_k] for some nonsingular A = -B[:, m1:]
         cf_e = canonicalize(worked_example())
-        cf_f = canonicalize(worked_example().to_float())
-        assert np.allclose(cf_f.C, cf_e.C.to_numpy())
-        assert np.allclose(d_matrix(cf_f), d_matrix(cf_e).to_numpy())
+        b = castle(worked_example().to_float()).y
+        d_t = np.linalg.solve(-b[:, cf_e.m1 :], b)
+        assert np.allclose(d_t[:, : cf_e.m1].T, cf_e.C.to_numpy())
+        assert np.allclose(d_t.T, d_matrix(cf_e).to_numpy())
+
+
+class TestCastle:
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (12, 6, 3), (23, 4, 6), (4, 3, 2)])
+    def test_orthonormal_kernel_basis(self, shape):
+        m1, m2, n = shape
+        s = sample_matrix_normal(np.eye(m1), np.eye(m2), n, seed=m1)
+        dual = castle(s)
+        assert (dual.m1, dual.m2, dual.n) == (s.k, m2, n)
+        assert np.abs(s.y @ dual.y.T).max() <= 1e-13 * np.abs(s.y).max()
+        assert np.abs(dual.y @ dual.y.T - np.eye(s.k)).max() <= 1e-13
+
+    def test_singular_left_block_is_not_degenerate(self):
+        # Y_* singular, Y of full rank: no [I | C] form, but a kernel basis
+        y = Matrix([[1, 1, 5, 0], [1, 1, 7, 1]])
+        with pytest.raises(DegenerateData):
+            canonicalize(SampleSet(y, 2))
+        dual = castle(SampleSet(y.to_numpy(), 2))
+        assert np.abs(y.to_numpy() @ dual.y.T).max() <= 1e-13
+
+    @pytest.mark.parametrize("rank", [0, 2])
+    def test_rank_deficient_data(self, rank):
+        rng = np.random.default_rng(rank)
+        y = rng.standard_normal((5, rank)) @ rng.standard_normal((rank, 6))
+        with pytest.raises(DegenerateData, match="rank-deficient"):
+            castle(SampleSet(y, 2))
+
+    def test_nonpositive_k(self):
+        with pytest.raises(NonPositiveK):
+            castle(SampleSet(np.eye(2), 2))
 
 
 class TestDetReduction:
@@ -244,13 +281,13 @@ class TestTraceForm:
         # float samples: the GEMM scatter agrees with the kron product to roundoff
         for m1, m2, n in ((4, 3, 2), (5, 2, 4), (7, 3, 3)):
             s = sample_matrix_normal(np.eye(m1), np.eye(m2), n, seed=m1 + n)
-            cf = canonicalize(s)
+            dual = castle(s)
             a = rng.standard_normal((m2, m2))
             sigma = a @ a.T + np.eye(m2)
-            d = d_matrix(cf)
+            d = dual.y.T
             direct = d.T @ kron(np.eye(n), sigma) @ d
-            got = scatter_k2(cf.dual, sigma)
-            assert got.shape == (cf.k, cf.k)
+            got = scatter_k2(dual, sigma)
+            assert got.shape == (s.k, s.k)
             assert np.abs(got - direct).max() <= 1e-12 * np.abs(direct).max()
 
     def test_symmetric_pd_at_pd_sigma(self):
@@ -261,7 +298,7 @@ class TestTraceForm:
             t = scatter_k2(cf.dual, k_mat.inverse())
             assert t == t.transpose()
             assert t.is_positive_definite()
-            tf = scatter_k2(canonicalize(canonical_sample(cf).to_float()).dual, k_mat.to_numpy())
+            tf = scatter_k2(castle(canonical_sample(cf).to_float()), k_mat.to_numpy())
             assert np.array_equal(tf, tf.T)
             assert np.linalg.eigvalsh(tf).min() > 0
 
@@ -269,7 +306,7 @@ class TestTraceForm:
         # Both branches check K2's shape; the exact one must not zip the
         # 2-wide pieces of each row against columns of another length.
         exact = canonicalize(worked_example()).dual
-        floats = canonicalize(worked_example().to_float()).dual
+        floats = castle(worked_example().to_float())
         for size in (1, 3):
             with pytest.raises(ValueError, match="K2 must be 2 x 2"):
                 scatter_k2(exact, Matrix.identity(size))
@@ -312,8 +349,8 @@ class TestReducedObjective:
         from kronmle.solvers import flipflop
 
         s = sample_matrix_normal(np.eye(3), np.eye(2), 3, seed=21)
-        cf = canonicalize(s)
-        canon = SampleSet(np.hstack([np.eye(cf.m1), cf.C]), cf.m2)
+        cf = canonicalize(exact_copy(s))
+        canon = SampleSet(np.hstack([np.eye(cf.m1), cf.C.to_numpy()]), cf.m2)
         est_raw = flipflop(s, tol=1e-12)
         est_canon = flipflop(canon, tol=1e-12)
         assert np.abs(est_raw.k2 - est_canon.k2).max() <= 1e-6

@@ -86,6 +86,31 @@ class TestSample:
         assert "upper 4" in err
 
 
+def ones_k1_sample(seed):
+    """A (23,4,6) sample whose last column of Y_* is the sum of the others.
+
+    ker Y is spanned by v = (1, ..., 1, -1, 0), so sum_i v_i v_i^T has rank 2.
+    """
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((23, 24))
+    y[:, 22] = y[:, :22] @ np.ones(22)
+    return SampleSet(y, 4)
+
+
+def shared_kernel_sample(seed):
+    """A (13,5,3) sample whose dual blocks Z_i all vanish on one vector w.
+
+    Y is an orthonormal basis of the complement of the rows of
+    D^T = [Z_1 | Z_2 | Z_3], so that ker Y is spanned by those rows.
+    """
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(5)
+    project = np.eye(5) - np.outer(w, w) / (w @ w)
+    d_t = np.hstack([rng.standard_normal((2, 5)) @ project for _ in range(3)])
+    q, _ = np.linalg.qr(d_t.T, mode="complete")
+    return SampleSet(q[:, 2:].T, 5)
+
+
 class TestMle:
     def write_sample(self, tmp_path, m1, m2, n, seed=0):
         s = sample_matrix_normal(np.eye(m1), np.eye(m2), n, seed=seed)
@@ -98,13 +123,13 @@ class TestMle:
         out = tmp_path / "est.txt"
         code, stdout, _ = run(capsys, "mle", "--in", str(path), "--out", str(out))
         assert code == EXIT_OK
-        assert "method: exact" in stdout
+        assert "method: chain" in stdout  # the k = 1 closed form, reached by castle
         assert out.exists()
 
     def test_k1_solves_once(self, tmp_path, capsys, monkeypatch):
-        # The closed form is the estimate: flip-flop runs once, as its
-        # certifying polish, with no re-solve from the identity and no
-        # sweep table.
+        # The closed form is the estimate: flip-flop solves the (1, m2, n)
+        # dual from the identity, then once more on the sample, as the
+        # closed form's certifying polish; no re-solve and no sweep table.
         starts = []
         real = solvers.flipflop
 
@@ -117,9 +142,9 @@ class TestMle:
         path = self.write_sample(tmp_path, 7, 2, 4, seed=4)
         code, stdout, _ = run(capsys, "mle", "--in", str(path))
         assert code == EXIT_OK
-        assert starts == [True]
+        assert starts == [False, True]
         assert "sweep" not in stdout
-        assert stdout.splitlines()[:2] == ["method: exact", "start: closed form"]
+        assert stdout.splitlines()[:2] == ["method: chain", "start: castle (1,2,4)"]
 
     def test_chain_start_line(self, tmp_path, capsys):
         path = self.write_sample(tmp_path, 13, 5, 3, seed=1)
@@ -166,15 +191,53 @@ class TestMle:
             assert "MLE does not exist" in err
 
     def test_degenerate_exit_code(self, tmp_path, capsys):
-        # all-zero data: a singular leading block (k = 1) or a singular
-        # scatter in the first flip-flop sweep (k = 6)
-        for m1, m2, n in [(3, 2, 2), (12, 6, 3)]:
-            rows = "\n".join(" ".join(["0"] * (n * m2)) for _ in range(m1))
-            path = tmp_path / "zero.txt"
-            path.write_text(f"{m1} {m2} {n}\n{m1} {n * m2}\n{rows}\n")
+        # all-zero data at k = 1 and k = 6, and a rank-2 Y at k = 1: castle
+        # finds Y rank-deficient before any solve
+        rng = np.random.default_rng(0)
+        rank2 = rng.standard_normal((23, 2)) @ rng.standard_normal((2, 24))
+        for y, m2 in [(np.zeros((3, 4)), 2), (np.zeros((12, 18)), 6), (rank2, 4)]:
+            path = tmp_path / "degenerate.txt"
+            path.write_text(format_sample_set(SampleSet(y, m2)))
             code, _, err = run(capsys, "mle", "--in", str(path))
             assert code == EXIT_DEGENERATE
             assert "degenerate data" in err
+
+    @pytest.mark.parametrize("shape", [(8, 5, 2), (11, 7, 2), (13, 8, 2)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_no_mle_when_nk_below_m2(self, tmp_path, capsys, shape, seed):
+        # n*k < m2: the stacked dual blocks have a kernel vector on any data
+        m1, m2, n = shape
+        path = self.write_sample(tmp_path, m1, m2, n, seed=seed)
+        code, stdout, err = run(capsys, "mle", "--in", str(path))
+        assert code == EXIT_NO_MLE and stdout == ""
+        k = n * m2 - m1
+        assert err.splitlines() == [
+            f"MLE does not exist: n*k = {n * k} < m2 = {m2}: the dual blocks share a kernel vector"
+        ]
+
+    @pytest.mark.parametrize("build", [ones_k1_sample, shared_kernel_sample], ids=["k1", "13x5x3"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_mle_when_dual_blocks_share_a_kernel_vector(self, tmp_path, capsys, build, seed):
+        # n*k >= m2, so only the dual's flip-flop can tell
+        path = tmp_path / "sample.txt"
+        path.write_text(format_sample_set(build(seed)))
+        code, _, err = run(capsys, "mle", "--in", str(path))
+        assert code == EXIT_NO_MLE
+        assert err == "MLE does not exist: the dual blocks share a kernel vector\n"
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (5, 2, 3), (9, 2, 5), (23, 4, 6)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_k1_singular_left_block_exit_code(self, tmp_path, capsys, shape, seed):
+        # the last column of Y_* is Y_*[:, :-1] @ c: no [I | C] form, but an MLE
+        m1, m2, n = shape
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal((m1, n * m2))
+        y[:, m1 - 1] = y[:, : m1 - 1] @ rng.standard_normal(m1 - 1)
+        path = tmp_path / "sample.txt"
+        path.write_text(format_sample_set(SampleSet(y, m2)))
+        code, stdout, err = run(capsys, "mle", "--in", str(path))
+        assert code == EXIT_OK, err
+        assert "converged: True" in stdout
 
     @pytest.mark.parametrize(
         "token, named",

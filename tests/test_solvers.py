@@ -1,4 +1,4 @@
-"""Closed-form k = 1 estimator, flip-flop ascent, and the dispatcher."""
+"""Closed-form k = 1 estimator, flip-flop ascent, and the castle front end."""
 
 import os
 import subprocess
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import kronmle
 from kronmle import solvers
 from kronmle.cli import EXIT_OK, main
-from kronmle.canonical import DegenerateData, canonicalize
+from kronmle.canonical import DegenerateData, canonicalize, castle
 from kronmle.linalg import Matrix, NotPD
 from kronmle.model import (
     SampleSet,
@@ -33,7 +33,8 @@ from kronmle.solvers import (
     mle,
     normalize_det1,
 )
-from matrix_helpers import diagonal
+from matrix_helpers import diagonal, exact_copy
+from paper_helpers import reduced_objective
 
 
 def exact_sample(rows, m2):
@@ -142,16 +143,22 @@ class TestExactK1:
     def test_wrong_regime(self):
         s = sample_matrix_normal(np.eye(2), np.eye(2), 2, seed=0)  # k = 2
         with pytest.raises(WrongRegime):
-            exact_mle_k1(s)
+            exact_mle_k1(exact_copy(s))
 
     def test_not_exists_when_n_below_m2(self):
         s = sample_matrix_normal(np.eye(5), np.eye(3), 2, seed=0)  # k = 1, n < m2
         with pytest.raises(MLENotExists):
+            exact_mle_k1(exact_copy(s))
+
+    def test_float_data_rejected(self):
+        # exact only: float data reach the closed form through mle's castle
+        s = sample_matrix_normal(np.eye(3), np.eye(2), 2, seed=3)
+        with pytest.raises(ValueError, match="exact data only"):
             exact_mle_k1(s)
 
     def test_exists_when_n_at_least_m2(self):
         s = sample_matrix_normal(np.eye(3), np.eye(2), 2, seed=3)  # k = 1, n = m2
-        est = exact_mle_k1(s)
+        est = exact_mle_k1(exact_copy(s))
         assert np.linalg.eigvalsh(est.k1).min() > 0
         assert np.linalg.eigvalsh(est.k2).min() > 0
         assert np.linalg.det(est.k2) == pytest.approx(1.0, rel=1e-9)
@@ -159,32 +166,9 @@ class TestExactK1:
     def test_float_and_exact_paths_agree(self):
         s = hand_k1_sample()
         a = exact_mle_k1(s)
-        b = exact_mle_k1(s.to_float())
+        b = mle(s.to_float())  # the float path: castle, then the polish
         assert np.allclose(a.k1, b.k1)
         assert np.allclose(a.k2, b.k2)
-
-    @pytest.mark.parametrize("m1, m2, n, seed", [(23, 4, 6, 0), (23, 4, 6, 1), (11, 2, 6, 2)])
-    def test_float_start_is_in_order_outer_product_sum(self, monkeypatch, m1, m2, n, seed):
-        # The float start decides which runs near flip-flop's roundoff floor
-        # converge, so it must stay this exact sum, bit for bit.
-        rng = np.random.default_rng(seed)
-        a = conditioned_factor(rng, m1, 1e6)
-        s = sample_matrix_normal(a, np.eye(m2), n, seed=seed)
-        y = s.y
-        v = np.append(np.linalg.solve(y[:, :m1], y[:, m1:]).ravel(), -1.0)
-        expect = np.zeros((m2, m2))
-        for i in range(n):
-            expect += np.outer(v[i * m2 : (i + 1) * m2], v[i * m2 : (i + 1) * m2])
-        seen = []
-
-        def spy(sample, init_k2=None, **kwargs):
-            seen.append(init_k2)
-            return flipflop(sample, init_k2=init_k2, **kwargs)
-
-        monkeypatch.setattr(solvers, "flipflop", spy)
-        exact_mle_k1(s)
-        assert len(seen) == 1
-        assert np.array_equal(seen[0], expect)
 
 
 # Every k = 1 shape (m1, m2, n) with n*m2 = m1 + 1, n >= m2 and m1 <= 17.
@@ -297,7 +281,7 @@ class TestExactK1Formula:
 class TestFlipflop:
     def test_fixed_point_at_exact_solution(self):
         s = sample_matrix_normal(np.eye(7), np.eye(2), 4, seed=5)  # k = 1
-        exact = exact_mle_k1(s)
+        exact = exact_mle_k1(exact_copy(s))
         ff = flipflop(s, init_k2=exact.k2, tol=0.0, max_iter=1)
         assert np.abs(ff.k2 - exact.k2).max() <= 1e-12
 
@@ -425,7 +409,7 @@ class TestFlipflopInvariants:
     def test_k1_closed_form_is_certified(self):
         s = sample_matrix_normal(np.eye(23), np.eye(4), 6, seed=7)
         est = mle(s)
-        assert est.method == "exact" and est.converged
+        assert est.method == "chain" and est.converged
         assert invariant_residual(s, est.k1, est.k2) <= 1e-10
 
 
@@ -470,14 +454,14 @@ class TestDispatcher:
         k1_sample = sample_matrix_normal(np.eye(3), np.eye(2), 2, seed=11)
         k2_sample = sample_matrix_normal(np.eye(2), np.eye(2), 2, seed=11)
         assert k1_sample.k == 1 and k2_sample.k == 2
-        assert mle(k1_sample).method == "exact"
+        assert mle(k1_sample).method == "chain"  # the k = 1 closed form by castle
         assert mle(k2_sample).method == "flipflop"
         chain_sample = sample_matrix_normal(np.eye(7), np.eye(3), 3, seed=11)
         assert mle(chain_sample).method == "chain"
 
     def test_cross_engine_agreement(self):
         s = sample_matrix_normal(np.eye(5), np.eye(2), 3, seed=12)  # k = 1
-        exact = exact_mle_k1(s)
+        exact = exact_mle_k1(exact_copy(s))
         ff = flipflop(s, tol=1e-13, max_iter=5000)
         assert ff.converged
         assert np.abs(ff.k2 - exact.k2).max() <= 1e-6
@@ -498,7 +482,7 @@ class TestChain:
             ((7, 3, 3), "castle (2,3,3)"),
             ((6, 4, 2), "castle (2,4,2)"),
             ((30, 30, 3), "identity"),  # k = 60 > m1
-            ((23, 4, 6), "closed form"),  # k = 1
+            ((23, 4, 6), "castle (1,4,6)"),  # k = 1: the closed form by castle
         ],
     )
     def test_start(self, shape, start):
@@ -510,9 +494,13 @@ class TestChain:
         # Castling keeps the likelihood with K2 -> K2^-1 (Derksen, Makam & Walter 2022).
         s = sample_matrix_normal(np.eye(shape[0]), np.eye(shape[1]), shape[2], seed=1)
         direct = flipflop(s, tol=1e-12)
-        dual = flipflop(canonicalize(s).dual, tol=1e-12)
+        dual = flipflop(castle(s), tol=1e-12)
         assert direct.converged and dual.converged
         assert np.abs(normalize_det1(np.linalg.inv(dual.k2)) - direct.k2).max() <= 1e-8
+        # Any kernel basis gives the same dual K2: castle's orthonormal rows
+        # and the [I | C] form's D^T = [C^T | -I_k] differ by Z_i -> A Z_i.
+        blocks = flipflop(canonicalize(exact_copy(s)).dual.to_float(), tol=1e-12)
+        assert np.abs(normalize_det1(blocks.k2) - normalize_det1(dual.k2)).max() <= 1e-8
 
     @pytest.mark.parametrize(
         "shape", [(12, 6, 3), (40, 4, 12), (13, 5, 3), (17, 7, 3), (56, 15, 4), (7, 3, 3)]
@@ -520,7 +508,7 @@ class TestChain:
     def test_start_is_the_mle(self, shape):
         s = sample_matrix_normal(np.eye(shape[0]), np.eye(shape[1]), shape[2], seed=2)
         est = mle(s)
-        dual = flipflop(canonicalize(s).dual)
+        dual = flipflop(castle(s))
         assert est.method == "chain" and est.converged
         assert dual.iterations < est.iterations <= dual.iterations + 2  # the polish
         assert invariant_residual(s, est.k1, est.k2) <= 1e-10
@@ -550,20 +538,19 @@ class TestChain:
         assert len(runs) == (1 if max_iter == 1 else 2)
 
     @pytest.mark.parametrize("left, right", [(2, 5), (2, 11)])
-    def test_singular_left_block_falls_back(self, tmp_path, capsys, left, right):
-        # Two equal columns in the left 12 x 12 block: canonicalize refuses
-        # the castle, so mle runs flip-flop from the identity.  With equal
-        # columns within Y1 flip-flop is still unconverged after 300 sweeps
-        # (residual near 1e-4); across Y1 and Y2 it converges.
+    def test_singular_left_block_castles(self, tmp_path, capsys, left, right):
+        # Two equal columns in the left 12 x 12 block: the [I | C] form
+        # does not exist, but Y has full rank and castle takes a basis of
+        # ker Y.  With equal columns within Y1 the run is still unconverged
+        # after 300 sweeps (residual near 2e-3); across Y1 and Y2 it converges.
         s = sample_matrix_normal(np.eye(12), np.eye(6), 3, seed=0)
         y = s.y.copy()
         y[:, right] = y[:, left]
         s = SampleSet(y, 6)
         with pytest.raises(DegenerateData):
-            canonicalize(s)
+            canonicalize(exact_copy(s))
         est = mle(s, max_iter=300)
-        assert est.method == "flipflop" and est.start == "identity"
-        assert np.array_equal(est.k2, flipflop(s, max_iter=300).k2)
+        assert est.method == "chain" and est.start == "castle (6,6,3)"
         path, out = tmp_path / "sample.txt", tmp_path / "est.txt"
         path.write_text(format_sample_set(s))
         code = main(["mle", "--in", str(path), "--out", str(out), "--max-iter", "300"])
@@ -579,24 +566,81 @@ class TestChain:
     def test_start_not_pd_falls_back(self, monkeypatch):
         s = sample_matrix_normal(np.eye(13), np.eye(5), 3, seed=3)
         expect = flipflop(s)
-        monkeypatch.setattr(np.linalg, "inv", lambda a: -np.eye(len(a)))
+        monkeypatch.setattr(solvers, "scatter_k1", lambda sample, k1: -np.eye(sample.m2))
         est = mle(s)
         assert est.method == "flipflop" and est.start == "identity"
         assert np.array_equal(est.k2, expect.k2)
 
-    def test_dual_outside_its_regime_falls_back(self):
-        # (8,5,2) castles to (2,5,2), where n*m1 < m2: flip-flop refuses it
-        # and mle gives what flip-flop from the identity gives.
+    def test_dual_outside_its_regime_has_no_mle(self):
+        # (8,5,2) castles to (2,5,2), where n*m1 < m2: flip-flop refuses the
+        # dual, and mle reports that no MLE exists before any solve.
         s = sample_matrix_normal(np.eye(8), np.eye(5), 2, seed=4)
         with pytest.raises(WrongRegime):
-            flipflop(canonicalize(s).dual)
-        try:
-            expect = flipflop(s, max_iter=50)
-        except DegenerateData:
-            with pytest.raises(DegenerateData):
-                mle(s, max_iter=50)
-        else:
-            assert np.array_equal(mle(s, max_iter=50).k2, expect.k2)
+            flipflop(castle(s))
+        with pytest.raises(MLENotExists, match=r"n\*k = 4 < m2 = 5"):
+            mle(s, max_iter=50)
+
+
+class TestK1Castle:
+    """At k = 1 the castle's dual is (1, m2, n), and its solve is the paper's closed form."""
+
+    def samples(self):
+        return [sample_matrix_normal(np.eye(23), np.eye(4), 6, seed=7), hand_k1_sample()]
+
+    def test_labels(self):
+        for s, start in zip(self.samples(), ["castle (1,4,6)", "castle (1,2,2)"]):
+            est = mle(s)
+            assert (est.method, est.start, est.converged) == ("chain", start, True)
+
+    def test_dual_solve_takes_one_sweep(self, monkeypatch):
+        runs = []
+        real = solvers.flipflop
+
+        def spy(*args, **kwargs):
+            runs.append(real(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(solvers, "flipflop", spy)
+        for s in self.samples():
+            runs.clear()
+            mle(s)
+            assert runs[0].iterations == 1 and runs[0].converged
+
+    def test_matches_exact_closed_form(self):
+        for s in self.samples():
+            exact = exact_mle_k1(s if s.is_exact else exact_copy(s))
+            assert np.abs(mle(s.to_float()).k2 - exact.k2).max() <= 1e-9
+
+
+@st.composite
+def unbounded_shapes(draw):
+    """(m1, m2, n) with 1 <= k < m1 and n*k < m2: every sample's likelihood is unbounded."""
+    m2 = draw(st.integers(2, 9))
+    n = draw(st.integers(1, min(3, m2 - 1)))
+    k = draw(st.integers(1, (m2 - 1) // n))
+    m1 = n * m2 - k
+    assume(k < m1)
+    return m1, m2, n
+
+
+class TestNoMLEByShape:
+    @given(unbounded_shapes(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_likelihood_rises_along_the_kernel_ray(self, shape, seed):
+        # T(Sigma) = sum_i Z_i Sigma Z_i^T stays fixed along Sigma = I + t w w^T
+        # for w in the kernel of the stacked dual blocks, so the reduced
+        # objective falls (the likelihood, n times its negative plus a
+        # constant, rises) without bound.
+        m1, m2, n = shape
+        s = sample_matrix_normal(np.eye(m1), np.eye(m2), n, seed=seed)
+        cf = canonicalize(exact_copy(s))
+        stacked = np.vstack(cf.dual.to_float().blocks)  # (n*k) x m2, n*k < m2
+        w = np.linalg.svd(stacked)[2][-1]
+        assert np.abs(stacked @ w).max() <= 1e-9 * np.abs(stacked).max()
+        values = [reduced_objective(cf, np.eye(m2) + t * np.outer(w, w)) for t in (0, 1, 1e2, 1e4)]
+        assert all(b < a for a, b in zip(values, values[1:]))
+        with pytest.raises(MLENotExists):  # by this rule or, at n = 1, by the threshold
+            mle(s)
 
 
 class TestEquivariance:
