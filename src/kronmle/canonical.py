@@ -36,6 +36,12 @@ class CanonicalForm:
     C: Matrix  # m1 x k
     dual: SampleSet  # D^T = [C^T | -I_k]: n blocks Z_i of size k x m2
 
+    @classmethod
+    def from_c(cls, c, m2):
+        """The form of exact data [I | C] whose blocks are m2 columns wide."""
+        d_t = c.transpose().hstack(Matrix.identity(c.shape[1]).scale(-1))
+        return cls(C=c, dual=SampleSet(d_t, m2))
+
     @property
     def m1(self):
         return self.C.shape[0]
@@ -87,8 +93,7 @@ def canonicalize(sample):
         c = ystar.solve(y.submatrix(range(m1), range(m1, y.shape[1])))
     except SingularMatrix:
         raise DegenerateData("left m1 x m1 block is singular") from None
-    d_t = c.transpose().hstack(Matrix.identity(k).scale(-1))
-    return CanonicalForm(C=c, dual=SampleSet(d_t, sample.m2))
+    return CanonicalForm.from_c(c, sample.m2)
 
 
 def canonical_sample(cf):

@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .canonical import DegenerateData, canonicalize, det_reduction_check
+from .canonical import CanonicalForm, DegenerateData, canonicalize, det_reduction_check
 from .linalg import Matrix
 from .mldegree import (
     PROP43_UPPER,
@@ -100,19 +100,15 @@ def _pinned_example():
 def random_lemma_instance(rng, m2, k, n):
     """Random exact (canonical form, PD rational K) for the identity check.
 
-    The data [I | C] and K = L L^T + I are built over Python ints and
-    wrapped in a Matrix once each.
+    The data [I | C] and K = L L^T + I are built over Python ints from one
+    draw each of C and L, and wrapped in a Matrix once each.
     """
     m1 = n * m2 - k
-    y = [
-        [int(i == j) for j in range(m1)] + [int(rng.integers(-8, 9)) for _ in range(k)]
-        for i in range(m1)
-    ]
-    cf = canonicalize(SampleSet(Matrix(y), m2))
-    l = [[int(rng.integers(-3, 4)) for _ in range(m2)] for _ in range(m2)]
+    cf = CanonicalForm.from_c(Matrix.from_ints(rng.integers(-8, 9, (m1, k)).tolist()), m2)
+    l = rng.integers(-3, 4, (m2, m2)).tolist()
     k_mat = [[sum(a * b for a, b in zip(li, lj)) + (i == j) for j, lj in enumerate(l)]
              for i, li in enumerate(l)]
-    return cf, Matrix(k_mat)
+    return cf, Matrix.from_ints(k_mat)
 
 
 def cmd_verify_lemma(args):
@@ -161,15 +157,29 @@ def _cell_path(cache_dir, m1, n, seed):
     return os.path.join(cache_dir, f"cell_{m1}_{n}_{seed}.json")
 
 
+# A ProcessPoolExecutor(2) mapping four no-op tasks took 10-28 ms to start
+# and shut down on a 2-vCPU host, so a table hands its cells to a pool only
+# once the cells run so far have taken longer than that.
+_POOL_AFTER_S = 0.05
+
+
 def _run_cells(pending):
-    """Yield each pending cell's result in order, on a process pool when
-    there are two or more; a lone cell runs here, as a pool of one worker
-    would add only its start-up."""
-    if len(pending) == 1:
-        yield _mldegree_cell(pending[0])
-    elif pending:
-        with ProcessPoolExecutor(max_workers=_worker_count(len(pending))) as pool:
-            yield from pool.map(_mldegree_cell, pending)
+    """Yield each pending cell's result in order.
+
+    The cells run in this process until those run so far have taken more
+    than _POOL_AFTER_S in all; the rest then go to one process pool, when
+    at least two remain and _worker_count allows two workers.
+    """
+    spent = 0.0
+    for i, task in enumerate(pending):
+        workers = _worker_count(len(pending) - i)
+        if spent > _POOL_AFTER_S and workers >= 2:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                yield from pool.map(_mldegree_cell, pending[i:])
+            return
+        cell = _mldegree_cell(task)
+        spent += cell["seconds"]
+        yield cell
 
 
 def cmd_mldegree(args):

@@ -40,6 +40,27 @@ class SerialExecutor:
         return map(fn, iterable)
 
 
+def counting_executor(pools):
+    """A SerialExecutor class that appends each pool's max_workers to pools."""
+
+    class CountingExecutor(SerialExecutor):
+        def __init__(self, max_workers=None):
+            pools.append(max_workers)
+
+    return CountingExecutor
+
+
+def stub_cell(seconds, ran):
+    """Stand-in for cli._mldegree_cell: degree m1*n, reported as taking seconds."""
+
+    def cell(task):
+        m1, n, seed = task
+        ran.append((m1, n))
+        return {"m1": m1, "n": n, "seed": seed, "degree": m1 * n, "seconds": seconds}
+
+    return cell
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -354,27 +375,60 @@ class TestMlDegreeCommand:
         assert cells[(3, 3)] == "4"
 
     def test_lone_cell_runs_without_pool(self, tmp_path, capsys, monkeypatch):
+        # Cheap cells run in this process, a whole table of them included.
         pools = []
-
-        class CountingExecutor(SerialExecutor):
-            def __init__(self, max_workers=None):
-                pools.append(max_workers)
-
         monkeypatch.setenv("KRONMLE_WORKERS", "2")
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingExecutor)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", counting_executor(pools))
         cache = tmp_path / "cache"
         code, stdout, _ = run(capsys, "mldegree", "--m1", "3", "--n", "3", "--seed", "1",
                               "--cache-dir", str(cache))
         assert code == EXIT_OK and stdout.splitlines()[1].split()[2] == "4"
         assert (cache / "cell_3_3_1.json").exists()
-        assert pools == []
         code, stdout, _ = run(capsys, "mldegree", "--m1", "3", "--n", "2:3", "--seed", "1",
                               "--cache-dir", str(cache))
         assert code == EXIT_OK and len(stdout.splitlines()) == 3
-        assert pools == []  # (3,3) came from the cache: one cell pending
+        # Two pending cells: the second is the last, so no pool can take it.
         run(capsys, "mldegree", "--m1", "2", "--n", "2:3", "--seed", "1",
             "--cache-dir", str(cache))
-        assert pools == [2]
+        ran = []
+        monkeypatch.setattr(cli, "_mldegree_cell", stub_cell(0.001, ran))
+        code, stdout, _ = run(capsys, "mldegree", "--m1", "4:9", "--n", "2:7", "--seed", "1",
+                              "--cache-dir", str(cache))
+        assert code == EXIT_OK and len(ran) == 36 and len(stdout.splitlines()) == 37
+        assert pools == []
+
+    @pytest.mark.parametrize("workers, n_range, expected", [
+        ("3", "2:4", [3]),  # five cells left after the first: KRONMLE_WORKERS caps the pool
+        ("4", "2:3", [3]),  # three left, fewer than KRONMLE_WORKERS: a pool of three
+    ])
+    def test_slow_table_hands_rest_to_pool(self, tmp_path, capsys, monkeypatch,
+                                           workers, n_range, expected):
+        pools, ran = [], []
+        monkeypatch.setenv("KRONMLE_WORKERS", workers)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", counting_executor(pools))
+        monkeypatch.setattr(cli, "_mldegree_cell", stub_cell(2 * cli._POOL_AFTER_S, ran))
+        cache = tmp_path / "cache"
+        code, stdout, _ = run(capsys, "mldegree", "--m1", "2:3", "--n", n_range, "--seed", "1",
+                              "--format", "json", "--cache-dir", str(cache))
+        assert code == EXIT_OK
+        assert pools == expected
+        cells = json.loads(stdout)
+        keys = [(c["m1"], c["n"]) for c in cells]
+        assert keys == ran == sorted(keys)
+        for c in cells:
+            assert c["degree"] == c["m1"] * c["n"]
+            cached = json.loads((cache / f"cell_{c['m1']}_{c['n']}_1.json").read_text())
+            assert cached == c
+
+    def test_one_worker_never_starts_pool(self, tmp_path, capsys, monkeypatch):
+        pools, ran = [], []
+        monkeypatch.setenv("KRONMLE_WORKERS", "1")
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", counting_executor(pools))
+        monkeypatch.setattr(cli, "_mldegree_cell", stub_cell(1.0, ran))
+        code, _, _ = run(capsys, "mldegree", "--m1", "2:4", "--n", "2:4", "--seed", "1",
+                         "--cache-dir", str(tmp_path / "cache"))
+        assert code == EXIT_OK and len(ran) == 9
+        assert pools == []
 
     def test_cache_reused(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("KRONMLE_WORKERS", "1")
