@@ -8,17 +8,21 @@ the trace form of the reduced objective m2*logdet(T(Sigma)) - k*logdet(Sigma).
 castle takes the basis from an SVD of float data.  canonicalize works
 over Q: a nonsingular left block Y_* gives Y_*^-1 Y = [I | C] and
 D^T = [C^T | -I_k], on which the determinant reduction identity
-det(sum_i Y_i K Y_i^T) = det(K)^n * det(T(K^-1)) is checked.
+det(sum_i Y_i K Y_i^T) = det(K)^n * det(T(K^-1)) is checked: by
+det_reduction_sides on integer stacks of one shape, with the stacked
+Bareiss kernels of linalg, and by det_reduction_check on one exact form
+as a stack of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .linalg import Matrix, SingularMatrix
-from .model import SampleSet, scatter_k2
+from .linalg import Matrix, SingularMatrix, adjugate_stack, det_stack
+from .model import SampleSet
 
 
 class DegenerateData(Exception):
@@ -35,12 +39,6 @@ class CanonicalForm:
 
     C: Matrix  # m1 x k
     dual: SampleSet  # D^T = [C^T | -I_k]: n blocks Z_i of size k x m2
-
-    @classmethod
-    def from_c(cls, c, m2):
-        """The form of exact data [I | C] whose blocks are m2 columns wide."""
-        d_t = c.transpose().hstack(Matrix.identity(c.shape[1]).scale(-1))
-        return cls(C=c, dual=SampleSet(d_t, m2))
 
     @property
     def m1(self):
@@ -93,12 +91,51 @@ def canonicalize(sample):
         c = ystar.solve(y.submatrix(range(m1), range(m1, y.shape[1])))
     except SingularMatrix:
         raise DegenerateData("left m1 x m1 block is singular") from None
-    return CanonicalForm.from_c(c, sample.m2)
+    d_t = c.transpose().hstack(Matrix.identity(k).scale(-1))
+    return CanonicalForm(C=c, dual=SampleSet(d_t, sample.m2))
 
 
-def canonical_sample(cf):
-    """The canonicalized data [I | C] of cf, as a sample of n m1 x m2 matrices."""
-    return SampleSet(Matrix.identity(cf.m1).hstack(cf.C), cf.m2)
+def _identity_dets(c, k, scale=1):
+    """det(S), det(K) and det(T(adj K)) per member of integer stacks, exactly.
+
+    c is (b, m1, k') and k is (b, m2, m2), object arrays of Python ints.
+    S = sum_i Y_i K Y_i^T over the blocks of Y = [scale*I | C], and
+    T(adj K) = sum_i Z_i adj(K) Z_i^T over those of D^T = [C^T | -scale*I].
+    Raises SingularMatrix when any K is singular.
+    """
+    count, m1, kk = c.shape
+    left = np.broadcast_to(scale * np.identity(m1, dtype=object), (count, m1, m1))
+    right = np.broadcast_to(-scale * np.identity(kk, dtype=object), (count, kk, kk))
+    y = np.concatenate([left, c], axis=2)
+    d_t = np.concatenate([c.transpose(0, 2, 1), right], axis=2)
+    det_k, adj_k = adjugate_stack(k)
+    return det_stack(_scatter_stack(y, k)), det_k, det_stack(_scatter_stack(d_t, adj_k))
+
+
+def _scatter_stack(y, k):
+    """sum_i Y_i K Y_i^T per member, scatter_k2's layout on a stack: the rows
+    of Y cut into m2-wide pieces, times K, then times Y^T."""
+    count, rows, cols = y.shape
+    m2 = k.shape[-1]
+    yk = (y.reshape(count, rows * cols // m2, m2) @ k).reshape(count, rows, cols)
+    return yk @ y.transpose(0, 2, 1)
+
+
+def det_reduction_sides(c, k):
+    """Both sides of the determinant reduction identity on integer stacks.
+
+    For data [I | C] with C the (b, m1, k') stack and K the (b, m2, m2)
+    stack, object arrays of Python ints, returns the integer arrays
+    det(sum_i Y_i K Y_i^T) * det(K)^k' and det(K)^n * det(T(adj K)): the
+    identity's two sides times det(K)^k', since T(adj K) = det(K) * T(K^-1)
+    is k' x k'.  One stacked Bareiss pass per determinant and one
+    Gauss-Jordan pass for adj K serve the whole stack.  Raises
+    SingularMatrix when any K is singular.
+    """
+    kk, m2 = c.shape[2], k.shape[-1]
+    n = (c.shape[1] + kk) // m2
+    det_s, det_k, det_t = _identity_dets(c, k)
+    return det_s * det_k**kk, det_k**n * det_t
 
 
 def det_reduction_check(cf, k_mat):
@@ -106,12 +143,21 @@ def det_reduction_check(cf, k_mat):
 
     lhs = det(sum_i Y_i K Y_i^T) over the blocks Y_i of [I | C];
     rhs = det(K)^n * det(sum_i Z_i K^-1 Z_i^T) over the dual sample.
-    Equal for every nonsingular K.  Raises ValueError unless K is an
-    m2 x m2 Matrix, and SingularMatrix when K is singular.
+    Equal for every nonsingular K.  Runs as a stack of one on the integer
+    rows: with C = NC/dc and K = NK/dk, Y = [dc*I | NC]/dc and
+    K^-1 = dk*adj(NK)/det(NK), and the denominators are put back at the
+    end.  Raises ValueError unless K is an m2 x m2 Matrix, and
+    SingularMatrix when K is singular.
     """
     if not isinstance(k_mat, Matrix):
         raise ValueError("the identity is checked over Q: K must be a Matrix")
-    k_inv = k_mat.inverse()
-    lhs = scatter_k2(canonical_sample(cf), k_mat).det()
-    rhs = k_mat.det() ** cf.n * scatter_k2(cf.dual, k_inv).det()
+    m1, kk, m2, n = cf.m1, cf.k, cf.m2, cf.n
+    if k_mat.shape != (m2, m2):
+        raise ValueError(f"K must be {m2} x {m2}, got shape {k_mat.shape}")
+    dc, dk = cf.C.den, k_mat.den
+    (det_s,), (det_k,), (det_t,) = _identity_dets(
+        np.array([cf.C.num], dtype=object), np.array([k_mat.num], dtype=object), dc
+    )
+    lhs = Fraction(det_s, (dc * dc * dk) ** m1)
+    rhs = Fraction(det_k**n * det_t * dk**kk, dk ** (m2 * n) * dc ** (2 * kk) * det_k**kk)
     return lhs, rhs

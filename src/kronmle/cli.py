@@ -1,8 +1,8 @@
 """Command-line front end: sample, mle, verify-lemma, mldegree, multiplicity.
 
 Exit codes: 0 success, 2 degenerate data, 3 MLE nonexistence, 4 bad
-arguments or input, or a solution count that no two primes of
-mldegree.PRIMES confirmed.
+arguments or input, a solution count that no two primes of
+mldegree.PRIMES confirmed, or a verify-lemma check that failed.
 """
 
 from __future__ import annotations
@@ -16,10 +16,11 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from itertools import islice
 
 import numpy as np
 
-from .canonical import CanonicalForm, DegenerateData, canonicalize, det_reduction_check
+from .canonical import DegenerateData, canonicalize, det_reduction_check, det_reduction_sides
 from .linalg import Matrix
 from .mldegree import (
     PROP43_UPPER,
@@ -97,27 +98,18 @@ def _pinned_example():
     return det_reduction_check(cf, k)
 
 
-def random_lemma_instance(rng, m2, k, n):
-    """Random exact (canonical form, PD rational K) for the identity check.
+# Instances drawn, grouped and checked at a time, so that memory does not
+# grow with --count.
+_LEMMA_CHUNK = 1024
 
-    The data [I | C] and K = L L^T + I are built over Python ints from one
-    draw each of C and L, and wrapped in a Matrix once each.
+
+def lemma_draws(rng, count):
+    """Yield ((m2, k, n), C, L) for count random instances of the identity check.
+
+    Per instance, in the generator's order: m2, k and n, redrawn until
+    1 <= m1 = n*m2 - k <= 10, then the integer C (m1 x k) and L (m2 x m2).
+    The data are [I | C] and K = L L^T + I, which is PD.
     """
-    m1 = n * m2 - k
-    cf = CanonicalForm.from_c(Matrix.from_ints(rng.integers(-8, 9, (m1, k)).tolist()), m2)
-    l = rng.integers(-3, 4, (m2, m2)).tolist()
-    k_mat = [[sum(a * b for a, b in zip(li, lj)) + (i == j) for j, lj in enumerate(l)]
-             for i, li in enumerate(l)]
-    return cf, Matrix.from_ints(k_mat)
-
-
-def cmd_verify_lemma(args):
-    count = _at_least(args.count, 1, "--count")
-    lhs, rhs = _pinned_example()
-    ok = lhs == rhs
-    print(f"pinned example: lhs = {lhs} rhs = {rhs} {'PASS' if ok else 'FAIL'}")
-    rng = np.random.default_rng(args.seed)
-    passes = fails = 0
     for _ in range(count):
         while True:
             m2 = int(rng.integers(2, 5))
@@ -125,12 +117,38 @@ def cmd_verify_lemma(args):
             n = int(rng.integers(1, 5))
             if 1 <= n * m2 - k <= 10:
                 break
-        cf, k_mat = random_lemma_instance(rng, m2, k, n)
-        lhs, rhs = det_reduction_check(cf, k_mat)
-        if lhs == rhs:
-            passes += 1
-        else:
-            fails += 1
+        yield (m2, k, n), rng.integers(-8, 9, (n * m2 - k, k)), rng.integers(-3, 4, (m2, m2))
+
+
+def lemma_stacks(draws):
+    """{(m2, k, n): (C, K)}: the draws of each shape stacked in draw order, as
+    object arrays of Python ints, with K = L L^T + I."""
+    groups = {}
+    for shape, c, l in draws:
+        cs, ls = groups.setdefault(shape, ([], []))
+        cs.append(c)
+        ls.append(l)
+    stacks = {}
+    for (m2, k, n), (cs, ls) in groups.items():
+        l = np.array(ls).astype(object)
+        k_mat = l @ l.transpose(0, 2, 1) + np.identity(m2, dtype=object)
+        stacks[m2, k, n] = np.array(cs).astype(object), k_mat
+    return stacks
+
+
+def cmd_verify_lemma(args):
+    count = _at_least(args.count, 1, "--count")
+    lhs, rhs = _pinned_example()
+    ok = lhs == rhs
+    print(f"pinned example: lhs = {lhs} rhs = {rhs} {'PASS' if ok else 'FAIL'}")
+    draws = lemma_draws(np.random.default_rng(args.seed), count)
+    passes = fails = 0
+    while chunk := list(islice(draws, _LEMMA_CHUNK)):
+        for c, k_mat in lemma_stacks(chunk).values():
+            lhs, rhs = det_reduction_sides(c, k_mat)
+            held = int(np.count_nonzero(lhs == rhs))
+            passes += held
+            fails += len(lhs) - held
     print(f"random instances: {passes} passed, {fails} failed")
     return EXIT_OK if ok and fails == 0 else EXIT_BAD_ARGS
 

@@ -3,12 +3,17 @@
 The exact side is a small immutable ``Matrix`` class that stores integer
 rows over one common positive denominator, in lowest terms.  Its sums,
 products, stacking, determinant, solve, inverse and PD test all run over
-Python ints; the last four share one fraction-free (Bareiss) elimination
-kernel.  A ``Fraction`` is made only where one is read: an entry, a
-determinant, or ``data``.  The float side is a Cholesky factorization
-and a log-determinant over numpy.  Both sides share the same text
-serialization: a "rows cols" header line followed by whitespace-separated
-rows, rationals written as ``p/q``.
+Python ints; the last four, and solve_fraction_free, share one
+fraction-free (Bareiss) elimination kernel, _bareiss, which works one
+matrix at a time over lists.  det_stack and adjugate_stack run the same
+elimination on a numpy object stack of Python ints, one step for every
+member at once: the determinant identity's check meets hundreds of tiny
+matrices of one shape, where a pass per matrix would cost more in Python
+overhead than in arithmetic.  A ``Fraction`` is made only where one is
+read: an entry, a determinant, or ``data``.  The float side is a
+Cholesky factorization and a log-determinant over numpy.  Both sides
+share the same text serialization: a "rows cols" header line followed by
+whitespace-separated rows, rationals written as ``p/q``.
 """
 
 from __future__ import annotations
@@ -296,6 +301,67 @@ def _bareiss(rows, ncols, reduce_above=False):
         pivots.append(p)
         prev = p
     return pivots, swaps, a
+
+
+def _bareiss_stack(a, reduce_above=False):
+    """_bareiss on a stack: one elimination step at a time for every member.
+
+    a is a (b, s, c) object array of Python ints, c >= s, and pivots come
+    from the leading s x s block of each member.  A member whose pivot is
+    zero swaps in the first row below with a nonzero entry in that column,
+    as mldegree._det_mod does; one with none there is singular, and its
+    diagonal entry is set to its last pivot so that the step leaves it as
+    it is.  Returns (sign, reduced): sign per member is (-1)**swaps, or 0
+    when the block is singular, and reduced is _bareiss's reduced rows, so
+    sign * reduced[:, -1, s - 1] is the block's determinant.
+    """
+    a = a.copy()
+    count, size = a.shape[:2]
+    sign = np.ones(count, dtype=object)
+    prev = np.ones((count, 1, 1), dtype=object)
+    for j in range(size):
+        zero = a[:, j, j] == 0
+        if zero.any():
+            below = a[:, j:, j] != 0
+            piv = j + np.argmax(below, axis=1)
+            swap = np.nonzero(zero & below.any(axis=1))[0]
+            a[swap, j], a[swap, piv[swap]] = a[swap, piv[swap]], a[swap, j]  # fancy indexing copies
+            sign[swap] = -sign[swap]
+            singular = np.nonzero(zero & ~below.any(axis=1))[0]
+            sign[singular] = 0
+            a[singular, j, j] = prev[singular, 0, 0]
+        p = a[:, j, j].reshape(count, 1, 1)
+        if reduce_above:
+            prow = a[:, j].copy()
+            a = (p * a - a[:, :, j : j + 1] * prow[:, None]) // prev
+            a[:, j] = prow
+        else:
+            # Below the pivot row, columns left of j are already zero.
+            rest = a[:, j + 1 :, j:]
+            a[:, j + 1 :, j:] = (p * rest - rest[:, :, :1] * a[:, j : j + 1, j:]) // prev
+        prev = p
+    return sign, a
+
+
+def det_stack(a):
+    """Exact determinants of a (b, s, s) stack of Python ints, one Bareiss pass for all."""
+    sign, reduced = _bareiss_stack(a)
+    return sign * reduced[:, -1, -1]
+
+
+def adjugate_stack(a):
+    """(det, adj) of each member of a (b, s, s) stack of Python ints.
+
+    The Gauss-Jordan form of [A | I] leaves d*I | d*A^-1, d the last pivot;
+    with the sign of the row swaps, det A = sign*d and adj A = det A * A^-1 =
+    sign * d*A^-1.  Raises SingularMatrix when any member is singular.
+    """
+    size = a.shape[-1]
+    eye = np.broadcast_to(np.identity(size, dtype=object), a.shape)
+    sign, reduced = _bareiss_stack(np.concatenate([a, eye], axis=2), reduce_above=True)
+    if not sign.all():
+        raise SingularMatrix("exact rank deficiency")
+    return sign * reduced[:, -1, size - 1], sign[:, None, None] * reduced[:, :, size:]
 
 
 def cholesky(s):

@@ -267,18 +267,25 @@ def mle(sample, tol=1e-10, max_iter=10000):
     (k, m2, n).  In Sigma = K2^-1 the profile log-likelihood is, up to a
     constant, n*(k*logdet(Sigma) - m2*logdet(T(Sigma))), T the dual's scatter,
     and a kernel vector w of the stacked blocks [Z_1; ...; Z_n] fixes T along
-    Sigma = I + t*w*w^T: no MLE exists when n*k < m2, or when the dual's
-    flip-flop finds sum_i Z_i^T K1 Z_i singular.  Otherwise that sum, the
-    inverse of the dual's K2 up to scale (at k = 1 the closed form, after
-    one sweep), starts flip-flop on the sample, tagged "chain"; max_iter
-    bounds both runs' sweeps, which iterations counts.  Other shapes,
-    max_iter = 1 or a start that is not PD run flip-flop from the identity.
+    Sigma = I + t*w*w^T: no MLE exists when n*k < m2, when the transposed
+    sample (m2, m1, n) meets that rule (n*k_T < m1, k_T = n*m1 - m2 >= 1),
+    or when the dual's flip-flop finds sum_i Z_i^T K1 Z_i singular.
+    Otherwise that sum, the inverse of the dual's K2 up to scale (at k = 1
+    the closed form, after one sweep), starts flip-flop on the sample,
+    tagged "chain"; max_iter bounds both runs' sweeps, which iterations
+    counts.  Other shapes, max_iter = 1 or a start that is not PD run
+    flip-flop from the identity.
     """
     m1, m2, n, k = sample.m1, sample.m2, sample.n, sample.k
     if n < thresholds(m1, m2).lower:
         raise MLENotExists(f"n = {n} is below max(m1/m2, m2/m1)")
     if k >= 1 and n * k < m2:
         raise MLENotExists(f"n*k = {n * k} < m2 = {m2}: the dual blocks share a kernel vector")
+    k_t = n * m1 - m2  # k of the transposed sample (m2, m1, n)
+    if k_t >= 1 and n * k_t < m1:
+        raise MLENotExists(
+            f"n*k_T = {n * k_t} < m1 = {m1}: the transposed sample's dual blocks share a kernel vector"
+        )
     if not (1 <= k < m1 and max_iter >= 2):
         return flipflop(sample, tol=tol, max_iter=max_iter)
     dual = castle(sample)  # DegenerateData when Y is rank-deficient

@@ -3,15 +3,18 @@
 The profile objective g and the profile maximizer of K1 on the data, the
 reduced objective and its gradient on the dual sample of the canonical
 form, and polynomial evaluation.  The estimators never evaluate these; the
-tests use them to check invariances, stationarity and score roots.
+tests use them to check invariances, stationarity and score roots.  Also
+the determinant reduction identity by Matrix arithmetic, one instance at a
+time: the oracle for the stacked check.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from kronmle.linalg import NotPD, SingularMatrix, cholesky, logdet_pd
-from kronmle.model import scatter_k1, scatter_k2
+from kronmle.canonical import canonicalize
+from kronmle.linalg import Matrix, NotPD, SingularMatrix, cholesky, logdet_pd
+from kronmle.model import SampleSet, scatter_k1, scatter_k2
 
 
 def profile_k1(sample, k2):
@@ -76,3 +79,29 @@ def evaluate(p, point):
                 term = term * point[v] ** e
         total = total + term
     return total
+
+
+def canonical_sample(cf):
+    """The canonicalized data [I | C] of cf, as a sample of n m1 x m2 matrices."""
+    return SampleSet(Matrix.identity(cf.m1).hstack(cf.C), cf.m2)
+
+
+def lemma_instance(rng, m2, k, n):
+    """A random (canonical form, K = L L^T + I) built with Matrix arithmetic.
+
+    Draws C (m1 x k, entries in [-8, 8]) and then L (m2 x m2, entries in
+    [-3, 3]) entry by entry, the stream verify-lemma reads per instance.
+    """
+    m1 = n * m2 - k
+    c = Matrix([[int(rng.integers(-8, 9)) for _ in range(k)] for _ in range(m1)])
+    cf = canonicalize(SampleSet(Matrix.identity(m1).hstack(c), m2))
+    l = Matrix([[int(rng.integers(-3, 4)) for _ in range(m2)] for _ in range(m2)])
+    return cf, l @ l.transpose() + Matrix.identity(m2)
+
+
+def det_reduction_oracle(cf, k_mat):
+    """(lhs, rhs) of the determinant reduction identity, by Matrix arithmetic:
+    det(sum_i Y_i K Y_i^T) over [I | C] and det(K)^n * det(T(K^-1)) over the dual."""
+    lhs = scatter_k2(canonical_sample(cf), k_mat).det()
+    rhs = k_mat.det() ** cf.n * scatter_k2(cf.dual, k_mat.inverse()).det()
+    return lhs, rhs

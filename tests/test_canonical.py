@@ -9,15 +9,21 @@ import pytest
 from kronmle.canonical import (
     DegenerateData,
     NonPositiveK,
-    canonical_sample,
     canonicalize,
     castle,
     det_reduction_check,
 )
-from kronmle.linalg import Matrix
+from kronmle.linalg import Matrix, SingularMatrix
 from kronmle.model import SampleSet, sample_matrix_normal, scatter_k2
 from matrix_helpers import column, exact_copy, kron
-from paper_helpers import g_objective, reduced_gradient, reduced_objective
+from paper_helpers import (
+    canonical_sample,
+    det_reduction_oracle,
+    g_objective,
+    lemma_instance,
+    reduced_gradient,
+    reduced_objective,
+)
 
 
 def d_matrix(cf):
@@ -28,15 +34,6 @@ def d_matrix(cf):
 def worked_example():
     c = Matrix([[1, 2], [3, 4], [5, 6], [7, 8]])
     return SampleSet(Matrix.identity(4).hstack(c), 2)
-
-
-def random_canonical_instance(rng, m2, k, n):
-    m1 = n * m2 - k
-    c = Matrix([[int(rng.integers(-8, 9)) for _ in range(k)] for _ in range(m1)])
-    cf = canonicalize(SampleSet(Matrix.identity(m1).hstack(c), m2))
-    l = Matrix([[int(rng.integers(-3, 4)) for _ in range(m2)] for _ in range(m2)])
-    k_mat = l @ l.transpose() + Matrix.identity(m2)
-    return cf, k_mat
 
 
 class TestCanonicalize:
@@ -84,7 +81,7 @@ class TestCanonicalize:
                 n = int(rng.integers(1, 4))
                 if n * m2 - k >= 1:
                     break
-            cf, _ = random_canonical_instance(rng, m2, k, n)
+            cf, _ = lemma_instance(rng, m2, k, n)
             y = Matrix.identity(cf.m1).hstack(cf.C)
             assert y @ d_matrix(cf) == Matrix.zeros(cf.m1, cf.k)
 
@@ -161,7 +158,7 @@ class TestDetReduction:
 
     def test_identity_k_matches_sylvester_style_identity(self):
         rng = np.random.default_rng(5)
-        cf, _ = random_canonical_instance(rng, 2, 3, 3)
+        cf, _ = lemma_instance(rng, 2, 3, 3)
         lhs, rhs = det_reduction_check(cf, Matrix.identity(2))
         c = cf.C
         assert lhs == (Matrix.identity(cf.m1) + c @ c.transpose()).det()
@@ -170,7 +167,7 @@ class TestDetReduction:
 
     def test_k1_scalar_inner(self):
         rng = np.random.default_rng(6)
-        cf, k_mat = random_canonical_instance(rng, 2, 1, 2)
+        cf, k_mat = lemma_instance(rng, 2, 1, 2)
         lhs, rhs = det_reduction_check(cf, k_mat)
         scalar = Fraction(0)
         for z in cf.dual.blocks:  # the single row of each dual block
@@ -187,9 +184,30 @@ class TestDetReduction:
             n = int(rng.integers(n, n + 3))
             if n * m2 - k < 1 or n * m2 - k > 10:
                 continue
-            cf, k_mat = random_canonical_instance(rng, m2, k, n)
+            cf, k_mat = lemma_instance(rng, m2, k, n)
             lhs, rhs = det_reduction_check(cf, k_mat)
             assert lhs == rhs
+            assert (lhs, rhs) == det_reduction_oracle(cf, k_mat)
+
+    @pytest.mark.parametrize(
+        "k_rows",
+        [[[0, 1], [1, 0]], [[2, "1/3"], [-5, "7/2"]], [["3/4", 1], [1, "5/3"]]],
+        ids=["swap", "nonsymmetric", "rational-pd"],
+    )
+    def test_rational_c_matches_oracle(self, k_rows):
+        # A left block that is not I gives a C over a denominator; K need not
+        # be PD, symmetric or integral, only nonsingular.
+        y = Matrix([[2, 1, 0, 3, 1, -1], [1, 3, 2, 0, 5, 2], [0, 1, 4, 1, -2, 3]])
+        cf = canonicalize(SampleSet(y, 2))
+        k_mat = Matrix(k_rows)
+        assert cf.C.den > 1 and (cf.m1, cf.m2, cf.n, cf.k) == (3, 2, 3, 3)
+        lhs, rhs = det_reduction_check(cf, k_mat)
+        assert lhs == rhs and (lhs, rhs) == det_reduction_oracle(cf, k_mat)
+        assert isinstance(lhs, Fraction) and isinstance(rhs, Fraction)
+
+    def test_singular_k_rejected(self):
+        with pytest.raises(SingularMatrix):
+            det_reduction_check(canonicalize(worked_example()), Matrix([[1, 2], [2, 4]]))
 
     def test_float_input_rejected(self):
         k = Matrix([[3, 1], [1, 3]])
@@ -229,7 +247,7 @@ def dab_block(grid, m2, a, b):
 class TestDabBlocks:
     def test_block_transpose_symmetry(self):
         rng = np.random.default_rng(2)
-        cf, _ = random_canonical_instance(rng, 3, 3, 2)
+        cf, _ = lemma_instance(rng, 3, 3, 2)
         grid = dab_grid(cf)
         for a in range(cf.k):
             for b in range(cf.k):
@@ -237,7 +255,7 @@ class TestDabBlocks:
 
     def test_grid_is_sum_of_outer_products(self):
         rng = np.random.default_rng(3)
-        cf, _ = random_canonical_instance(rng, 2, 3, 3)
+        cf, _ = lemma_instance(rng, 2, 3, 3)
         expect = Matrix.zeros(cf.m2 * cf.k, cf.m2 * cf.k)
         for z in cf.dual.blocks:
             # the rows of Z_i, each as an m2-column, stacked
@@ -247,7 +265,7 @@ class TestDabBlocks:
 
     def test_grid_positive_semidefinite(self):
         rng = np.random.default_rng(4)
-        cf, _ = random_canonical_instance(rng, 2, 2, 2)
+        cf, _ = lemma_instance(rng, 2, 2, 2)
         eigs = np.linalg.eigvalsh(dab_grid(cf).to_numpy())
         assert eigs.min() >= -1e-9
 
@@ -273,7 +291,7 @@ class TestTraceForm:
     def test_equals_direct_product(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
-            cf, k_mat = random_canonical_instance(rng, 3, 2, 2)
+            cf, k_mat = lemma_instance(rng, 3, 2, 2)
             sigma = k_mat.inverse()
             d = d_matrix(cf)
             direct = d.transpose() @ kron(Matrix.identity(cf.n), sigma) @ d
@@ -294,7 +312,7 @@ class TestTraceForm:
         # T(Sigma) = D^T (I_n kron Sigma) D with D of full column rank k
         rng = np.random.default_rng(2)
         for m2, k, n in ((3, 3, 2), (2, 2, 2), (2, 3, 3)):
-            cf, k_mat = random_canonical_instance(rng, m2, k, n)
+            cf, k_mat = lemma_instance(rng, m2, k, n)
             t = scatter_k2(cf.dual, k_mat.inverse())
             assert t == t.transpose()
             assert t.is_positive_definite()
@@ -317,7 +335,7 @@ class TestTraceForm:
 class TestReducedObjective:
     def test_matches_g_objective_on_canonical_data(self):
         rng = np.random.default_rng(9)
-        cf, k_mat = random_canonical_instance(rng, 3, 2, 2)
+        cf, k_mat = lemma_instance(rng, 3, 2, 2)
         s = canonical_sample(cf).to_float()
         k_arr = k_mat.to_numpy()
         expect = g_objective(s, k_arr)
@@ -326,7 +344,7 @@ class TestReducedObjective:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(10)
-        cf, _ = random_canonical_instance(rng, 3, 2, 2)
+        cf, _ = lemma_instance(rng, 3, 2, 2)
         for _ in range(10):
             a = rng.standard_normal((3, 3))
             sigma = a @ a.T + 3 * np.eye(3)

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior and exit codes."""
 
 import argparse
+import collections
 import contextlib
 import csv
 import io
@@ -19,9 +20,9 @@ from kronmle.cli import (
     EXIT_OK,
     main,
 )
-from kronmle.canonical import canonicalize
-from kronmle.linalg import Matrix
+from kronmle.canonical import det_reduction_sides
 from kronmle.model import SampleSet, format_sample_set, sample_matrix_normal
+from paper_helpers import det_reduction_oracle, lemma_instance
 
 
 class SerialExecutor:
@@ -236,6 +237,20 @@ class TestMle:
             f"MLE does not exist: n*k = {n * k} < m2 = {m2}: the dual blocks share a kernel vector"
         ]
 
+    @pytest.mark.parametrize("shape", [(5, 8, 2), (7, 11, 2), (8, 13, 2)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_no_mle_when_transposed_nk_below_m1(self, tmp_path, capsys, shape, seed):
+        # The mirror rule: the transposed sample (m2, m1, n) has n*k_T < m1
+        m1, m2, n = shape
+        path = self.write_sample(tmp_path, m1, m2, n, seed=seed)
+        code, stdout, err = run(capsys, "mle", "--in", str(path))
+        assert code == EXIT_NO_MLE and stdout == ""
+        k_t = n * m1 - m2
+        assert err.splitlines() == [
+            f"MLE does not exist: n*k_T = {n * k_t} < m1 = {m1}: "
+            "the transposed sample's dual blocks share a kernel vector"
+        ]
+
     @pytest.mark.parametrize("build", [ones_k1_sample, shared_kernel_sample], ids=["k1", "13x5x3"])
     @pytest.mark.parametrize("seed", range(3))
     def test_no_mle_when_dual_blocks_share_a_kernel_vector(self, tmp_path, capsys, build, seed):
@@ -327,13 +342,20 @@ class TestMle:
         assert code == EXIT_BAD_ARGS
 
 
-def matrix_lemma_instance(rng, m2, k, n):
-    """random_lemma_instance as it was built with Matrix arithmetic; the oracle."""
-    m1 = n * m2 - k
-    c = Matrix([[int(rng.integers(-8, 9)) for _ in range(k)] for _ in range(m1)])
-    cf = canonicalize(SampleSet(Matrix.identity(m1).hstack(c), m2))
-    l = Matrix([[int(rng.integers(-3, 4)) for _ in range(m2)] for _ in range(m2)])
-    return cf, l @ l.transpose() + Matrix.identity(m2)
+def oracle_instances(rng, count):
+    """(shape, index in its group, canonical form, K) of verify-lemma's
+    instances, drawn one entry at a time and built with Matrix arithmetic."""
+    seen = collections.Counter()
+    for _ in range(count):
+        while True:
+            m2 = int(rng.integers(2, 5))
+            k = int(rng.integers(1, 5))
+            n = int(rng.integers(1, 5))
+            if 1 <= n * m2 - k <= 10:
+                break
+        cf, k_mat = lemma_instance(rng, m2, k, n)
+        yield (m2, k, n), seen[m2, k, n], cf, k_mat
+        seen[m2, k, n] += 1
 
 
 class TestVerifyLemma:
@@ -343,17 +365,74 @@ class TestVerifyLemma:
         assert "16640" in stdout
         assert "20 passed, 0 failed" in stdout
 
+    # The benchmark's instance set and README's example.
+    @pytest.mark.parametrize("seed, count", [(20240116, 300), (3, 100)])
+    def test_stdout(self, capsys, seed, count):
+        code, stdout, _ = run(capsys, "verify-lemma", "--seed", str(seed), "--count", str(count))
+        assert code == EXIT_OK
+        assert stdout == (
+            "pinned example: lhs = 16640 rhs = 16640 PASS\n"
+            f"random instances: {count} passed, 0 failed\n"
+        )
+
     def test_instances_match_matrix_build(self):
-        # Same draws in the same order: the instances, and so the output,
-        # of any seed are unchanged.
-        shapes = [(2, 1, 1), (2, 3, 2), (3, 4, 4), (4, 2, 3), (4, 4, 2), (2, 1, 4)]
+        # Same draws in the same order, and the same generator state after:
+        # the instances, and so the output, of any seed are unchanged.
         rng_a, rng_b = np.random.default_rng(20240116), np.random.default_rng(20240116)
-        for m2, k, n in shapes * 5:
-            cf, k_mat = cli.random_lemma_instance(rng_a, m2, k, n)
-            cf_ref, k_ref = matrix_lemma_instance(rng_b, m2, k, n)
-            assert cf.C == cf_ref.C and cf.dual.y == cf_ref.dual.y and cf.dual.m2 == m2
-            assert k_mat == k_ref
+        stacks = cli.lemma_stacks(cli.lemma_draws(rng_a, 150))
+        for shape, i, cf, k_ref in oracle_instances(rng_b, 150):
+            c, k_mat = stacks[shape]
+            assert cf.C.den == k_ref.den == 1
+            assert c[i].tolist() == [list(row) for row in cf.C.num]
+            assert k_mat[i].tolist() == [list(row) for row in k_ref.num]
         assert rng_a.integers(1 << 30) == rng_b.integers(1 << 30)
+
+    def test_stacked_sides_match_oracle(self):
+        # All 300 benchmark instances: each side is the oracle's times det(K)^k.
+        stacks = cli.lemma_stacks(cli.lemma_draws(np.random.default_rng(20240116), 300))
+        sides = {shape: det_reduction_sides(c, k_mat) for shape, (c, k_mat) in stacks.items()}
+        checked = 0
+        for shape, i, cf, k_mat in oracle_instances(np.random.default_rng(20240116), 300):
+            lhs, rhs = det_reduction_oracle(cf, k_mat)
+            scale = k_mat.det() ** cf.k
+            assert (sides[shape][0][i], sides[shape][1][i]) == (lhs * scale, rhs * scale)
+            checked += 1
+        assert checked == sum(len(c) for c, _ in stacks.values()) == 300
+
+    def test_failed_instance_exits_4(self, capsys, monkeypatch):
+        real = cli.det_reduction_sides
+        calls = []
+
+        def break_first_member(c, k_mat):
+            lhs, rhs = real(c, k_mat)
+            if not calls:
+                lhs = lhs.copy()
+                lhs[0] += 1
+            calls.append(len(lhs))
+            return lhs, rhs
+
+        monkeypatch.setattr(cli, "det_reduction_sides", break_first_member)
+        code, stdout, err = run(capsys, "verify-lemma", "--seed", "3", "--count", "100")
+        assert code == EXIT_BAD_ARGS and "Traceback" not in err
+        assert stdout.endswith("random instances: 99 passed, 1 failed\n")
+        assert sum(calls) == 100
+
+    def test_failed_pinned_example_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "det_reduction_check", lambda cf, k_mat: (1, 2))
+        code, stdout, _ = run(capsys, "verify-lemma", "--count", "5")
+        assert code == EXIT_BAD_ARGS
+        assert stdout.startswith("pinned example: lhs = 1 rhs = 2 FAIL\n")
+        assert "5 passed, 0 failed" in stdout
+
+    def test_chunks_bound_the_stacks(self, capsys, monkeypatch):
+        # More instances than one chunk: every one is checked, a chunk at a time.
+        real = cli.det_reduction_sides
+        sizes = []
+        monkeypatch.setattr(cli, "_LEMMA_CHUNK", 40)
+        monkeypatch.setattr(cli, "det_reduction_sides", lambda c, k: sizes.append(len(c)) or real(c, k))
+        code, stdout, _ = run(capsys, "verify-lemma", "--seed", "3", "--count", "100")
+        assert code == EXIT_OK and "100 passed, 0 failed" in stdout
+        assert sum(sizes) == 100 and max(sizes) <= 40
 
 
 class TestMlDegreeCommand:

@@ -13,7 +13,9 @@ from kronmle.linalg import (
     Matrix,
     NotPD,
     SingularMatrix,
+    adjugate_stack,
     cholesky,
+    det_stack,
     format_matrix,
     logdet_pd,
     parse_matrix,
@@ -191,6 +193,74 @@ class TestSolveInverse:
     def test_exact_singular_raises(self):
         with pytest.raises(SingularMatrix):
             Matrix([[1, 2], [2, 4]]).inverse()
+
+
+@st.composite
+def int_stacks(draw):
+    """A (b, s, s) stack as nested lists: small entries, so that zero pivots,
+    row swaps and singular members are common; each member may be forced
+    singular (a repeated row) or to swap (a zero first column entry)."""
+    size = draw(st.integers(1, 5))
+    count = draw(st.integers(1, 5))
+    entries = st.integers(-3, 3) | st.integers(-(2**80), 2**80)
+    stack = []
+    for _ in range(count):
+        m = [[draw(entries) for _ in range(size)] for _ in range(size)]
+        shape = draw(st.sampled_from(["any", "singular", "swap"]))
+        if shape == "singular" and size > 1:
+            m[-1] = list(m[0])
+        elif shape == "swap":
+            m[0][0] = 0
+        stack.append(m)
+    return stack
+
+
+def as_stack(stack):
+    return np.array(stack, dtype=object).reshape(len(stack), len(stack[0]), len(stack[0]))
+
+
+class TestStackedBareiss:
+    """det_stack and adjugate_stack against Matrix.det and solve_fraction_free."""
+
+    @given(int_stacks())
+    @example([[[0, 1], [1, 0]], [[1, 2], [2, 4]], [[0, 0], [0, 0]], [[2, 1], [1, 3]]])
+    @example([[[0, 2, 1], [1, 0, 0], [0, 1, 0]]])  # zero leading minor, nonsingular
+    @example([[[0, 0, 1], [0, 1, 0], [1, 0, 0]]])
+    @example([[[7]]])
+    def test_det_matches_matrix_det(self, stack):
+        dets = det_stack(as_stack(stack))
+        assert dets.shape == (len(stack),)
+        assert [Fraction(d) for d in dets] == [Matrix(m).det() for m in stack]
+        assert all(type(d) is int for d in dets)
+
+    @given(int_stacks())
+    @example([[[0, 1], [1, 0]], [[2, 1], [1, 3]], [[0, 3], [5, 0]]])
+    @example([[[0, 1], [1, 0]], [[1, 2], [2, 4]]])  # one singular member
+    @example([[[0, 2, 1], [1, 0, 0], [0, 1, 0]]])
+    @example([[[-4]]])
+    def test_adjugate_matches_fraction_free_solve(self, stack):
+        size = len(stack[0])
+        if any(Matrix(m).det() == 0 for m in stack):
+            with pytest.raises(SingularMatrix):
+                adjugate_stack(as_stack(stack))
+            stack = [m for m in stack if Matrix(m).det() != 0]
+            if not stack:
+                return
+        dets, adj = adjugate_stack(as_stack(stack))
+        eye = [[int(i == j) for j in range(size)] for i in range(size)]
+        for m, det, a in zip(stack, dets, adj):
+            d, dx = solve_fraction_free(m, eye)
+            assert det == Matrix(m).det()
+            # adj = det * A^-1 = det * (d X) / d
+            assert Matrix(a.tolist()) == Matrix(dx).scale(Fraction(det, d))
+            assert Matrix(m) @ Matrix(a.tolist()) == Matrix.identity(size).scale(det)
+
+    def test_input_left_unchanged(self):
+        a = as_stack([[[0, 1], [1, 0]], [[2, 1], [1, 3]]])
+        before = a.copy()
+        det_stack(a)
+        adjugate_stack(a)
+        assert (a == before).all()
 
 
 class TestPD:

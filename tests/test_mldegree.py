@@ -704,6 +704,34 @@ class TestMlDegree:
                 assert zero_dim
                 assert degree == ml_degree(m1, n, seed)
 
+    def test_castling_invariance(self):
+        """The ML degree of (m1, 2, n) equals that of its castling dual (k, 2, n).
+
+        Castling maps (m1, m2, n) to (k, m2, n), k = n*m2 - m1, and maps the
+        dual back, so at m2 = 2 the cells (m1, n) and (k, n) are each other's
+        duals.  By the determinant reduction identity, with Sigma = K2^-1,
+        det(sum_i Y_i K2 Y_i^T) = det(K2)^n * det(T(Sigma)) up to a constant
+        factor, T(Sigma) = sum_i Z_i Sigma Z_i^T the dual's scatter.  So the
+        profile log-likelihood of the sample in K2,
+        -n*(m2*logdet(sum_i Y_i K2 Y_i^T) - m1*logdet(K2)) / 2, is, up to a
+        constant, -n*(m2*logdet(T(Sigma)) - k*logdet(Sigma)) / 2: the dual's
+        profile in its own K2, read at Sigma.  Inversion K2 -> K2^-1 is a
+        birational map that is regular wherever det K2 != 0, so it carries
+        critical points to critical points, multiplicity kept.  The locus
+        corresponds too: off det K2 = 0, the identity gives
+        det(sum_i Y_i K2 Y_i^T) = 0 exactly where det T(Sigma) = 0, and
+        det Sigma = 0 nowhere.  ml_degree counts solutions off g1*g2*k22 = 0
+        (the scatter's determinant, det K2 and the chart's coordinate);
+        for generic data no critical point lies on a coordinate hyperplane,
+        and a generic sample has a generic dual, so both counts are the same
+        invariant.  Every cell with 1 <= m1, k <= 7 at seed 0.
+        """
+        cells = [(m1, n) for n in range(1, 8) for m1 in range(1, 8) if 1 <= 2 * n - m1 <= 7]
+        degree = {cell: ml_degree(*cell, seed=0) for cell in cells}
+        assert len(cells) == 25
+        for m1, n in cells:
+            assert degree[m1, n] == degree[2 * n - m1, n], (m1, n)
+
 
 class TestQuadratics:
     def test_case_one_hand_coefficients(self):

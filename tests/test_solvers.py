@@ -614,13 +614,17 @@ class TestK1Castle:
 
 @st.composite
 def unbounded_shapes(draw):
-    """(m1, m2, n) with 1 <= k < m1 and n*k < m2: every sample's likelihood is unbounded."""
+    """(m1, m2, n, mirrored) where every sample's likelihood is unbounded.
+
+    Unmirrored: 1 <= k < m1 and n*k < m2.  Mirrored: the transpose of such a
+    shape, whose own transposed sample meets that rule (n*k_T < m1).
+    """
     m2 = draw(st.integers(2, 9))
     n = draw(st.integers(1, min(3, m2 - 1)))
     k = draw(st.integers(1, (m2 - 1) // n))
     m1 = n * m2 - k
     assume(k < m1)
-    return m1, m2, n
+    return (m2, m1, n, True) if draw(st.booleans()) else (m1, m2, n, False)
 
 
 class TestNoMLEByShape:
@@ -630,16 +634,18 @@ class TestNoMLEByShape:
         # T(Sigma) = sum_i Z_i Sigma Z_i^T stays fixed along Sigma = I + t w w^T
         # for w in the kernel of the stacked dual blocks, so the reduced
         # objective falls (the likelihood, n times its negative plus a
-        # constant, rises) without bound.
-        m1, m2, n = shape
+        # constant, rises) without bound.  A mirrored shape's ray is that of
+        # its transposed sample, whose likelihood is the same up to K1 <-> K2.
+        m1, m2, n, mirrored = shape
         s = sample_matrix_normal(np.eye(m1), np.eye(m2), n, seed=seed)
-        cf = canonicalize(exact_copy(s))
-        stacked = np.vstack(cf.dual.to_float().blocks)  # (n*k) x m2, n*k < m2
+        t = SampleSet(np.hstack([y.T for y in s.blocks]), m1) if mirrored else s
+        cf = canonicalize(exact_copy(t))
+        stacked = np.vstack(cf.dual.to_float().blocks)  # (n*k) x m2 of t, n*k < m2
         w = np.linalg.svd(stacked)[2][-1]
         assert np.abs(stacked @ w).max() <= 1e-9 * np.abs(stacked).max()
-        values = [reduced_objective(cf, np.eye(m2) + t * np.outer(w, w)) for t in (0, 1, 1e2, 1e4)]
+        values = [reduced_objective(cf, np.eye(t.m2) + x * np.outer(w, w)) for x in (0, 1, 1e2, 1e4)]
         assert all(b < a for a, b in zip(values, values[1:]))
-        with pytest.raises(MLENotExists):  # by this rule or, at n = 1, by the threshold
+        with pytest.raises(MLENotExists):  # by either rule or, at n = 1, by the threshold
             mle(s)
 
 
