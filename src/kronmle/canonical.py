@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .linalg import Matrix, SingularMatrix, adjugate_stack, det_stack
-from .model import SampleSet
+from .model import SampleSet, scatter_k2_stack
 
 
 class DegenerateData(Exception):
@@ -109,16 +109,7 @@ def _identity_dets(c, k, scale=1):
     y = np.concatenate([left, c], axis=2)
     d_t = np.concatenate([c.transpose(0, 2, 1), right], axis=2)
     det_k, adj_k = adjugate_stack(k)
-    return det_stack(_scatter_stack(y, k)), det_k, det_stack(_scatter_stack(d_t, adj_k))
-
-
-def _scatter_stack(y, k):
-    """sum_i Y_i K Y_i^T per member, scatter_k2's layout on a stack: the rows
-    of Y cut into m2-wide pieces, times K, then times Y^T."""
-    count, rows, cols = y.shape
-    m2 = k.shape[-1]
-    yk = (y.reshape(count, rows * cols // m2, m2) @ k).reshape(count, rows, cols)
-    return yk @ y.transpose(0, 2, 1)
+    return det_stack(scatter_k2_stack(y, k)), det_k, det_stack(scatter_k2_stack(d_t, adj_k))
 
 
 def det_reduction_sides(c, k):

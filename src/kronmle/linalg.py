@@ -2,18 +2,18 @@
 
 The exact side is a small immutable ``Matrix`` class that stores integer
 rows over one common positive denominator, in lowest terms.  Its sums,
-products, stacking, determinant, solve, inverse and PD test all run over
-Python ints; the last four, and solve_fraction_free, share one
-fraction-free (Bareiss) elimination kernel, _bareiss, which works one
-matrix at a time over lists.  det_stack and adjugate_stack run the same
-elimination on a numpy object stack of Python ints, one step for every
-member at once: the determinant identity's check meets hundreds of tiny
-matrices of one shape, where a pass per matrix would cost more in Python
-overhead than in arithmetic.  A ``Fraction`` is made only where one is
-read: an entry, a determinant, or ``data``.  The float side is a
-Cholesky factorization and a log-determinant over numpy.  Both sides
-share the same text serialization: a "rows cols" header line followed by
-whitespace-separated rows, rationals written as ``p/q``.
+products and stacking run over Python ints.  Every exact determinant,
+solve, inverse and PD test runs one fraction-free (Bareiss) elimination
+kernel, _bareiss_stack, on a numpy object stack of Python ints, one step
+for every member at once: Matrix and solve_fraction_free pass a stack of
+one, and det_stack and adjugate_stack a whole stack, as the determinant
+identity's check does with hundreds of tiny matrices of one shape, where
+a pass per matrix would cost more in Python overhead than in arithmetic.
+A ``Fraction`` is made only where one is read: an entry, a determinant,
+or ``data``.  The float side is a Cholesky factorization and a
+log-determinant over numpy.  Both sides share the same text
+serialization: a "rows cols" header line followed by whitespace-separated
+rows, rationals written as ``p/q``.
 """
 
 from __future__ import annotations
@@ -185,12 +185,10 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
 
     def det(self):
-        """Exact determinant: the sign times the last Bareiss pivot of num, over den^rows."""
+        """Exact determinant: det_stack of num as a stack of one, over den^rows."""
         self._check_square()
-        pivots, swaps, _ = _bareiss(self.num, self.cols)
-        if len(pivots) < self.rows:
-            return Fraction(0)
-        return Fraction((-1) ** swaps * pivots[-1], self.den**self.rows)
+        (d,) = det_stack(self._stack())
+        return Fraction(d, self.den**self.rows)
 
     def solve(self, rhs):
         """Exact solve of self @ X = rhs over the integer rows, then one division.
@@ -199,8 +197,7 @@ class Matrix:
         """
         self._check_square()
         d, dx = solve_fraction_free(self.num, rhs.num)
-        den = self.den
-        return Matrix.from_ints([[den * x for x in row] for row in dx], d * rhs.den)
+        return Matrix.from_ints((self.den * dx).tolist(), d * rhs.den)
 
     def inverse(self):
         return self.solve(Matrix.identity(self.rows))
@@ -208,14 +205,17 @@ class Matrix:
     def is_positive_definite(self):
         """Exact PD test via leading principal minors (requires symmetry).
 
-        Without a row swap the Bareiss pivots of num are its leading
-        principal minors, and den > 0 keeps their signs; a swap means a
-        zero minor.
+        When no zero pivot is met the Bareiss pivots of num, on the diagonal
+        of its reduced rows, are its leading principal minors, and den > 0
+        keeps their signs; a zero pivot is a zero minor.
         """
         if not self.is_symmetric():
             return False
-        pivots, swaps, _ = _bareiss(self.num, self.cols)
-        return len(pivots) == self.rows and not swaps and all(p > 0 for p in pivots)
+        _, pivoted, reduced = _bareiss_stack(self._stack())
+        return not pivoted[0] and all(p > 0 for p in reduced[0].diagonal())
+
+    def _stack(self):
+        return np.array([self.num], dtype=object)
 
 
 def _over_common_den(a, b):
@@ -236,20 +236,20 @@ def solve_fraction_free(a, b):
 
     a (square) and b are sequences of rows of ints or Fractions.  A row of
     [A | B] that is not all ints is scaled once by the lcm of its
-    denominators, which leaves X unchanged.  One Bareiss pass over the
-    integer rows (see _bareiss) then leaves d*I | d*X, d its last pivot;
-    Matrix.solve divides by d, and callers that keep working over the
-    integers do not.  Raises SingularMatrix when A is singular.
+    denominators, which leaves X unchanged.  One Gauss-Jordan pass of
+    _bareiss_stack over the integer rows, a stack of one, then leaves
+    d*I | d*X, d its last pivot; d*X comes back as an object array of
+    Python ints.  Matrix.solve divides by d, and callers that keep working
+    over the integers do not.  Raises SingularMatrix when A is singular.
     """
     n = len(a)
     if len(b) != n:
         raise ValueError("rhs row count mismatch")
-    pivots, _, reduced = _bareiss(
-        [_integer_row(tuple(ra) + tuple(rb)) for ra, rb in zip(a, b)], n, reduce_above=True
-    )
-    if len(pivots) < n:
+    rows = [_integer_row(tuple(ra) + tuple(rb)) for ra, rb in zip(a, b)]
+    sign, _, reduced = _bareiss_stack(np.array([rows], dtype=object), reduce_above=True)
+    if not sign[0]:
         raise SingularMatrix("exact rank deficiency")
-    return pivots[-1], [row[n:] for row in reduced]
+    return reduced[0, -1, n - 1], reduced[0, :, n:]
 
 
 def _integer_row(row):
@@ -260,68 +260,34 @@ def _integer_row(row):
     return [x.numerator * (s // x.denominator) for x in row]
 
 
-def _bareiss(rows, ncols, reduce_above=False):
-    """Fraction-free (Bareiss 1968) elimination of integer rows.
-
-    Pivots come from the first `ncols` columns; a column without one is
-    skipped.  Step k maps each other row to (p*row - f*pivot row) / prev,
-    p the new pivot, f the row's entry under it and prev the last pivot;
-    every division is exact.  A row with f = 0 is only rescaled by p/prev,
-    and left as it is when p == prev (so an identity block costs nothing).
-    reduce_above also clears the rows above each pivot (Gauss-Jordan),
-    leaving a full-rank square block as d * I, d the last pivot.  Returns
-    (pivots, row swaps, reduced rows); the determinant of the square block
-    is (-1)**swaps * d.
-    """
-    a = [list(row) for row in rows]
-    swaps = 0
-    pivots = []
-    prev = 1
-    for k in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(a)) if a[i][k]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            swaps += 1
-        prow = a[r]
-        p = prow[k]
-        for i in range(0 if reduce_above else r + 1, len(a)):
-            if i == r:
-                continue
-            row = a[i]
-            f = row[k]
-            # Below the pivot row, columns left of k are already zero.
-            j = 0 if i < r else k
-            if f:
-                row[j:] = [(p * x - f * y) // prev for x, y in zip(row[j:], prow[j:])]
-            elif p != prev:
-                row[j:] = [p * x // prev for x in row[j:]]
-        pivots.append(p)
-        prev = p
-    return pivots, swaps, a
-
-
 def _bareiss_stack(a, reduce_above=False):
-    """_bareiss on a stack: one elimination step at a time for every member.
+    """Fraction-free (Bareiss 1968) elimination of a stack, one step for every member.
 
     a is a (b, s, c) object array of Python ints, c >= s, and pivots come
-    from the leading s x s block of each member.  A member whose pivot is
-    zero swaps in the first row below with a nonzero entry in that column,
-    as mldegree._det_mod does; one with none there is singular, and its
+    from the leading s x s block of each member.  Step j maps each row
+    below the pivot row to (p*row - f*pivot row) / prev, p the pivot, f the
+    row's entry under it and prev the last pivot; every division is exact.
+    reduce_above also clears the rows above each pivot (Gauss-Jordan),
+    leaving a nonsingular block as d*I, d the last pivot; without it the
+    pivots stay on the diagonal.  A member whose pivot is zero swaps in the
+    first row below with a nonzero entry in that column, as
+    mldegree._det_mod does; one with none there is singular, and its
     diagonal entry is set to its last pivot so that the step leaves it as
-    it is.  Returns (sign, reduced): sign per member is (-1)**swaps, or 0
-    when the block is singular, and reduced is _bareiss's reduced rows, so
-    sign * reduced[:, -1, s - 1] is the block's determinant.
+    it is.  Returns (sign, pivoted, reduced): sign per member is
+    (-1)**swaps, or 0 when the block is singular, pivoted is True for a
+    member that met a zero pivot (two swaps leave sign at 1), and reduced
+    holds the reduced rows, so sign * reduced[:, -1, s - 1] is the block's
+    determinant.
     """
     a = a.copy()
     count, size = a.shape[:2]
     sign = np.ones(count, dtype=object)
+    pivoted = np.zeros(count, dtype=bool)
     prev = np.ones((count, 1, 1), dtype=object)
     for j in range(size):
         zero = a[:, j, j] == 0
         if zero.any():
+            pivoted |= zero
             below = a[:, j:, j] != 0
             piv = j + np.argmax(below, axis=1)
             swap = np.nonzero(zero & below.any(axis=1))[0]
@@ -340,12 +306,12 @@ def _bareiss_stack(a, reduce_above=False):
             rest = a[:, j + 1 :, j:]
             a[:, j + 1 :, j:] = (p * rest - rest[:, :, :1] * a[:, j : j + 1, j:]) // prev
         prev = p
-    return sign, a
+    return sign, pivoted, a
 
 
 def det_stack(a):
     """Exact determinants of a (b, s, s) stack of Python ints, one Bareiss pass for all."""
-    sign, reduced = _bareiss_stack(a)
+    sign, _, reduced = _bareiss_stack(a)
     return sign * reduced[:, -1, -1]
 
 
@@ -358,7 +324,7 @@ def adjugate_stack(a):
     """
     size = a.shape[-1]
     eye = np.broadcast_to(np.identity(size, dtype=object), a.shape)
-    sign, reduced = _bareiss_stack(np.concatenate([a, eye], axis=2), reduce_above=True)
+    sign, _, reduced = _bareiss_stack(np.concatenate([a, eye], axis=2), reduce_above=True)
     if not sign.all():
         raise SingularMatrix("exact rank deficiency")
     return sign * reduced[:, -1, size - 1], sign[:, None, None] * reduced[:, :, size:]

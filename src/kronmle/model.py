@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 
 import numpy as np
 
@@ -96,27 +95,30 @@ def scatter_k2(sample, k2):
     [Y1 K2 | ... | Yn K2], whose product with Y^T is the sum.  An exact
     sample with a Matrix K2 gives the exact sum over Python ints: with
     Y = NY/dy and K2 = NK/dk as integer rows over one denominator each,
-    the integer product NY (I_n kron NK) NY^T is returned over dy^2 * dk.
-    Otherwise it is one GEMM pair over the float concatenation,
-    symmetrized.  Raises ValueError unless K2 is m2 x m2.
+    scatter_k2_stack of NY and NK as stacks of one is returned over
+    dy^2 * dk.  Otherwise it is one GEMM pair over the float
+    concatenation, symmetrized.  Raises ValueError unless K2 is m2 x m2.
     """
     m1, m2, n = sample.m1, sample.m2, sample.n
     if np.shape(k2) != (m2, m2):
         raise ValueError(f"K2 must be {m2} x {m2}, got shape {np.shape(k2)}")
     if sample.is_exact and isinstance(k2, Matrix):
         y = sample.y
-        k_cols = tuple(zip(*k2.num))
-        cuts = range(0, n * m2, m2)
-        yk = [
-            [sum(map(mul, row[c : c + m2], col)) for c in cuts for col in k_cols]
-            for row in y.num
-        ]
-        return Matrix.from_ints(
-            [[sum(map(mul, a, b)) for b in y.num] for a in yk], y.den * y.den * k2.den
-        )
+        (s,) = scatter_k2_stack(np.array([y.num], dtype=object), np.array([k2.num], dtype=object))
+        return Matrix.from_ints(s.tolist(), y.den * y.den * k2.den)
     y = sample.to_float().y
     out = (y.reshape(m1 * n, m2) @ _as_array(k2)).reshape(m1, n * m2) @ y.T
     return (out + out.T) / 2
+
+
+def scatter_k2_stack(y, k):
+    """sum_i Y_i K Y_i^T per member of a (b, m1, n*m2) stack y and a
+    (b, m2, m2) stack k, object arrays of Python ints: scatter_k2's layout
+    with one more axis."""
+    count, rows, cols = y.shape
+    m2 = k.shape[-1]
+    yk = (y.reshape(count, rows * cols // m2, m2) @ k).reshape(count, rows, cols)
+    return yk @ y.transpose(0, 2, 1)
 
 
 def scatter_k1(sample, k1):

@@ -11,7 +11,9 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
 
-from .linalg import Matrix
+import numpy as np
+
+from .linalg import det_stack
 
 
 def lex_key(exp):
@@ -327,11 +329,12 @@ def poly_det(grid):
 
     In each variable the determinant has degree at most D, the sum over the
     rows of the largest degree of that variable in the row.  Its values on
-    the integer box [0, D_1] x ... x [0, D_k] therefore fix it: each value is
-    Matrix.det of the grid evaluated there as an integer matrix, with every
-    row scaled to integer coefficients first, so the scaled determinant has
-    integer coefficients, and Newton interpolation over ints (see
-    _interpolate_at_naturals) recovers them one variable at a time.
+    the integer box [0, D_1] x ... x [0, D_k] therefore fix it: the grid is
+    evaluated at every point as an integer matrix, with every row scaled to
+    integer coefficients first, so the scaled determinant has integer
+    coefficients; one det_stack call gives all the values, and Newton
+    interpolation over ints (see _interpolate_at_naturals) recovers them
+    one variable at a time.
     """
     n = len(grid)
     if any(len(row) != n for row in grid):
@@ -349,12 +352,12 @@ def poly_det(grid):
         for row, s in zip(grid, scales)
     ]
     exps = {e for row in rows for entry in row for e, _ in entry}
-    table = {}
-    for point in product(*(range(b + 1) for b in bounds)):
+    points = list(product(*(range(b + 1) for b in bounds)))
+    values = []
+    for point in points:
         monos = {e: prod(x**k for x, k in zip(point, e)) for e in exps}
-        table[point] = Matrix.from_ints(
-            [[sum(c * monos[e] for e, c in entry) for entry in row] for row in rows]
-        ).det().numerator
+        values.append([[sum(c * monos[e] for e, c in entry) for entry in row] for row in rows])
+    table = dict(zip(points, det_stack(np.array(values, dtype=object)).tolist()))
     for i, b in enumerate(bounds):
         if b == 0:
             continue

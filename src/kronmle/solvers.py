@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from operator import mul
 
 import numpy as np
 
@@ -91,56 +90,47 @@ def exact_mle_k1(sample):
     return _exact_k1(sample)
 
 
-def _dot(a, b):
-    return sum(map(mul, a, b))
-
-
 def _exact_k1(sample):
-    """The exact k = 1 pair over Python ints: integer rows over one denominator.
+    """The exact k = 1 pair over Python ints, on object arrays.
 
     With A = I_n kron K2, W = [Y_*^-1; 0] and v^T A^-1 v = tr(K2^-1 K2) = m2,
     the inverse of the scatter Y A Y^T is W^T (A^-1 - A^-1 v v^T A^-1 / m2) W,
     so K1 = n*m2 * W^T [I_n kron K2^-1 - u u^T / m2] W with u = A^-1 v.
     Integer form, on the integer rows N = delta*Y of the data: one
-    fraction-free pass over [N_* | I | N_y] gives G = d*N_*^-1 and
-    w = d*v (v does not change when Y is scaled); a second one gives
-    H = e*(d^2 K2)^-1 with e = det(d^2 K2).  K2 is the integer rows of
-    d^2 K2 over d^2.  With G padded by a zero row and U = (I_n kron H) w,
+    fraction-free pass over [N_* | I | N_y] gives G = d*N_*^-1 and w = d*v
+    (v does not change when Y is scaled), so d^2 K2 = sum_b w_b w_b^T over
+    the blocks w_b of w; a second pass gives H = e*(d^2 K2)^-1 with
+    e = det(d^2 K2).  With G padded by a zero row and U = (I_n kron H) w,
     K1 = n * delta^2 * (e*m2 * G^T (I_n kron H) G - (G^T U)(G^T U)^T) / e^2,
     the delta^2 because W = delta * [N_*^-1; 0].
     """
     m1, m2, n = sample.m1, sample.m2, sample.n
-    rows = sample.y.num  # N = [N_* | N_y]
-    unit = [(0,) * r + (1,) + (0,) * (m1 - 1 - r) for r in range(m1)]
+    rows = np.array(sample.y.num, dtype=object)  # N = [N_* | N_y]
     try:
         d, dx = solve_fraction_free(
-            [row[:m1] for row in rows], [u + row[m1:] for u, row in zip(unit, rows)]
+            rows[:, :m1], np.hstack([np.identity(m1, dtype=object), rows[:, m1:]])
         )
     except SingularMatrix:
         raise DegenerateData("left m1 x m1 block is singular") from None
-    g = [row[:m1] for row in dx] + [(0,) * m1]  # d * N_*^-1, padded
-    w = [row[m1] for row in dx] + [-d]  # d * v
-    blocks = range(0, n * m2, m2)
-    k2_int = [
-        [sum(w[b + p] * w[b + q] for b in blocks) for q in range(m2)] for p in range(m2)
-    ]
+    g = np.vstack([dx[:, :m1], np.zeros((1, m1), dtype=object)])  # d * N_*^-1, padded
+    w = np.append(dx[:, m1], -d).reshape(n, m2)  # d * v, one block w_b per row
+    k2_int = w.T @ w
     d2 = d * d
-    k2 = Matrix.from_ints(k2_int, d2)
+    k2 = Matrix.from_ints(k2_int.tolist(), d2)
     if not k2.is_positive_definite():
         raise MLENotExists("sum_i v_i v_i^T is not positive definite")
     # Integer rows need no scaling and a PD matrix no row swap, so e is det(d^2 K2).
-    e, h = solve_fraction_free(k2_int, [[int(i == j) for j in range(m2)] for i in range(m2)])
+    e, h = solve_fraction_free(k2_int, np.identity(m2, dtype=object))
     # (I_n kron H) applied to w and, block by block, to the columns of G.
-    u = [_dot(hrow, w[b : b + m2]) for b in blocks for hrow in h]
-    hg = [[_dot(hrow, col) for col in zip(*g[b : b + m2])] for b in blocks for hrow in h]
-    g_t, hg_t = list(zip(*g)), list(zip(*hg))
-    gu = [_dot(col, u) for col in g_t]
-    em2, scale = e * m2, n * sample.y.den ** 2
-    k1 = [[None] * m1 for _ in range(m1)]
-    for i in range(m1):
-        for j in range(i, m1):
-            k1[i][j] = k1[j][i] = scale * (em2 * _dot(g_t[i], hg_t[j]) - gu[i] * gu[j])
-    k1 = Matrix.from_ints(k1, e * e)
+    gu = g.T @ (w @ h.T).reshape(-1)
+    hg = (h @ g.reshape(n, m2, m1)).reshape(n * m2, m1)
+    # K1 is symmetric: only its upper triangle is computed, entry (i, j) from
+    # columns i of G and j of HG, all the dot products in one batched matmul.
+    i, j = np.triu_indices(m1)
+    dots = (g.T[i, None, :] @ hg.T[j, :, None]).reshape(-1)
+    k1 = np.empty((m1, m1), dtype=object)
+    k1[i, j] = k1[j, i] = n * sample.y.den**2 * (e * m2 * dots - gu[i] * gu[j])
+    k1 = Matrix.from_ints(k1.tolist(), e * e)
     k2f, k1f = normalize_det1(k2.to_numpy(), k1.to_numpy())
     return KroneckerEstimate(
         k1=k1f,

@@ -4,13 +4,14 @@ The profile objective g and the profile maximizer of K1 on the data, the
 reduced objective and its gradient on the dual sample of the canonical
 form, and polynomial evaluation.  The estimators never evaluate these; the
 tests use them to check invariances, stationarity and score roots.  Also
-the determinant reduction identity by Matrix arithmetic, one instance at a
-time: the oracle for the stacked check.
+the determinant reduction identity by Matrix sums and sympy, one instance
+at a time: the oracle for the stacked check.
 """
 
 from fractions import Fraction
 
 import numpy as np
+import sympy
 
 from kronmle.canonical import canonicalize
 from kronmle.linalg import Matrix, NotPD, SingularMatrix, cholesky, logdet_pd
@@ -100,8 +101,31 @@ def lemma_instance(rng, m2, k, n):
 
 
 def det_reduction_oracle(cf, k_mat):
-    """(lhs, rhs) of the determinant reduction identity, by Matrix arithmetic:
-    det(sum_i Y_i K Y_i^T) over [I | C] and det(K)^n * det(T(K^-1)) over the dual."""
-    lhs = scatter_k2(canonical_sample(cf), k_mat).det()
-    rhs = k_mat.det() ** cf.n * scatter_k2(cf.dual, k_mat.inverse()).det()
+    """(lhs, rhs) of the determinant reduction identity, independent of the
+    exact kernels: det(sum_i Y_i K Y_i^T) over [I | C] and det(K)^n * det(T(K^-1))
+    over the dual, the scatters summed block by block with Matrix products,
+    K^-1 and the determinants from sympy."""
+    k_inv = Matrix(_from_sympy(_to_sympy(k_mat).inv()))
+    lhs = _sympy_det(_block_scatter(canonical_sample(cf), k_mat))
+    rhs = _sympy_det(k_mat) ** cf.n * _sympy_det(_block_scatter(cf.dual, k_inv))
     return lhs, rhs
+
+
+def _block_scatter(sample, k):
+    total = Matrix.zeros(sample.m1, sample.m1)
+    for y in sample.blocks:
+        total = total + y @ k @ y.transpose()
+    return total
+
+
+def _to_sympy(m):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.data])
+
+
+def _from_sympy(m):
+    return [[Fraction(int(x.p), int(x.q)) for x in row] for row in m.tolist()]
+
+
+def _sympy_det(m):
+    d = _to_sympy(m).det()
+    return Fraction(int(d.p), int(d.q))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -220,17 +221,17 @@ def as_stack(stack):
 
 
 class TestStackedBareiss:
-    """det_stack and adjugate_stack against Matrix.det and solve_fraction_free."""
+    """det_stack and adjugate_stack against sympy, independent of the kernel."""
 
     @given(int_stacks())
     @example([[[0, 1], [1, 0]], [[1, 2], [2, 4]], [[0, 0], [0, 0]], [[2, 1], [1, 3]]])
     @example([[[0, 2, 1], [1, 0, 0], [0, 1, 0]]])  # zero leading minor, nonsingular
     @example([[[0, 0, 1], [0, 1, 0], [1, 0, 0]]])
     @example([[[7]]])
-    def test_det_matches_matrix_det(self, stack):
+    def test_det_matches_sympy(self, stack):
         dets = det_stack(as_stack(stack))
         assert dets.shape == (len(stack),)
-        assert [Fraction(d) for d in dets] == [Matrix(m).det() for m in stack]
+        assert dets.tolist() == [sympy.Matrix(m).det() for m in stack]
         assert all(type(d) is int for d in dets)
 
     @given(int_stacks())
@@ -238,22 +239,16 @@ class TestStackedBareiss:
     @example([[[0, 1], [1, 0]], [[1, 2], [2, 4]]])  # one singular member
     @example([[[0, 2, 1], [1, 0, 0], [0, 1, 0]]])
     @example([[[-4]]])
-    def test_adjugate_matches_fraction_free_solve(self, stack):
-        size = len(stack[0])
-        if any(Matrix(m).det() == 0 for m in stack):
+    def test_adjugate_matches_sympy(self, stack):
+        if any(sympy.Matrix(m).det() == 0 for m in stack):
             with pytest.raises(SingularMatrix):
                 adjugate_stack(as_stack(stack))
-            stack = [m for m in stack if Matrix(m).det() != 0]
+            stack = [m for m in stack if sympy.Matrix(m).det() != 0]
             if not stack:
                 return
         dets, adj = adjugate_stack(as_stack(stack))
-        eye = [[int(i == j) for j in range(size)] for i in range(size)]
-        for m, det, a in zip(stack, dets, adj):
-            d, dx = solve_fraction_free(m, eye)
-            assert det == Matrix(m).det()
-            # adj = det * A^-1 = det * (d X) / d
-            assert Matrix(a.tolist()) == Matrix(dx).scale(Fraction(det, d))
-            assert Matrix(m) @ Matrix(a.tolist()) == Matrix.identity(size).scale(det)
+        assert dets.tolist() == [sympy.Matrix(m).det() for m in stack]
+        assert adj.tolist() == [sympy.Matrix(m).adjugate().tolist() for m in stack]
 
     def test_input_left_unchanged(self):
         a = as_stack([[[0, 1], [1, 0]], [[2, 1], [1, 3]]])
