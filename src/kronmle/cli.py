@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 degenerate data, 3 MLE nonexistence, 4 bad
 arguments or input, a solution count that no two primes of
-mldegree.PRIMES confirmed, or a verify-lemma check that failed.
+mldegree.PRIMES confirmed, a pair whose resultant vanished on two primes,
+or a verify-lemma check that failed.
 """
 
 from __future__ import annotations

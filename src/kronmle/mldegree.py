@@ -4,13 +4,14 @@ The likelihood equations are built on the chart K = [[1, k12], [k12, k22]]
 from g1 = det(sum_i Yi K Yi^T) and g2 = det(K): the score numerators are
 m2*g2*d(g1)/de - m1*g1*d(g2)/de for e in {k22, k12}.  Their solutions off
 the locus g1*g2*k22 = 0 are counted with multiplicity, modulo primes below
-2**31 by the sheared resultant (_count_by_trials).  ml_degree builds no
-polynomial over Q: sum_i Yi K Yi^T is A0 + k12*A1 + k22*A2 for three
-integer scatters, a batched int64 elimination gives g1 mod p on the
-(m1+1)^2 integer grid, and the score pair follows mod p.  Only a pair with
-a common factor goes back to Q, where the PRS gcd splits it.  The Prop. 4.3
-multiplicities use the same count, localized at their denominators.
-"""
+2**31 by the sheared resultant (_count_by_trials).  ml_degree decides the
+shapes whose count is 0 before any data are drawn, and builds no polynomial
+over Q: sum_i Yi K Yi^T is A0 + k12*A1 + k22*A2 for three integer
+scatters, a batched int64 elimination gives g1 mod p on the (m1+1)^2
+integer grid, and the score pair follows mod p.  No count goes back to Q: a
+pair whose resultant vanishes shares a factor, and raises PrimesExhausted.
+The Prop. 4.3 multiplicities use the same count, localized at their
+denominators."""
 
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import numpy as np
 from .groebner import PolyIdeal, saturate_rabinowitsch
 from .linalg import Matrix
 from .model import SampleSet, scatter_k2
-from .poly import Poly, exact_divide, poly_gcd
+from .poly import Poly
 
 
 SCORE_VARS = ("k12", "k22")
@@ -73,51 +74,38 @@ def ml_degree(m1, n, seed):
 
     g2 = det K, a locus factor, is divided out of both score polynomials as
     often as it divides them (on every cell tried, their only common factor).
-    Returns 0 when the saturated system is positive-dimensional or empty.
+    The count is 0 when the saturated system is positive-dimensional or
+    empty, and these shapes are 0 for every sample, so no data are drawn:
+    - n*m2 < m1: sum_i Yi K Yi^T = Y (I_n kron K) Y^T has rank at most n*m2,
+      so g1 = 0 identically.
+    - n*m2 = m1: Y is square and g1 = det(Y)^2 * g2^n, so both score
+      numerators are det(Y)^2 * g2^n * d(g2)/de * (m2*n - m1) = 0.
+    - m1 = m2 = n = 2: the sample A Yi B^T has the critical points
+      B^-T K2 B^-1 of the sample Yi, and for generic data A = P^-1 Y1^-1,
+      B^T = P, with P diagonalizing Y1^-1 Y2, make it (I, D), D diagonal.
+      The torus T = {(diag(t)^-1, diag(t))} fixes (I, D), so the profile
+      likelihoods of K2 and of diag(t) K2 diag(t) differ by a constant,
+      and T carries critical points to critical points and the locus to
+      itself.  On the chart, T moves every K2 off the locus along the
+      curve (k12, k22) -> (s*k12, s^2*k22), so the critical points
+      form curves, or there are none.
     """
+    if 2 * n <= m1 or m1 == n == 2:
+        return 0
     y = _integer_data(m1, n, seed)
     first, second = y[:, 0::2], y[:, 1::2]
     scatters = (first @ first.T, first @ second.T + second @ first.T, second @ second.T)
-    count = _count_by_trials(lambda prime, shear: _chart_images(scatters, prime, shear))
-    if count is not None:
-        return count
-    g1, g2, gens = score_polynomials(random_integer_sample(m1, n, seed))
-    k22 = Poly.variable(SCORE_VARS, "k22")
-    return count_solutions_off_locus(tuple(_divide_out(g, g2) for g in gens), (g1, g2, k22))
-
-
-def _divide_out(p, d):
-    """p divided by d for as long as d divides it exactly."""
-    while not p.is_zero():
-        try:
-            p = exact_divide(p, d)
-        except ValueError:
-            break
-    return p
+    return _count_by_trials(lambda prime, shear: _chart_images(scatters, prime, shear))
 
 
 def count_solutions_off_locus(gens, factors):
     """Solutions of a pair of bivariate Polys off the zeros of the factors,
-    counted with multiplicity by _count_by_trials.  When the resultant
-    vanishes, poly_gcd splits off the common factor: if a factor of it
-    divides no locus factor, a curve of solutions survives and the count is
-    0 (the positive-dimensional convention); else the cofactors count."""
+    counted with multiplicity by _count_by_trials; 0 when a Poly is zero."""
     p, q = gens
     locus = prod(factors, start=Poly.constant(p.vars, 1))
     if p.is_zero() or q.is_zero() or locus.is_zero():
         return 0
-    count = _count_by_trials(lambda prime, shear: _poly_images((p, q, locus), prime, shear))
-    if count is not None:
-        return count
-    residual = h = poly_gcd(p, q)
-    if h.total_degree() == 0:
-        raise PrimesExhausted("the resultant of a coprime pair vanished on two primes")
-    while residual.total_degree() > 0:
-        shared = poly_gcd(residual, locus)
-        if shared.total_degree() == 0:
-            return 0
-        residual = exact_divide(residual, shared)
-    return count_solutions_off_locus((exact_divide(p, h), exact_divide(q, h)), factors)
+    return _count_by_trials(lambda prime, shear: _poly_images((p, q, locus), prime, shear))
 
 
 # Primes just below 2**31: two residues multiply within an int64.
@@ -125,7 +113,8 @@ PRIMES = (2**31 - 1, 2**31 - 19, 2**31 - 61, 2**31 - 69, 2**31 - 85, 2**31 - 99)
 
 
 class PrimesExhausted(ArithmeticError):
-    """No two primes of PRIMES agreed on the largest count."""
+    """No two primes of PRIMES agreed on the largest count, or the
+    resultant vanished on two of them."""
 
 
 def _shear(prime):
@@ -151,7 +140,8 @@ def _count_by_trials(images):
     the locus the same y as a zero of p + c*q and F, which is then divided
     out too; a bad prime can lower deg R or make the gcds larger.  So the
     largest count is returned once two trials agree on it.  R != 0 mod prime
-    proves p, q coprime over Q; None when R vanished on two trials.
+    proves p, q coprime over Q; R = 0 on two trials means they share a
+    factor, and raises PrimesExhausted.
     """
     best, agreeing, vanished = -1, 0, 0
     for prime in PRIMES:
@@ -163,7 +153,7 @@ def _count_by_trials(images):
         if count < 0:
             vanished += 1
             if vanished == 2:
-                return None
+                raise PrimesExhausted("the resultant vanished on two primes: the pair shares a factor")
         elif count > best:
             best, agreeing = count, 1
         elif count == best:

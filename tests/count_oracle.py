@@ -29,6 +29,16 @@ def score_system(m1, n, seed):
     return gens, g1 * g2 * Poly.variable(SCORE_VARS, "k22")
 
 
+def divide_out(p, d):
+    """p divided by d for as long as d divides it exactly."""
+    while not p.is_zero():
+        try:
+            p = exact_divide(p, d)
+        except ValueError:
+            break
+    return p
+
+
 def residue_ring(gens, f):
     """(f, grevlex basis, standard monomials) of the cofactor pair, or None
     when the count is 0: a factor of the gcd that divides no power of f

@@ -552,21 +552,21 @@ class TestMlDegreeCommand:
 
     def test_primes_exhausted(self, tmp_path, capsys, monkeypatch):
         # With no prime to confirm a modular count, the command reports one
-        # error line, exits 4 and caches no result.  Every cell, degenerate
-        # ones too, counts mod primes.  The cells run in this process, so
-        # that the patched PRIMES reaches them.
+        # error line, exits 4 and caches no result.  The cells lie outside
+        # ml_degree's shape rules, so each counts mod primes.  The cells run
+        # in this process, so that the patched PRIMES reaches them.
         monkeypatch.setattr(mldegree, "PRIMES", ())
         monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialExecutor)
         cache = tmp_path / "cache"
         code, stdout, err = run(
-            capsys, "mldegree", "--m1", "2", "--n", "2:3", "--seed", "1",
+            capsys, "mldegree", "--m1", "3", "--n", "2:3", "--seed", "1",
             "--cache-dir", str(cache),
         )
         assert code == EXIT_BAD_ARGS
         assert stdout == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
-        assert not (cache / "cell_2_2_1.json").exists()
-        assert not (cache / "cell_2_3_1.json").exists()
+        assert not (cache / "cell_3_2_1.json").exists()
+        assert not (cache / "cell_3_3_1.json").exists()
 
     def test_pair_budget_is_unknown(self, tmp_path, capsys):
         # The count has no S-pairs left to budget: Bezout's bound fixes its cost.

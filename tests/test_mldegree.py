@@ -15,7 +15,6 @@ from kronmle.mldegree import (
     PROP43_UPPER,
     SCORE_VARS,
     PrimesExhausted,
-    _divide_out,
     _prop43_pair,
     b_zero_quadratic,
     count_solutions_off_locus,
@@ -30,6 +29,7 @@ from kronmle.poly import ORDER_KEYS, Poly
 from kronmle.solvers import exact_mle_k1
 from count_oracle import PRIMES as ORACLE_PRIMES
 from count_oracle import (
+    divide_out,
     ml_degree_by_buchberger,
     modular_stable_rank,
     multiplication_matrix_mod,
@@ -190,17 +190,21 @@ def both_matrices_mod(f, gb, monos, prime):
     return multiplication_matrix_mod(*args), column_by_column_matrix_mod(*args)
 
 
-def spy_on_gcd(monkeypatch):
-    """Record the arguments of every PRS gcd that count_solutions_off_locus runs."""
-    calls = []
-    real = mldegree.poly_gcd
+def refuse_q(monkeypatch):
+    """Make every route over Q raise: the PRS gcd, exact division, the
+    polynomial determinant, the score Polys and Buchberger."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a count went back to Q")
 
-    def spy(p, q):
-        calls.append((p, q))
-        return real(p, q)
+    for module, name in ((poly, "poly_gcd"), (poly, "exact_divide"), (poly, "poly_det"),
+                         (mldegree, "score_polynomials"), (groebner, "buchberger")):
+        monkeypatch.setattr(module, name, refuse)
 
-    monkeypatch.setattr(mldegree, "poly_gcd", spy)
-    return calls
+
+# The cells with m1, n <= 9 and n <= m1 + 6, and those of them that
+# ml_degree decides by shape: n*m2 <= m1, and m1 = m2 = n = 2.
+GRID_CELLS = [(m1, n) for m1 in range(1, 10) for n in range(1, 10) if n <= m1 + 6]
+RULE_CELLS = [(m1, n) for m1, n in GRID_CELLS if 2 * n <= m1] + [(2, 2)]
 
 
 def spy_on_primes(monkeypatch):
@@ -313,15 +317,26 @@ class TestCountSolutions:
 
     def test_common_factor_divides_f(self):
         x, y = xy_ring()
-        # shared factor (x - 1) is killed by localizing at f = x - 1
+        # The shared factor (x - 1) lies on the locus f = x - 1, but no
+        # count splits it off: the resultant vanishes on every prime.
         gens = ((x - 1) * x, (x - 1) * (y - 2))
-        assert count_solutions_off_locus(gens, (x - 1, y)) == 1
+        with pytest.raises(PrimesExhausted, match="shares a factor"):
+            count_solutions_off_locus(gens, (x - 1, y))
 
-    def test_positive_dimensional_reports_zero(self):
+    def test_common_factor_off_f_raises(self):
         x, y = xy_ring()
         # the line x = 1 survives localization at y
         gens = ((x - 1) * x, (x - 1) * (y - 2))
-        assert count_solutions_off_locus(gens, (y,)) == 0
+        with pytest.raises(PrimesExhausted, match="shares a factor"):
+            count_solutions_off_locus(gens, (y,))
+
+    def test_positive_dimensional_reports_zero(self):
+        # At (2,2) the saturated likelihood ideal is not zero-dimensional
+        # (its critical points form curves), and ml_degree reports 0.
+        for seed in (0, 1, 2):
+            zero_dim, degree = dim_and_degree(buchberger(likelihood_equations_m2_2(2, 2, seed)))
+            assert not zero_dim and degree is None
+            assert ml_degree(2, 2, seed) == 0
 
     def test_zero_generator(self):
         x, y = xy_ring()
@@ -355,52 +370,51 @@ class TestCertifiedRoute:
         assert ml_degree(m1, n, seed) == ml_degree_by_buchberger(m1, n, seed)
 
     def test_benchmark_cells_skip_fallback(self, monkeypatch):
-        calls = spy_on_gcd(monkeypatch)
-        built = []
-        monkeypatch.setattr(mldegree, "score_polynomials", lambda s: built.append(s))
+        refuse_q(monkeypatch)
         for m1, n in BENCHMARK_CELLS:
             ml_degree(m1, n, seed=0)
-        assert calls == [] and built == []
 
     def test_divide_out_every_power(self):
         x, y = xy_ring()
         g = x - y**2
-        assert _divide_out(g**3 * (x + 1), g) == x + 1
-        assert _divide_out(x + 1, g) == x + 1
+        assert divide_out(g**3 * (x + 1), g) == x + 1
+        assert divide_out(x + 1, g) == x + 1
         zero = Poly.constant(("x", "y"), 0)
-        assert _divide_out(zero, g) == zero
-
-    def test_common_factor_off_f_counts_zero_through_fallback(self, monkeypatch):
-        x, y = xy_ring()
-        calls = spy_on_gcd(monkeypatch)
-        # the line x = 1 survives localization at y
-        gens = ((x - 1) * x, (x - 1) * (y - 2))
-        assert count_solutions_off_locus(gens, (y,)) == 0
-        assert calls
+        assert divide_out(zero, g) == zero
 
     def test_coprime_pair_skips_fallback(self, monkeypatch):
         x, y = xy_ring()
-        # Small primes do for a pair this small.
+        # Small primes do for a pair this small, and nothing runs over Q.
         monkeypatch.setattr(mldegree, "PRIMES", (5, 7, 11))
-        calls = spy_on_gcd(monkeypatch)
+        refuse_q(monkeypatch)
         assert count_solutions_off_locus((x * (x - 1), y), (x,)) == 1
-        assert calls == []
 
-    def test_degenerate_cells_fall_back_to_q(self, monkeypatch):
-        # (2,2) has a common linear factor and (3,1) has g1 = 0: the
-        # resultant vanishes on every prime, and the split runs over Q.
-        calls = spy_on_gcd(monkeypatch)
-        assert ml_degree(2, 2, seed=1) == 0
-        assert calls
-        assert ml_degree(3, 1, seed=1) == 0
+    def test_degenerate_shapes_count_zero(self, monkeypatch):
+        # Each shape rule of ml_degree returns 0 before any data are drawn
+        # or counted, and the Buchberger oracle agrees on the drawn data.
+        assert len(RULE_CELLS) == 21
+        seeds = {cell: range(6) if cell == (2, 2) else range(3) for cell in RULE_CELLS}
+        oracle = {(m1, n, seed): ml_degree_by_buchberger(m1, n, seed) for m1, n in RULE_CELLS for seed in seeds[m1, n]}
+        assert set(oracle.values()) == {0}
+
+        def refuse(*args):
+            raise AssertionError("a rule cell was drawn or counted")
+
+        monkeypatch.setattr(mldegree, "_integer_data", refuse)
+        monkeypatch.setattr(mldegree, "_sheared_count", refuse)
+        for m1, n, seed in oracle:
+            assert ml_degree(m1, n, seed) == 0
 
     def test_no_buchberger_on_the_count(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("Buchberger ran")
-
-        monkeypatch.setattr(groebner, "buchberger", refuse)
-        for m1, n in BENCHMARK_CELLS + [(2, 2)]:
-            ml_degree(m1, n, seed=0)
+        # Every grid cell at seeds 0-2, the benchmark and rule cells among
+        # them, and the benchmark's five multiplicity systems count mod
+        # primes alone, and none raises PrimesExhausted.
+        assert set(BENCHMARK_CELLS + RULE_CELLS) <= set(GRID_CELLS)
+        assert len(GRID_CELLS) * 3 - len(RULE_CELLS) * 3 == 171
+        refuse_q(monkeypatch)
+        for m1, n in GRID_CELLS:
+            for seed in (0, 1, 2):
+                ml_degree(m1, n, seed)
         for case_id, m2, k in [("one", 3, 2), ("one", 4, 2), ("two", 2, 2), ("two", 2, 3), ("two", 2, 4)]:
             ml_multiplicity_prop43(m2, k, case_id)
 
@@ -667,7 +681,7 @@ class TestModularKernels:
         prime = PRIMES[0]
         shear = mldegree._shear(prime)
         chart = mldegree._chart_images(scatters, prime, shear)
-        exact = mldegree._poly_images([_divide_out(g, g2) for g in gens] + [g1 * g2 * k22], prime, shear)
+        exact = mldegree._poly_images([divide_out(g, g2) for g in gens] + [g1 * g2 * k22], prime, shear)
         for got, want in zip(chart, exact):
             size = max(got.shape[0], want.shape[0])
             assert np.array_equal(_pad(got, size), _pad(want, size))
@@ -724,13 +738,25 @@ class TestMlDegree:
         (the scatter's determinant, det K2 and the chart's coordinate);
         for generic data no critical point lies on a coordinate hyperplane,
         and a generic sample has a generic dual, so both counts are the same
-        invariant.  Every cell with 1 <= m1, k <= 7 at seed 0.
+        invariant.  Every cell with 1 <= m1, k <= 8 at seed 0.
+
+        The table fits one formula in d = min(m1, k): (d - 1)^2 when m1 = k,
+        and d^2 - d + 1 otherwise.  (2,2), which reads 0 by its shape rule,
+        is the one exception.  The Buchberger oracle confirms every cell
+        with m1, k <= 5.
         """
-        cells = [(m1, n) for n in range(1, 8) for m1 in range(1, 8) if 1 <= 2 * n - m1 <= 7]
+        cells = [(m1, n) for n in range(1, 9) for m1 in range(1, 9) if 1 <= 2 * n - m1 <= 8]
         degree = {cell: ml_degree(*cell, seed=0) for cell in cells}
-        assert len(cells) == 25
+        assert len(cells) == 32
         for m1, n in cells:
-            assert degree[m1, n] == degree[2 * n - m1, n], (m1, n)
+            k = 2 * n - m1
+            d = min(m1, k)
+            assert degree[m1, n] == degree[k, n], (m1, n)
+            if (m1, n) != (2, 2):
+                assert degree[m1, n] == ((d - 1) ** 2 if m1 == k else d * d - d + 1), (m1, n)
+            if max(m1, k) <= 5:
+                assert degree[m1, n] == ml_degree_by_buchberger(m1, n, 0), (m1, n)
+        assert degree[2, 2] == 0
 
 
 class TestQuadratics:

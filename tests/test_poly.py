@@ -250,11 +250,11 @@ class TestCertifyCoprime:
         assert certified >= 10
 
     def test_score_pairs_without_det_k_certified(self):
-        from kronmle.mldegree import _divide_out
+        from count_oracle import divide_out
 
         for m1, n in ((3, 3), (5, 3), (4, 4)):
             _, g2, gens = score_polynomials(random_integer_sample(m1, n, seed=0))
-            p, q = (_divide_out(g, g2) for g in gens)
+            p, q = (divide_out(g, g2) for g in gens)
             assert resultant_certifies(p, q)
             if m1 > n:
                 # a power of det K is common to the undivided pair
