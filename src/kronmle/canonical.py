@@ -11,7 +11,7 @@ D^T = [C^T | -I_k], on which the determinant reduction identity
 det(sum_i Y_i K Y_i^T) = det(K)^n * det(T(K^-1)) is checked: by
 det_reduction_sides on integer stacks of one shape, with the stacked
 Bareiss kernels of linalg, and by det_reduction_check on one exact form
-as a stack of one.
+as a stack of one.  descent follows the castles of a shape by shape alone.
 """
 
 from __future__ import annotations
@@ -72,6 +72,32 @@ def castle(sample):
     if s[-1] <= s[0] * max(y.shape) * np.finfo(float).eps:
         raise DegenerateData("the data concatenation Y is rank-deficient")
     return SampleSet(vt[-k:], sample.m2)
+
+
+def descent(m1, m2, n):
+    """(path, end): the castling descent of the shape (m1, m2, n), see README.
+
+    It ends "unbounded" at a shape with n*m2 < m1 or n*m1 < m2, "k1" at a
+    1 x 1 factor.  Else its next step is ("castle", (n*m2 - m1, m2, n)) or,
+    failing that, ("castle^T", (n*m1 - m2, m1, n)), if the new first
+    dimension is at least 1 and below the old; else it ends "reduced".
+    Dimensions below 1 raise ValueError.
+    """
+    if min(m1, m2, n) < 1:
+        raise ValueError("dimensions must be positive")
+    path = []
+    while True:
+        if n * m2 < m1 or n * m1 < m2:
+            return tuple(path), "unbounded"
+        if min(m1, m2) == 1:
+            return tuple(path), "k1"
+        for kind, a, b in (("castle", m1, m2), ("castle^T", m2, m1)):
+            if 1 <= n * b - a < a:
+                m1, m2 = n * b - a, b
+                path.append((kind, (m1, m2, n)))
+                break
+        else:
+            return tuple(path), "reduced"
 
 
 def canonicalize(sample):

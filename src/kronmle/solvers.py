@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .canonical import DegenerateData, castle
+from .canonical import DegenerateData, castle, descent
 from .linalg import (
     Matrix,
     NotPD,
@@ -22,11 +22,11 @@ from .linalg import (
     solve_fraction_free,
 )
 from .model import (
+    SampleSet,
     kron_loglik,
     scatter_k1,
     scatter_k1_whitened,
     scatter_k2_whitened,
-    thresholds,
 )
 
 
@@ -44,7 +44,7 @@ class KroneckerEstimate:
     k2: np.ndarray  # m2 x m2, PD, det-normalized to 1
     loglik: float
     method: str  # "exact" (rational data) | "flipflop" | "chain"
-    iterations: int  # flip-flop sweeps; after a castle, the dual's solve plus the polish
+    iterations: int  # flip-flop sweeps, the duals' down a castling descent included
     converged: bool
     # Exact-mode extras: the unnormalized rational pair and det(K2_exact).
     k1_exact: Matrix | None = None
@@ -56,7 +56,7 @@ class KroneckerEstimate:
     residual: float = 0.0
     stop_reason: str = "converged"
     # Where the run started: "identity", "closed form" (exact k = 1), or the
-    # castle step of mle, e.g. "castle (6,6,3)".
+    # castling descent of mle, e.g. "castle (2,5,3) > castle^T (1,2,3)".
     start: str = "identity"
 
 
@@ -251,49 +251,41 @@ def flipflop(sample, init_k2=None, tol=1e-10, max_iter=10000, callback=None):
 
 
 def mle(sample, tol=1e-10, max_iter=10000):
-    """Front end: flip-flop, from a castle when 1 <= k < m1.
+    """Front end: flip-flop, started down canonical.descent of the shape.
 
-    Castling (Derksen, Makam & Walter 2022) maps the sample to its dual
-    (k, m2, n).  In Sigma = K2^-1 the profile log-likelihood is, up to a
-    constant, n*(k*logdet(Sigma) - m2*logdet(T(Sigma))), T the dual's scatter,
-    and a kernel vector w of the stacked blocks [Z_1; ...; Z_n] fixes T along
-    Sigma = I + t*w*w^T: no MLE exists when n*k < m2, when the transposed
-    sample (m2, m1, n) meets that rule (n*k_T < m1, k_T = n*m1 - m2 >= 1),
-    or when the dual's flip-flop finds sum_i Z_i^T K1 Z_i singular.
-    Otherwise that sum, the inverse of the dual's K2 up to scale (at k = 1
-    the closed form, after one sweep), starts flip-flop on the sample,
-    tagged "chain"; max_iter bounds both runs' sweeps, which iterations
-    counts.  Other shapes, max_iter = 1 or a start that is not PD run
-    flip-flop from the identity.
+    An "unbounded" descent raises MLENotExists before any castle or sweep.
+    Else the first step's dual, solved by mle, starts flip-flop on the
+    sample (transposed for "castle^T") at sum_i Z_i^T K1 Z_i, tagged
+    "chain"; DegenerateData from the dual raises MLENotExists.  max_iter
+    bounds all levels' sweeps, which iterations counts.  No step,
+    max_iter = 1 or a start that is not PD runs flip-flop from the identity.
     """
-    m1, m2, n, k = sample.m1, sample.m2, sample.n, sample.k
-    if n < thresholds(m1, m2).lower:
-        raise MLENotExists(f"n = {n} is below max(m1/m2, m2/m1)")
-    if k >= 1 and n * k < m2:
-        raise MLENotExists(f"n*k = {n * k} < m2 = {m2}: the dual blocks share a kernel vector")
-    k_t = n * m1 - m2  # k of the transposed sample (m2, m1, n)
-    if k_t >= 1 and n * k_t < m1:
-        raise MLENotExists(
-            f"n*k_T = {n * k_t} < m1 = {m1}: the transposed sample's dual blocks share a kernel vector"
-        )
-    if not (1 <= k < m1 and max_iter >= 2):
+    path, end = descent(sample.m1, sample.m2, sample.n)
+    steps = ["{} ({},{},{})".format(kind, *shape) for kind, shape in path]
+    if end == "unbounded":
+        names = " > ".join([f"({sample.m1},{sample.m2},{sample.n})"] + steps)
+        raise MLENotExists(f"the descent {names} ends where n*m2 < m1 or n*m1 < m2")
+    if not path or max_iter < 2:
         return flipflop(sample, tol=tol, max_iter=max_iter)
-    dual = castle(sample)  # DegenerateData when Y is rank-deficient
+    transposed = path[0][0] == "castle^T"
+    top = sample
+    if transposed:  # the sample of the blocks Y_i^T, whose K1 and K2 swap back below
+        top = SampleSet(np.hstack([y.T for y in sample.to_float().blocks]), sample.m1)
+    dual = castle(top)  # DegenerateData when Y is rank-deficient
     try:
-        solved = flipflop(dual, tol=tol, max_iter=max_iter - 1)
+        solved = mle(dual, tol=tol, max_iter=max_iter - 1)
     except DegenerateData:
         raise MLENotExists("the dual blocks share a kernel vector") from None
     try:
         k2 = scatter_k1(dual, solved.k1)
-        est = flipflop(sample, init_k2=k2, tol=tol, max_iter=max_iter - solved.iterations)
+        est = flipflop(top, init_k2=k2, tol=tol, max_iter=max_iter - solved.iterations)
     except NotPD:
         return flipflop(sample, tol=tol, max_iter=max_iter)
-    return replace(
-        est,
-        method="chain",
-        iterations=solved.iterations + est.iterations,
-        start=f"castle ({k},{m2},{n})",
-    )
+    if transposed:
+        k2, k1 = normalize_det1(est.k1, est.k2)
+        est = replace(est, k1=k1, k2=k2)
+    start = steps[0] + (f" > {solved.start}" if solved.method == "chain" else "")
+    return replace(est, method="chain", iterations=solved.iterations + est.iterations, start=start)
 
 
 def format_estimate(est, m1, m2):

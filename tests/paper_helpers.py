@@ -5,7 +5,8 @@ reduced objective and its gradient on the dual sample of the canonical
 form, and polynomial evaluation.  The estimators never evaluate these; the
 tests use them to check invariances, stationarity and score roots.  Also
 the determinant reduction identity by Matrix sums and sympy, one instance
-at a time: the oracle for the stacked check.
+at a time: the oracle for the stacked check.  And the one-step shape rules
+that the castling descent replaced, to count what the descent adds.
 """
 
 from fractions import Fraction
@@ -13,9 +14,32 @@ from fractions import Fraction
 import numpy as np
 import sympy
 
-from kronmle.canonical import canonicalize
+from kronmle.canonical import canonicalize, descent
 from kronmle.linalg import Matrix, NotPD, SingularMatrix, cholesky, logdet_pd
 from kronmle.model import SampleSet, scatter_k1, scatter_k2
+
+
+def one_step_rules(m1, m2, n):
+    """Whether (m1, m2, n) meets a shape rule that looks at most one castle away.
+
+    The threshold n < max(m1/m2, m2/m1), the first step's n*k < m2 for
+    k = n*m2 - m1 >= 1 and its mirror n*k_T < m1 for k_T = n*m1 - m2 >= 1:
+    the rules by which mle refused shapes before it followed the descent.
+    """
+    k, k_t = n * m2 - m1, n * m1 - m2
+    below = n * m2 < m1 or n * m1 < m2
+    return below or (k >= 1 and n * k < m2) or (k_t >= 1 and n * k_t < m1)
+
+
+def chain_only_shapes(n, top=30):
+    """The shapes (m1, m2, n) with 1 <= m1, m2 <= top whose descent is
+    unbounded but that meet no one-step rule."""
+    return [
+        (m1, m2, n)
+        for m1 in range(1, top + 1)
+        for m2 in range(1, top + 1)
+        if descent(m1, m2, n)[1] == "unbounded" and not one_step_rules(m1, m2, n)
+    ]
 
 
 def profile_k1(sample, k2):

@@ -1,7 +1,11 @@
-"""The castle, the exact [I | C] form, their dual samples, and the trace form."""
+"""The castle, the castling descent, the exact [I | C] form, their dual samples,
+and the trace form."""
 
+import collections
 import dataclasses
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from kronmle.canonical import (
     NonPositiveK,
     canonicalize,
     castle,
+    descent,
     det_reduction_check,
 )
 from kronmle.linalg import Matrix, SingularMatrix
@@ -18,12 +23,16 @@ from kronmle.model import SampleSet, sample_matrix_normal, scatter_k2
 from matrix_helpers import column, exact_copy, kron
 from paper_helpers import (
     canonical_sample,
+    chain_only_shapes,
     det_reduction_oracle,
     g_objective,
     lemma_instance,
+    one_step_rules,
     reduced_gradient,
     reduced_objective,
 )
+
+SPEC = Path(__file__).resolve().parent.parent / "perfbench" / "spec.json"
 
 
 def d_matrix(cf):
@@ -136,6 +145,75 @@ class TestCastle:
     def test_nonpositive_k(self):
         with pytest.raises(NonPositiveK):
             castle(SampleSet(np.eye(2), 2))
+
+
+class TestDescent:
+    @pytest.mark.parametrize(
+        "shape, path, end",
+        [
+            ((12, 6, 3), [("castle", (6, 6, 3))], "reduced"),
+            ((23, 4, 6), [("castle", (1, 4, 6))], "k1"),
+            ((13, 5, 3), [("castle", (2, 5, 3)), ("castle^T", (1, 2, 3))], "k1"),
+            (
+                (34, 13, 3),
+                [("castle", (5, 13, 3)), ("castle^T", (2, 5, 3)), ("castle^T", (1, 2, 3))],
+                "k1",
+            ),
+            ((5, 7, 2), [("castle^T", (3, 5, 2)), ("castle^T", (1, 3, 2))], "unbounded"),
+            ((8, 5, 2), [("castle", (2, 5, 2))], "unbounded"),
+            ((20, 3, 4), [], "unbounded"),  # n*m2 < m1 at the start
+            ((1, 3, 2), [], "unbounded"),  # a 1 x 1 factor, but n*m1 < m2
+            ((1, 2, 3), [], "k1"),
+            ((4, 1, 2), [], "unbounded"),
+            ((2, 1, 3), [], "k1"),  # k = 1 < m1, but the 1 x 1 factor ends it first
+            ((30, 30, 3), [], "reduced"),
+        ],
+    )
+    def test_paths(self, shape, path, end):
+        assert descent(*shape) == (tuple(path), end)
+
+    @pytest.mark.parametrize(
+        "n, unbounded, reduced, k1, chain_only",
+        [(2, 708, 133, 59, 158), (3, 298, 589, 13, 2), (4, 202, 683, 15, 0)],
+    )
+    def test_ends_over_the_grid(self, n, unbounded, reduced, k1, chain_only):
+        # All 900 shapes with 1 <= m1, m2 <= 30.  The one-step rules refuse
+        # only unbounded shapes, and miss chain_only of them.
+        grid = [(m1, m2, n) for m1 in range(1, 31) for m2 in range(1, 31)]
+        ends = {shape: descent(*shape)[1] for shape in grid}
+        assert collections.Counter(ends.values()) == {
+            "unbounded": unbounded,
+            "reduced": reduced,
+            "k1": k1,
+        }
+        assert all(ends[shape] == "unbounded" for shape in grid if one_step_rules(*shape))
+        assert len(chain_only_shapes(n)) == chain_only
+        # transposition keeps the end: the likelihood is the same up to K1 <-> K2
+        assert all(ends[m1, m2, n] == ends[m2, m1, n] for m1, m2, n in grid)
+
+    def test_chain_only_at_n3(self):
+        assert chain_only_shapes(3) == [(11, 29, 3), (29, 11, 3)]
+
+    def test_each_step_shrinks_the_shape(self):
+        for shape in [(34, 13, 3), (56, 15, 4), (17, 7, 3), (30, 29, 2)]:
+            path, _ = descent(*shape)
+            sizes = [shape[0] + shape[1]] + [m1 + m2 for _, (m1, m2, _) in path]
+            assert sizes == sorted(sizes, reverse=True) and len(set(sizes)) == len(sizes)
+
+    @pytest.mark.parametrize("shape", [(0, 2, 3), (2, 0, 3), (2, 3, 0), (-1, 2, 3)])
+    def test_nonpositive_dimension(self, shape):
+        with pytest.raises(ValueError):
+            descent(*shape)
+
+    def test_benchmark_shapes(self):
+        # The benchmark's float items expect an estimate at every mle_iterative
+        # and mle_large_n shape, and exit 3 at the wrong_regime one.
+        spec = json.loads(SPEC.read_text())
+        shapes = spec["mle_iterative"]["shapes"] + spec["mle_large_n"]["shapes"]
+        assert shapes and all(descent(*shape)[1] != "unbounded" for shape in shapes)
+        wrong = spec["mle_iterative"]["invalid"]["wrong_regime"]
+        assert wrong["shape"] == [20, 3, 4] and wrong["exit"] == 3
+        assert descent(*wrong["shape"])[1] == "unbounded"
 
 
 class TestDetReduction:

@@ -175,7 +175,7 @@ class TestMle:
         assert code == EXIT_OK
         assert stdout.splitlines()[:2] == [
             "method: chain",
-            "start: castle (2,5,3)",
+            "start: castle (2,5,3) > castle^T (1,2,3)",
         ]
         # the method stays one token of the estimate header
         assert out.read_text().split("\n")[0].split()[:3] == ["13", "5", "chain"]
@@ -234,7 +234,8 @@ class TestMle:
         assert code == EXIT_NO_MLE and stdout == ""
         k = n * m2 - m1
         assert err.splitlines() == [
-            f"MLE does not exist: n*k = {n * k} < m2 = {m2}: the dual blocks share a kernel vector"
+            f"MLE does not exist: the descent ({m1},{m2},{n}) > castle ({k},{m2},{n}) "
+            "ends where n*m2 < m1 or n*m1 < m2"
         ]
 
     @pytest.mark.parametrize("shape", [(5, 8, 2), (7, 11, 2), (8, 13, 2)])
@@ -247,9 +248,30 @@ class TestMle:
         assert code == EXIT_NO_MLE and stdout == ""
         k_t = n * m1 - m2
         assert err.splitlines() == [
-            f"MLE does not exist: n*k_T = {n * k_t} < m1 = {m1}: "
-            "the transposed sample's dual blocks share a kernel vector"
+            f"MLE does not exist: the descent ({m1},{m2},{n}) > castle^T ({k_t},{m1},{n}) "
+            "ends where n*m2 < m1 or n*m1 < m2"
         ]
+
+    @pytest.mark.parametrize("shape", [(5, 7, 2), (7, 5, 2), (7, 9, 2), (9, 7, 2), (7, 10, 2), (10, 7, 2)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_no_mle_when_the_descent_is_unbounded(self, tmp_path, capsys, shape, seed):
+        # No one-step rule refuses these shapes; their descents end
+        # unbounded two or three steps down, on any data.
+        path = self.write_sample(tmp_path, *shape, seed=seed)
+        out = tmp_path / "est.txt"
+        code, stdout, err = run(capsys, "mle", "--in", str(path), "--out", str(out))
+        assert code == EXIT_NO_MLE and stdout == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("MLE does not exist: the descent ({},{},{}) > ".format(*shape))
+        assert not out.exists()
+
+    def test_zero_rows_exit_code(self, tmp_path, capsys):
+        # A file may declare m1 = 0: no shape, so bad input, not an MLE verdict
+        path = tmp_path / "sample.txt"
+        path.write_text("0 2 3\n0 6\n")
+        code, stdout, err = run(capsys, "mle", "--in", str(path))
+        assert code == EXIT_BAD_ARGS and stdout == ""
+        assert err == "error: dimensions must be positive\n"
 
     @pytest.mark.parametrize("build", [ones_k1_sample, shared_kernel_sample], ids=["k1", "13x5x3"])
     @pytest.mark.parametrize("seed", range(3))

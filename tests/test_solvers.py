@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import kronmle
 from kronmle import solvers
 from kronmle.cli import EXIT_OK, main
-from kronmle.canonical import DegenerateData, canonicalize, castle
+from kronmle.canonical import DegenerateData, canonicalize, castle, descent
 from kronmle.linalg import Matrix, NotPD
 from kronmle.model import (
     SampleSet,
@@ -34,7 +34,7 @@ from kronmle.solvers import (
     normalize_det1,
 )
 from matrix_helpers import diagonal, exact_copy
-from paper_helpers import reduced_objective
+from paper_helpers import chain_only_shapes, g_objective, reduced_objective
 
 
 def exact_sample(rows, m2):
@@ -475,10 +475,10 @@ class TestChain:
         "shape, start",
         [
             ((12, 6, 3), "castle (6,6,3)"),
-            ((13, 5, 3), "castle (2,5,3)"),
-            ((34, 13, 3), "castle (5,13,3)"),
-            ((56, 15, 4), "castle (4,15,4)"),
-            ((17, 7, 3), "castle (4,7,3)"),
+            ((13, 5, 3), "castle (2,5,3) > castle^T (1,2,3)"),
+            ((34, 13, 3), "castle (5,13,3) > castle^T (2,5,3) > castle^T (1,2,3)"),
+            ((56, 15, 4), "castle (4,15,4) > castle^T (1,4,4)"),
+            ((17, 7, 3), "castle (4,7,3) > castle^T (5,4,3)"),
             ((7, 3, 3), "castle (2,3,3)"),
             ((6, 4, 2), "castle (2,4,2)"),
             ((30, 30, 3), "identity"),  # k = 60 > m1
@@ -508,7 +508,7 @@ class TestChain:
     def test_start_is_the_mle(self, shape):
         s = sample_matrix_normal(np.eye(shape[0]), np.eye(shape[1]), shape[2], seed=2)
         est = mle(s)
-        dual = flipflop(castle(s))
+        dual = mle(castle(s))
         assert est.method == "chain" and est.converged
         assert dual.iterations < est.iterations <= dual.iterations + 2  # the polish
         assert invariant_residual(s, est.k1, est.k2) <= 1e-10
@@ -519,7 +519,21 @@ class TestChain:
         if direct.converged:
             assert np.abs(direct.k2 - est.k2).max() <= 1e-8
 
-    @pytest.mark.parametrize("max_iter", [1, 2, 50, 10000])
+    @pytest.mark.parametrize("shape", [(13, 5, 3), (34, 13, 3), (56, 15, 4)])
+    def test_descent_ends_at_k1(self, shape):
+        # Each of these descents ends at a 1 x 1 factor, so every level's
+        # polish starts next to its MLE.  The one-step castle's start, the
+        # dual flip-flopped from the identity, agrees to its own accuracy.
+        s = sample_matrix_normal(np.eye(shape[0]), np.eye(shape[1]), shape[2], seed=2)
+        path, end = descent(*shape)
+        est = mle(s)
+        assert end == "k1" and est.converged
+        assert est.iterations <= 2 * (len(path) + 1)
+        assert invariant_residual(s, est.k1, est.k2) <= 1e-10
+        one_step = normalize_det1(np.linalg.inv(flipflop(castle(s)).k2))
+        assert np.abs(one_step - est.k2).max() <= 1e-8 * np.abs(est.k2).max()
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 5, 50, 10000])
     def test_max_iter_bounds_both_runs(self, monkeypatch, max_iter):
         # iterations counts the dual's sweeps and the polish's, and max_iter
         # bounds their sum; with a single sweep there is no room for a castle.
@@ -536,6 +550,20 @@ class TestChain:
         assert est.iterations == sum(run.iterations for run in runs) <= max_iter
         assert est.method == ("flipflop" if max_iter == 1 else "chain")
         assert len(runs) == (1 if max_iter == 1 else 2)
+        # (34,13,3) descends three steps.  Each level keeps a sweep for its
+        # polish, so max_iter = m follows min(m - 1, 3) steps, every level's
+        # sweeps included in the sum.
+        runs.clear()
+        s = sample_matrix_normal(np.eye(34), np.eye(13), 3, seed=3)
+        est = mle(s, max_iter=max_iter)
+        assert est.iterations == sum(run.iterations for run in runs) <= max_iter
+        steps = ["castle (5,13,3)", "castle^T (2,5,3)", "castle^T (1,2,3)"][: max_iter - 1]
+        assert est.start == (" > ".join(steps) or "identity")
+        assert len(runs) == len(steps) + 1
+        runs.clear()
+        with pytest.raises(MLENotExists):  # (8,5,2) castles to (2,5,2): unbounded
+            mle(sample_matrix_normal(np.eye(8), np.eye(5), 2, seed=3), max_iter=max_iter)
+        assert runs == []
 
     @pytest.mark.parametrize("left, right", [(2, 5), (2, 11)])
     def test_singular_left_block_castles(self, tmp_path, capsys, left, right):
@@ -577,7 +605,7 @@ class TestChain:
         s = sample_matrix_normal(np.eye(8), np.eye(5), 2, seed=4)
         with pytest.raises(WrongRegime):
             flipflop(castle(s))
-        with pytest.raises(MLENotExists, match=r"n\*k = 4 < m2 = 5"):
+        with pytest.raises(MLENotExists, match=r"\(8,5,2\) > castle \(2,5,2\) ends"):
             mle(s, max_iter=50)
 
 
@@ -645,8 +673,56 @@ class TestNoMLEByShape:
         assert np.abs(stacked @ w).max() <= 1e-9 * np.abs(stacked).max()
         values = [reduced_objective(cf, np.eye(t.m2) + x * np.outer(w, w)) for x in (0, 1, 1e2, 1e4)]
         assert all(b < a for a, b in zip(values, values[1:]))
-        with pytest.raises(MLENotExists):  # by either rule or, at n = 1, by the threshold
+        with pytest.raises(MLENotExists):  # the descent ends unbounded
             mle(s)
+
+
+def _symmetric_inverse(k):
+    inv = np.linalg.inv(k)
+    return (inv + inv.T) / 2
+
+
+class TestChainOnlyShapes:
+    """Shapes whose descent is unbounded although no one-step rule refuses them."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_likelihood_rises_along_the_ray_mapped_up_the_path(self, seed):
+        # The end shape (a, b, n) has n*a < b, so its stacked blocks have a
+        # kernel vector w, and its profile likelihood rises without bound
+        # along K2 = I + t*w*w^T.  A castle keeps the profile likelihood with
+        # K2 -> K2^-1.  A castle^T does so for the transposed sample, whose
+        # K2 is the level's K1; the level's profile K2 at that K1 does at
+        # least as well.  So the ray maps up to K2s of the sample along which
+        # g = m2*logdet(sum_i Yi K2 Yi^T) - m1*logdet(K2) falls.
+        for m1, m2, n in chain_only_shapes(2) + chain_only_shapes(3):
+            path, _ = descent(m1, m2, n)
+            levels = [sample_matrix_normal(np.eye(m1), np.eye(m2), n, seed=seed)]
+            for kind, _ in path:
+                top = levels[-1]
+                if kind == "castle^T":
+                    top = SampleSet(np.hstack([y.T for y in top.blocks]), top.m1)
+                levels.append(castle(top))
+            end = levels.pop()
+            w = np.linalg.svd(np.vstack(end.blocks))[2][-1]
+            k2s = [np.eye(end.m2) + t * np.outer(w, w) for t in (0, 1, 1e2, 1e4)]
+            for (kind, _), level in zip(reversed(path), reversed(levels)):
+                k2s = [_symmetric_inverse(k) for k in k2s]
+                if kind == "castle^T":
+                    k2s = [_symmetric_inverse(scatter_k1(level, k1)) for k1 in k2s]
+            values = [g_objective(levels[0], k2) for k2 in k2s]
+            assert all(b < a - 0.5 for a, b in zip(values, values[1:])), (m1, m2, n)
+
+    def test_refused_by_shape_alone(self, monkeypatch):
+        called = []
+        monkeypatch.setattr(solvers, "castle", lambda *args: called.append("castle"))
+        monkeypatch.setattr(solvers, "flipflop", lambda *args, **kw: called.append("flipflop"))
+        shapes = chain_only_shapes(2) + chain_only_shapes(3)
+        assert len(shapes) == 160
+        for m1, m2, n in shapes:
+            s = sample_matrix_normal(np.eye(m1), np.eye(m2), n, seed=m1 + m2)
+            with pytest.raises(MLENotExists, match=rf"^the descent \({m1},{m2},{n}\) > "):
+                mle(s, max_iter=1 + m1 % 3)
+        assert called == []
 
 
 class TestEquivariance:
