@@ -77,23 +77,10 @@ def exact_mle_k1(sample):
 
     Recipe: split Y = [Y_* | y], form v = (Y_*^-1 y, -1), cut v into n
     blocks v_i of length m2, and set K2 = sum_i v_i v_i^T; K1 is the
-    profile maximizer at K2.  Exists iff n >= m2 and K2 is PD.  The pair
-    is exact; K1 comes from the rank-one formula of _exact_k1 without the
-    m1 x m1 scatter.  Float data raise ValueError (mle castles them).
-    """
-    if not sample.is_exact:
-        raise ValueError("exact_mle_k1 works over Q: exact data only")
-    if sample.k != 1:
-        raise WrongRegime(f"exact engine needs k = 1, got k = {sample.k}")
-    if sample.n < sample.m2:
-        raise MLENotExists(f"n = {sample.n} < m2 = {sample.m2}")
-    return _exact_k1(sample)
-
-
-def _exact_k1(sample):
-    """The exact k = 1 pair over Python ints, on object arrays.
-
-    With A = I_n kron K2, W = [Y_*^-1; 0] and v^T A^-1 v = tr(K2^-1 K2) = m2,
+    profile maximizer at K2.  Exists iff n >= m2 and K2 is PD.  Float data
+    raise ValueError (mle castles them).  The pair is exact, over Python
+    ints on object arrays, and K1 comes without the m1 x m1 scatter:
+    with A = I_n kron K2, W = [Y_*^-1; 0] and v^T A^-1 v = tr(K2^-1 K2) = m2,
     the inverse of the scatter Y A Y^T is W^T (A^-1 - A^-1 v v^T A^-1 / m2) W,
     so K1 = n*m2 * W^T [I_n kron K2^-1 - u u^T / m2] W with u = A^-1 v.
     Integer form, on the integer rows N = delta*Y of the data: one
@@ -104,6 +91,12 @@ def _exact_k1(sample):
     K1 = n * delta^2 * (e*m2 * G^T (I_n kron H) G - (G^T U)(G^T U)^T) / e^2,
     the delta^2 because W = delta * [N_*^-1; 0].
     """
+    if not sample.is_exact:
+        raise ValueError("exact_mle_k1 works over Q: exact data only")
+    if sample.k != 1:
+        raise WrongRegime(f"exact engine needs k = 1, got k = {sample.k}")
+    if sample.n < sample.m2:
+        raise MLENotExists(f"n = {sample.n} < m2 = {sample.m2}")
     m1, m2, n = sample.m1, sample.m2, sample.n
     rows = np.array(sample.y.num, dtype=object)  # N = [N_* | N_y]
     try:
@@ -251,41 +244,48 @@ def flipflop(sample, init_k2=None, tol=1e-10, max_iter=10000, callback=None):
 
 
 def mle(sample, tol=1e-10, max_iter=10000):
-    """Front end: flip-flop, started down canonical.descent of the shape.
+    """Front end: flip-flop, climbing back up canonical.descent of the shape.
 
     An "unbounded" descent raises MLENotExists before any castle or sweep.
-    Else the first step's dual, solved by mle, starts flip-flop on the
-    sample (transposed for "castle^T") at sum_i Z_i^T K1 Z_i, tagged
-    "chain"; DegenerateData from the dual raises MLENotExists.  max_iter
-    bounds all levels' sweeps, which iterations counts.  No step,
-    max_iter = 1 or a start that is not PD runs flip-flop from the identity.
+    Else the first max_iter - 1 steps are castled once, each level kept as
+    (kind, top, dual), top transposed at "castle^T".  Flip-flop solves the
+    last dual from the identity, then each level up from sum_i Z_i^T K1 Z_i
+    of its dual, swapping K1 and K2 back at "castle^T", with max_iter less
+    its depth and the sweeps so far; iterations sums them all, tagged
+    "chain" after a step.  DegenerateData passes on from the top level and
+    raises MLENotExists from below; so does a start that is not PD.  In
+    exact arithmetic that start is singular only when the dual blocks share
+    a kernel vector, which the level below tested with potrf in every
+    sweep, so NotPD comes only from rounding at that boundary.
     """
     path, end = descent(sample.m1, sample.m2, sample.n)
     steps = ["{} ({},{},{})".format(kind, *shape) for kind, shape in path]
     if end == "unbounded":
         names = " > ".join([f"({sample.m1},{sample.m2},{sample.n})"] + steps)
         raise MLENotExists(f"the descent {names} ends where n*m2 < m1 or n*m1 < m2")
-    if not path or max_iter < 2:
-        return flipflop(sample, tol=tol, max_iter=max_iter)
-    transposed = path[0][0] == "castle^T"
-    top = sample
-    if transposed:  # the sample of the blocks Y_i^T, whose K1 and K2 swap back below
-        top = SampleSet(np.hstack([y.T for y in sample.to_float().blocks]), sample.m1)
-    dual = castle(top)  # DegenerateData when Y is rank-deficient
+    levels, top = [], sample  # len(levels) is the depth at work, 0 the sample's own
     try:
-        solved = mle(dual, tol=tol, max_iter=max_iter - 1)
-    except DegenerateData:
-        raise MLENotExists("the dual blocks share a kernel vector") from None
-    try:
-        k2 = scatter_k1(dual, solved.k1)
-        est = flipflop(top, init_k2=k2, tol=tol, max_iter=max_iter - solved.iterations)
-    except NotPD:
-        return flipflop(sample, tol=tol, max_iter=max_iter)
-    if transposed:
-        k2, k1 = normalize_det1(est.k1, est.k2)
-        est = replace(est, k1=k1, k2=k2)
-    start = steps[0] + (f" > {solved.start}" if solved.method == "chain" else "")
-    return replace(est, method="chain", iterations=solved.iterations + est.iterations, start=start)
+        for kind, _ in path[: max(max_iter - 1, 0)]:
+            if kind == "castle^T":  # the sample of the blocks Y_i^T
+                top = SampleSet(np.hstack([y.T for y in top.to_float().blocks]), top.m1)
+            levels.append((kind, top, castle(top)))  # DegenerateData when Y is rank-deficient
+            top = levels[-1][2]
+        taken = steps[: len(levels)]
+        est = flipflop(top, tol=tol, max_iter=max_iter - len(levels))
+        used = est.iterations
+        while levels:
+            kind, top, dual = levels.pop()
+            k2 = scatter_k1(dual, est.k1)
+            est = flipflop(top, init_k2=k2, tol=tol, max_iter=max_iter - len(levels) - used)
+            used += est.iterations
+            if kind == "castle^T":
+                k2, k1 = normalize_det1(est.k1, est.k2)
+                est = replace(est, k1=k1, k2=k2)
+    except (DegenerateData, NotPD) as exc:
+        if levels or isinstance(exc, NotPD):
+            raise MLENotExists("the dual blocks share a kernel vector") from None
+        raise
+    return replace(est, method="chain", iterations=used, start=" > ".join(taken)) if taken else est
 
 
 def format_estimate(est, m1, m2):

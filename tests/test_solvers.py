@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import kronmle
 from kronmle import solvers
-from kronmle.cli import EXIT_OK, main
+from kronmle.cli import EXIT_NO_MLE, EXIT_OK, main
 from kronmle.canonical import DegenerateData, canonicalize, castle, descent
 from kronmle.linalg import Matrix, NotPD
 from kronmle.model import (
@@ -591,13 +591,49 @@ class TestChain:
             assert invariant_residual(s, k1, k2) <= 1e-6
         assert est.converged == (right == 11)
 
-    def test_start_not_pd_falls_back(self, monkeypatch):
-        s = sample_matrix_normal(np.eye(13), np.eye(5), 3, seed=3)
-        expect = flipflop(s)
+    def test_start_not_pd_has_no_mle(self, monkeypatch, tmp_path, capsys):
+        # A start that is not PD means dual blocks sharing a kernel vector, up
+        # to rounding: the run exits there, within max_iter, and restarts nothing.
+        sweeps = []
+        real = solvers.flipflop
+
+        def spy(*args, **kwargs):
+            run = real(*args, **kwargs)
+            sweeps.append(run.iterations)
+            return run
+
+        monkeypatch.setattr(solvers, "flipflop", spy)
         monkeypatch.setattr(solvers, "scatter_k1", lambda sample, k1: -np.eye(sample.m2))
-        est = mle(s)
-        assert est.method == "flipflop" and est.start == "identity"
-        assert np.array_equal(est.k2, expect.k2)
+        s = sample_matrix_normal(np.eye(13), np.eye(5), 3, seed=3)
+        with pytest.raises(MLENotExists, match="^the dual blocks share a kernel vector$"):
+            mle(s, max_iter=40)
+        assert sum(sweeps) <= 40
+        path, out = tmp_path / "sample.txt", tmp_path / "est.txt"
+        path.write_text(format_sample_set(s))
+        code = main(["mle", "--in", str(path), "--out", str(out), "--max-iter", "40"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NO_MLE and not out.exists()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+
+    def test_long_descent_needs_no_recursion(self):
+        # (41,40,2) descends 39 steps to (1,2,2).  The climb is one loop, so
+        # the run fits in 30 frames above the caller's, fewer than the levels
+        # of the path.
+        s = sample_matrix_normal(np.eye(41), np.eye(40), 2, seed=1)
+        flipflop(sample_matrix_normal(np.eye(2), np.eye(2), 2, seed=0))  # imports scipy
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 30)
+        try:
+            est = mle(s)
+        finally:
+            sys.setrecursionlimit(limit)
+        path, end = descent(41, 40, 2)
+        assert (len(path), end) == (39, "k1")
+        assert est.converged and est.start.count(" > ") == 38
+        assert est.start.startswith("castle (39,40,2) > castle^T (38,39,2)")
 
     def test_dual_outside_its_regime_has_no_mle(self):
         # (8,5,2) castles to (2,5,2), where n*m1 < m2: flip-flop refuses the

@@ -1,9 +1,12 @@
-"""No module-level import in the package or in the tests goes unused.
+"""No module-level import in the package or in the tests goes unused, and
+no private helper of the package outlives its last caller.
 
 No linter ships with the project, so this walks each file's syntax tree:
 every name bound by an import at module level must be read somewhere in
 the file.  The package's ``__init__.py`` is exempt; it re-exports through
-``__all__``.
+``__all__``.  Every ``_``-prefixed function or constant defined at module
+level in the package must be read somewhere in the package.  Public names
+are exempt, because the benchmark and the tests read them.
 """
 
 import ast
@@ -12,9 +15,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = [
-    p for p in sorted((ROOT / "src" / "kronmle").glob("*.py")) if p.name != "__init__.py"
-] + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "kronmle").glob("*.py"))
+FILES = [p for p in PACKAGE if p.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):
@@ -30,6 +32,32 @@ def unused_imports(source):
     return [(line, name) for line, name in bound if name not in read]
 
 
+def unused_private_names(sources):
+    """(file, line, name) of each private module-level function or constant
+    that no source in ``sources`` (file name -> source) reads."""
+    defined, read = [], set()
+    for file, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.append((file, node.lineno, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(file, t.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read.update(a.name for a in n.names)
+    return [
+        (file, line, name)
+        for file, line, name in defined
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
 def test_checker_flags_an_unused_import():
     source = "import os\nimport sys\nfrom math import gcd, lcm\nprint(sys.path, lcm)\n"
     assert unused_imports(source) == [(1, "os"), (3, "gcd")]
@@ -39,3 +67,19 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_checker_flags_an_unused_private_name():
+    sources = {
+        "a.py": "_A = 1\n_B: int = 2\nC = _A\ndef _f():\n    pass\ndef _g():\n    return _f\n_h = 0\n",
+        "b.py": "from a import _g\nimport a\nX = a._h\n__all__ = []\ndef public():\n    pass\n",
+    }
+    assert unused_private_names(sources) == [("a.py", 2, "_B")]
+    assert unused_private_names({"c.py": "def _gone():\n    pass\n_LEFT = 3\n"}) == [
+        ("c.py", 1, "_gone"),
+        ("c.py", 3, "_LEFT"),
+    ]
+
+
+def test_no_unused_private_names():
+    assert unused_private_names({p.name: p.read_text() for p in PACKAGE}) == []
