@@ -161,7 +161,7 @@ def det_reduction_check(cf, k_mat):
     lhs = det(sum_i Y_i K Y_i^T) over the blocks Y_i of [I | C];
     rhs = det(K)^n * det(sum_i Z_i K^-1 Z_i^T) over the dual sample.
     Equal for every nonsingular K.  Runs as a stack of one on the integer
-    rows: with C = NC/dc and K = NK/dk, Y = [dc*I | NC]/dc and
+    arrays: with C = NC/dc and K = NK/dk, Y = [dc*I | NC]/dc and
     K^-1 = dk*adj(NK)/det(NK), and the denominators are put back at the
     end.  Raises ValueError unless K is an m2 x m2 Matrix, and
     SingularMatrix when K is singular.
@@ -172,9 +172,7 @@ def det_reduction_check(cf, k_mat):
     if k_mat.shape != (m2, m2):
         raise ValueError(f"K must be {m2} x {m2}, got shape {k_mat.shape}")
     dc, dk = cf.C.den, k_mat.den
-    (det_s,), (det_k,), (det_t,) = _identity_dets(
-        np.array([cf.C.num], dtype=object), np.array([k_mat.num], dtype=object), dc
-    )
+    (det_s,), (det_k,), (det_t,) = _identity_dets(cf.C.num[None], k_mat.num[None], dc)
     lhs = Fraction(det_s, (dc * dc * dk) ** m1)
     rhs = Fraction(det_k**n * det_t * dk**kk, dk ** (m2 * n) * dc ** (2 * kk) * det_k**kk)
     return lhs, rhs

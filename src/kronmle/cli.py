@@ -176,6 +176,24 @@ def _cell_path(cache_dir, m1, n, seed):
     return os.path.join(cache_dir, f"cell_{m1}_{n}_{seed}.json")
 
 
+def _cached_cell(cache_dir, task):
+    """The cached record of cell task = (m1, n, seed), or None to recompute it.
+
+    Only an object with exactly _mldegree_cell's keys, the cell's own m1, n
+    and seed, an int degree and a number of seconds is used.
+    """
+    try:
+        with open(_cell_path(cache_dir, *task)) as fh:
+            cell = json.load(fh)
+    except (OSError, ValueError, RecursionError):  # RecursionError: nesting too deep
+        return None
+    if not isinstance(cell, dict) or cell.keys() != {"m1", "n", "seed", "degree", "seconds"}:
+        return None
+    ints = all(type(cell[k]) is int for k in ("m1", "n", "seed", "degree"))
+    own = (cell["m1"], cell["n"], cell["seed"]) == task
+    return cell if ints and own and type(cell["seconds"]) in (int, float) else None
+
+
 # A ProcessPoolExecutor(2) mapping four no-op tasks took 10-28 ms to start
 # and shut down on a 2-vCPU host, so a table hands its cells to a pool only
 # once the cells run so far have taken longer than that.
@@ -212,12 +230,11 @@ def cmd_mldegree(args):
     pending = []
     for m1 in m1s:
         for n in ns:
-            cache = _cell_path(args.cache_dir, m1, n, args.seed)
-            if os.path.exists(cache):
-                with open(cache) as fh:
-                    results.append(json.load(fh))
-            else:
+            cell = _cached_cell(args.cache_dir, (m1, n, args.seed))
+            if cell is None:
                 pending.append((m1, n, args.seed))
+            else:
+                results.append(cell)
 
     for cell in _run_cells(pending):
         cache = _cell_path(args.cache_dir, cell["m1"], cell["n"], cell["seed"])

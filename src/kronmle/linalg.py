@@ -1,17 +1,17 @@
 """Dense linear algebra over exact rationals and binary64 floats.
 
-The exact side is a small immutable ``Matrix`` class that stores integer
-rows over one common positive denominator, in lowest terms.  Its sums,
-products and stacking run over Python ints.  Every exact determinant,
-solve, inverse and PD test runs one fraction-free (Bareiss) elimination
-kernel, _bareiss_stack, on a numpy object stack of Python ints, one step
-for every member at once: Matrix and solve_fraction_free pass a stack of
-one, and det_stack and adjugate_stack a whole stack, as the determinant
-identity's check does with hundreds of tiny matrices of one shape, where
-a pass per matrix would cost more in Python overhead than in arithmetic.
-A ``Fraction`` is made only where one is read: an entry, a determinant,
-or ``data``.  The float side is a Cholesky factorization and a
-log-determinant over numpy.  Both sides share the same text
+The exact side is a small immutable ``Matrix`` class: num, a read-only 2-D
+numpy object array of Python ints (no tuple rows), over one positive
+denominator, in lowest terms.  Its sums, products and stacking are array
+expressions.  Every exact determinant, solve, inverse and PD test runs one
+fraction-free (Bareiss) elimination kernel, _bareiss_stack, on an object
+stack of such arrays, one step for every member at once: a Matrix passes
+num[None], and det_stack and adjugate_stack a whole stack, as the
+determinant identity's check does with hundreds of tiny matrices of one
+shape, where a pass per matrix would cost more in Python overhead than in
+arithmetic.  A ``Fraction`` is made only where one is read: an entry, a
+determinant, or ``data``.  The float side is a Cholesky factorization and
+a log-determinant over numpy.  Both sides share the same text
 serialization: a "rows cols" header line followed by whitespace-separated
 rows, rationals written as ``p/q``.
 """
@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import islice
-from operator import mul
 
 import numpy as np
 
@@ -35,13 +34,14 @@ class NotPD(Exception):
 
 
 class Matrix:
-    """Immutable dense rational matrix: the integer rows num over one int den.
+    """Immutable dense rational matrix: the integer array num over one int den.
 
-    den > 0 and gcd(den, every entry of num) = 1, so a value has exactly one
-    (num, den) and == and hash compare values.
+    num is a read-only 2-D object array of Python ints, den > 0 and gcd(den,
+    every entry of num) = 1, so a value has exactly one (num, den) and == and
+    hash compare values.
     """
 
-    __slots__ = ("rows", "cols", "num", "den")
+    __slots__ = ("num", "den")
 
     def __init__(self, rows):
         """Rows of ints, Fractions, or anything Fraction() accepts ("1/2")."""
@@ -52,44 +52,33 @@ class Matrix:
             raise ValueError("ragged rows")
         den = 1
         if not all(type(x) is int for r in rows for x in r):
-            rows = [[x if type(x) is int else Fraction(x) for x in r] for r in rows]
+            # A numpy integer's Fraction keeps it as a fixed-width numerator.
+            rows = [[Fraction(int(x) if isinstance(x, np.integer) else x) for x in r] for r in rows]
             # Over the lcm of reduced denominators the rows are in lowest terms.
             den = math.lcm(*(x.denominator for r in rows for x in r))
-            rows = [tuple(x.numerator * (den // x.denominator) for x in r) for r in rows]
-        self._set(tuple(rows), den)
+            rows = [[x.numerator * (den // x.denominator) for x in r] for r in rows]
+        self._set(np.array(rows, dtype=object), den)
 
     def _set(self, num, den):
+        num.flags.writeable = False
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "rows", len(num))
-        object.__setattr__(self, "cols", len(num[0]))
-
-    @classmethod
-    def _of(cls, num, den):
-        """The matrix num / den, for tuple rows already in lowest terms."""
-        m = object.__new__(cls)
-        m._set(num, den)
-        return m
 
     @classmethod
     def from_ints(cls, num, den=1):
-        """The matrix num / den for integer rows num and an int den != 0.
+        """The matrix num / den for a 2-D array (or rows) of ints num and an int den != 0.
 
-        den is made positive and gcd(den, *num) divided out.
+        num is copied as Python ints, den made positive and gcd(den, *num) divided out.
         """
-        num = tuple(map(tuple, num))
+        num = np.array(num, dtype=object)
         if den < 0:
-            num = tuple(tuple(-x for x in row) for row in num)
-            den = -den
-        g = den
-        for row in num:
-            if g == 1:
-                break
-            g = math.gcd(g, *row)
+            num, den = -num, -den
+        g = math.gcd(den, *num.flat)
         if g > 1:
-            num = tuple(tuple(x // g for x in row) for row in num)
-            den //= g
-        return cls._of(num, den)
+            num, den = num // g, den // g
+        m = object.__new__(cls)
+        m._set(num, den)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -106,75 +95,71 @@ class Matrix:
     def data(self):
         """The entries as rows of Fractions, made afresh on each read."""
         den = self.den
-        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num.tolist())
 
     def __getitem__(self, ij):
-        i, j = ij
-        return Fraction(self.num[i][j], self.den)
+        return Fraction(self.num[ij], self.den)
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.den == other.den and self.num == other.num
+        return isinstance(other, Matrix) and self.den == other.den and np.array_equal(self.num, other.num)
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.shape, tuple(self.num.flat), self.den))
 
     def __repr__(self):
         return f"Matrix({[list(r) for r in self.data]})"
 
     def __add__(self, other):
         self._check_same_shape(other)
-        a, b, den = _over_common_den(self, other)
-        return Matrix.from_ints([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)], den)
+        den = math.lcm(self.den, other.den)
+        return Matrix.from_ints(self.num * (den // self.den) + other.num * (den // other.den), den)
 
     def __sub__(self, other):
-        self._check_same_shape(other)
-        a, b, den = _over_common_den(self, other)
-        return Matrix.from_ints([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)], den)
+        return self + -other
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, c):
         c = Fraction(c)
-        p = c.numerator
-        den = self.den * c.denominator
-        return Matrix.from_ints([[p * x for x in row] for row in self.num], den)
+        return Matrix.from_ints(c.numerator * self.num, self.den * c.denominator)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        bt = tuple(zip(*other.num))
-        return Matrix.from_ints(
-            [[sum(map(mul, row, col)) for col in bt] for row in self.num],
-            self.den * other.den,
-        )
+        return Matrix.from_ints(self.num @ other.num, self.den * other.den)
 
     @property
     def shape(self):
-        return (self.rows, self.cols)
+        return self.num.shape
+
+    @property
+    def rows(self):
+        return self.num.shape[0]
+
+    @property
+    def cols(self):
+        return self.num.shape[1]
 
     def transpose(self):
-        return Matrix._of(tuple(zip(*self.num)), self.den)
+        return Matrix.from_ints(self.num.T, self.den)
 
     def is_symmetric(self):
-        return self.rows == self.cols and self.num == tuple(zip(*self.num))
+        return self.rows == self.cols and np.array_equal(self.num, self.num.T)
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
-        # Each side keeps an entry prime to each prime power of its own den,
-        # so the rows over the lcm of the two dens are in lowest terms.
-        a, b, den = _over_common_den(self, other)
-        return Matrix._of(tuple(ra + rb for ra, rb in zip(a, b)), den)
+        den = math.lcm(self.den, other.den)
+        num = np.hstack([self.num * (den // self.den), other.num * (den // other.den)])
+        return Matrix.from_ints(num, den)
 
     def submatrix(self, row_idx, col_idx):
-        num = self.num
-        return Matrix.from_ints([[num[i][j] for j in col_idx] for i in row_idx], self.den)
+        return Matrix.from_ints(self.num[np.ix_(row_idx, col_idx)], self.den)
 
     def to_numpy(self):
         # int / int is correctly rounded, as float(Fraction) is, at any size.
-        den = self.den
-        return np.array([[x / den for x in row] for row in self.num])
+        return (self.num / self.den).astype(float)
 
     def _check_square(self):
         if self.rows != self.cols:
@@ -187,17 +172,17 @@ class Matrix:
     def det(self):
         """Exact determinant: det_stack of num as a stack of one, over den^rows."""
         self._check_square()
-        (d,) = det_stack(self._stack())
+        (d,) = det_stack(self.num[None])
         return Fraction(d, self.den**self.rows)
 
     def solve(self, rhs):
-        """Exact solve of self @ X = rhs over the integer rows, then one division.
+        """Exact solve of self @ X = rhs over the integer arrays, then one division.
 
         With A = num/den and B = rhs.num/rhs.den, X = den * num^-1 rhs.num / rhs.den.
         """
         self._check_square()
         d, dx = solve_fraction_free(self.num, rhs.num)
-        return Matrix.from_ints((self.den * dx).tolist(), d * rhs.den)
+        return Matrix.from_ints(self.den * dx, d * rhs.den)
 
     def inverse(self):
         return self.solve(Matrix.identity(self.rows))
@@ -211,53 +196,27 @@ class Matrix:
         """
         if not self.is_symmetric():
             return False
-        _, pivoted, reduced = _bareiss_stack(self._stack())
+        _, pivoted, reduced = _bareiss_stack(self.num[None])
         return not pivoted[0] and all(p > 0 for p in reduced[0].diagonal())
-
-    def _stack(self):
-        return np.array([self.num], dtype=object)
-
-
-def _over_common_den(a, b):
-    """(rows of a, rows of b, den): both matrices' integer rows over one den."""
-    if a.den == b.den:
-        return a.num, b.num, a.den
-    den = math.lcm(a.den, b.den)
-    sa, sb = den // a.den, den // b.den
-    return (
-        tuple(tuple(sa * x for x in row) for row in a.num),
-        tuple(tuple(sb * x for x in row) for row in b.num),
-        den,
-    )
 
 
 def solve_fraction_free(a, b):
-    """Integer d != 0 and the integer rows of d*X, where A @ X = B.
+    """Integer d != 0 and the integer array d*X, where A @ X = B.
 
-    a (square) and b are sequences of rows of ints or Fractions.  A row of
-    [A | B] that is not all ints is scaled once by the lcm of its
-    denominators, which leaves X unchanged.  One Gauss-Jordan pass of
-    _bareiss_stack over the integer rows, a stack of one, then leaves
+    a (square) and b are 2-D arrays, or rows, of Python ints.  One
+    Gauss-Jordan pass of _bareiss_stack over [A | B], a stack of one, leaves
     d*I | d*X, d its last pivot; d*X comes back as an object array of
     Python ints.  Matrix.solve divides by d, and callers that keep working
     over the integers do not.  Raises SingularMatrix when A is singular.
     """
+    a, b = np.asarray(a, dtype=object), np.asarray(b, dtype=object)
     n = len(a)
     if len(b) != n:
         raise ValueError("rhs row count mismatch")
-    rows = [_integer_row(tuple(ra) + tuple(rb)) for ra, rb in zip(a, b)]
-    sign, _, reduced = _bareiss_stack(np.array([rows], dtype=object), reduce_above=True)
+    sign, _, reduced = _bareiss_stack(np.hstack([a, b])[None], reduce_above=True)
     if not sign[0]:
         raise SingularMatrix("exact rank deficiency")
     return reduced[0, -1, n - 1], reduced[0, :, n:]
-
-
-def _integer_row(row):
-    """row itself when it holds only ints, else row times the lcm of its denominators."""
-    if all(type(x) is int for x in row):
-        return row
-    s = math.lcm(*(x.denominator for x in row))
-    return [x.numerator * (s // x.denominator) for x in row]
 
 
 def _bareiss_stack(a, reduce_above=False):

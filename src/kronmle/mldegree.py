@@ -40,7 +40,7 @@ def _integer_data(m1, n, seed, m2=2, entry_bound=17):
 
 def random_integer_sample(m1, n, seed, m2=2, entry_bound=17):
     """n exact integer data matrices with entries uniform on {0,...,16}."""
-    return SampleSet(Matrix(_integer_data(m1, n, seed, m2, entry_bound).tolist()), m2)
+    return SampleSet(Matrix.from_ints(_integer_data(m1, n, seed, m2, entry_bound)), m2)
 
 
 def score_polynomials(sample):

@@ -94,7 +94,7 @@ def scatter_k2(sample, k2):
     the rows of every Yi, so multiplying them by K2 gives
     [Y1 K2 | ... | Yn K2], whose product with Y^T is the sum.  An exact
     sample with a Matrix K2 gives the exact sum over Python ints: with
-    Y = NY/dy and K2 = NK/dk as integer rows over one denominator each,
+    Y = NY/dy and K2 = NK/dk as integer arrays over one denominator each,
     scatter_k2_stack of NY and NK as stacks of one is returned over
     dy^2 * dk.  Otherwise it is one GEMM pair over the float
     concatenation, symmetrized.  Raises ValueError unless K2 is m2 x m2.
@@ -104,8 +104,8 @@ def scatter_k2(sample, k2):
         raise ValueError(f"K2 must be {m2} x {m2}, got shape {np.shape(k2)}")
     if sample.is_exact and isinstance(k2, Matrix):
         y = sample.y
-        (s,) = scatter_k2_stack(np.array([y.num], dtype=object), np.array([k2.num], dtype=object))
-        return Matrix.from_ints(s.tolist(), y.den * y.den * k2.den)
+        (s,) = scatter_k2_stack(y.num[None], k2.num[None])
+        return Matrix.from_ints(s, y.den * y.den * k2.den)
     y = sample.to_float().y
     out = (y.reshape(m1 * n, m2) @ _as_array(k2)).reshape(m1, n * m2) @ y.T
     return (out + out.T) / 2

@@ -83,7 +83,7 @@ def exact_mle_k1(sample):
     with A = I_n kron K2, W = [Y_*^-1; 0] and v^T A^-1 v = tr(K2^-1 K2) = m2,
     the inverse of the scatter Y A Y^T is W^T (A^-1 - A^-1 v v^T A^-1 / m2) W,
     so K1 = n*m2 * W^T [I_n kron K2^-1 - u u^T / m2] W with u = A^-1 v.
-    Integer form, on the integer rows N = delta*Y of the data: one
+    Integer form, on the integer array N = delta*Y of the data: one
     fraction-free pass over [N_* | I | N_y] gives G = d*N_*^-1 and w = d*v
     (v does not change when Y is scaled), so d^2 K2 = sum_b w_b w_b^T over
     the blocks w_b of w; a second pass gives H = e*(d^2 K2)^-1 with
@@ -98,7 +98,7 @@ def exact_mle_k1(sample):
     if sample.n < sample.m2:
         raise MLENotExists(f"n = {sample.n} < m2 = {sample.m2}")
     m1, m2, n = sample.m1, sample.m2, sample.n
-    rows = np.array(sample.y.num, dtype=object)  # N = [N_* | N_y]
+    rows = sample.y.num  # N = [N_* | N_y]
     try:
         d, dx = solve_fraction_free(
             rows[:, :m1], np.hstack([np.identity(m1, dtype=object), rows[:, m1:]])
@@ -109,7 +109,7 @@ def exact_mle_k1(sample):
     w = np.append(dx[:, m1], -d).reshape(n, m2)  # d * v, one block w_b per row
     k2_int = w.T @ w
     d2 = d * d
-    k2 = Matrix.from_ints(k2_int.tolist(), d2)
+    k2 = Matrix.from_ints(k2_int, d2)
     if not k2.is_positive_definite():
         raise MLENotExists("sum_i v_i v_i^T is not positive definite")
     # Integer rows need no scaling and a PD matrix no row swap, so e is det(d^2 K2).
@@ -123,7 +123,7 @@ def exact_mle_k1(sample):
     dots = (g.T[i, None, :] @ hg.T[j, :, None]).reshape(-1)
     k1 = np.empty((m1, m1), dtype=object)
     k1[i, j] = k1[j, i] = n * sample.y.den**2 * (e * m2 * dots - gu[i] * gu[j])
-    k1 = Matrix.from_ints(k1.tolist(), e * e)
+    k1 = Matrix.from_ints(k1, e * e)
     k2f, k1f = normalize_det1(k2.to_numpy(), k1.to_numpy())
     return KroneckerEstimate(
         k1=k1f,

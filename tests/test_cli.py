@@ -546,6 +546,28 @@ class TestMlDegreeCommand:
                            "--cache-dir", str(cache))
         assert "99" in stdout
 
+    @pytest.mark.parametrize("text", [
+        '{"m1": 2}',
+        "[1, 2]",
+        "not json",
+        '{"m1": 2, "n": 5, "seed": 1, "degree": 99, "seconds": 0.1}',  # another seed's cell
+        '{"m1": 2, "n": 5, "seed": 0, "degree": "99", "seconds": 0.1}',
+        '{"m1": 2, "n": 5, "seed": 0, "degree": 99, "seconds": 0.1, "extra": 1}',
+        "[" * 100_000,
+    ], ids=["missing-keys", "list", "not-json", "other-seed", "str-degree", "extra-key", "deep"])
+    def test_malformed_cache_cell_is_recomputed(self, tmp_path, capsys, monkeypatch, text):
+        monkeypatch.setenv("KRONMLE_WORKERS", "1")
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        cell = cache / "cell_2_5_0.json"
+        cell.write_text(text)
+        code, stdout, stderr = run(capsys, "mldegree", "--m1", "2", "--n", "5",
+                                   "--cache-dir", str(cache))
+        assert code == EXIT_OK and stderr == ""
+        assert stdout.splitlines()[1].split()[:3] == ["2", "5", "3"]
+        rewritten = json.loads(cell.read_text())
+        assert (rewritten["m1"], rewritten["n"], rewritten["seed"], rewritten["degree"]) == (2, 5, 0, 3)
+
     def test_seed_independence_of_degree(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("KRONMLE_WORKERS", "1")
         degrees = []

@@ -59,6 +59,31 @@ class TestMatrixBasics:
         with pytest.raises(AttributeError):
             a.rows = 2
 
+    def test_num_is_a_read_only_object_array(self):
+        a = Matrix([[2, Fraction(1, 3)], [1, 1]])
+        b = Matrix([[1, 0], [5, 7]])
+        built = [a, Matrix.from_ints([[4, 6]], 2), a @ b, a.transpose(), a.hstack(b),
+                 a.submatrix([1], [0, 1]), a.solve(b)]
+        for m in built:
+            assert m.num.dtype == object and m.num.ndim == 2
+            assert all(type(x) is int for x in m.num.flat)
+            with pytest.raises(ValueError):
+                m.num[0, 0] = 1
+
+    def test_numpy_integer_entries_become_python_ints(self):
+        rows = np.array([[2**62, 1], [1, 3]])
+        for m in (Matrix(rows), Matrix([[np.int64(2**62), Fraction(1, 2)], [1, 3]])):
+            assert all(type(x) is int for x in m.num.flat)
+            assert (m @ m)[0, 0] == 2**124 + m[0, 1]
+
+    def test_from_ints_copies_its_input(self):
+        arr = np.array([[2, 4], [6, 9]], dtype=object)
+        m = Matrix.from_ints(arr, 3)
+        before, h = m.data, hash(m)
+        arr[0, 0] = 100
+        assert m.data == before and hash(m) == h
+        assert m == Matrix([[Fraction(2, 3), Fraction(4, 3)], [2, 3]])
+
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             Matrix([[1, 2], [3]])

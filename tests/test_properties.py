@@ -142,9 +142,9 @@ class TestEliminationAgainstSympy:
         a, b = ab
         if a.det() == 0:
             return
-        d, dx = solve_fraction_free(a.data, b.data)
-        assert d != 0 and all(type(x) is int for row in dx for x in row)
-        assert a @ Matrix(dx) == b.scale(d)
+        d, dx = solve_fraction_free(a.num, b.num)
+        assert d != 0 and all(type(x) is int for x in dx.flat)
+        assert Matrix.from_ints(a.num) @ Matrix.from_ints(dx) == Matrix.from_ints(b.num).scale(d)
 
     @given(singular_matrices(), st.integers(min_value=1, max_value=3))
     @settings(max_examples=40, deadline=None)
@@ -239,7 +239,7 @@ class TestCommonDenominatorForm:
             a.solve(a @ m),
         ]
         for r in routes:
-            assert r == m and hash(r) == hash(m) and (r.num, r.den) == (m.num, m.den)
+            assert r == m and hash(r) == hash(m) and (r.num.tolist(), r.den) == (m.num.tolist(), m.den)
 
     def test_half_by_every_route(self):
         routes = [
@@ -249,7 +249,7 @@ class TestCommonDenominatorForm:
             Matrix([[1, 0]]) @ Matrix([["1/2"], [7]]),
             Matrix([[2]]).solve(Matrix([[1]])),
         ]
-        assert len(set(routes)) == 1 and routes[0].num == ((1,),) and routes[0].den == 2
+        assert len(set(routes)) == 1 and routes[0].num.tolist() == [[1]] and routes[0].den == 2
 
     @given(sizes.flatmap(lambda n: row_lists(n, n, mixed_rationals)))
     @settings(max_examples=60, deadline=None)

@@ -5,8 +5,9 @@ No linter ships with the project, so this walks each file's syntax tree:
 every name bound by an import at module level must be read somewhere in
 the file.  The package's ``__init__.py`` is exempt; it re-exports through
 ``__all__``.  Every ``_``-prefixed function or constant defined at module
-level in the package must be read somewhere in the package.  Public names
-are exempt, because the benchmark and the tests read them.
+level in the package, and every ``_``-prefixed method of its module-level
+classes, must be read somewhere in the package.  Public names and dunders
+are exempt, because the benchmark, the tests or Python itself read them.
 """
 
 import ast
@@ -33,14 +34,18 @@ def unused_imports(source):
 
 
 def unused_private_names(sources):
-    """(file, line, name) of each private module-level function or constant
-    that no source in ``sources`` (file name -> source) reads."""
+    """(file, line, name) of each private module-level function or constant,
+    or private method of a module-level class, that no source in ``sources``
+    (file name -> source) reads."""
     defined, read = [], set()
     for file, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 defined.append((file, node.lineno, node.name))
+            elif isinstance(node, ast.ClassDef):
+                methods = (m for m in node.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)))
+                defined += [(file, m.lineno, m.name) for m in methods]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 defined += [(file, t.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
@@ -79,6 +84,23 @@ def test_checker_flags_an_unused_private_name():
         ("c.py", 1, "_gone"),
         ("c.py", 3, "_LEFT"),
     ]
+
+
+def test_checker_flags_an_unused_private_method():
+    source = (
+        "class K:\n"
+        "    def __init__(self):\n"
+        "        self._set()\n"
+        "    def _set(self):\n"
+        "        pass\n"
+        "    @classmethod\n"
+        "    def _stale(cls):\n"
+        "        pass\n"
+        "    def __eq__(self, other):\n"
+        "        return True\n"
+    )
+    assert unused_private_names({"k.py": source}) == [("k.py", 7, "_stale")]
+    assert unused_private_names({"k.py": source, "u.py": "from k import K\nK._stale()\n"}) == []
 
 
 def test_no_unused_private_names():
