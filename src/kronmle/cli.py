@@ -268,16 +268,13 @@ def _emit_cells(results, fmt):
 
 
 def cmd_multiplicity(args):
-    case = args.case
-    quad = b_zero_quadratic(args.m2, args.k, case)
-    count = ml_multiplicity_prop43(args.m2, args.k, case)
-    upper = PROP43_UPPER[case]
-    print(f"case {case}, m2 = {args.m2}, k = {args.k}")
+    quad = b_zero_quadratic(args.m2, args.k, args.case)
+    count = ml_multiplicity_prop43(args.m2, args.k, args.case)
+    print(f"case {args.case}, m2 = {args.m2}, k = {args.k}")
     print(f"b = 0 quadratic: {quad}")
     print(f"discriminant: {quad.discriminant}")
-    roots = quad.roots()
-    print("roots: " + ", ".join(f"{r:.6f}" for r in roots))
-    print(f"solution count: {count} (bound check: 2 <= {count} <= {upper})")
+    print("roots: " + ", ".join(f"{r:.6f}" for r in quad.roots()))
+    print(f"solution count: {count} (bound check: 2 <= {count} <= {PROP43_UPPER[args.case]})")
     return EXIT_OK
 
 

@@ -19,6 +19,7 @@ rows, rationals written as ``p/q``.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from itertools import islice
 
@@ -70,7 +71,8 @@ class Matrix:
 
         num is copied as Python ints, den made positive and gcd(den, *num) divided out.
         """
-        num = np.array(num, dtype=object)
+        rows = num if isinstance(num, np.ndarray) else [[operator.index(x) for x in r] for r in num]
+        num = np.array(rows, dtype=object)  # numpy integers in rows become Python ints too
         if den < 0:
             num, den = -num, -den
         g = math.gcd(den, *num.flat)

@@ -10,14 +10,14 @@ over Q: sum_i Yi K Yi^T is A0 + k12*A1 + k22*A2 for three integer
 scatters, a batched int64 elimination gives g1 mod p on the (m1+1)^2
 integer grid, and the score pair follows mod p.  No count goes back to Q: a
 pair whose resultant vanishes shares a factor, and raises PrimesExhausted.
-The Prop. 4.3 multiplicities use the same count, localized at their
-denominators."""
+The Prop. 4.3 pairs are built as integer images mod p too, and counted the
+same way off their denominators: no count runs Poly arithmetic."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cache
+from decimal import Context, Decimal, localcontext
+from functools import cache, reduce
 from itertools import accumulate
 from math import comb, prod
 
@@ -367,7 +367,8 @@ def _chart_images(scatters, prime, shear):
 
 
 def _times(small, a, prime):
-    """small * a mod prime for dense arrays, when the product fits in a's shape."""
+    """small * a mod prime for dense arrays of residues in [0, prime), so
+    that no product leaves int64, when the product fits in a's shape."""
     out, (rows, cols) = np.zeros_like(a), a.shape
     for i, j in zip(*np.nonzero(small)):
         out[i:, j:] = (out[i:, j:] + small[i, j] * a[: rows - i, : cols - j]) % prime
@@ -416,16 +417,18 @@ def _poly_images(polys, prime, shear):
 class QuadraticBranch:
     """The b = 0 branch of the score system: a quadratic and its roots."""
 
-    coefficients: tuple  # (c2, c1, c0)
-    discriminant: Fraction
+    coefficients: tuple  # (c2, c1, c0), integers
+    discriminant: int
 
     def roots(self):
-        c2, c1, c0 = (float(c) for c in self.coefficients)
-        disc = float(self.discriminant)
-        if disc < 0:
+        """The real roots, smaller first: s/c2 and c0/s for s = -(c1 + sign(c1)*sqrt(disc))/2,
+        which nothing cancels in, as Decimals 30 digits longer than any c (|root| <= 1 + max |c|)."""
+        if self.discriminant < 0:
             return ()
-        r = disc**0.5
-        return ((-c1 - r) / (2 * c2), (-c1 + r) / (2 * c2))
+        c2, c1, c0 = map(Decimal, self.coefficients)
+        with localcontext(Context(prec=30 + max(len(str(c)) for c in self.coefficients))):
+            s = -(c1 + Decimal(self.discriminant).sqrt().copy_sign(c1)) / 2
+            return tuple(sorted((s / c2, c0 / s)))
 
     def __str__(self):
         c2, c1, c0 = self.coefficients
@@ -435,71 +438,71 @@ class QuadraticBranch:
 def b_zero_quadratic(m2, k, case_id):
     """Quadratic satisfied by the trace variable on the b = 0 branch."""
     if case_id == "one":
-        coeffs = (2 * k, 2 * k - m2 - 2 * k * m2, 2 * m2 - 2 * k * m2)
+        c2, c1, c0 = 2 * k, 2 * k - m2 - 2 * k * m2, 2 * m2 - 2 * k * m2
     elif case_id == "two":
-        coeffs = (2 * k * m2 - 2 * k, 3 * k * m2 - m2 - 5 * k, -3 * k)
+        c2, c1, c0 = 2 * k * m2 - 2 * k, 3 * k * m2 - m2 - 5 * k, -3 * k
     else:
         raise ValueError("case_id must be 'one' or 'two'")
-    coeffs = tuple(Fraction(c) for c in coeffs)
-    c2, c1, c0 = coeffs
-    return QuadraticBranch(coefficients=coeffs, discriminant=c1 * c1 - 4 * c2 * c0)
+    return QuadraticBranch(coefficients=(c2, c1, c0), discriminant=c1 * c1 - 4 * c2 * c0)
 
 
-def _numerator(terms):
-    """Primitive numerator of sum n_i / d_i over the product of the d_i."""
-    num, den = 0, 1
-    for n_i, d_i in terms:
-        num, den = num * d_i + n_i * den, den * d_i
-    return num.primitive()
-
-
-def _prop43_pair(m2, k, case_id):
-    """Score numerators of the constructed multiplicity > 1 data sets.
-
-    Case one (m2 > 2, k >= 2) works in the trace variable t, case two
-    (m2 = 2, k >= 2) in the free diagonal entry c.  Returns the two
-    primitive numerators and their distinct denominators, which must not
-    vanish at a solution.  Rational terms with a zero numerator are
-    dropped before combining, matching how a CAS reduces the fraction.
-    """
-    if k < 2:
-        raise ValueError("cases require k >= 2")
+def _prop43_terms(m2, k, case_id):
+    """The score equations of the constructed multiplicity > 1 data sets:
+    lists of terms (n, d) for n / d, each {(i, j): a} for sum a * x^i * b^j,
+    x the trace t in case one (m2 > 2) and the free diagonal entry c in case
+    two (m2 = 2).  Zero numerators are dropped, as a CAS reduces them."""
+    if case_id not in ("one", "two"):
+        raise ValueError("case_id must be 'one' or 'two'")
+    if k < 2 or (m2 <= 2 if case_id == "one" else m2 != 2):
+        raise ValueError(f"case {case_id} requires m2 {'> 2' if case_id == 'one' else '= 2'} and k >= 2")
     if case_id == "one":
-        if m2 <= 2:
-            raise ValueError("case one requires m2 > 2")
-        vars = ("t", "b")
-        t = Poly.variable(vars, "t")
-        b = Poly.variable(vars, "b")
-        q = 4 * t * (t + 1) - b * b  # det-like denominator
-        e1_terms = [(-2 * m2 * b, q), (2 * k * b, 1 - b * b)]
-        e2_terms = [(m2 * (8 * t + 4), q)]
-        if k != 2:
-            e2_terms.append((Poly.constant(vars, m2 * (k - 2)), t))
-        e2_terms.append((Poly.constant(vars, -k * (m2 - 2)), t - 2))
-    elif case_id == "two":
-        if m2 != 2:
-            raise ValueError("case two requires m2 = 2")
-        vars = ("c", "b")
-        c = Poly.variable(vars, "c")
-        b = Poly.variable(vars, "b")
-        q = 2 * (c + 1) * (2 * c + 3) - b * b
-        e1_terms = [(-2 * m2 * b, q), (2 * k * b, c - b * b)]
-        e2_terms = [(m2 * (8 * c + 10), q)]
-        if k != 2:
-            e2_terms.append((Poly.constant(vars, m2 * (k - 2)), c + 1))
-        e2_terms.append((Poly.constant(vars, -k), c - b * b))
+        q, d = {(2, 0): 4, (1, 0): 4, (0, 2): -1}, {(0, 0): 1, (0, 2): -1}  # 4t(t+1) - b^2, 1 - b^2
+        e2 = [({(1, 0): 8 * m2, (0, 0): 4 * m2}, q), ({(0, 0): m2 * (k - 2)}, {(1, 0): 1}),
+              ({(0, 0): -k * (m2 - 2)}, {(1, 0): 1, (0, 0): -2})]
     else:
-        raise ValueError("case_id must be 'one' or 'two'")
-    factors = list(dict.fromkeys(d for _, d in e1_terms + e2_terms))
-    return (_numerator(e1_terms), _numerator(e2_terms)), factors
+        q, d = {(2, 0): 4, (1, 0): 10, (0, 0): 6, (0, 2): -1}, {(1, 0): 1, (0, 2): -1}  # 2(c+1)(2c+3)-b^2, c-b^2
+        e2 = [({(1, 0): 8 * m2, (0, 0): 10 * m2}, q), ({(0, 0): m2 * (k - 2)}, {(1, 0): 1, (0, 0): 1}),
+              ({(0, 0): -k}, d)]
+    e1 = [({(0, 1): -2 * m2}, q), ({(0, 1): 2 * k}, d)]
+    return [[(n, d) for n, d in eq if any(n.values())] for eq in (e1, e2)]
+
+
+def _prop43_images(m2, k, case_id, prime, shear):
+    """Images mod prime for _count_by_trials of the Prop. 4.3 pair, each
+    numerator sum_i n_i * prod_{j != i} d_j over its equation's terms, and
+    of the product of the distinct d_j, with b = y + c*x.  Coefficients are
+    reduced first, so m2 and k may be any size, each polynomial product one
+    _times on residues.  None when a numerator vanishes: p divides its content."""
+    equations = _prop43_terms(m2, k, case_id)
+    c, xb = shear % prime, np.zeros((3, 3, 7, 7), dtype=np.int64)  # x^i * b^j at [i, j], degrees <= 6
+    xb[0, 0, 0, 0] = xb[0, 1, 0, 1] = xb[0, 2, 0, 2] = 1
+    xb[0, 1, 1, 0], xb[0, 2, 1, 1], xb[0, 2, 2, 0] = c, 2 * c % prime, c * c % prime  # b^2 = y^2 + 2cxy + c^2x^2
+    xb[1, :, 1:], xb[2, :, 2:] = xb[0, :, :-1], xb[0, :, :-2]
+
+    def product(polys):
+        images = [sum(a % prime * xb[i, j] % prime for (i, j), a in p.items()) % prime for p in polys]
+        return reduce(lambda f, g: _times(g, f, prime), images)
+
+    pair = [sum(product([n] + [d for _, d in eq[:i] + eq[i + 1 :]]) for i, (n, _) in enumerate(eq)) % prime
+            for eq in equations]
+    dens = [d for eq in equations for _, d in eq]
+    locus = product([d for i, d in enumerate(dens) if d not in dens[:i]])
+    return (*pair, locus) if all(p.any() for p in pair) else None
 
 
 def prop43_system(m2, k, case_id):
-    """The constructed score system with the Rabinowitsch generator for its
-    nonvanishing denominators adjoined: a three-variable ideal whose degree
-    is the solution count, kept as an oracle for ml_multiplicity_prop43."""
-    gens, factors = _prop43_pair(m2, k, case_id)
-    return saturate_rabinowitsch(PolyIdeal(generators=gens), prod(factors))
+    """The Prop. 4.3 system with the Rabinowitsch generator for its
+    denominators adjoined, an oracle for ml_multiplicity_prop43 whose degree is
+    the count: _prop43_images at shear 0 read in (-p/2, p/2), every coefficient
+    below (sum |n| + 1) * prod |d| over all terms, in 1-norms."""
+    norms = [[sum(map(abs, p.values())) for p in term] for eq in _prop43_terms(m2, k, case_id) for term in eq]
+    bound, prime = (sum(a for a, _ in norms) + 1) * prod(c for _, c in norms), PRIMES[0]
+    if 2 * bound >= prime:
+        raise ValueError(f"coefficients up to {bound} do not lift from one prime")
+    vars = ("t" if case_id == "one" else "c", "b")
+    p, q, locus = (Poly(vars, {ij: int(v) - prime if 2 * v > prime else int(v) for ij, v in np.ndenumerate(a)})
+                   for a in _prop43_images(m2, k, case_id, prime, 0))
+    return saturate_rabinowitsch(PolyIdeal(generators=(p, q)), locus)
 
 
 # The largest solution count Prop. 4.3 allows for each constructed case;
@@ -509,9 +512,7 @@ PROP43_UPPER = {"one": 5, "two": 4}
 
 def ml_multiplicity_prop43(m2, k, case_id):
     """Solution count off the denominators' locus, in [2, PROP43_UPPER[case_id]]."""
-    gens, factors = _prop43_pair(m2, k, case_id)
-    count = count_solutions_off_locus(gens, factors)
-    upper = PROP43_UPPER[case_id]
-    if not 2 <= count <= upper:
-        raise ValueError(f"solution count {count} outside expected [2, {upper}]")
+    count = _count_by_trials(lambda prime, shear: _prop43_images(m2, k, case_id, prime, shear))
+    if not 2 <= count <= PROP43_UPPER[case_id]:
+        raise ValueError(f"solution count {count} outside expected [2, {PROP43_UPPER[case_id]}]")
     return count

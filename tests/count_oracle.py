@@ -212,3 +212,46 @@ def stable_rank_mod(mat, prime):
         if r == r_prev:
             return r
         r_prev = r
+
+
+# The Prop. 4.3 pair built with Poly arithmetic over Q, as the count built it
+# before it moved to integer images mod p: an independent reference for
+# kronmle.mldegree._prop43_images.
+
+
+def _numerator(terms):
+    """Primitive numerator of sum n_i / d_i over the product of the d_i."""
+    num, den = 0, 1
+    for n_i, d_i in terms:
+        num, den = num * d_i + n_i * den, den * d_i
+    return num.primitive()
+
+
+def prop43_pair(m2, k, case_id):
+    """Score numerators of the constructed multiplicity > 1 data sets.
+
+    Case one (m2 > 2, k >= 2) works in the trace variable t, case two
+    (m2 = 2, k >= 2) in the free diagonal entry c.  Returns the two
+    primitive numerators and their distinct denominators.  Rational terms
+    with a zero numerator are dropped before combining.
+    """
+    if case_id == "one":
+        vars = ("t", "b")
+        t, b = (Poly.variable(vars, v) for v in vars)
+        q = 4 * t * (t + 1) - b * b
+        e1_terms = [(-2 * m2 * b, q), (2 * k * b, 1 - b * b)]
+        e2_terms = [(m2 * (8 * t + 4), q)]
+        if k != 2:
+            e2_terms.append((Poly.constant(vars, m2 * (k - 2)), t))
+        e2_terms.append((Poly.constant(vars, -k * (m2 - 2)), t - 2))
+    else:
+        vars = ("c", "b")
+        c, b = (Poly.variable(vars, v) for v in vars)
+        q = 2 * (c + 1) * (2 * c + 3) - b * b
+        e1_terms = [(-2 * m2 * b, q), (2 * k * b, c - b * b)]
+        e2_terms = [(m2 * (8 * c + 10), q)]
+        if k != 2:
+            e2_terms.append((Poly.constant(vars, m2 * (k - 2)), c + 1))
+        e2_terms.append((Poly.constant(vars, -k), c - b * b))
+    factors = list(dict.fromkeys(d for _, d in e1_terms + e2_terms))
+    return (_numerator(e1_terms), _numerator(e2_terms)), factors

@@ -9,6 +9,9 @@ these tests make such a change fail here first.
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,6 +55,25 @@ def _perfbench_tree(name):
 )
 def test_span_target_resolves(module, attr):
     assert callable(_resolve(f"{module}.{attr}"))
+
+
+def test_worker_imports_load_every_span_module():
+    # spans.install reads sys.modules["kronmle." + module] after the worker's
+    # own imports, in a fresh process: each module a span names must be
+    # loaded by them, not only importable.
+    imports = sorted(
+        alias.name
+        for node in ast.walk(_perfbench_tree("worker.py"))
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.split(".")[0] == "kronmle"
+    )
+    assert imports == ["kronmle", "kronmle.cli", "kronmle.model", "kronmle.solvers"]
+    code = f"import sys, {', '.join(imports)}; print(' '.join(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(PERFBENCH.parent / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(out.stdout.split())
+    assert {f"kronmle.{module}" for module, _, _ in _load_spans().TARGETS} <= loaded
 
 
 def test_selftest_imports_resolve():

@@ -4,6 +4,7 @@ import argparse
 import collections
 import contextlib
 import csv
+import decimal
 import io
 import json
 
@@ -21,6 +22,7 @@ from kronmle.cli import (
     main,
 )
 from kronmle.canonical import det_reduction_sides
+from kronmle.mldegree import b_zero_quadratic
 from kronmle.model import SampleSet, format_sample_set, sample_matrix_normal
 from paper_helpers import det_reduction_oracle, lemma_instance
 
@@ -644,6 +646,20 @@ class TestMultiplicity:
         assert code == EXIT_OK
         assert "4*x^2 + 0*x + -6" in stdout
         assert "solution count: 2" in stdout
+
+    @pytest.mark.parametrize("case_id,m2,k", [("two", 2, 10**400), ("one", 10**400, 2)])
+    def test_huge_arguments(self, capsys, case_id, m2, k):
+        # No float holds these coefficients or case one's large root: the
+        # count reduces m2 and k mod each prime, and the roots are Decimals,
+        # exact to the printed place as the textbook formula at 1,000 digits.
+        code, stdout, err = run(capsys, "multiplicity", "--case", case_id, "--m2", str(m2), "--k", str(k))
+        assert code == EXIT_OK and err == ""
+        c2, c1, c0 = b_zero_quadratic(m2, k, case_id).coefficients
+        with decimal.localcontext(decimal.Context(prec=1000)):
+            r = decimal.Decimal(c1 * c1 - 4 * c2 * c0).sqrt()
+            low, high = sorted([(-c1 - r) / (2 * c2), (-c1 + r) / (2 * c2)])
+        assert f"roots: {low:.6f}, {high:.6f}\n" in stdout
+        assert "solution count: 4" in stdout
 
     def test_regime_error(self, capsys):
         code, _, err = run(

@@ -1,6 +1,7 @@
 """Exact and float dense linear algebra."""
 
 import io
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -75,6 +76,18 @@ class TestMatrixBasics:
         for m in (Matrix(rows), Matrix([[np.int64(2**62), Fraction(1, 2)], [1, 3]])):
             assert all(type(x) is int for x in m.num.flat)
             assert (m @ m)[0, 0] == 2**124 + m[0, 1]
+
+    def test_from_ints_stores_python_ints(self):
+        # From an int64 array and from np.int64 entries inside rows alike,
+        # so that a product of two entries does not wrap around.
+        for num in (np.array([[2**62, 1], [1, 3]]), [[np.int64(2**62), 1], [np.int64(1), 3]]):
+            m = Matrix.from_ints(num)
+            assert all(type(x) is int for x in m.num.flat)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert (m @ m)[0, 0] == 2**124 + 1
+        with pytest.raises(TypeError):
+            Matrix.from_ints([[Fraction(1, 2)]])
 
     def test_from_ints_copies_its_input(self):
         arr = np.array([[2, 4], [6, 9]], dtype=object)

@@ -1,13 +1,16 @@
 """Likelihood-equation solution counting and the constructed score systems."""
 
+import json
 from fractions import Fraction
+from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kronmle import groebner, mldegree, poly
+from kronmle import cli, groebner, mldegree, poly
 from kronmle.groebner import PolyIdeal, buchberger, dim_and_degree, normal_form, standard_monomials
 from kronmle.linalg import Matrix
 from kronmle.mldegree import (
@@ -15,7 +18,6 @@ from kronmle.mldegree import (
     PROP43_UPPER,
     SCORE_VARS,
     PrimesExhausted,
-    _prop43_pair,
     b_zero_quadratic,
     count_solutions_off_locus,
     likelihood_equations_m2_2,
@@ -33,6 +35,7 @@ from count_oracle import (
     ml_degree_by_buchberger,
     modular_stable_rank,
     multiplication_matrix_mod,
+    prop43_pair,
     residue_ring,
     score_system,
     stable_rank_mod,
@@ -778,13 +781,18 @@ class TestQuadratics:
 
     def test_roots_solve_quadratic(self):
         q = b_zero_quadratic(3, 2, "one")
-        for r in q.roots():
+        for r in map(float, q.roots()):
             c2, c1, c0 = (float(c) for c in q.coefficients)
             assert c2 * r * r + c1 * r + c0 == pytest.approx(0.0, abs=1e-9)
 
     def test_bad_case_id(self):
         with pytest.raises(ValueError):
             b_zero_quadratic(3, 2, "three")
+
+
+# The fifteen Prop. 4.3 systems: case one at k = 2 and k >= 3, case two at k = 2..9.
+PROP43_SYSTEMS = [("one", m2, k) for m2, k in ((3, 2), (4, 2), (5, 2), (3, 3), (4, 3), (3, 4), (6, 5))]
+PROP43_SYSTEMS += [("two", 2, k) for k in range(2, 10)]
 
 
 class TestProp43:
@@ -810,12 +818,16 @@ class TestProp43:
         assert ml_multiplicity_prop43(2, 2, "two") == 2
         assert ml_multiplicity_prop43(2, 3, "two") == 4
 
-    def test_band(self):
+    def test_band(self, monkeypatch):
         # The band stays as it is until Prop. 4.3 is derived for case one at
         # k >= 3, whose system has 6 solutions.
         assert PROP43_UPPER == {"one": 5, "two": 4}
         with pytest.raises(ValueError, match=r"count 6 outside expected \[2, 5\]"):
             ml_multiplicity_prop43(3, 3, "one")
+        # and so is no solution off the locus
+        monkeypatch.setattr(mldegree, "_count_by_trials", lambda images: 0)
+        with pytest.raises(ValueError, match=r"count 0 outside expected \[2, 4\]"):
+            ml_multiplicity_prop43(2, 3, "two")
 
     # Case one at k = 2 and at k >= 3 (6 solutions, outside the band), and
     # case two at k = 2..6.  Counting with f = 1 instead of the denominators
@@ -827,27 +839,69 @@ class TestProp43:
         + [("two", 2, k, 2 if k == 2 else 4) for k in range(2, 7)],
     )
     def test_count_matches_rabinowitsch_oracle(self, case_id, m2, k, count):
-        gens, factors = _prop43_pair(m2, k, case_id)
+        # The integer images, the Poly recipe of the oracle and Buchberger on
+        # the lifted system agree.
+        gens, factors = prop43_pair(m2, k, case_id)
         zero_dim, degree = dim_and_degree(buchberger(prop43_system(m2, k, case_id)))
         assert zero_dim
-        assert count_solutions_off_locus(gens, factors) == degree == count
+        images = mldegree._count_by_trials(lambda p, s: mldegree._prop43_images(m2, k, case_id, p, s))
+        assert images == count_solutions_off_locus(gens, factors) == degree == count
 
-    def test_counts_through_count_solutions_off_locus(self, monkeypatch):
-        calls = []
-        real = mldegree.count_solutions_off_locus
+    @pytest.mark.parametrize("case_id,m2,k", PROP43_SYSTEMS)
+    def test_images_match_poly_recipe(self, case_id, m2, k):
+        # At every prime, each image is the Poly recipe's _poly_images times
+        # one nonzero scalar, and the lifted system is the recipe's pair.
+        gens, factors = prop43_pair(m2, k, case_id)
+        for prime in PRIMES:
+            shear = mldegree._shear(prime)
+            ours = mldegree._prop43_images(m2, k, case_id, prime, shear)
+            theirs = mldegree._poly_images((*gens, prod(factors[1:], start=factors[0])), prime, shear)
+            for a, b in zip(ours, theirs, strict=True):
+                a, b = (np.pad(x, (0, 7 - len(x))).ravel().tolist() for x in (a, b))
+                lead = next(i for i, x in enumerate(b) if x)
+                scalar = a[lead] * pow(b[lead], -1, prime) % prime
+                assert scalar and a == [scalar * x % prime for x in b]
+        sat = prop43_system(m2, k, case_id)
+        assert [g.primitive() for g in sat.generators[:2]] == [g.lift(sat.vars) for g in gens]
 
-        def spy(gens, factors):
-            calls.append(factors)
-            return real(gens, factors)
+    def test_huge_arguments(self):
+        # m2 and k are reduced mod each prime before any product; the lift
+        # of the oracle system refuses coefficients a prime cannot hold.
+        huge = 10**400
+        assert ml_multiplicity_prop43(2, huge, "two") == ml_multiplicity_prop43(huge, 2, "one") == 4
+        with pytest.raises(ValueError, match="do not lift"):
+            prop43_system(2, huge, "two")
 
-        monkeypatch.setattr(mldegree, "count_solutions_off_locus", spy)
-        assert ml_multiplicity_prop43(2, 3, "two") == 4
-        # each distinct denominator once: q, c - b^2 and c + 1
-        assert [sorted(f.total_degree() for f in factors) for factors in calls] == [[1, 2, 2]]
-        # no solution off the locus is outside the band too
-        monkeypatch.setattr(mldegree, "count_solutions_off_locus", lambda *a: 0)
-        with pytest.raises(ValueError, match=r"count 0 outside expected \[2, 4\]"):
-            ml_multiplicity_prop43(2, 3, "two")
+    def test_prime_dividing_the_content_is_skipped(self):
+        # With m2 = k = 0 mod prime, case one's first numerator vanishes:
+        # that prime proves nothing, rather than counting as a shared factor.
+        m2 = k = PRIMES[0] * PRIMES[1]
+        assert mldegree._prop43_images(m2, k, "one", PRIMES[0], 0) is None
+        with pytest.raises(ValueError, match=r"count 6 outside expected \[2, 5\]"):
+            ml_multiplicity_prop43(m2, k, "one")
+
+    def test_cli_counts_without_poly(self, monkeypatch, tmp_path, capsys):
+        # The benchmark's multiplicity items and mldegree rectangles run with
+        # Poly arithmetic, count_solutions_off_locus and _poly_images refused.
+        spec = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "spec.json").read_text())
+        spec = spec["mldegree"]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a CLI count computed with a Poly")
+
+        refuse_q(monkeypatch)
+        monkeypatch.setattr(Poly, "__init__", refuse)
+        monkeypatch.setattr(mldegree, "count_solutions_off_locus", refuse)
+        monkeypatch.setattr(mldegree, "_poly_images", refuse)
+        monkeypatch.setenv("KRONMLE_WORKERS", "1")  # the cells run in this process
+        argvs = [["multiplicity", "--case", c["case"], "--m2", str(c["m2"]), "--k", str(c["k"])]
+                 for c in spec["multiplicity"]]
+        argvs += [["mldegree", "--m1", r["m1"], "--n", r["n"], "--cache-dir", str(tmp_path / str(i))]
+                  for i, r in enumerate(spec["rectangles"])]
+        assert len(argvs) == 11
+        for argv in argvs:
+            assert cli.main(argv) == 0, argv
+        assert capsys.readouterr().out.count("solution count: ") == 5
 
     def test_b_zero_roots_satisfy_system(self):
         # on the b = 0 slice the saturated system reduces to the quadratic;
