@@ -9,14 +9,12 @@ or a verify-lemma check that failed.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from itertools import islice
 
 import numpy as np
@@ -200,6 +198,14 @@ def _cached_cell(cache_dir, task):
 _POOL_AFTER_S = 0.05
 
 
+def ProcessPoolExecutor(max_workers):
+    """A concurrent.futures.ProcessPoolExecutor, which this imports on the
+    first call: a command that starts no pool does not load multiprocessing."""
+    import concurrent.futures
+
+    return concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
+
+
 def _run_cells(pending):
     """Yield each pending cell's result in order.
 
@@ -256,6 +262,8 @@ def _emit_cells(results, fmt):
     if fmt == "json":
         return json.dumps(results, indent=2) + "\n"
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=["m1", "n", "seed", "degree", "seconds"])
         writer.writeheader()

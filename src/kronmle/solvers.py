@@ -157,7 +157,7 @@ def _inverse_factor(lapack, s):
 _STALL_SWEEPS = 8
 
 
-def flipflop(sample, init_k2=None, tol=1e-10, max_iter=10000, callback=None):
+def flipflop(sample, init_k2=None, tol=1e-10, max_iter=10000):
     """Block-coordinate ascent alternating the two profile maximizers.
 
     The run keeps each factor as a whitener, K2 = F2 F2^T and K1 = F1 F1^T,
@@ -170,7 +170,7 @@ def flipflop(sample, init_k2=None, tol=1e-10, max_iter=10000, callback=None):
     trtri (scipy, imported by the first call, so importing kronmle does
     not load it).  F2 starts as the Cholesky factor of init_k2.  The pair
     is rescaled to det(K2) = 1; K1 and K2 themselves are formed only for
-    callback and for the returned estimate.  The sweep's log-likelihood is
+    the returned estimate.  The sweep's log-likelihood is
     -n*m2*logdet(s2) - n*m1*logdet(s1) - n*m1*m2, read off the two
     factors, because tr(K1 sum_i Yi K2 Yi^T) = n*m1*m2 after the K2 update.
 
@@ -228,8 +228,6 @@ def flipflop(sample, init_k2=None, tol=1e-10, max_iter=10000, callback=None):
         root = l2_inv * sqrt_c  # M^-1 = F1^T
         f2 = l1_inv.T / sqrt_c
         history.append(-n * m2 * logdet_s2 - n * m1 * logdet_s1 - n * m1 * m2)
-        if callback is not None:
-            callback(len(history), root.T @ root, f2 @ f2.T)
     return KroneckerEstimate(
         k1=root.T @ root,
         k2=f2 @ f2.T,

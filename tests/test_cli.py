@@ -533,6 +533,23 @@ class TestMlDegreeCommand:
         assert code == EXIT_OK and len(ran) == 9
         assert pools == []
 
+    def test_real_pool_counts_as_in_process(self, tmp_path, capsys, monkeypatch):
+        # The only test that starts a real process pool (of two): the other
+        # pool tests patch cli.ProcessPoolExecutor out.
+        def degrees(workers):
+            monkeypatch.setenv("KRONMLE_WORKERS", workers)
+            code, stdout, _ = run(capsys, "mldegree", "--m1", "2:3", "--n", "3:4", "--format", "json",
+                                  "--cache-dir", str(tmp_path / workers))
+            assert code == EXIT_OK
+            return [(c["m1"], c["n"], c["degree"]) for c in json.loads(stdout)]
+
+        serial = degrees("1")
+        real, pools = cli.ProcessPoolExecutor, []
+        monkeypatch.setattr(cli, "_POOL_AFTER_S", 0)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: pools.append(max_workers) or real(max_workers))
+        assert degrees("2") == serial == [(2, 3, 3), (2, 4, 3), (3, 3, 4), (3, 4, 7)]
+        assert pools == [2]
+
     def test_cache_reused(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("KRONMLE_WORKERS", "1")
         cache = tmp_path / "cache"

@@ -1,8 +1,10 @@
 """Closed-form k = 1 estimator, flip-flop ascent, and the castle front end."""
 
+import json
 import os
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -298,12 +300,6 @@ class TestFlipflop:
         assert not ff.converged
         assert ff.iterations == 2
 
-    def test_callback_sees_every_sweep(self):
-        s = sample_matrix_normal(np.eye(3), np.eye(2), 3, seed=8)
-        seen = []
-        flipflop(s, tol=0.0, max_iter=5, callback=lambda i, k1, k2: seen.append(i))
-        assert seen == [1, 2, 3, 4, 5]
-
     def test_regime_check(self):
         s = sample_matrix_normal(np.eye(5), np.eye(2), 2, seed=9)  # n*m2 < m1
         with pytest.raises(WrongRegime):
@@ -340,11 +336,9 @@ class TestWhitenedSweeps:
         rng = np.random.default_rng(seed)
         g = rng.standard_normal((m2, m2))
         init = g @ g.T + np.eye(m2)
-        pairs = []
-        flipflop(
-            s, init_k2=init, tol=0.0, max_iter=5,
-            callback=lambda i, k1, k2: pairs.append((k1, k2)),
-        )
+        # a run cut at t sweeps returns the pair of sweep t
+        runs = [flipflop(s, init_k2=init, tol=0.0, max_iter=t) for t in range(1, 6)]
+        pairs = [(ff.k1, ff.k2) for ff in runs]
         ref = scatter_sweeps(s, init, 5)
         assert len(pairs) == 5
         for got, want in zip(pairs, ref):
@@ -352,16 +346,31 @@ class TestWhitenedSweeps:
                 assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
 
     def test_import_does_not_load_scipy(self):
-        # flipflop imports scipy on its first call; importing the package must not
-        code = (
-            "import sys, kronmle, kronmle.cli, kronmle.solvers; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        )
+        # The benchmark worker's imports load what a command needs and no more:
+        # flipflop imports scipy on its first call, a table its process pool when
+        # it starts one, csv output the csv module, and poly.py and groebner.py
+        # are lazy modules that run when an oracle first reads them.
+        code = textwrap.dedent("""
+            import json, os, sys
+            ran = set()
+            sys.addaudithook(lambda event, args: event == "exec" and ran.add(getattr(args[0], "co_filename", "")))
+            import kronmle, kronmle.cli, kronmle.model, kronmle.solvers
+            oracles = [os.path.join(os.path.dirname(kronmle.__file__), f) for f in ("poly.py", "groebner.py")]
+            before = sorted(ran.intersection(oracles))
+            modules = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent", "multiprocessing", "csv"))
+            lazy = [m in sys.modules for m in ("kronmle.poly", "kronmle.groebner")]
+            kronmle.mldegree.prop43_system(3, 2, "one")
+            print(json.dumps([before, modules, lazy, oracles[0] in ran]))
+        """)
         env = dict(os.environ, PYTHONPATH=str(Path(kronmle.__file__).resolve().parents[1]))
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert out.stdout.strip() == "[]"
+        ran_at_import, modules, lazy, poly_ran = json.loads(out.stdout)
+        assert ran_at_import == []
+        assert modules == []
+        assert lazy == [True, True]
+        assert poly_ran
 
 
 class TestFlipflopInvariants:
@@ -371,8 +380,9 @@ class TestFlipflopInvariants:
     def test_history_is_the_loglik_of_each_pair(self, shape, seed):
         m1, m2, n = shape
         s = sample_matrix_normal(np.eye(m1), np.eye(m2), n, seed=seed)
-        pairs = []
-        ff = flipflop(s, callback=lambda i, k1, k2: pairs.append((k1, k2)))
+        ff = flipflop(s)
+        # a run cut at t sweeps follows the same sweeps and returns the pair of sweep t
+        pairs = [(cut.k1, cut.k2) for cut in (flipflop(s, max_iter=t) for t in range(1, ff.iterations + 1))]
         assert len(pairs) == len(ff.loglik_history) == ff.iterations
         slack = 1e-12 * n * m1 * m2
         for ll, (k1, k2) in zip(ff.loglik_history, pairs):
