@@ -1,9 +1,9 @@
 """Command-line front end: sample, mle, verify-lemma, mldegree, multiplicity.
 
 Exit codes: 0 success, 2 degenerate data, 3 MLE nonexistence, 4 bad
-arguments or input, a solution count that no two primes of
-mldegree.PRIMES confirmed, a pair whose resultant vanished on two primes,
-or a verify-lemma check that failed.
+arguments or input, an input too large for memory, a solution count that
+no two primes of mldegree.PRIMES confirmed, a pair whose resultant
+vanished on two primes, or a verify-lemma check that failed.
 """
 
 from __future__ import annotations
@@ -345,6 +345,9 @@ def main(argv=None):
         return EXIT_NO_MLE
     except (ValueError, OSError, PrimesExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_ARGS
+    except MemoryError as exc:  # numpy's message names the array's size
+        print(f"error: input too large for memory: {str(exc) or 'MemoryError'}", file=sys.stderr)
         return EXIT_BAD_ARGS
 
 

@@ -11,7 +11,9 @@ scatters, a batched int64 elimination gives g1 mod p on the (m1+1)^2
 integer grid, and the score pair follows mod p.  No count goes back to Q: a
 pair whose resultant vanishes shares a factor, and raises PrimesExhausted.
 The Prop. 4.3 pairs are built as integer images mod p too, and counted the
-same way off their denominators: no count runs Poly arithmetic."""
+same way off their denominators: no count runs Poly arithmetic.  Every
+image builder gives its polynomials in their own variables; only the count
+applies the shear, while it evaluates them (_rows_at)."""
 
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from functools import cache, reduce
 from itertools import accumulate
-from math import comb, prod
+from math import prod
 
 import numpy as np
 
@@ -109,7 +111,7 @@ def ml_degree(m1, n, seed):
     y = _integer_data(m1, n, seed)
     first, second = y[:, 0::2], y[:, 1::2]
     scatters = (first @ first.T, first @ second.T + second @ first.T, second @ second.T)
-    return _count_by_trials(lambda prime, shear: _chart_images(scatters, prime, shear))
+    return _count_by_trials(lambda prime: _chart_images(scatters, prime))
 
 
 def count_solutions_off_locus(gens, factors):
@@ -119,7 +121,7 @@ def count_solutions_off_locus(gens, factors):
     locus = prod(factors, start=poly.Poly.constant(p.vars, 1))
     if p.is_zero() or q.is_zero() or locus.is_zero():
         return 0
-    return _count_by_trials(lambda prime, shear: _poly_images((p, q, locus), prime, shear))
+    return _count_by_trials(lambda prime: _poly_images((p, q, locus), prime))
 
 
 # Primes just below 2**31: two residues multiply within an int64.
@@ -139,11 +141,12 @@ def _shear(prime):
 def _count_by_trials(images):
     """Count of solutions off a locus, by the sheared resultant mod primes.
 
-    images(prime, c) gives the images mod prime of the pair p, q and of the
-    product F of the locus factors after the shear y -> y + c*x, as dense
-    arrays in (x, y), or None when prime divides a denominator.  A trial
-    needs each leading coefficient in x, the top homogeneous part at (1, c),
-    to be a nonzero constant.  Then R(y) = Res_x(p, q), the image of the
+    images(prime) gives the images mod prime of the pair p, q and of the
+    product F of the locus factors, as square arrays in (x, y) whose size
+    exceeds their total degree, or None when prime divides a denominator.
+    A trial shears them, y -> y + c*x with c = _shear(prime), and needs
+    each leading coefficient in x, the top homogeneous part at (1, c), to
+    be a nonzero constant.  Then R(y) = Res_x(p, q), the image of the
     resultant over Q, has a root at the y of each solution, of its
     multiplicity, so deg R counts the solutions.  A solution on the locus
     is a zero of p + c*q and F, so R is divided by its gcd with
@@ -159,9 +162,8 @@ def _count_by_trials(images):
     """
     best, agreeing, vanished = -1, 0, 0
     for prime in PRIMES:
-        shear = _shear(prime)
-        image = images(prime, shear)
-        count = None if image is None else _sheared_count(*image, prime, shear)
+        image = images(prime)
+        count = None if image is None else _sheared_count(*image, prime, _shear(prime))
         if count is None:
             continue
         if count < 0:
@@ -181,15 +183,14 @@ def _sheared_count(p, q, f, prime, shear):
     """One trial: the count, -1 when R vanishes, or None when it proves nothing."""
     if not p.any() or not q.any():
         return -1
-    degrees = [_sheared_degree(a) for a in (p, q, f)]
-    if None in degrees:
-        return None
-    dp, dq, df = degrees
+    degrees = dp, dq, df = [int(np.add(*np.nonzero(a)).max(initial=-1)) for a in (p, q, f)]  # -1 for a zero array
     dm = max(dp, dq)
     points = max(dp * dq, dm * df) + 1
-    if points > prime:
-        return None  # too few interpolation nodes
-    p_rows, q_rows, f_rows = (_rows_at(a, d, points, prime) for a, d in zip((p, q, f), degrees))
+    if df < 0 or points > prime:
+        return None  # a zero locus, or too few interpolation nodes
+    p_rows, q_rows, f_rows = rows = [_rows_at(a, d, points, prime, shear) for a, d in zip((p, q, f), degrees)]
+    if not all(r[0, -1] for r in rows):
+        return None  # a leading coefficient in x vanishes
     mix = np.zeros((points, dm + 1), dtype=np.int64)
     mix[:, : dp + 1] = p_rows
     mix[:, : dq + 1] = (mix[:, : dq + 1] + shear * q_rows) % prime
@@ -203,20 +204,19 @@ def _sheared_count(p, q, f, prime, shear):
     return len(r) - 1
 
 
-def _sheared_degree(a):
-    """Total degree d of a dense array with a nonzero coefficient of x^d, else None."""
-    i, j = np.nonzero(a)
-    d = int((i + j).max()) if i.size else a.shape[0]
-    return d if d < a.shape[0] and a[d, 0] else None
-
-
-def _rows_at(a, d, points, prime):
-    """Coefficients in x, lowest first, of a at y = 0, ..., points-1: one
-    row per point, for a dense array of total degree d."""
+def _rows_at(a, d, points, prime, shear):
+    """Coefficients in x, lowest first, of a(x, t + c*x) at t = 0, ...,
+    points-1: one row per point, for a dense array of total degree d, by
+    Horner's rule in y.  Row d in x is the top homogeneous part of a at
+    (1, c), the same for every t."""
     t = np.arange(points, dtype=np.int64)
     out = np.repeat(a[: d + 1, d : d + 1], points, axis=1)
     for j in range(d - 1, -1, -1):
-        out = (out * t + a[: d + 1, j : j + 1]) % prime
+        cx_out = shear * out[:-1]
+        out *= t
+        out[1:] += cx_out  # out*t and c*out are each below prime**2 < 2**62
+        out += a[: d + 1, j : j + 1]
+        out %= prime
     return out.T
 
 
@@ -348,35 +348,33 @@ def _det_mod(mats, prime):
     return det * np.array([pow(d, -1, prime) if d else 0 for d in den.tolist()], dtype=np.int64) % prime
 
 
-def _chart_images(scatters, prime, shear):
+def _chart_images(scatters, prime):
     """Images mod prime of the score pair with g2 divided out and of the
-    locus g1*g2*k22, in (k12, y) with k22 = y + c*k12: the shear moves into
-    the data, g1 = det(A0 + k12*(A1 + c*A2) + y*A2) on the integer grid,
-    and d/dk22 is d/dy and d/dk12 is d/dk12 - c*d/dy."""
+    locus g1*g2*k22, in (k12, k22): g1 = det(A0 + k12*A1 + k22*A2) on the
+    integer grid, interpolated."""
     m1 = scatters[0].shape[0]
     if m1 >= prime:
         return None  # too few interpolation nodes
     a0, a1, a2 = (s % prime for s in scatters)
     t = np.arange(m1 + 1, dtype=np.int64)[:, None, None, None]
-    grid = (a0 + t * ((a1 + shear * a2) % prime) + t.transpose(1, 0, 2, 3) * a2) % prime
+    grid = (a0 + t * a1 + t.transpose(1, 0, 2, 3) * a2) % prime
     values = _det_mod(grid.reshape(-1, m1, m1), prime).reshape(m1 + 1, m1 + 1)
     w = _interpolation_matrix(m1 + 1, prime)
     g1 = np.zeros((m1 + 4, m1 + 4), dtype=np.int64)
     g1[: m1 + 1, : m1 + 1] = _matmul_mod(w, _matmul_mod(w, values, prime).T, prime).T
     g2, k22 = np.zeros_like(g1), np.zeros_like(g1)
     g2[0, 1] = k22[0, 1] = 1
-    g2[1, 0] = k22[1, 0] = shear
     g2[2, 0] = prime - 1
     # With g1 = g2^e * h, the score pair is g2^e times this pair.
-    h, e = _divide_g2(g1, shear, prime)
+    h, e = _divide_g2(g1, prime)
     k = np.arange(1, m1 + 4, dtype=np.int64)
     hx, hy = np.zeros_like(h), np.zeros_like(h)
     hx[:-1] = h[1:] * k[:, None] % prime
     hy[:, :-1] = h[:, 1:] * k % prime
     p = (2 * _times(g2, hy, prime) + (2 * e - m1) * h) % prime
-    q = (2 * _times(g2, (hx - shear * hy) % prime, prime) + 2 * (m1 - 2 * e) * np.roll(h, 1, axis=0)) % prime
+    q = (2 * _times(g2, hx, prime) + 2 * (m1 - 2 * e) * np.roll(h, 1, axis=0)) % prime
     if 2 * e == m1:  # else g2 divides neither, as it does not divide h
-        p, q = _divide_g2(p, shear, prime)[0], _divide_g2(q, shear, prime)[0]
+        p, q = _divide_g2(p, prime)[0], _divide_g2(q, prime)[0]
     return p, q, _times(k22, _times(g2, g1, prime), prime)
 
 
@@ -389,19 +387,17 @@ def _times(small, a, prime):
     return out
 
 
-def _divide_g2(a, shear, prime):
-    """(a / g2^e, e) mod prime for the largest e, with g2 = y - (x^2 - c*x),
-    by synthetic division in y: the quotient's coefficient of y^(j-1) is
-    a_j + (x^2 - c*x) times that of y^j, and at j = 0 the remainder."""
+def _divide_g2(a, prime):
+    """(a / g2^e, e) mod prime for the largest e, with g2 = y - x^2, by
+    synthetic division in y: the quotient's coefficient of y^(j-1) is
+    a_j + x^2 times that of y^j, and at j = 0 the remainder."""
     rows, e = a.shape[0], 0
     while a[:, 1:].any():
         top = int(np.nonzero(a.any(axis=0))[0][-1])
         work = np.zeros((rows + 2 * top, top + 1), dtype=np.int64)
         work[:rows] = a[:, : top + 1]
         for j in range(top - 1, -1, -1):
-            work[2:, j] += work[:-2, j + 1]
-            work[1:, j] -= shear * work[:-1, j + 1] % prime
-            work[:, j] %= prime
+            work[2:, j] = (work[2:, j] + work[:-2, j + 1]) % prime
         if work[:, 0].any():
             break
         a = np.zeros_like(a)
@@ -410,8 +406,8 @@ def _divide_g2(a, shear, prime):
     return a, e
 
 
-def _poly_images(polys, prime, shear):
-    """Images mod prime of bivariate Polys f(x, y + c*x) as dense arrays, as
+def _poly_images(polys, prime):
+    """Images mod prime of bivariate Polys as dense arrays, as
     _count_by_trials takes them; None when prime divides a denominator."""
     images = []
     for f in polys:
@@ -420,9 +416,7 @@ def _poly_images(polys, prime, shear):
         size = max(f.total_degree(), 0) + 1
         a = np.zeros((size, size), dtype=np.int64)
         for (i, j), c in f.terms.items():
-            c = c.numerator * pow(c.denominator, -1, prime) % prime
-            for k in range(j + 1):
-                a[i + k, j - k] = (a[i + k, j - k] + c * comb(j, k) * pow(shear, k, prime) % prime) % prime
+            a[i, j] = c.numerator * pow(c.denominator, -1, prime) % prime
         images.append(a)
     return images
 
@@ -481,20 +475,19 @@ def _prop43_terms(m2, k, case_id):
     return [[(n, d) for n, d in eq if any(n.values())] for eq in (e1, e2)]
 
 
-def _prop43_images(m2, k, case_id, prime, shear):
-    """Images mod prime for _count_by_trials of the Prop. 4.3 pair, each
-    numerator sum_i n_i * prod_{j != i} d_j over its equation's terms, and
-    of the product of the distinct d_j, with b = y + c*x.  Coefficients are
+def _prop43_images(m2, k, case_id, prime):
+    """Images mod prime in (x, b) for _count_by_trials of the Prop. 4.3
+    pair, each numerator sum_i n_i * prod_{j != i} d_j over its equation's
+    terms, and of the product of the distinct d_j.  Coefficients are
     reduced first, so m2 and k may be any size, each polynomial product one
     _times on residues.  None when a numerator vanishes: p divides its content."""
     equations = _prop43_terms(m2, k, case_id)
-    c, xb = shear % prime, np.zeros((3, 3, 7, 7), dtype=np.int64)  # x^i * b^j at [i, j], degrees <= 6
-    xb[0, 0, 0, 0] = xb[0, 1, 0, 1] = xb[0, 2, 0, 2] = 1
-    xb[0, 1, 1, 0], xb[0, 2, 1, 1], xb[0, 2, 2, 0] = c, 2 * c % prime, c * c % prime  # b^2 = y^2 + 2cxy + c^2x^2
-    xb[1, :, 1:], xb[2, :, 2:] = xb[0, :, :-1], xb[0, :, :-2]
 
     def product(polys):
-        images = [sum(a % prime * xb[i, j] % prime for (i, j), a in p.items()) % prime for p in polys]
+        images = np.zeros((len(polys), 7, 7), dtype=np.int64)  # every product has degree <= 6
+        for image, p in zip(images, polys):
+            for (i, j), a in p.items():
+                image[i, j] = a % prime
         return reduce(lambda f, g: _times(g, f, prime), images)
 
     pair = [sum(product([n] + [d for _, d in eq[:i] + eq[i + 1 :]]) for i, (n, _) in enumerate(eq)) % prime
@@ -507,15 +500,15 @@ def _prop43_images(m2, k, case_id, prime, shear):
 def prop43_system(m2, k, case_id):
     """The Prop. 4.3 system with the Rabinowitsch generator for its
     denominators adjoined, an oracle for ml_multiplicity_prop43 whose degree is
-    the count: _prop43_images at shear 0 read in (-p/2, p/2), every coefficient
-    below (sum |n| + 1) * prod |d| over all terms, in 1-norms."""
+    the count: the images of _prop43_images read in (-p/2, p/2), every
+    coefficient below (sum |n| + 1) * prod |d| over all terms, in 1-norms."""
     norms = [[sum(map(abs, p.values())) for p in term] for eq in _prop43_terms(m2, k, case_id) for term in eq]
     bound, prime = (sum(a for a, _ in norms) + 1) * prod(c for _, c in norms), PRIMES[0]
     if 2 * bound >= prime:
         raise ValueError(f"coefficients up to {bound} do not lift from one prime")
     vars = ("t" if case_id == "one" else "c", "b")
     p, q, locus = (poly.Poly(vars, {ij: int(v) - prime if 2 * v > prime else int(v) for ij, v in np.ndenumerate(a)})
-                   for a in _prop43_images(m2, k, case_id, prime, 0))
+                   for a in _prop43_images(m2, k, case_id, prime))
     return groebner.saturate_rabinowitsch(groebner.PolyIdeal(generators=(p, q)), locus)
 
 
@@ -526,7 +519,7 @@ PROP43_UPPER = {"one": 5, "two": 4}
 
 def ml_multiplicity_prop43(m2, k, case_id):
     """Solution count off the denominators' locus, in [2, PROP43_UPPER[case_id]]."""
-    count = _count_by_trials(lambda prime, shear: _prop43_images(m2, k, case_id, prime, shear))
+    count = _count_by_trials(lambda prime: _prop43_images(m2, k, case_id, prime))
     if not 2 <= count <= PROP43_UPPER[case_id]:
         raise ValueError(f"solution count {count} outside expected [2, {PROP43_UPPER[case_id]}]")
     return count

@@ -8,7 +8,6 @@ freedom of the Kronecker factorization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -46,10 +45,9 @@ class KroneckerEstimate:
     method: str  # "exact" (rational data) | "flipflop" | "chain"
     iterations: int  # flip-flop sweeps, the duals' down a castling descent included
     converged: bool
-    # Exact-mode extras: the unnormalized rational pair and det(K2_exact).
+    # Exact-mode extras: the unnormalized rational pair.
     k1_exact: Matrix | None = None
     k2_exact: Matrix | None = None
-    det_k2_exact: object = None
     loglik_history: tuple = field(default_factory=tuple)
     # Affine-invariant residual of (k1, k2) and why the iteration stopped:
     # "converged", "stalled" or "max_iter" (see flipflop).
@@ -108,8 +106,7 @@ def exact_mle_k1(sample):
     g = np.vstack([dx[:, :m1], np.zeros((1, m1), dtype=object)])  # d * N_*^-1, padded
     w = np.append(dx[:, m1], -d).reshape(n, m2)  # d * v, one block w_b per row
     k2_int = w.T @ w
-    d2 = d * d
-    k2 = Matrix.from_ints(k2_int, d2)
+    k2 = Matrix.from_ints(k2_int, d * d)
     if not k2.is_positive_definite():
         raise MLENotExists("sum_i v_i v_i^T is not positive definite")
     # Integer rows need no scaling and a PD matrix no row swap, so e is det(d^2 K2).
@@ -135,7 +132,6 @@ def exact_mle_k1(sample):
         start="closed form",
         k1_exact=k1,
         k2_exact=k2,
-        det_k2_exact=Fraction(e, d2**m2),
     )
 
 

@@ -103,6 +103,20 @@ class TestSample:
             assert stdout == "" and err == "error: dimensions must be positive\n"
             assert out is None or not out.exists()
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 298. GiB for an array", ""])
+    def test_memory_error_exits_4(self, tmp_path, capsys, monkeypatch, message):
+        # A sample too large for memory (np.eye(200000) at --m1 200000) is
+        # one error line and exit 4, not a traceback.  The sizes here are
+        # small: a large host could allocate the real ones.
+        def refuse(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "sample_matrix_normal", refuse)
+        out = tmp_path / "s.txt"
+        code, stdout, err = run(capsys, "sample", "--m1", "3", "--m2", "2", "--n", "1", "--out", str(out))
+        assert code == EXIT_BAD_ARGS and stdout == "" and not out.exists()
+        assert err == f"error: input too large for memory: {message or 'MemoryError'}\n"
+
     def test_threshold_bounds_printed(self, capsys):
         code, _, err = run(capsys, "sample", "--m1", "7", "--m2", "2", "--n", "4")
         assert code == EXIT_OK
@@ -630,6 +644,20 @@ class TestMlDegreeCommand:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not (cache / "cell_3_2_1.json").exists()
         assert not (cache / "cell_3_3_1.json").exists()
+
+    def test_memory_error_exits_4(self, tmp_path, capsys, monkeypatch):
+        # A cell whose grid does not fit in memory (29.3 GiB at --m1 250
+        # --n 250) is one error line and exit 4, and caches nothing.
+        def refuse(m1, n, seed):
+            raise MemoryError("Unable to allocate 29.3 GiB for an array")
+
+        monkeypatch.setattr(cli, "ml_degree", refuse)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialExecutor)
+        cache = tmp_path / "cache"
+        code, stdout, err = run(capsys, "mldegree", "--m1", "3", "--n", "3", "--cache-dir", str(cache))
+        assert code == EXIT_BAD_ARGS and stdout == ""
+        assert err == "error: input too large for memory: Unable to allocate 29.3 GiB for an array\n"
+        assert not list(cache.iterdir())
 
     def test_pair_budget_is_unknown(self, tmp_path, capsys):
         # The count has no S-pairs left to budget: Bezout's bound fixes its cost.

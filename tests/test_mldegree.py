@@ -2,7 +2,8 @@
 
 import json
 from fractions import Fraction
-from math import prod
+from functools import reduce
+from math import comb, prod
 from pathlib import Path
 
 import numpy as np
@@ -625,8 +626,39 @@ def sylvester_resultant(a, b, prime):
     return int(Matrix(rows).det()) % prime
 
 
+def sheared_rows(a, d, points, prime, shear):
+    """Coefficients in x of a(x, t + c*x) at t = 0, ..., points-1 over
+    Python ints: the binomial expansion of (y + c*x)^j shears the array,
+    and Horner's rule in y evaluates each of its rows in x."""
+    size = a.shape[0]
+    b = [[0] * size for _ in range(size)]
+    for i, j in zip(*np.nonzero(a)):
+        for k in range(j + 1):
+            b[i + k][j - k] = (b[i + k][j - k] + int(a[i, j]) * comb(j, k) * pow(shear, k, prime)) % prime
+    return [[reduce(lambda acc, v: (acc * t + v) % prime, b[i][d::-1], 0) for i in range(d + 1)] for t in range(points)]
+
+
 class TestModularKernels:
     # The int64 kernels of the count against exact arithmetic over Python ints.
+    @given(st.integers(0, 6), st.integers(0, 3), st.integers(0, 2**32), st.sampled_from([5, 7, 11, PRIMES[0]]),
+           st.sampled_from(["zero", "trial", "random"]), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_at_match_the_sheared_array(self, d, extra, seed, prime, shear, vanish):
+        # _rows_at shears while it evaluates; the reference shears first.
+        rng = np.random.default_rng(seed)
+        c = {"zero": 0, "trial": mldegree._shear(prime), "random": int(rng.integers(0, prime))}[shear]
+        i, j = np.indices((d + 1 + extra,) * 2)
+        a = np.where(i + j <= d, rng.integers(0, prime, i.shape), 0)
+        a[0, d] = rng.integers(1, prime)  # total degree d
+        top = sum(int(a[d - k, k]) * pow(c, k, prime) for k in range(d + 1)) % prime  # top part at (1, c)
+        if vanish and d:
+            a[d, 0] = (a[d, 0] - top) % prime
+            top = 0
+        points = int(rng.integers(1, min(prime, 12) + 1))
+        rows = mldegree._rows_at(a, d, points, prime, c)
+        assert rows.tolist() == sheared_rows(a, d, points, prime, c)
+        assert rows[:, d].tolist() == [top] * points  # the leading coefficient, the same for every t
+
     @given(st.lists(st.integers(0, 10**12), min_size=2, max_size=7),
            st.lists(st.integers(0, 10**12), min_size=2, max_size=7),
            st.sampled_from([5, 7, 101, PRIMES[0]]), st.integers(0, 3))
@@ -682,9 +714,8 @@ class TestModularKernels:
         first, second = y[:, 0::2], y[:, 1::2]
         scatters = (first @ first.T, first @ second.T + second @ first.T, second @ second.T)
         prime = PRIMES[0]
-        shear = mldegree._shear(prime)
-        chart = mldegree._chart_images(scatters, prime, shear)
-        exact = mldegree._poly_images([divide_out(g, g2) for g in gens] + [g1 * g2 * k22], prime, shear)
+        chart = mldegree._chart_images(scatters, prime)
+        exact = mldegree._poly_images([divide_out(g, g2) for g in gens] + [g1 * g2 * k22], prime)
         for got, want in zip(chart, exact):
             size = max(got.shape[0], want.shape[0])
             assert np.array_equal(_pad(got, size), _pad(want, size))
@@ -844,7 +875,7 @@ class TestProp43:
         gens, factors = prop43_pair(m2, k, case_id)
         zero_dim, degree = dim_and_degree(buchberger(prop43_system(m2, k, case_id)))
         assert zero_dim
-        images = mldegree._count_by_trials(lambda p, s: mldegree._prop43_images(m2, k, case_id, p, s))
+        images = mldegree._count_by_trials(lambda p: mldegree._prop43_images(m2, k, case_id, p))
         assert images == count_solutions_off_locus(gens, factors) == degree == count
 
     @pytest.mark.parametrize("case_id,m2,k", PROP43_SYSTEMS)
@@ -853,9 +884,8 @@ class TestProp43:
         # one nonzero scalar, and the lifted system is the recipe's pair.
         gens, factors = prop43_pair(m2, k, case_id)
         for prime in PRIMES:
-            shear = mldegree._shear(prime)
-            ours = mldegree._prop43_images(m2, k, case_id, prime, shear)
-            theirs = mldegree._poly_images((*gens, prod(factors[1:], start=factors[0])), prime, shear)
+            ours = mldegree._prop43_images(m2, k, case_id, prime)
+            theirs = mldegree._poly_images((*gens, prod(factors[1:], start=factors[0])), prime)
             for a, b in zip(ours, theirs, strict=True):
                 a, b = (np.pad(x, (0, 7 - len(x))).ravel().tolist() for x in (a, b))
                 lead = next(i for i, x in enumerate(b) if x)
@@ -876,7 +906,7 @@ class TestProp43:
         # With m2 = k = 0 mod prime, case one's first numerator vanishes:
         # that prime proves nothing, rather than counting as a shared factor.
         m2 = k = PRIMES[0] * PRIMES[1]
-        assert mldegree._prop43_images(m2, k, "one", PRIMES[0], 0) is None
+        assert mldegree._prop43_images(m2, k, "one", PRIMES[0]) is None
         with pytest.raises(ValueError, match=r"count 6 outside expected \[2, 5\]"):
             ml_multiplicity_prop43(m2, k, "one")
 

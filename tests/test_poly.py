@@ -222,11 +222,10 @@ def resultant_certifies(p, q, primes=PRIMES):
     leading coefficients in x: it is then the image of the resultant over
     Q, which proves p and q coprime over Q."""
     for prime in primes:
-        shear = mldegree._shear(prime)
-        image = mldegree._poly_images((p, q, Poly.constant(p.vars, 1)), prime, shear)
+        image = mldegree._poly_images((p, q, Poly.constant(p.vars, 1)), prime)
         if image is None:
             continue
-        count = mldegree._sheared_count(*image, prime, shear)
+        count = mldegree._sheared_count(*image, prime, mldegree._shear(prime))
         if count is not None:
             return count >= 0
     return False

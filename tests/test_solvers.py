@@ -112,7 +112,6 @@ class TestExactK1:
         assert est.method == "exact"
         assert est.k2_exact == Matrix.identity(2)
         assert est.k1_exact == diagonal([2, 4, 4])
-        assert est.det_k2_exact == 1
 
     def test_scalar_recipe(self):
         for c in (2, 5, -3):
@@ -216,7 +215,6 @@ class TestExactK1Formula:
             return
         est = exact_mle_k1(s)
         assert est.k2_exact == k2
-        assert est.det_k2_exact == k2.det()
         assert est.k1_exact == scatter_inverse_k1(s, k2)
         # Both stationarity equations, exactly.
         k1 = est.k1_exact
