@@ -58,7 +58,7 @@ def _at_least(value, low, flag):
 
 def cmd_sample(args):
     bounds = thresholds(args.m1, args.m2)  # rejects m1, m2 < 1 before anything is written
-    sample = sample_matrix_normal(np.eye(args.m1), np.eye(args.m2), args.n, args.seed)
+    sample = sample_matrix_normal(args.m1, args.m2, args.n, args.seed)
     text = format_sample_set(sample)
     if args.out:
         with open(args.out, "w") as fh:

@@ -324,6 +324,8 @@ def format_matrix(a):
     """Shared text format: "rows cols" header, then one line per row.
 
     Float entries are written by repr, which round-trips every binary64.
+    A float matrix bitwise equal to its transpose (so a 0.0 facing a -0.0
+    does not count) is written from its upper triangle, one repr per pair.
     """
     if isinstance(a, Matrix):
         r, c = a.shape
@@ -331,7 +333,14 @@ def format_matrix(a):
     else:
         a = np.asarray(a, dtype=float)
         r, c = a.shape
-        rows = (" ".join(map(repr, row)) for row in a.tolist())
+        bits = a.view(np.uint64)
+        if r == c and (bits == bits.T).all():
+            text = []  # entry (i, j < i) is the repr already made for (j, i)
+            for i, row in enumerate(a.tolist()):
+                text.append([done[i] for done in text] + [*map(repr, row[i:])])
+            rows = map(" ".join, text)
+        else:
+            rows = (" ".join(map(repr, row)) for row in a.tolist())
     return "\n".join([f"{r} {c}", *rows]) + "\n"
 
 

@@ -129,25 +129,6 @@ def scatter_k1(sample, k1):
     return (out + out.T) / 2
 
 
-def scatter_k2_whitened(sample, f2):
-    """sum_i Yi K2 Yi^T for K2 = F2 F2^T, with the data whitened first.
-
-    The rows of Y reshaped to (m1*n, m2) (see scatter_k2) times F2 give
-    V = [Y1 F2 | ... | Yn F2], and the sum is V V^T: a SYRK, so the result
-    is exactly symmetric.
-    """
-    m1, m2, n = sample.m1, sample.m2, sample.n
-    v = (sample.to_float().y.reshape(m1 * n, m2) @ f2).reshape(m1, n * m2)
-    return v @ v.T
-
-
-def scatter_k1_whitened(sample, f1):
-    """sum_i Yi^T K1 Yi for K1 = F1 F1^T: one SYRK over the rows of F1^T Yi."""
-    m1, m2, n = sample.m1, sample.m2, sample.n
-    z = (f1.T @ sample.to_float().y).reshape(m1 * n, m2)
-    return z.T @ z
-
-
 def kron_loglik(sample, k1, k2):
     """Kronecker-model log-likelihood.
 
@@ -165,19 +146,17 @@ def kron_loglik(sample, k1, k2):
     )
 
 
-def sample_matrix_normal(a, b, n, seed):
-    """Draw n iid matrices A @ Z @ B with Z filled with standard normals.
+def sample_matrix_normal(m1, m2, n, seed):
+    """Draw n iid m1 x m2 matrices of standard normals as one SampleSet.
 
-    Deterministic in the seed; the implied covariance factors are
-    Sigma1 = A A^T and Sigma2 = B^T B.
+    Deterministic in the seed: the blocks are drawn one after another, each
+    in row order, with no dense factor, so memory is O(m1*n*m2).  A caller
+    that wants the blocks A Zi B applies A and B to them itself.
     """
-    a = _as_array(a)
-    b = _as_array(b)
     if n < 1:
         raise ValueError("need at least one data matrix")
-    rng = np.random.default_rng(seed)
-    blocks = [a @ rng.standard_normal((a.shape[1], b.shape[0])) @ b for _ in range(n)]
-    return SampleSet(np.hstack(blocks), b.shape[1])
+    z = np.random.default_rng(seed).standard_normal((n, m1, m2))
+    return SampleSet(z.transpose(1, 0, 2).reshape(m1, n * m2), m2)
 
 
 def format_sample_set(sample):

@@ -7,6 +7,7 @@ freedom of the Kronecker factorization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,13 +21,7 @@ from .linalg import (
     format_matrix,
     solve_fraction_free,
 )
-from .model import (
-    SampleSet,
-    kron_loglik,
-    scatter_k1,
-    scatter_k1_whitened,
-    scatter_k2_whitened,
-)
+from .model import SampleSet, kron_loglik, scatter_k1
 
 
 class WrongRegime(Exception):
@@ -145,7 +140,7 @@ def _inverse_factor(lapack, s):
         l_inv, info = lapack.dtrtri(l, lower=1)
     if info != 0:
         raise DegenerateData("singular scatter matrix")
-    return l_inv, 2.0 * float(np.log(np.diagonal(l)).sum())
+    return l_inv, 2.0 * float(np.log(l.diagonal()).sum())
 
 
 # Checks in a row without a new minimum residual after which a run counts
@@ -157,11 +152,12 @@ def flipflop(sample, init_k2=None, tol=1e-10, max_iter=10000):
     """Block-coordinate ascent alternating the two profile maximizers.
 
     The run keeps each factor as a whitener, K2 = F2 F2^T and K1 = F1 F1^T,
-    and whitens the data before each product.  Sweep t forms the rows of
-    Yi F2 and s2 = sum_i (Yi F2)(Yi F2)^T / (n*m2) = S(K2) (a SYRK, see
-    model.scatter_k2_whitened), factors s2 = L2 L2^T and sets F1 = L2^-T.
-    Its K2 half does the same with the rows of L2^-1 Yi:
-    s1 = sum_i (L2^-1 Yi)^T (L2^-1 Yi) / (n*m1) = L1 L1^T and F2 = L1^-T.
+    and whitens the data before each product.  Sweep t multiplies the
+    (m1*n) x m2 rows of all the Yi (Y = [Y1|...|Yn] cut m2 wide) by F2 into
+    V = [Y1 F2|...|Yn F2], takes the SYRK s2 = V V^T / (n*m2) = S(K2), exactly
+    symmetric, factors s2 = L2 L2^T and sets F1 = L2^-T.  Its K2 half cuts
+    Z = L2^-1 Y the same way, takes s1 = Z^T Z / (n*m1) = L1 L1^T over those
+    rows and sets F2 = L1^-T.
     The Cholesky factors and their inverses come from LAPACK potrf and
     trtri (scipy, imported by the first call, so importing kronmle does
     not load it).  F2 starts as the Cholesky factor of init_k2.  The pair
@@ -197,14 +193,19 @@ def flipflop(sample, init_k2=None, tol=1e-10, max_iter=10000):
     f2 = cholesky(init_k2)  # init must be PD
     from scipy.linalg import lapack
 
+    y = sample.y
+    rows = y.reshape(m1 * n, m2)
     eye = np.eye(m1)
     history = []
     best, best_at = np.inf, 0
     while True:
-        s2 = scatter_k2_whitened(sample, f2) / (n * m2)
+        v = (rows @ f2).reshape(m1, n * m2)
+        s2 = v @ v.T
+        s2 /= n * m2
         sweeps = len(history)
         if sweeps:
-            residual = float(np.linalg.norm(root @ s2 @ root.T - eye))
+            d = (root @ s2 @ root.T - eye).ravel()
+            residual = math.sqrt(d.dot(d))  # the Frobenius norm
             if residual < tol:
                 stop = "converged"
                 break
@@ -217,7 +218,9 @@ def flipflop(sample, init_k2=None, tol=1e-10, max_iter=10000):
                 stop = "max_iter"
                 break
         l2_inv, logdet_s2 = _inverse_factor(lapack, s2)
-        s1 = scatter_k1_whitened(sample, l2_inv.T) / (n * m1)
+        z = (l2_inv @ y).reshape(m1 * n, m2)
+        s1 = z.T @ z
+        s1 /= n * m1
         l1_inv, logdet_s1 = _inverse_factor(lapack, s1)
         # K1 scales by c = det(s1^-1)^(1/m2) and K2 by 1/c, their factors by sqrt(c).
         sqrt_c = np.exp(-logdet_s1 / (2 * m2))

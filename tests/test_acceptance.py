@@ -66,7 +66,7 @@ def test_02_identity_property_suite():
 
 def test_03_flipflop_vs_closed_form_23_4_6():
     start = time.monotonic()
-    sample = sample_matrix_normal(np.eye(23), np.eye(4), 6, seed=7)
+    sample = sample_matrix_normal(23, 4, 6, seed=7)
     assert sample.k == 1
     exact = exact_mle_k1(exact_copy(sample))
     ff = flipflop(sample, tol=1e-12, max_iter=2000)
@@ -152,7 +152,7 @@ def test_06_constructed_multiplicity():
 
 def test_07_gradient_checks():
     start = time.monotonic()
-    sample = sample_matrix_normal(np.eye(5), np.eye(3), 3, seed=3)
+    sample = sample_matrix_normal(5, 3, 3, seed=3)
     cf = canonicalize(exact_copy(sample))
     rng = np.random.default_rng(70)
     h = 1e-6
@@ -171,7 +171,7 @@ def test_07_gradient_checks():
         assert np.abs(grad - fd).max() <= 1e-6 * max(1.0, np.abs(grad).max())
 
     # at the k = 1 closed-form solution the gradient vanishes
-    k1_sample = sample_matrix_normal(np.eye(5), np.eye(2), 3, seed=5)
+    k1_sample = sample_matrix_normal(5, 2, 3, seed=5)
     assert k1_sample.k == 1
     est = exact_mle_k1(exact_copy(k1_sample))
     sigma_hat = np.linalg.inv(est.k2)
@@ -187,7 +187,7 @@ def test_08_invariance_suite():
 
     # scale invariance of g
     for _ in range(50):
-        sample = sample_matrix_normal(np.eye(3), np.eye(2), 3, seed=int(rng.integers(1 << 30)))
+        sample = sample_matrix_normal(3, 2, 3, seed=int(rng.integers(1 << 30)))
         a = rng.standard_normal((2, 2))
         k2 = a @ a.T + 0.5 * np.eye(2)
         c = float(rng.uniform(0.1, 10.0))
@@ -197,7 +197,7 @@ def test_08_invariance_suite():
     # scales the constant, which is 2*m2*logdet(A) rather than the bare
     # 2*logdet(A) (see the decisions ledger)
     for _ in range(50):
-        sample = sample_matrix_normal(np.eye(3), np.eye(2), 3, seed=int(rng.integers(1 << 30)))
+        sample = sample_matrix_normal(3, 2, 3, seed=int(rng.integers(1 << 30)))
         a = rng.standard_normal((3, 3)) + 2 * np.eye(3)
         moved = SampleSet(a @ sample.y, 2)
         k2 = np.eye(2) + 0.3 * np.ones((2, 2))
@@ -207,7 +207,7 @@ def test_08_invariance_suite():
 
     # equivariance of the MLE under simultaneous row/column transformations
     for trial in range(50):
-        sample = sample_matrix_normal(np.eye(3), np.eye(2), 3, seed=trial + 1)
+        sample = sample_matrix_normal(3, 2, 3, seed=trial + 1)
         a = rng.standard_normal((3, 3)) + 2 * np.eye(3)
         b = rng.standard_normal((2, 2)) + 2 * np.eye(2)
         base = flipflop(sample, tol=1e-13)
@@ -228,7 +228,7 @@ def test_08_invariance_suite():
 def test_09_existence_boundary():
     start = time.monotonic()
     # k = 1 with n < m2: no MLE
-    bad = sample_matrix_normal(np.eye(5), np.eye(3), 2, seed=1)
+    bad = sample_matrix_normal(5, 3, 2, seed=1)
     assert bad.k == 1 and bad.n < bad.m2
     with pytest.raises(MLENotExists):
         exact_mle_k1(exact_copy(bad))
@@ -237,12 +237,12 @@ def test_09_existence_boundary():
     for m1, m2, n in ((3, 2, 2), (5, 2, 3), (5, 3, 2 * 3)):
         if n * m2 - m1 != 1:
             continue
-        good = sample_matrix_normal(np.eye(m1), np.eye(m2), n, seed=2)
+        good = sample_matrix_normal(m1, m2, n, seed=2)
         est = exact_mle_k1(exact_copy(good))
         assert np.linalg.eigvalsh(est.k1).min() > 0
         assert np.linalg.eigvalsh(est.k2).min() > 0
     # a larger regime with n = m2
-    good = sample_matrix_normal(np.eye(11), np.eye(3), 4, seed=3)
+    good = sample_matrix_normal(11, 3, 4, seed=3)
     assert good.k == 1 and good.n >= good.m2
     est = exact_mle_k1(exact_copy(good))
     assert np.linalg.eigvalsh(est.k1).min() > 0

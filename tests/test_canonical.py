@@ -121,7 +121,7 @@ class TestCastle:
     @pytest.mark.parametrize("shape", [(3, 2, 2), (12, 6, 3), (23, 4, 6), (4, 3, 2)])
     def test_orthonormal_kernel_basis(self, shape):
         m1, m2, n = shape
-        s = sample_matrix_normal(np.eye(m1), np.eye(m2), n, seed=m1)
+        s = sample_matrix_normal(m1, m2, n, seed=m1)
         dual = castle(s)
         assert (dual.m1, dual.m2, dual.n) == (s.k, m2, n)
         assert np.abs(s.y @ dual.y.T).max() <= 1e-13 * np.abs(s.y).max()
@@ -376,7 +376,7 @@ class TestTraceForm:
             assert scatter_k2(cf.dual, sigma) == direct
         # float samples: the GEMM scatter agrees with the kron product to roundoff
         for m1, m2, n in ((4, 3, 2), (5, 2, 4), (7, 3, 3)):
-            s = sample_matrix_normal(np.eye(m1), np.eye(m2), n, seed=m1 + n)
+            s = sample_matrix_normal(m1, m2, n, seed=m1 + n)
             dual = castle(s)
             a = rng.standard_normal((m2, m2))
             sigma = a @ a.T + np.eye(m2)
@@ -444,7 +444,7 @@ class TestReducedObjective:
         # same K2 up to scale (checked through the flip-flop solver)
         from kronmle.solvers import flipflop
 
-        s = sample_matrix_normal(np.eye(3), np.eye(2), 3, seed=21)
+        s = sample_matrix_normal(3, 2, 3, seed=21)
         cf = canonicalize(exact_copy(s))
         canon = SampleSet(np.hstack([np.eye(cf.m1), cf.C.to_numpy()]), cf.m2)
         est_raw = flipflop(s, tol=1e-12)

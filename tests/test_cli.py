@@ -7,6 +7,7 @@ import csv
 import decimal
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,7 +106,7 @@ class TestSample:
 
     @pytest.mark.parametrize("message", ["Unable to allocate 298. GiB for an array", ""])
     def test_memory_error_exits_4(self, tmp_path, capsys, monkeypatch, message):
-        # A sample too large for memory (np.eye(200000) at --m1 200000) is
+        # A sample too large for memory (--m1 200000 --m2 2 --n 1000000) is
         # one error line and exit 4, not a traceback.  The sizes here are
         # small: a large host could allocate the real ones.
         def refuse(*args):
@@ -116,6 +117,20 @@ class TestSample:
         code, stdout, err = run(capsys, "sample", "--m1", "3", "--m2", "2", "--n", "1", "--out", str(out))
         assert code == EXIT_BAD_ARGS and stdout == "" and not out.exists()
         assert err == f"error: input too large for memory: {message or 'MemoryError'}\n"
+
+    def test_memory_grows_with_the_sample_only(self, tmp_path, capsys):
+        # 3000 x 2 draws are 48 KB and their text about 130 KB; a dense
+        # 3000 x 3000 factor alone would be 72 MB.
+        out = tmp_path / "s.txt"
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, "sample", "--m1", "3000", "--m2", "2", "--n", "1",
+                             "--out", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK and out.read_text().startswith("3000 2 1\n")
+        assert peak < 5e6
 
     def test_threshold_bounds_printed(self, capsys):
         code, _, err = run(capsys, "sample", "--m1", "7", "--m2", "2", "--n", "4")
@@ -151,7 +166,7 @@ def shared_kernel_sample(seed):
 
 class TestMle:
     def write_sample(self, tmp_path, m1, m2, n, seed=0):
-        s = sample_matrix_normal(np.eye(m1), np.eye(m2), n, seed=seed)
+        s = sample_matrix_normal(m1, m2, n, seed=seed)
         path = tmp_path / "sample.txt"
         path.write_text(format_sample_set(s))
         return path
@@ -741,7 +756,7 @@ class TestArgParsing:
             return real(sample, tol=tol, max_iter=max_iter)
 
         monkeypatch.setattr(cli, "mle", spy)
-        s = sample_matrix_normal(np.eye(4), np.eye(3), 3, seed=2)
+        s = sample_matrix_normal(4, 3, 3, seed=2)
         path = tmp_path / "sample.txt"
         path.write_text(format_sample_set(s))
         assert run(capsys, "mle", "--in", str(path), "--tol", "0", "--max-iter", "3")[0] == EXIT_OK
@@ -788,7 +803,7 @@ def _sample_files(root):
         files[name].write_text(text)
 
     for m1, m2, n in [(3, 2, 2), (4, 3, 2), (2, 2, 3), (3, 2, 1), (4, 2, 1), (2, 4, 2)]:
-        s = sample_matrix_normal(np.eye(m1), np.eye(m2), n, seed=m1 + m2 + n)
+        s = sample_matrix_normal(m1, m2, n, seed=m1 + m2 + n)
         write(f"normal-{m1}x{m2}x{n}", format_sample_set(s))
     write("zeros", "3 2 2\n3 4\n" + "0 0 0 0\n" * 3)
     write("nan", "2 2 2\n2 4\n1 nan 0 1\n0 1 1 0\n")
@@ -884,7 +899,7 @@ def _mutated_sample(draw, bases):
 class TestSampleFileContents:
     @pytest.fixture(scope="class")
     def bases(self):
-        texts = [format_sample_set(sample_matrix_normal(np.eye(m1), np.eye(m2), n, seed=m1 + n))
+        texts = [format_sample_set(sample_matrix_normal(m1, m2, n, seed=m1 + n))
                  for m1, m2, n in [(3, 2, 2), (2, 2, 3), (4, 3, 2)]]
         return texts + ["2 2 2\n2 4\n1 1/2 0 1\n0 1 -3/4 0\n"]
 

@@ -417,6 +417,18 @@ class TestTextFormat:
     def test_float_rows_match_per_entry_route(self, a):
         assert format_matrix(a) == per_entry_format(a)
 
+    @given(st.integers(1, 6).flatmap(lambda m: arrays(
+        float, (m, m), elements=st.floats(allow_nan=False, allow_infinity=False))))
+    @example(np.array([[2.0, 0.1, -1 / 3], [0.1, 5e-324, 1e300], [-1 / 3, 1e300, -0.0]]))
+    @example(np.array([[2.0, 0.1], [0.1 + 2**-56, 3.0]]))  # one ulp short of symmetric
+    @example(np.array([[1.0, -0.0, 2.0], [0.0, 1.0, 3.0], [2.0, 3.0, 1.0]]))  # 0.0 facing -0.0
+    @example(np.array([[-1e-320]]))
+    @example(np.zeros((0, 0)))
+    def test_square_matches_per_entry_route(self, a):
+        # a symmetric float matrix is written from one triangle, any other entry by entry
+        for b in (a, np.asfortranarray(a), np.triu(a) + np.triu(a, 1).T):
+            assert format_matrix(b) == per_entry_format(b)
+
     def test_exact_rows_match_per_entry_route(self):
         a = Matrix([[Fraction(-1, 2), 0, 3], [Fraction(10**30, 7), -4, Fraction(7, 5)]])
         assert format_matrix(a) == per_entry_format(a)

@@ -22,6 +22,7 @@ from kronmle.model import (
     SampleSet,
     format_sample_set,
     kron_loglik,
+    parse_sample_set,
     sample_matrix_normal,
     scatter_k1,
     scatter_k2,
@@ -142,23 +143,23 @@ class TestExactK1:
             assert est.k1_exact @ est.k1_exact.inverse() == Matrix.identity(5)
 
     def test_wrong_regime(self):
-        s = sample_matrix_normal(np.eye(2), np.eye(2), 2, seed=0)  # k = 2
+        s = sample_matrix_normal(2, 2, 2, seed=0)  # k = 2
         with pytest.raises(WrongRegime):
             exact_mle_k1(exact_copy(s))
 
     def test_not_exists_when_n_below_m2(self):
-        s = sample_matrix_normal(np.eye(5), np.eye(3), 2, seed=0)  # k = 1, n < m2
+        s = sample_matrix_normal(5, 3, 2, seed=0)  # k = 1, n < m2
         with pytest.raises(MLENotExists):
             exact_mle_k1(exact_copy(s))
 
     def test_float_data_rejected(self):
         # exact only: float data reach the closed form through mle's castle
-        s = sample_matrix_normal(np.eye(3), np.eye(2), 2, seed=3)
+        s = sample_matrix_normal(3, 2, 2, seed=3)
         with pytest.raises(ValueError, match="exact data only"):
             exact_mle_k1(s)
 
     def test_exists_when_n_at_least_m2(self):
-        s = sample_matrix_normal(np.eye(3), np.eye(2), 2, seed=3)  # k = 1, n = m2
+        s = sample_matrix_normal(3, 2, 2, seed=3)  # k = 1, n = m2
         est = exact_mle_k1(exact_copy(s))
         assert np.linalg.eigvalsh(est.k1).min() > 0
         assert np.linalg.eigvalsh(est.k2).min() > 0
@@ -280,31 +281,31 @@ class TestExactK1Formula:
 
 class TestFlipflop:
     def test_fixed_point_at_exact_solution(self):
-        s = sample_matrix_normal(np.eye(7), np.eye(2), 4, seed=5)  # k = 1
+        s = sample_matrix_normal(7, 2, 4, seed=5)  # k = 1
         exact = exact_mle_k1(exact_copy(s))
         ff = flipflop(s, init_k2=exact.k2, tol=0.0, max_iter=1)
         assert np.abs(ff.k2 - exact.k2).max() <= 1e-12
 
     def test_monotone_loglik(self):
-        s = sample_matrix_normal(np.eye(4), np.eye(3), 4, seed=6)
+        s = sample_matrix_normal(4, 3, 4, seed=6)
         ff = flipflop(s, tol=1e-12, max_iter=300)
         hist = ff.loglik_history
         assert len(hist) == ff.iterations
         assert all(b >= a - 1e-10 for a, b in zip(hist, hist[1:]))
 
     def test_non_convergence_is_reported(self):
-        s = sample_matrix_normal(np.eye(4), np.eye(3), 4, seed=7)
+        s = sample_matrix_normal(4, 3, 4, seed=7)
         ff = flipflop(s, tol=1e-15, max_iter=2)
         assert not ff.converged
         assert ff.iterations == 2
 
     def test_regime_check(self):
-        s = sample_matrix_normal(np.eye(5), np.eye(2), 2, seed=9)  # n*m2 < m1
+        s = sample_matrix_normal(5, 2, 2, seed=9)  # n*m2 < m1
         with pytest.raises(WrongRegime):
             flipflop(s)
 
     def test_init_must_be_pd(self):
-        s = sample_matrix_normal(np.eye(3), np.eye(2), 3, seed=10)
+        s = sample_matrix_normal(3, 2, 3, seed=10)
         with pytest.raises(NotPD):
             flipflop(s, init_k2=np.diag([1.0, -1.0]))
 
@@ -326,11 +327,58 @@ def scatter_sweeps(sample, k2, sweeps):
     return pairs
 
 
+def helper_flipflop(sample, max_iter, tol=1e-10):
+    """flipflop from the identity, written over separate whitened scatter
+    helpers, np.diagonal and np.linalg.norm: the reference its sweep must
+    reproduce bit for bit.  Returns (K1, K2, history, residual, stop)."""
+    from scipy.linalg import lapack
+
+    n, m1, m2 = sample.n, sample.m1, sample.m2
+
+    def scatter_k2_whitened(f2):  # sum_i Yi F2 F2^T Yi^T, one SYRK
+        v = (sample.y.reshape(m1 * n, m2) @ f2).reshape(m1, n * m2)
+        return v @ v.T
+
+    def scatter_k1_whitened(f1):  # sum_i Yi^T F1 F1^T Yi, one SYRK
+        z = (f1.T @ sample.y).reshape(m1 * n, m2)
+        return z.T @ z
+
+    def inverse_factor(s):
+        l, _ = lapack.dpotrf(s, lower=1, clean=1)
+        return lapack.dtrtri(l, lower=1)[0], 2.0 * float(np.log(np.diagonal(l)).sum())
+
+    f2, eye, history = np.linalg.cholesky(np.eye(m2)), np.eye(m1), []
+    best, best_at = np.inf, 0
+    while True:
+        s2 = scatter_k2_whitened(f2) / (n * m2)
+        if history:
+            residual = float(np.linalg.norm(root @ s2 @ root.T - eye))
+            if residual < best:
+                best, best_at = residual, len(history)
+            stop = (
+                "converged" if residual < tol
+                else "stalled" if len(history) - best_at >= 8
+                else "max_iter" if len(history) == max_iter
+                else None
+            )
+            if stop:
+                return root.T @ root, f2 @ f2.T, history, residual, stop
+        l2_inv, logdet_s2 = inverse_factor(s2)
+        l1_inv, logdet_s1 = inverse_factor(scatter_k1_whitened(l2_inv.T) / (n * m1))
+        sqrt_c = np.exp(-logdet_s1 / (2 * m2))
+        root, f2 = l2_inv * sqrt_c, l1_inv.T / sqrt_c
+        history.append(-n * m2 * logdet_s2 - n * m1 * logdet_s1 - n * m1 * m2)
+
+
 class TestWhitenedSweeps:
-    @pytest.mark.parametrize("shape, seed", [((4, 3, 4), 6), ((12, 6, 3), 1), ((7, 2, 4), 4)])
+    @pytest.mark.parametrize(
+        "shape, seed",
+        [((4, 3, 4), 6), ((12, 6, 3), 1), ((7, 2, 4), 4), ((5, 1, 7), 7), ((1, 1, 1), 1),
+         ((30, 30, 3), 3)],
+    )
     def test_first_iterates_match_scatter_sweeps(self, shape, seed):
         m1, m2, n = shape
-        s = sample_matrix_normal(np.eye(m1), np.eye(m2), n, seed=seed)
+        s = sample_matrix_normal(m1, m2, n, seed=seed)
         rng = np.random.default_rng(seed)
         g = rng.standard_normal((m2, m2))
         init = g @ g.T + np.eye(m2)
@@ -342,6 +390,21 @@ class TestWhitenedSweeps:
         for got, want in zip(pairs, ref):
             for a, b in zip(got, want):
                 assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+        # flip-flop reads an exact copy of the data as the same floats
+        exact = flipflop(exact_copy(s), init_k2=init, tol=0.0, max_iter=5)
+        assert np.array_equal(exact.k1, runs[-1].k1) and np.array_equal(exact.k2, runs[-1].k2)
+
+    @pytest.mark.parametrize("shape", [(4, 3, 4), (12, 6, 3), (50, 5, 400)])
+    def test_bitwise_equal_to_the_helper_formulas(self, shape):
+        s = sample_matrix_normal(*shape, seed=sum(shape))
+        if shape == (50, 5, 400):  # parsed: the concatenation loadtxt hands over
+            s = parse_sample_set(format_sample_set(s))
+        for max_iter in range(1, 6):
+            est = flipflop(s, max_iter=max_iter)
+            k1, k2, history, residual, stop = helper_flipflop(s, max_iter)
+            assert np.array_equal(est.k1, k1) and np.array_equal(est.k2, k2)
+            assert est.loglik_history == tuple(history)
+            assert (est.residual, est.stop_reason) == (residual, stop)
 
     def test_import_does_not_load_scipy(self):
         # The benchmark worker's imports load what a command needs and no more:
@@ -377,7 +440,7 @@ class TestFlipflopInvariants:
     @pytest.mark.parametrize("shape, seed", SAMPLES)
     def test_history_is_the_loglik_of_each_pair(self, shape, seed):
         m1, m2, n = shape
-        s = sample_matrix_normal(np.eye(m1), np.eye(m2), n, seed=seed)
+        s = sample_matrix_normal(m1, m2, n, seed=seed)
         ff = flipflop(s)
         # a run cut at t sweeps follows the same sweeps and returns the pair of sweep t
         pairs = [(cut.k1, cut.k2) for cut in (flipflop(s, max_iter=t) for t in range(1, ff.iterations + 1))]
@@ -391,7 +454,7 @@ class TestFlipflopInvariants:
     @pytest.mark.parametrize("tol", [1e-6, 1e-10])
     def test_converged_means_residual_below_tol(self, shape, seed, tol):
         m1, m2, n = shape
-        s = sample_matrix_normal(np.eye(m1), np.eye(m2), n, seed=seed)
+        s = sample_matrix_normal(m1, m2, n, seed=seed)
         ff = flipflop(s, tol=tol)
         assert ff.converged and ff.stop_reason == "converged"
         assert ff.residual < tol
@@ -399,7 +462,7 @@ class TestFlipflopInvariants:
 
     def test_stall_is_reported_unconverged(self):
         # no residual is below 0, so the run must stop at its roundoff floor
-        s = sample_matrix_normal(np.eye(4), np.eye(3), 4, seed=6)
+        s = sample_matrix_normal(4, 3, 4, seed=6)
         ff = flipflop(s, tol=0.0, max_iter=10000)
         assert ff.stop_reason == "stalled"
         assert not ff.converged
@@ -407,7 +470,7 @@ class TestFlipflopInvariants:
         assert invariant_residual(s, ff.k1, ff.k2) <= 1e-12
 
     def test_max_iter_is_reported(self):
-        s = sample_matrix_normal(np.eye(4), np.eye(3), 4, seed=7)
+        s = sample_matrix_normal(4, 3, 4, seed=7)
         ff = flipflop(s, max_iter=3)
         assert ff.stop_reason == "max_iter"
         assert ff.iterations == 3 and not ff.converged
@@ -415,7 +478,7 @@ class TestFlipflopInvariants:
         assert invariant_residual(s, ff.k1, ff.k2) <= ff.residual * (1 + 1e-9)
 
     def test_k1_closed_form_is_certified(self):
-        s = sample_matrix_normal(np.eye(23), np.eye(4), 6, seed=7)
+        s = sample_matrix_normal(23, 4, 6, seed=7)
         est = mle(s)
         assert est.method == "chain" and est.converged
         assert invariant_residual(s, est.k1, est.k2) <= 1e-10
@@ -434,7 +497,8 @@ class TestIllConditioned:
         rng = np.random.default_rng([seed, m1, int(np.log10(cond))])
         a = conditioned_factor(rng, m1, cond)
         b = conditioned_factor(rng, m2, cond)
-        s = sample_matrix_normal(a, b.T, n, seed=seed)
+        z = sample_matrix_normal(m1, m2, n, seed=seed)
+        s = SampleSet(np.hstack([a @ zi @ b.T for zi in z.blocks]), m2)
         path, out = tmp_path / "sample.txt", tmp_path / "est.txt"
         path.write_text(format_sample_set(s))
         code = main(["mle", "--in", str(path), "--out", str(out)])
@@ -459,16 +523,16 @@ class TestIllConditioned:
 
 class TestDispatcher:
     def test_method_tags(self):
-        k1_sample = sample_matrix_normal(np.eye(3), np.eye(2), 2, seed=11)
-        k2_sample = sample_matrix_normal(np.eye(2), np.eye(2), 2, seed=11)
+        k1_sample = sample_matrix_normal(3, 2, 2, seed=11)
+        k2_sample = sample_matrix_normal(2, 2, 2, seed=11)
         assert k1_sample.k == 1 and k2_sample.k == 2
         assert mle(k1_sample).method == "chain"  # the k = 1 closed form by castle
         assert mle(k2_sample).method == "flipflop"
-        chain_sample = sample_matrix_normal(np.eye(7), np.eye(3), 3, seed=11)
+        chain_sample = sample_matrix_normal(7, 3, 3, seed=11)
         assert mle(chain_sample).method == "chain"
 
     def test_cross_engine_agreement(self):
-        s = sample_matrix_normal(np.eye(5), np.eye(2), 3, seed=12)  # k = 1
+        s = sample_matrix_normal(5, 2, 3, seed=12)  # k = 1
         exact = exact_mle_k1(exact_copy(s))
         ff = flipflop(s, tol=1e-13, max_iter=5000)
         assert ff.converged
@@ -494,13 +558,13 @@ class TestChain:
         ],
     )
     def test_start(self, shape, start):
-        s = sample_matrix_normal(np.eye(shape[0]), np.eye(shape[1]), shape[2], seed=0)
+        s = sample_matrix_normal(*shape, seed=0)
         assert mle(s).start == start
 
     @pytest.mark.parametrize("shape", [(12, 6, 3), (40, 4, 12)])
     def test_castle_inverts_the_dual_k2(self, shape):
         # Castling keeps the likelihood with K2 -> K2^-1 (Derksen, Makam & Walter 2022).
-        s = sample_matrix_normal(np.eye(shape[0]), np.eye(shape[1]), shape[2], seed=1)
+        s = sample_matrix_normal(*shape, seed=1)
         direct = flipflop(s, tol=1e-12)
         dual = flipflop(castle(s), tol=1e-12)
         assert direct.converged and dual.converged
@@ -514,7 +578,7 @@ class TestChain:
         "shape", [(12, 6, 3), (40, 4, 12), (13, 5, 3), (17, 7, 3), (56, 15, 4), (7, 3, 3)]
     )
     def test_start_is_the_mle(self, shape):
-        s = sample_matrix_normal(np.eye(shape[0]), np.eye(shape[1]), shape[2], seed=2)
+        s = sample_matrix_normal(*shape, seed=2)
         est = mle(s)
         dual = mle(castle(s))
         assert est.method == "chain" and est.converged
@@ -532,7 +596,7 @@ class TestChain:
         # Each of these descents ends at a 1 x 1 factor, so every level's
         # polish starts next to its MLE.  The one-step castle's start, the
         # dual flip-flopped from the identity, agrees to its own accuracy.
-        s = sample_matrix_normal(np.eye(shape[0]), np.eye(shape[1]), shape[2], seed=2)
+        s = sample_matrix_normal(*shape, seed=2)
         path, end = descent(*shape)
         est = mle(s)
         assert end == "k1" and est.converged
@@ -553,7 +617,7 @@ class TestChain:
             return runs[-1]
 
         monkeypatch.setattr(solvers, "flipflop", spy)
-        s = sample_matrix_normal(np.eye(12), np.eye(6), 3, seed=3)
+        s = sample_matrix_normal(12, 6, 3, seed=3)
         est = mle(s, max_iter=max_iter)
         assert est.iterations == sum(run.iterations for run in runs) <= max_iter
         assert est.method == ("flipflop" if max_iter == 1 else "chain")
@@ -562,7 +626,7 @@ class TestChain:
         # polish, so max_iter = m follows min(m - 1, 3) steps, every level's
         # sweeps included in the sum.
         runs.clear()
-        s = sample_matrix_normal(np.eye(34), np.eye(13), 3, seed=3)
+        s = sample_matrix_normal(34, 13, 3, seed=3)
         est = mle(s, max_iter=max_iter)
         assert est.iterations == sum(run.iterations for run in runs) <= max_iter
         steps = ["castle (5,13,3)", "castle^T (2,5,3)", "castle^T (1,2,3)"][: max_iter - 1]
@@ -570,7 +634,7 @@ class TestChain:
         assert len(runs) == len(steps) + 1
         runs.clear()
         with pytest.raises(MLENotExists):  # (8,5,2) castles to (2,5,2): unbounded
-            mle(sample_matrix_normal(np.eye(8), np.eye(5), 2, seed=3), max_iter=max_iter)
+            mle(sample_matrix_normal(8, 5, 2, seed=3), max_iter=max_iter)
         assert runs == []
 
     @pytest.mark.parametrize("left, right", [(2, 5), (2, 11)])
@@ -579,7 +643,7 @@ class TestChain:
         # does not exist, but Y has full rank and castle takes a basis of
         # ker Y.  With equal columns within Y1 the run is still unconverged
         # after 300 sweeps (residual near 2e-3); across Y1 and Y2 it converges.
-        s = sample_matrix_normal(np.eye(12), np.eye(6), 3, seed=0)
+        s = sample_matrix_normal(12, 6, 3, seed=0)
         y = s.y.copy()
         y[:, right] = y[:, left]
         s = SampleSet(y, 6)
@@ -612,7 +676,7 @@ class TestChain:
 
         monkeypatch.setattr(solvers, "flipflop", spy)
         monkeypatch.setattr(solvers, "scatter_k1", lambda sample, k1: -np.eye(sample.m2))
-        s = sample_matrix_normal(np.eye(13), np.eye(5), 3, seed=3)
+        s = sample_matrix_normal(13, 5, 3, seed=3)
         with pytest.raises(MLENotExists, match="^the dual blocks share a kernel vector$"):
             mle(s, max_iter=40)
         assert sum(sweeps) <= 40
@@ -627,8 +691,8 @@ class TestChain:
         # (41,40,2) descends 39 steps to (1,2,2).  The climb is one loop, so
         # the run fits in 30 frames above the caller's, fewer than the levels
         # of the path.
-        s = sample_matrix_normal(np.eye(41), np.eye(40), 2, seed=1)
-        flipflop(sample_matrix_normal(np.eye(2), np.eye(2), 2, seed=0))  # imports scipy
+        s = sample_matrix_normal(41, 40, 2, seed=1)
+        flipflop(sample_matrix_normal(2, 2, 2, seed=0))  # imports scipy
         frame, depth = sys._getframe(), 0
         while frame is not None:
             frame, depth = frame.f_back, depth + 1
@@ -646,7 +710,7 @@ class TestChain:
     def test_dual_outside_its_regime_has_no_mle(self):
         # (8,5,2) castles to (2,5,2), where n*m1 < m2: flip-flop refuses the
         # dual, and mle reports that no MLE exists before any solve.
-        s = sample_matrix_normal(np.eye(8), np.eye(5), 2, seed=4)
+        s = sample_matrix_normal(8, 5, 2, seed=4)
         with pytest.raises(WrongRegime):
             flipflop(castle(s))
         with pytest.raises(MLENotExists, match=r"\(8,5,2\) > castle \(2,5,2\) ends"):
@@ -657,7 +721,7 @@ class TestK1Castle:
     """At k = 1 the castle's dual is (1, m2, n), and its solve is the paper's closed form."""
 
     def samples(self):
-        return [sample_matrix_normal(np.eye(23), np.eye(4), 6, seed=7), hand_k1_sample()]
+        return [sample_matrix_normal(23, 4, 6, seed=7), hand_k1_sample()]
 
     def test_labels(self):
         for s, start in zip(self.samples(), ["castle (1,4,6)", "castle (1,2,2)"]):
@@ -709,7 +773,7 @@ class TestNoMLEByShape:
         # constant, rises) without bound.  A mirrored shape's ray is that of
         # its transposed sample, whose likelihood is the same up to K1 <-> K2.
         m1, m2, n, mirrored = shape
-        s = sample_matrix_normal(np.eye(m1), np.eye(m2), n, seed=seed)
+        s = sample_matrix_normal(m1, m2, n, seed=seed)
         t = SampleSet(np.hstack([y.T for y in s.blocks]), m1) if mirrored else s
         cf = canonicalize(exact_copy(t))
         stacked = np.vstack(cf.dual.to_float().blocks)  # (n*k) x m2 of t, n*k < m2
@@ -740,7 +804,7 @@ class TestChainOnlyShapes:
         # g = m2*logdet(sum_i Yi K2 Yi^T) - m1*logdet(K2) falls.
         for m1, m2, n in chain_only_shapes(2) + chain_only_shapes(3):
             path, _ = descent(m1, m2, n)
-            levels = [sample_matrix_normal(np.eye(m1), np.eye(m2), n, seed=seed)]
+            levels = [sample_matrix_normal(m1, m2, n, seed=seed)]
             for kind, _ in path:
                 top = levels[-1]
                 if kind == "castle^T":
@@ -763,7 +827,7 @@ class TestChainOnlyShapes:
         shapes = chain_only_shapes(2) + chain_only_shapes(3)
         assert len(shapes) == 160
         for m1, m2, n in shapes:
-            s = sample_matrix_normal(np.eye(m1), np.eye(m2), n, seed=m1 + m2)
+            s = sample_matrix_normal(m1, m2, n, seed=m1 + m2)
             with pytest.raises(MLENotExists, match=rf"^the descent \({m1},{m2},{n}\) > "):
                 mle(s, max_iter=1 + m1 % 3)
         assert called == []
@@ -772,7 +836,7 @@ class TestChainOnlyShapes:
 class TestEquivariance:
     def test_transformed_sample_transforms_estimate(self):
         rng = np.random.default_rng(13)
-        s = sample_matrix_normal(np.eye(4), np.eye(3), 4, seed=14)
+        s = sample_matrix_normal(4, 3, 4, seed=14)
         base = flipflop(s, tol=1e-13)
         for _ in range(5):
             a = rng.standard_normal((4, 4)) + 2 * np.eye(4)
