@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import Matrix, SingularMatrix, adjugate_stack, det_stack
+from .linalg import Matrix, SingularMatrix, det_stack, solve_stack
 from .model import SampleSet, scatter_k2_stack
 
 
@@ -134,7 +134,7 @@ def _identity_dets(c, k, scale=1):
     right = np.broadcast_to(-scale * np.identity(kk, dtype=object), (count, kk, kk))
     y = np.concatenate([left, c], axis=2)
     d_t = np.concatenate([c.transpose(0, 2, 1), right], axis=2)
-    det_k, adj_k = adjugate_stack(k)
+    det_k, adj_k = solve_stack(k, np.identity(k.shape[-1], dtype=object))
     return det_stack(scatter_k2_stack(y, k)), det_k, det_stack(scatter_k2_stack(d_t, adj_k))
 
 

@@ -43,10 +43,15 @@ EXIT_NO_MLE = 3
 EXIT_BAD_ARGS = 4
 
 
-def _worker_count(n_tasks):
+def _worker_cap():
+    """KRONMLE_WORKERS as an int, or the CPU count when it is unset or empty."""
     cap = os.environ.get("KRONMLE_WORKERS")
-    workers = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(workers, n_tasks))
+    if not cap:
+        return os.cpu_count() or 1
+    try:
+        return int(cap)
+    except ValueError:
+        raise ValueError(f"KRONMLE_WORKERS must be an integer, got {cap!r}") from None
 
 
 def _at_least(value, low, flag):
@@ -152,14 +157,16 @@ def cmd_verify_lemma(args):
     return EXIT_OK if ok and fails == 0 else EXIT_BAD_ARGS
 
 
-def _parse_range(spec):
-    if ":" in spec:
-        lo, hi = spec.split(":")
-        values = list(range(int(lo), int(hi) + 1))
-        if not values:
-            raise ValueError(f"empty range {spec}: lo must not exceed hi")
-        return values
-    return [int(spec)]
+def _parse_range(spec, flag):
+    """The values of an integer or of an inclusive range lo:hi."""
+    parts = spec.split(":")
+    try:
+        lo, hi = map(int, parts) if len(parts) == 2 else (int(spec),) * 2
+    except ValueError:
+        raise ValueError(f"{flag} must be an integer or a range lo:hi, got {spec!r}") from None
+    if lo > hi:
+        raise ValueError(f"empty range {spec}: lo must not exceed hi")
+    return list(range(lo, hi + 1))
 
 
 def _mldegree_cell(task):
@@ -206,16 +213,16 @@ def ProcessPoolExecutor(max_workers):
     return concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
 
 
-def _run_cells(pending):
+def _run_cells(pending, cap):
     """Yield each pending cell's result in order.
 
     The cells run in this process until those run so far have taken more
-    than _POOL_AFTER_S in all; the rest then go to one process pool, when
-    at least two remain and _worker_count allows two workers.
+    than _POOL_AFTER_S in all; the rest then go to one process pool of at
+    most cap workers, when at least two remain and cap is at least two.
     """
     spent = 0.0
     for i, task in enumerate(pending):
-        workers = _worker_count(len(pending) - i)
+        workers = max(1, min(cap, len(pending) - i))
         if spent > _POOL_AFTER_S and workers >= 2:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 yield from pool.map(_mldegree_cell, pending[i:])
@@ -226,10 +233,11 @@ def _run_cells(pending):
 
 
 def cmd_mldegree(args):
-    m1s = _parse_range(args.m1)
-    ns = _parse_range(args.n)
+    m1s = _parse_range(args.m1, "--m1")
+    ns = _parse_range(args.n, "--n")
     _at_least(min(m1s), 1, "--m1")
     _at_least(min(ns), 1, "--n")
+    cap = _worker_cap()
     os.makedirs(args.cache_dir, exist_ok=True)
 
     results = []
@@ -242,7 +250,7 @@ def cmd_mldegree(args):
             else:
                 results.append(cell)
 
-    for cell in _run_cells(pending):
+    for cell in _run_cells(pending, cap):
         cache = _cell_path(args.cache_dir, cell["m1"], cell["n"], cell["seed"])
         with open(cache, "w") as fh:
             json.dump(cell, fh)

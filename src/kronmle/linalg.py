@@ -5,13 +5,14 @@ numpy object array of Python ints (no tuple rows), over one positive
 denominator, in lowest terms.  Its sums, products and stacking are array
 expressions.  Every exact determinant, solve, inverse and PD test runs one
 fraction-free (Bareiss) elimination kernel, _bareiss_stack, on an object
-stack of such arrays, one step for every member at once: a Matrix passes
-num[None], and det_stack and adjugate_stack a whole stack, as the
-determinant identity's check does with hundreds of tiny matrices of one
-shape, where a pass per matrix would cost more in Python overhead than in
-arithmetic.  A ``Fraction`` is made only where one is read: an entry, a
-determinant, or ``data``.  The float side is a Cholesky factorization and
-a log-determinant over numpy.  Both sides share the same text
+stack of such arrays, one step for every member at once, through its two
+wrappers: det_stack (forward elimination) and solve_stack (Gauss-Jordan).
+A Matrix passes num[None], a stack of one; the determinant identity's
+check passes hundreds of tiny matrices of one shape, where a pass per
+matrix would cost more in Python overhead than in arithmetic.  A
+``Fraction`` is made only where one is read: an entry, a determinant, or
+``data``.  The float side is a Cholesky factorization and a
+log-determinant over numpy.  Both sides share the same text
 serialization: a "rows cols" header line followed by whitespace-separated
 rows, rationals written as ``p/q``.
 """
@@ -183,7 +184,7 @@ class Matrix:
         With A = num/den and B = rhs.num/rhs.den, X = den * num^-1 rhs.num / rhs.den.
         """
         self._check_square()
-        d, dx = solve_fraction_free(self.num, rhs.num)
+        (d,), (dx,) = solve_stack(self.num[None], rhs.num)
         return Matrix.from_ints(self.den * dx, d * rhs.den)
 
     def inverse(self):
@@ -200,25 +201,6 @@ class Matrix:
             return False
         _, pivoted, reduced = _bareiss_stack(self.num[None])
         return not pivoted[0] and all(p > 0 for p in reduced[0].diagonal())
-
-
-def solve_fraction_free(a, b):
-    """Integer d != 0 and the integer array d*X, where A @ X = B.
-
-    a (square) and b are 2-D arrays, or rows, of Python ints.  One
-    Gauss-Jordan pass of _bareiss_stack over [A | B], a stack of one, leaves
-    d*I | d*X, d its last pivot; d*X comes back as an object array of
-    Python ints.  Matrix.solve divides by d, and callers that keep working
-    over the integers do not.  Raises SingularMatrix when A is singular.
-    """
-    a, b = np.asarray(a, dtype=object), np.asarray(b, dtype=object)
-    n = len(a)
-    if len(b) != n:
-        raise ValueError("rhs row count mismatch")
-    sign, _, reduced = _bareiss_stack(np.hstack([a, b])[None], reduce_above=True)
-    if not sign[0]:
-        raise SingularMatrix("exact rank deficiency")
-    return reduced[0, -1, n - 1], reduced[0, :, n:]
 
 
 def _bareiss_stack(a, reduce_above=False):
@@ -276,16 +258,17 @@ def det_stack(a):
     return sign * reduced[:, -1, -1]
 
 
-def adjugate_stack(a):
-    """(det, adj) of each member of a (b, s, s) stack of Python ints.
+def solve_stack(a, b):
+    """(det A, det A * A^-1 B) of each member of a (count, s, s) stack of Python ints.
 
-    The Gauss-Jordan form of [A | I] leaves d*I | d*A^-1, d the last pivot;
-    with the sign of the row swaps, det A = sign*d and adj A = det A * A^-1 =
-    sign * d*A^-1.  Raises SingularMatrix when any member is singular.
+    b is a (count, s, c) stack or one (s, c) array for every member.  The
+    Gauss-Jordan form of [A | B] leaves d*I | d*A^-1 B, d the last pivot;
+    with the sign of the row swaps, det A = sign*d, and B = I gives
+    adj A = det A * A^-1.  Raises SingularMatrix when any member is singular.
     """
     size = a.shape[-1]
-    eye = np.broadcast_to(np.identity(size, dtype=object), a.shape)
-    sign, _, reduced = _bareiss_stack(np.concatenate([a, eye], axis=2), reduce_above=True)
+    b = np.broadcast_to(b, (*a.shape[:2], b.shape[-1]))
+    sign, _, reduced = _bareiss_stack(np.concatenate([a, b], axis=2), reduce_above=True)
     if not sign.all():
         raise SingularMatrix("exact rank deficiency")
     return sign * reduced[:, -1, size - 1], sign[:, None, None] * reduced[:, :, size:]
@@ -356,7 +339,10 @@ def parse_matrix(lines, exact=False):
     header = next(it, None)
     if header is None:
         raise ValueError("truncated matrix: no header")
-    r, c = (int(t) for t in header.split())
+    try:
+        r, c = map(int, header.split())
+    except ValueError:
+        raise ValueError("matrix header is not two integers 'rows cols'") from None
     try:
         np.empty((r, c))  # refuse a header no memory could hold before reading rows
     except MemoryError:

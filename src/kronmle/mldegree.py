@@ -365,7 +365,9 @@ def _chart_images(scatters, prime):
     g2, k22 = np.zeros_like(g1), np.zeros_like(g1)
     g2[0, 1] = k22[0, 1] = 1
     g2[2, 0] = prime - 1
-    # With g1 = g2^e * h, the score pair is g2^e times this pair.
+    # With g1 = g2^e * h, the score pair is g2^e times this pair.  g2 does not
+    # divide h, so it divides neither unless 2e = m1; then h is a constant
+    # (deg g1 <= m1) and both are zero.
     h, e = _divide_g2(g1, prime)
     k = np.arange(1, m1 + 4, dtype=np.int64)
     hx, hy = np.zeros_like(h), np.zeros_like(h)
@@ -373,8 +375,6 @@ def _chart_images(scatters, prime):
     hy[:, :-1] = h[:, 1:] * k % prime
     p = (2 * _times(g2, hy, prime) + (2 * e - m1) * h) % prime
     q = (2 * _times(g2, hx, prime) + 2 * (m1 - 2 * e) * np.roll(h, 1, axis=0)) % prime
-    if 2 * e == m1:  # else g2 divides neither, as it does not divide h
-        p, q = _divide_g2(p, prime)[0], _divide_g2(q, prime)[0]
     return p, q, _times(k22, _times(g2, g1, prime), prime)
 
 

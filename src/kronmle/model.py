@@ -169,7 +169,10 @@ def parse_sample_set(text, exact=False):
     header = next(lines, None)
     if header is None:
         raise ValueError("truncated sample: empty file")
-    m1, m2, n = (int(t) for t in header.split())
+    try:
+        m1, m2, n = map(int, header.split())
+    except ValueError:
+        raise ValueError("sample header is not three integers 'm1 m2 n'") from None
     y = parse_matrix(lines, exact=exact)
     if y.shape != (m1, n * m2):
         raise ValueError("concatenated data has wrong shape")

@@ -19,7 +19,7 @@ from .linalg import (
     SingularMatrix,
     cholesky,
     format_matrix,
-    solve_fraction_free,
+    solve_stack,
 )
 from .model import SampleSet, kron_loglik, scatter_k1
 
@@ -77,10 +77,10 @@ def exact_mle_k1(sample):
     the inverse of the scatter Y A Y^T is W^T (A^-1 - A^-1 v v^T A^-1 / m2) W,
     so K1 = n*m2 * W^T [I_n kron K2^-1 - u u^T / m2] W with u = A^-1 v.
     Integer form, on the integer array N = delta*Y of the data: one
-    fraction-free pass over [N_* | I | N_y] gives G = d*N_*^-1 and w = d*v
-    (v does not change when Y is scaled), so d^2 K2 = sum_b w_b w_b^T over
-    the blocks w_b of w; a second pass gives H = e*(d^2 K2)^-1 with
-    e = det(d^2 K2).  With G padded by a zero row and U = (I_n kron H) w,
+    solve_stack pass over [N_* | I | N_y] gives d = det N_*, G = d*N_*^-1 and
+    w = d*v (v does not change when Y is scaled), so d^2 K2 = sum_b w_b w_b^T
+    over the blocks w_b of w; a second pass gives e = det(d^2 K2) and
+    H = e*(d^2 K2)^-1.  With G padded by a zero row and U = (I_n kron H) w,
     K1 = n * delta^2 * (e*m2 * G^T (I_n kron H) G - (G^T U)(G^T U)^T) / e^2,
     the delta^2 because W = delta * [N_*^-1; 0].
     """
@@ -93,8 +93,8 @@ def exact_mle_k1(sample):
     m1, m2, n = sample.m1, sample.m2, sample.n
     rows = sample.y.num  # N = [N_* | N_y]
     try:
-        d, dx = solve_fraction_free(
-            rows[:, :m1], np.hstack([np.identity(m1, dtype=object), rows[:, m1:]])
+        (d,), (dx,) = solve_stack(
+            rows[None, :, :m1], np.hstack([np.identity(m1, dtype=object), rows[:, m1:]])
         )
     except SingularMatrix:
         raise DegenerateData("left m1 x m1 block is singular") from None
@@ -104,8 +104,7 @@ def exact_mle_k1(sample):
     k2 = Matrix.from_ints(k2_int, d * d)
     if not k2.is_positive_definite():
         raise MLENotExists("sum_i v_i v_i^T is not positive definite")
-    # Integer rows need no scaling and a PD matrix no row swap, so e is det(d^2 K2).
-    e, h = solve_fraction_free(k2_int, np.identity(m2, dtype=object))
+    (e,), (h,) = solve_stack(k2_int[None], np.identity(m2, dtype=object))
     # (I_n kron H) applied to w and, block by block, to the columns of G.
     gu = g.T @ (w @ h.T).reshape(-1)
     hg = (h @ g.reshape(n, m2, m1)).reshape(n * m2, m1)

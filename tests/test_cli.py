@@ -377,13 +377,24 @@ class TestMle:
 
     @pytest.mark.parametrize(
         "keep, named",
-        [(0, "empty file"), (1, "no header"), (2, "0 of 3 rows"), (4, "2 of 3 rows")],
+        [
+            (0, "empty file"),
+            (1, "no header"),
+            (2, "0 of 3 rows"),
+            (4, "2 of 3 rows"),
+            ("3 2\n", "sample header is not three integers"),
+            ("3 2 3\n3\n", "matrix header is not two integers"),
+        ],
     )
     def test_truncated_file_exit_code(self, tmp_path, capsys, keep, named):
-        # keep the first `keep` lines: nothing, the m1 m2 n line, both headers, two rows
+        # keep the first `keep` lines: nothing, the m1 m2 n line, both headers,
+        # two rows; or, given text, a file cut inside a header line
         path = self.write_sample(tmp_path, 3, 2, 3, seed=1)
-        lines = path.read_text().splitlines()[:keep]
-        path.write_text("".join(line + "\n" for line in lines))
+        if isinstance(keep, int):
+            lines = path.read_text().splitlines()[:keep]
+            path.write_text("".join(line + "\n" for line in lines))
+        else:
+            path.write_text(keep)
         out = tmp_path / "est.txt"
         code, _, err = run(capsys, "mle", "--in", str(path), "--out", str(out))
         assert code == EXIT_BAD_ARGS
@@ -641,6 +652,14 @@ class TestMlDegreeCommand:
         )
         cells = json.loads(out_json)
         assert cells[0]["degree"] == 1
+        # --out writes exactly what stdout would show, and stdout stays empty.
+        out = tmp_path / "cells.json"
+        code, stdout, _ = run(
+            capsys, "mldegree", "--m1", "3", "--n", "2", "--seed", "1",
+            "--format", "json", "--cache-dir", str(tmp_path / "c1"), "--out", str(out),
+        )
+        assert code == EXIT_OK and stdout == ""
+        assert out.read_text() == out_json
 
     def test_primes_exhausted(self, tmp_path, capsys, monkeypatch):
         # With no prime to confirm a modular count, the command reports one
@@ -780,10 +799,19 @@ class TestArgParsing:
             (["mldegree", "--m1", "3", "--n", "1:0"], "empty range 1:0"),
             (["mldegree", "--m1", "0", "--n", "2"], "--m1"),
             (["mldegree", "--m1", "3", "--n", "0:2"], "--n"),
+            (["mldegree", "--m1", "1:2:3", "--n", "2"], "--m1 must be an integer or a range lo:hi, got '1:2:3'"),
+            (["mldegree", "--m1", "3", "--n", ":"], "--n must be an integer or a range lo:hi, got ':'"),
+            (["mldegree", "--m1", "3", "--n", "2:x"], "--n must be an integer or a range lo:hi, got '2:x'"),
+            (["KRONMLE_WORKERS=two", "mldegree", "--m1", "3", "--n", "2"],
+             "KRONMLE_WORKERS must be an integer, got 'two'"),
         ],
     )
-    def test_out_of_range_value_exit_code(self, tmp_path, capsys, argv, named):
+    def test_out_of_range_value_exit_code(self, tmp_path, capsys, monkeypatch, argv, named):
         # Refused before any work: no instances, no cells, no cache directory.
+        # A leading NAME=value sets an environment variable, as in a shell.
+        while "=" in argv[0]:
+            monkeypatch.setenv(*argv[0].split("=", 1))
+            argv = argv[1:]
         cache = tmp_path / "cache"
         extra = ["--cache-dir", str(cache)] if argv[0] == "mldegree" else []
         code, stdout, err = run(capsys, *argv, *extra)

@@ -1,6 +1,7 @@
 """Exact and float dense linear algebra."""
 
 import io
+import math
 import warnings
 from fractions import Fraction
 
@@ -17,13 +18,12 @@ from kronmle.linalg import (
     Matrix,
     NotPD,
     SingularMatrix,
-    adjugate_stack,
     cholesky,
     det_stack,
     format_matrix,
     logdet_pd,
     parse_matrix,
-    solve_fraction_free,
+    solve_stack,
 )
 from matrix_helpers import diagonal, kron, trace, vstack
 
@@ -222,14 +222,14 @@ class TestSolveInverse:
             assert a @ a.inverse() == Matrix.identity(n)
 
     def test_fraction_free_solve_over_ints(self):
-        # d * X is integral, and solve divides it by d.
+        # d * X is integral, d = det A, and solve divides it by d.
         a = [[2, 1], [1, 3]]
-        d, dx = solve_fraction_free(a, [[1, 0], [0, 1]])
-        assert all(type(x) is int for row in dx for x in row)
+        (d,), (dx,) = solve_stack(as_stack([a]), np.identity(2, dtype=object))
+        assert d == 5 and all(type(x) is int for x in dx.flat)
         assert Matrix(a) @ Matrix(dx) == Matrix.identity(2).scale(d)
         assert Matrix(dx).scale(Fraction(1, d)) == Matrix(a).inverse()
         with pytest.raises(SingularMatrix):
-            solve_fraction_free([[1, 2], [2, 4]], [[1], [1]])
+            solve_stack(as_stack([[[1, 2], [2, 4]]]), np.ones((2, 1), dtype=object))
 
     def test_exact_singular_raises(self):
         with pytest.raises(SingularMatrix):
@@ -267,8 +267,30 @@ def sympy_adjugate(m):
     return DomainMatrix([[ZZ(v) for v in row] for row in m], (len(m), len(m)), ZZ).adjugate().to_Matrix().tolist()
 
 
+@st.composite
+def int_systems(draw):
+    """An int_stacks stack and a right-hand side of 1 to 3 columns, as nested
+    lists: one (s, c) array for every member, or a (count, s, c) stack."""
+    stack = draw(int_stacks())
+    size, count, cols = len(stack[0]), len(stack), draw(st.integers(1, 3))
+    shape = draw(st.sampled_from([(size, cols), (count, size, cols)]))
+    entries = st.integers(-3, 3) | st.integers(-(2**80), 2**80)
+    flat = draw(st.lists(entries, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return stack, np.array(flat, dtype=object).reshape(shape).tolist()
+
+
+def nonsingular_members(stack, b):
+    """Indices of the nonsingular members of stack, after checking that
+    solve_stack raises SingularMatrix on the whole stack if any is singular."""
+    kept = [i for i, m in enumerate(stack) if sympy.Matrix(m).det() != 0]
+    if len(kept) < len(stack):
+        with pytest.raises(SingularMatrix):
+            solve_stack(as_stack(stack), b)
+    return kept
+
+
 class TestStackedBareiss:
-    """det_stack and adjugate_stack against sympy, independent of the kernel."""
+    """det_stack and solve_stack against sympy, independent of the kernel."""
 
     @given(int_stacks())
     @example([[[0, 1], [1, 0]], [[1, 2], [2, 4]], [[0, 0], [0, 0]], [[2, 1], [1, 3]]])
@@ -287,22 +309,42 @@ class TestStackedBareiss:
     @example([[[0, 2, 1], [1, 0, 0], [0, 1, 0]]])
     @example([[[-4]]])
     def test_adjugate_matches_sympy(self, stack):
-        if any(sympy.Matrix(m).det() == 0 for m in stack):
-            with pytest.raises(SingularMatrix):
-                adjugate_stack(as_stack(stack))
-            stack = [m for m in stack if sympy.Matrix(m).det() != 0]
-            if not stack:
-                return
-        dets, adj = adjugate_stack(as_stack(stack))
-        assert dets.tolist() == [sympy.Matrix(m).det() for m in stack]
-        assert adj.tolist() == [sympy_adjugate(m) for m in stack]
+        # B = I: det A * A^-1 is adj A.
+        eye = np.identity(len(stack[0]), dtype=object)
+        kept = [stack[i] for i in nonsingular_members(stack, eye)]
+        if kept:
+            dets, adj = solve_stack(as_stack(kept), eye)
+            assert dets.tolist() == [sympy.Matrix(m).det() for m in kept]
+            assert adj.tolist() == [sympy_adjugate(m) for m in kept]
+
+    @given(int_systems())
+    @example(([[[0, 1], [1, 0]], [[1, 2], [2, 4]], [[2, 1], [1, 3]]], [[1, -2], [0, 3]]))
+    @example(([[[0, 1], [1, 0]], [[0, 3], [5, 0]]], [[[1], [2]], [[2**80], [-1]]]))
+    @example(([[[0, 2, 1], [1, 0, 0], [0, 1, 0]]], [[[5], [0], [-7]]]))  # zero leading minor
+    @example(([[[1, 2], [2, 4]]], [[0], [0]]))  # only a singular member
+    def test_solve_matches_sympy(self, system):
+        # det A * A^-1 B is adj A @ B, for a shared B and for a stack of them.
+        stack, b = system
+        b = np.array(b, dtype=object)
+        kept = nonsingular_members(stack, b)
+        if kept:
+            dets, dx = solve_stack(as_stack([stack[i] for i in kept]), b if b.ndim == 2 else b[kept])
+            assert dets.tolist() == [sympy.Matrix(stack[i]).det() for i in kept]
+            rhs = [b if b.ndim == 2 else b[i] for i in kept]
+            assert dx.tolist() == [
+                (sympy.Matrix(sympy_adjugate(stack[i])) * sympy.Matrix(r.tolist())).tolist()
+                for i, r in zip(kept, rhs)
+            ]
+            assert all(type(x) is int for x in dx.flat)
 
     def test_input_left_unchanged(self):
         a = as_stack([[[0, 1], [1, 0]], [[2, 1], [1, 3]]])
-        before = a.copy()
+        b = np.array([[[1], [2]], [[3], [4]]], dtype=object)
+        before, b_before = a.copy(), b.copy()
         det_stack(a)
-        adjugate_stack(a)
-        assert (a == before).all()
+        solve_stack(a, b)
+        solve_stack(a, np.identity(2, dtype=object))
+        assert (a == before).all() and (b == b_before).all()
 
 
 class TestPD:

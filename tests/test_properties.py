@@ -9,7 +9,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kronmle.linalg import Matrix, SingularMatrix, solve_fraction_free
+from kronmle.linalg import Matrix, SingularMatrix, solve_stack
 from kronmle.poly import Poly, exact_divide, poly_gcd
 from matrix_helpers import kron
 from paper_helpers import evaluate
@@ -142,8 +142,9 @@ class TestEliminationAgainstSympy:
         a, b = ab
         if a.det() == 0:
             return
-        d, dx = solve_fraction_free(a.num, b.num)
-        assert d != 0 and all(type(x) is int for x in dx.flat)
+        (d,), (dx,) = solve_stack(a.num[None], b.num)
+        assert type(d) is int and all(type(x) is int for x in dx.flat)
+        assert Fraction(d, a.den**a.rows) == a.det()  # d = det(num), so d != 0
         assert Matrix.from_ints(a.num) @ Matrix.from_ints(dx) == Matrix.from_ints(b.num).scale(d)
 
     @given(singular_matrices(), st.integers(min_value=1, max_value=3))
@@ -191,7 +192,7 @@ class TestEliminationAgainstSympy:
         # The [I | C] solve of canonicalize: every multiplier is zero and p == prev.
         c = Matrix([[1, 2, -3], [Fraction(4, 5), 0, 6], [7, Fraction(-8, 3), 9]])
         assert Matrix.identity(3).solve(c) == c
-        d, dx = solve_fraction_free(Matrix.identity(3).num, c.num)
+        (d,), (dx,) = solve_stack(Matrix.identity(3).num[None], c.num)
         assert d == 1 and Matrix(dx) == Matrix.from_ints(c.num)
         ystar = Matrix([[2, 0, 0], [0, 2, 0], [1, 0, 2]])
         assert to_sympy(ystar.solve(c)) == to_sympy(ystar).LUsolve(to_sympy(c))

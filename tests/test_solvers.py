@@ -265,14 +265,14 @@ class TestExactK1Formula:
         for row in rows:
             row[-1] = 0
         calls = []
-        solve = solvers.solve_fraction_free
+        solve = solvers.solve_stack
 
         def spy(a, b):
-            calls.append(len(a))
+            calls.append(a.shape[-1])
             return solve(a, b)
 
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(solvers, "solve_fraction_free", spy)
+            m.setattr(solvers, "solve_stack", spy)
             with pytest.raises(MLENotExists):
                 exact_mle_k1(exact_sample(rows, m2))
         # Only the pass over Y_* ran; K2 (whose determinant is e) was never solved.
