@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import os
 import sys
@@ -20,7 +19,7 @@ from itertools import islice
 import numpy as np
 
 from .canonical import DegenerateData, canonicalize, det_reduction_check, det_reduction_sides
-from .linalg import Matrix
+from .linalg import Matrix, read_ints
 from .mldegree import (
     PROP43_UPPER,
     PrimesExhausted,
@@ -48,10 +47,24 @@ def _worker_cap():
     cap = os.environ.get("KRONMLE_WORKERS")
     if not cap:
         return os.cpu_count() or 1
-    try:
-        return int(cap)
-    except ValueError:
-        raise ValueError(f"KRONMLE_WORKERS must be an integer, got {cap!r}") from None
+    return read_ints([cap], 1, f"KRONMLE_WORKERS must be an integer, got {cap!r}")[0]
+
+
+def _int_arg(text):
+    """argparse's type= for the integer flags: read_ints' spelling."""
+    return read_ints([text], 1, "")[0]
+
+
+_int_arg.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
+
+
+def _write_text(path, text):
+    """Write text to the file path, or to stdout when there is no path."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _at_least(value, low, flag):
@@ -64,12 +77,7 @@ def _at_least(value, low, flag):
 def cmd_sample(args):
     bounds = thresholds(args.m1, args.m2)  # rejects m1, m2 < 1 before anything is written
     sample = sample_matrix_normal(args.m1, args.m2, args.n, args.seed)
-    text = format_sample_set(sample)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, format_sample_set(sample))
     print(f"k = {sample.k}", file=sys.stderr)
     print(
         f"sample-size bounds: lower {bounds.lower} upper {bounds.upper}",
@@ -87,10 +95,8 @@ def cmd_mle(args):
     print(f"iterations: {est.iterations}  converged: {est.converged}")
     print(f"residual: {est.residual:.3e}  stop: {est.stop_reason}")
     print(f"loglik: {est.loglik:.6f}")
-    text = format_estimate(est, sample.m1, sample.m2)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_text(args.out, format_estimate(est, sample.m1, sample.m2))
     return EXIT_OK
 
 
@@ -160,41 +166,42 @@ def cmd_verify_lemma(args):
 def _parse_range(spec, flag):
     """The values of an integer or of an inclusive range lo:hi."""
     parts = spec.split(":")
-    try:
-        lo, hi = map(int, parts) if len(parts) == 2 else (int(spec),) * 2
-    except ValueError:
-        raise ValueError(f"{flag} must be an integer or a range lo:hi, got {spec!r}") from None
+    message = f"{flag} must be an integer or a range lo:hi, got {spec!r}"
+    lo, hi = read_ints(parts * 2 if len(parts) == 1 else parts, 2, message)
     if lo > hi:
         raise ValueError(f"empty range {spec}: lo must not exceed hi")
     return list(range(lo, hi + 1))
 
 
+# The keys of an mldegree cell record, in the order of its JSON and CSV output.
+_CELL_KEYS = ("m1", "n", "seed", "degree", "seconds")
+
+
 def _mldegree_cell(task):
-    m1, n, seed = task
     start = time.monotonic()
-    degree = ml_degree(m1, n, seed)
+    degree = ml_degree(*task)
     elapsed = time.monotonic() - start
-    return {"m1": m1, "n": n, "seed": seed, "degree": degree, "seconds": round(elapsed, 3)}
+    return dict(zip(_CELL_KEYS, (*task, degree, round(elapsed, 3))))
 
 
-def _cell_path(cache_dir, m1, n, seed):
-    return os.path.join(cache_dir, f"cell_{m1}_{n}_{seed}.json")
+def _cell_path(cache_dir, task):
+    return os.path.join(cache_dir, "cell_{}_{}_{}.json".format(*task))
 
 
 def _cached_cell(cache_dir, task):
     """The cached record of cell task = (m1, n, seed), or None to recompute it.
 
-    Only an object with exactly _mldegree_cell's keys, the cell's own m1, n
+    Only an object with exactly the keys _CELL_KEYS, the cell's own m1, n
     and seed, an int degree and a number of seconds is used.
     """
     try:
-        with open(_cell_path(cache_dir, *task)) as fh:
+        with open(_cell_path(cache_dir, task)) as fh:
             cell = json.load(fh)
     except (OSError, ValueError, RecursionError):  # RecursionError: nesting too deep
         return None
-    if not isinstance(cell, dict) or cell.keys() != {"m1", "n", "seed", "degree", "seconds"}:
+    if not isinstance(cell, dict) or cell.keys() != set(_CELL_KEYS):
         return None
-    ints = all(type(cell[k]) is int for k in ("m1", "n", "seed", "degree"))
+    ints = all(type(cell[k]) is int for k in _CELL_KEYS[:4])
     own = (cell["m1"], cell["n"], cell["seed"]) == task
     return cell if ints and own and type(cell["seconds"]) in (int, float) else None
 
@@ -240,47 +247,24 @@ def cmd_mldegree(args):
     cap = _worker_cap()
     os.makedirs(args.cache_dir, exist_ok=True)
 
-    results = []
-    pending = []
-    for m1 in m1s:
-        for n in ns:
-            cell = _cached_cell(args.cache_dir, (m1, n, args.seed))
-            if cell is None:
-                pending.append((m1, n, args.seed))
-            else:
-                results.append(cell)
-
+    tasks = [(m1, n, args.seed) for m1 in m1s for n in ns]  # in the output's (m1, n) order
+    cells = {task: _cached_cell(args.cache_dir, task) for task in tasks}
+    pending = [task for task, cell in cells.items() if cell is None]
     for cell in _run_cells(pending, cap):
-        cache = _cell_path(args.cache_dir, cell["m1"], cell["n"], cell["seed"])
-        with open(cache, "w") as fh:
-            json.dump(cell, fh)
-        results.append(cell)
-
-    results.sort(key=lambda c: (c["m1"], c["n"]))
-    out = _emit_cells(results, args.format)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+        task = cell["m1"], cell["n"], cell["seed"]
+        _write_text(_cell_path(args.cache_dir, task), json.dumps(cell))
+        cells[task] = cell
+    _write_text(args.out, _emit_cells(list(cells.values()), args.format))
     return EXIT_OK
 
 
 def _emit_cells(results, fmt):
     if fmt == "json":
         return json.dumps(results, indent=2) + "\n"
-    if fmt == "csv":
-        import csv
-
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=["m1", "n", "seed", "degree", "seconds"])
-        writer.writeheader()
-        writer.writerows(results)
-        return buf.getvalue()
-    lines = [f"{'m1':>4} {'n':>4} {'degree':>8} {'seconds':>9}"]
-    for c in results:
-        lines.append(f"{c['m1']:>4} {c['n']:>4} {str(c['degree']):>8} {c['seconds']:>9}")
-    return "\n".join(lines) + "\n"
+    rows = [dict(zip(_CELL_KEYS, _CELL_KEYS)), *results]  # the header, then the cells
+    if fmt == "csv":  # every field is an int or a float, so none needs quoting
+        return "".join(",".join(str(c[k]) for k in _CELL_KEYS) + "\r\n" for c in rows)
+    return "".join(f"{c['m1']:>4} {c['n']:>4} {c['degree']:>8} {c['seconds']:>9}\n" for c in rows)
 
 
 def cmd_multiplicity(args):
@@ -300,29 +284,29 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="generate a synthetic matrix normal sample")
-    p.add_argument("--m1", type=int, required=True)
-    p.add_argument("--m2", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--m1", type=_int_arg, required=True)
+    p.add_argument("--m2", type=_int_arg, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
+    p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("mle", help="estimate the Kronecker factors from a sample file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=10000)
+    p.add_argument("--max-iter", type=_int_arg, default=10000)
     p.add_argument("--out")
     p.set_defaults(func=cmd_mle)
 
     p = sub.add_parser("verify-lemma", help="check the determinant reduction identity")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--seed", type=_int_arg, default=0)
+    p.add_argument("--count", type=_int_arg, default=100)
     p.set_defaults(func=cmd_verify_lemma)
 
     p = sub.add_parser("mldegree", help="ML degree table for m2 = 2")
     p.add_argument("--m1", required=True, help="value or range lo:hi")
     p.add_argument("--n", required=True, help="value or range lo:hi")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p.add_argument("--cache-dir", default=".kronmle_cache")
     p.add_argument("--out")
@@ -330,8 +314,8 @@ def build_parser():
 
     p = sub.add_parser("multiplicity", help="constructed multiplicity > 1 systems")
     p.add_argument("--case", choices=["one", "two"], required=True)
-    p.add_argument("--m2", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--m2", type=_int_arg, required=True)
+    p.add_argument("--k", type=_int_arg, required=True)
     p.set_defaults(func=cmd_multiplicity)
 
     return parser

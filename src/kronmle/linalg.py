@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from fractions import Fraction
 from itertools import islice
 
@@ -327,6 +328,17 @@ def format_matrix(a):
     return "\n".join([f"{r} {c}", *rows]) + "\n"
 
 
+def read_ints(tokens, count, message):
+    """The ints of count tokens, each ASCII [+-]?[0-9]+, else ValueError(message).
+
+    Every integer read from outside the program comes through here: int()
+    alone would also read "1_0" as 10 and "\u0663" (Arabic-Indic three) as 3.
+    """
+    if len(tokens) != count or not all(re.fullmatch("[+-]?[0-9]+", t) for t in tokens):
+        raise ValueError(message)
+    return [int(t) for t in tokens]
+
+
 def parse_matrix(lines, exact=False):
     """Parse the shared text format: a header, then the rows it declares.
 
@@ -339,10 +351,7 @@ def parse_matrix(lines, exact=False):
     header = next(it, None)
     if header is None:
         raise ValueError("truncated matrix: no header")
-    try:
-        r, c = map(int, header.split())
-    except ValueError:
-        raise ValueError("matrix header is not two integers 'rows cols'") from None
+    r, c = read_ints(header.split(), 2, "matrix header is not two integers 'rows cols'")
     try:
         np.empty((r, c))  # refuse a header no memory could hold before reading rows
     except MemoryError:

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import Matrix, format_matrix, logdet_pd, parse_matrix
+from .linalg import Matrix, format_matrix, logdet_pd, parse_matrix, read_ints
 
 
 @dataclass(frozen=True)
@@ -169,10 +169,7 @@ def parse_sample_set(text, exact=False):
     header = next(lines, None)
     if header is None:
         raise ValueError("truncated sample: empty file")
-    try:
-        m1, m2, n = map(int, header.split())
-    except ValueError:
-        raise ValueError("sample header is not three integers 'm1 m2 n'") from None
+    m1, m2, n = read_ints(header.split(), 3, "sample header is not three integers 'm1 m2 n'")
     y = parse_matrix(lines, exact=exact)
     if y.shape != (m1, n * m2):
         raise ValueError("concatenated data has wrong shape")

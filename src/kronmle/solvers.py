@@ -39,7 +39,6 @@ class KroneckerEstimate:
     loglik: float
     method: str  # "exact" (rational data) | "flipflop" | "chain"
     iterations: int  # flip-flop sweeps, the duals' down a castling descent included
-    converged: bool
     # Exact-mode extras: the unnormalized rational pair.
     k1_exact: Matrix | None = None
     k2_exact: Matrix | None = None
@@ -51,6 +50,10 @@ class KroneckerEstimate:
     # Where the run started: "identity", "closed form" (exact k = 1), or the
     # castling descent of mle, e.g. "castle (2,5,3) > castle^T (1,2,3)".
     start: str = "identity"
+
+    @property
+    def converged(self):
+        return self.stop_reason == "converged"
 
 
 def normalize_det1(k2, k1=None):
@@ -102,9 +105,10 @@ def exact_mle_k1(sample):
     w = np.append(dx[:, m1], -d).reshape(n, m2)  # d * v, one block w_b per row
     k2_int = w.T @ w
     k2 = Matrix.from_ints(k2_int, d * d)
-    if not k2.is_positive_definite():
-        raise MLENotExists("sum_i v_i v_i^T is not positive definite")
-    (e,), (h,) = solve_stack(k2_int[None], np.identity(m2, dtype=object))
+    try:  # a Gram matrix w^T w is PD exactly when it is nonsingular
+        (e,), (h,) = solve_stack(k2_int[None], np.identity(m2, dtype=object))
+    except SingularMatrix:
+        raise MLENotExists("sum_i v_i v_i^T is not positive definite") from None
     # (I_n kron H) applied to w and, block by block, to the columns of G.
     gu = g.T @ (w @ h.T).reshape(-1)
     hg = (h @ g.reshape(n, m2, m1)).reshape(n * m2, m1)
@@ -122,7 +126,6 @@ def exact_mle_k1(sample):
         loglik=kron_loglik(sample.to_float(), k1f, k2f),
         method="exact",
         iterations=0,
-        converged=True,
         start="closed form",
         k1_exact=k1,
         k2_exact=k2,
@@ -172,12 +175,12 @@ def flipflop(sample, init_k2=None, tol=1e-10, max_iter=10000):
     (spectral norms, S the averaged scatters); the K2 half is zero by
     construction.  The residual does not change under Yi -> A Yi B^T, so
     one tol serves every scaling of the data.  The run returns the pair of
-    sweep t with converged=True as soon as that residual is below tol.  It
-    returns it with converged=False when the residual has set no new
-    minimum for 8 checks in a row ("stalled": its roundoff floor lies
-    above tol) or when t = max_iter ("max_iter").  stop_reason says which,
-    and residual is the returned pair's.  Raises ValueError unless
-    0 <= tol < inf and max_iter >= 1.
+    sweep t, stop_reason "converged", as soon as that residual is below tol.
+    It returns it unconverged when the residual has set no new minimum for
+    8 checks in a row ("stalled": its roundoff floor lies above tol) or
+    when t = max_iter ("max_iter").  stop_reason says which, and residual
+    is the returned pair's.  Raises ValueError unless 0 <= tol < inf and
+    max_iter >= 1.
     """
     sample = sample.to_float()
     n, m1, m2 = sample.n, sample.m1, sample.m2
@@ -232,7 +235,6 @@ def flipflop(sample, init_k2=None, tol=1e-10, max_iter=10000):
         loglik=history[-1],
         method="flipflop",
         iterations=len(history),
-        converged=stop == "converged",
         loglik_history=tuple(history),
         residual=residual,
         stop_reason=stop,

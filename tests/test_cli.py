@@ -401,6 +401,38 @@ class TestMle:
         assert named in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line, spelled, named",
+        [
+            (0, "1_0 3 4", "sample header is not three integers 'm1 m2 n'"),
+            (0, "10 \u0663 4", "sample header is not three integers 'm1 m2 n'"),
+            (1, "1_0 12", "matrix header is not two integers 'rows cols'"),
+            (1, "\u0661\u0660 12", "matrix header is not two integers 'rows cols'"),
+        ],
+    )
+    def test_header_integers_are_ascii_digits(self, tmp_path, capsys, line, spelled, named):
+        # int() would read each spelling as the header's own value: 10, 3, 10, 10
+        path = self.write_sample(tmp_path, 10, 3, 4)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[line] = spelled + "\n"
+        path.write_text("".join(lines))
+        out = tmp_path / "est.txt"
+        code, stdout, err = run(capsys, "mle", "--in", str(path), "--out", str(out))
+        assert code == EXIT_BAD_ARGS and stdout == ""
+        assert err == f"error: {named}\n"
+        assert not out.exists()
+
+    def test_signed_header_integers_read_as_before(self, tmp_path, capsys):
+        path = self.write_sample(tmp_path, 10, 3, 4)
+        plain = tmp_path / "plain.txt"
+        assert run(capsys, "mle", "--in", str(path), "--out", str(plain))[0] == EXIT_OK
+        text = path.read_text().replace("10 3 4\n10 12\n", "+10 +3 +04\n+10 012\n", 1)
+        assert text != path.read_text()
+        path.write_text(text)
+        signed = tmp_path / "signed.txt"
+        assert run(capsys, "mle", "--in", str(path), "--out", str(signed))[0] == EXIT_OK
+        assert signed.read_bytes() == plain.read_bytes()
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "mle", "--in", "/nonexistent/sample.txt")
         assert code == EXIT_BAD_ARGS
@@ -661,6 +693,22 @@ class TestMlDegreeCommand:
         assert code == EXIT_OK and stdout == ""
         assert out.read_text() == out_json
 
+    def test_csv_bytes(self):
+        # The cells as cached: any key order, seconds an int or a float.
+        cells = [
+            {"m1": 2, "n": 3, "seed": 0, "degree": 3, "seconds": 0.0},
+            {"m1": 2, "n": 4, "seed": 0, "degree": 3, "seconds": 1e-05},
+            {"seconds": 12.345, "degree": 12, "seed": 7, "n": 4, "m1": 10},
+            {"m1": 11, "n": 5, "seed": -1, "degree": 0, "seconds": 2},
+        ]
+        assert cli._emit_cells(cells, "csv") == (
+            "m1,n,seed,degree,seconds\r\n"
+            "2,3,0,3,0.0\r\n"
+            "2,4,0,3,1e-05\r\n"
+            "10,4,7,12,12.345\r\n"
+            "11,5,-1,0,2\r\n"
+        )
+
     def test_primes_exhausted(self, tmp_path, capsys, monkeypatch):
         # With no prime to confirm a modular count, the command reports one
         # error line, exits 4 and caches no result.  The cells lie outside
@@ -804,6 +852,13 @@ class TestArgParsing:
             (["mldegree", "--m1", "3", "--n", "2:x"], "--n must be an integer or a range lo:hi, got '2:x'"),
             (["KRONMLE_WORKERS=two", "mldegree", "--m1", "3", "--n", "2"],
              "KRONMLE_WORKERS must be an integer, got 'two'"),
+            (["mldegree", "--m1", "1_0", "--n", "2"], "--m1 must be an integer or a range lo:hi, got '1_0'"),
+            (["mldegree", "--m1", "3", "--n", "2:\u0663"],
+             "--n must be an integer or a range lo:hi, got '2:\u0663'"),
+            (["KRONMLE_WORKERS=1_6", "mldegree", "--m1", "3", "--n", "2"],
+             "KRONMLE_WORKERS must be an integer, got '1_6'"),
+            (["KRONMLE_WORKERS=\u0663", "mldegree", "--m1", "3", "--n", "2"],
+             "KRONMLE_WORKERS must be an integer, got '\u0663'"),
         ],
     )
     def test_out_of_range_value_exit_code(self, tmp_path, capsys, monkeypatch, argv, named):
@@ -820,6 +875,27 @@ class TestArgParsing:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert named in err
         assert not cache.exists()
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0663", "x"])
+    @pytest.mark.parametrize("flag", ["--m1", "--seed"])
+    def test_integer_flags_take_ascii_digits_only(self, tmp_path, capsys, flag, value):
+        argv = {"--m1": "3", "--m2": "2", "--n": "2", "--seed": "0", flag: value}
+        out = tmp_path / "sample.txt"
+        code, stdout, err = run(capsys, "sample", *sum(argv.items(), ()), "--out", str(out))
+        assert code == EXIT_BAD_ARGS and stdout == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"kronmle sample: error: argument {flag}: invalid int value: {value!r}"]
+        assert not out.exists()
+
+    def test_signed_integers_read_as_before(self, capsys, monkeypatch):
+        plain = run(capsys, "verify-lemma", "--count", "3", "--seed", "1")
+        assert run(capsys, "verify-lemma", "--count", "+3", "--seed", "+01") == plain
+        assert run(capsys, "sample", "--m1", "+3", "--m2", "02", "--n", "+2") == run(
+            capsys, "sample", "--m1", "3", "--m2", "2", "--n", "2")
+        assert cli._parse_range("-1:+1", "--m1") == [-1, 0, 1]
+        assert cli._parse_range("+007", "--n") == [7]
+        monkeypatch.setenv("KRONMLE_WORKERS", "+02")
+        assert cli._worker_cap() == 2
 
 
 def _sample_files(root):

@@ -23,6 +23,7 @@ from kronmle.linalg import (
     format_matrix,
     logdet_pd,
     parse_matrix,
+    read_ints,
     solve_stack,
 )
 from matrix_helpers import diagonal, kron, trace, vstack
@@ -397,6 +398,24 @@ def per_entry_format(a):
 
 
 class TestTextFormat:
+    def test_read_ints_takes_ascii_digits_with_a_sign(self):
+        tokens = ["3", "+3", "-3", "007", "-0", "123456789012345678901234567890"]
+        assert read_ints(tokens, 6, "bad") == [3, 3, -3, 7, 0, 123456789012345678901234567890]
+        assert read_ints([], 0, "bad") == []
+
+    @pytest.mark.parametrize(
+        "token", ["1_0", "\u0663", "\uff13", " 3", "3\n", "", "+", "--3", "3.0", "0x3", "1e3"]
+    )
+    def test_read_ints_refuses_other_spellings(self, token):
+        # int() reads the first five as 10, 3, 3, 3 and 3
+        with pytest.raises(ValueError, match="^bad header$"):
+            read_ints(["2", token], 2, "bad header")
+
+    @pytest.mark.parametrize("tokens", [["1"], ["1", "2", "3"]])
+    def test_read_ints_refuses_another_count(self, tokens):
+        with pytest.raises(ValueError, match="^bad header$"):
+            read_ints(tokens, 2, "bad header")
+
     def test_round_trip_exact(self):
         a = Matrix([[Fraction(1, 2), 3], [-4, Fraction(7, 5)]])
         text = format_matrix(a)

@@ -152,6 +152,20 @@ class TestExactK1:
         with pytest.raises(MLENotExists):
             exact_mle_k1(exact_copy(s))
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_not_exists_when_k2_is_singular(self, seed):
+        # y = Y_* u with v = (u, -1) cut into blocks (a, a), (b, b), (c, c),
+        # (-1, -1): K2 is a multiple of [[1, 1], [1, 1]], a singular Gram matrix.
+        rng = np.random.default_rng(seed)
+        y_star = rng.integers(-5, 6, (7, 7))
+        while Matrix(y_star.tolist()).det() == 0:
+            y_star = rng.integers(-5, 6, (7, 7))
+        a, b, c = rng.integers(-4, 5, 3)
+        u = np.array([a, a, b, b, c, c, -1])
+        rows = np.hstack([y_star, (y_star @ u)[:, None]]).tolist()
+        with pytest.raises(MLENotExists, match=r"^sum_i v_i v_i\^T is not positive definite$"):
+            exact_mle_k1(exact_sample(rows, 2))
+
     def test_float_data_rejected(self):
         # exact only: float data reach the closed form through mle's castle
         s = sample_matrix_normal(3, 2, 2, seed=3)
@@ -273,10 +287,11 @@ class TestExactK1Formula:
 
         with pytest.MonkeyPatch.context() as m:
             m.setattr(solvers, "solve_stack", spy)
-            with pytest.raises(MLENotExists):
+            with pytest.raises(MLENotExists, match="not positive definite"):
                 exact_mle_k1(exact_sample(rows, m2))
-        # Only the pass over Y_* ran; K2 (whose determinant is e) was never solved.
-        assert calls == [m1]
+        # The pass over Y_*, then K2's own pass, which decides PD by finding
+        # K2 singular: no separate PD test runs and no K1 is formed.
+        assert calls == [m1, m2]
 
 
 class TestFlipflop:
