@@ -339,13 +339,51 @@ def read_ints(tokens, count, message):
     return [int(t) for t in tokens]
 
 
+# Every byte but [0-9eE.+-] becomes "x", which JSON reads nowhere, and a space
+# becomes ",", so a row is a JSON array exactly when it is decimals split by
+# single spaces: no literal, string, nesting, tab or empty entry gets through.
+_TO_JSON = bytes(
+    ord(",") if b == ord(" ") else b if chr(b) in "0123456789eE.+-" else ord("x") for b in range(256)
+)
+
+
+def _json_rows(rows, out):
+    """Fill out (r x c) from rows read by orjson, or return False if any row is not JSON.
+
+    A JSON number is a subset of what loadtxt reads (no "+1", ".5", "01",
+    "1.", "inf" or "nan"), and orjson rounds it as float() does: correctly.
+    The one difference is "-0", an int to JSON, so a zero row holding one
+    goes to loadtxt too.  orjson is imported by the first call, as flipflop
+    imports scipy.  One row at a time: one JSON text for the whole matrix
+    would hold a second copy of it.
+    """
+    import orjson
+
+    for i, row in enumerate(rows):
+        if not row.isascii():
+            return False
+        try:
+            values = orjson.loads(b"[" + row.encode().translate(_TO_JSON) + b"]")
+        except orjson.JSONDecodeError:  # also 1e400, which loadtxt reads as inf
+            return False
+        if len(values) != out.shape[1]:
+            return False
+        out[i] = values
+        if not out[i].all() and "-0" in row.split(" "):
+            return False
+    return True
+
+
 def parse_matrix(lines, exact=False):
     """Parse the shared text format: a header, then the rows it declares.
 
-    Returns a Matrix when exact=True, else a float ndarray read by numpy's
-    C text reader, or read exactly and rounded when any entry is "p/q".
-    Non-finite or unparsable entries, zero denominators, blank or short
-    rows and a file that ends before its last declared row raise ValueError.
+    Returns a Matrix when exact=True, else a float ndarray: read by
+    orjson when every row is decimals split by single spaces (_json_rows),
+    else by numpy's C text reader, or read exactly and rounded when any
+    entry is "p/q".  Both float readers round as float() does, so a matrix
+    has the same bits whichever reads it.  Non-finite or unparsable
+    entries, zero denominators, blank or short rows and a file that ends
+    before its last declared row raise ValueError.
     """
     it = iter(lines)
     header = next(it, None)
@@ -353,7 +391,7 @@ def parse_matrix(lines, exact=False):
         raise ValueError("truncated matrix: no header")
     r, c = read_ints(header.split(), 2, "matrix header is not two integers 'rows cols'")
     try:
-        np.empty((r, c))  # refuse a header no memory could hold before reading rows
+        out = np.empty((r, c))  # refuse a header no memory could hold before reading rows
     except MemoryError:
         raise ValueError(f"matrix header {r} x {c} is too large") from None
     rows = list(islice(it, r))
@@ -369,10 +407,8 @@ def parse_matrix(lines, exact=False):
                 raise ValueError("matrix entries must be ASCII numbers without '_'")
             m = Matrix([row.split() for row in rows])
             out = m if exact else m.to_numpy()
-        elif r:
+        elif r and not _json_rows(rows, out):  # loadtxt warns on input with no rows
             out = np.loadtxt(rows, dtype=float, comments=None, ndmin=2)
-        else:  # loadtxt warns on input with no rows
-            out = np.empty((0, c))
     except ZeroDivisionError:
         raise ValueError("non-finite matrix entry: zero denominator") from None
     except OverflowError:

@@ -4,8 +4,10 @@ import io
 import math
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 import sympy
 from sympy import ZZ
@@ -542,13 +544,90 @@ class TestTextFormat:
         want = np.array([float(Fraction(t)) for t in tokens])
         assert np.array_equal(back[0].view(np.uint64), want.view(np.uint64))
 
-    def test_memory_error_in_float_parse_is_too_large(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "module, reader, row",
+        [(np, "loadtxt", "+1 2"), (orjson, "loads", "1 2")],  # JSON has no "+1"
+        ids=["loadtxt", "orjson"],
+    )
+    def test_memory_error_in_float_parse_is_too_large(self, monkeypatch, module, reader, row):
+        calls = []
+
         def exhausted(*args, **kwargs):
+            calls.append(reader)
             raise MemoryError
 
-        monkeypatch.setattr(np, "loadtxt", exhausted)
+        monkeypatch.setattr(module, reader, exhausted)
         with pytest.raises(ValueError, match="too large"):
-            parse_matrix(iter(["2 2", "1 2", "3 4"]))
+            parse_matrix(iter(["2 2", row, "3 4"]))
+        assert calls == [reader]
+
+    @staticmethod
+    def float_read(lines):
+        """parse_matrix's float array, or the message of its ValueError."""
+        try:
+            return parse_matrix(iter(lines))
+        except ValueError as e:
+            return str(e)
+
+    def assert_reads_as_loadtxt(self, rows):
+        # the reference is parse_matrix with the orjson reader off, so that
+        # every matrix goes to np.loadtxt: the same bits, or the same message
+        for width in {len(rows[0].split()), len(rows[0].replace(",", " ").split())}:
+            lines = [f"{len(rows)} {width}", *rows]
+            with mock.patch.object(orjson, "loads", side_effect=orjson.JSONDecodeError("off", "", 0)):
+                want = self.float_read(lines)
+            got = self.float_read(lines)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_repr_rows_take_the_json_reader(self, monkeypatch):
+        a = np.random.default_rng(0).standard_normal((3, 4)) * [1, -1e-300, 1e300, 0]
+        loads = mock.Mock(wraps=orjson.loads)
+        monkeypatch.setattr(orjson, "loads", loads)
+        monkeypatch.setattr(np, "loadtxt", mock.Mock(side_effect=AssertionError))
+        back = parse_matrix(iter(format_matrix(a).splitlines()))
+        assert np.array_equal(back.view(np.uint64), a.view(np.uint64))
+        assert loads.call_count == 3
+
+    @pytest.mark.parametrize(
+        "token",
+        [
+            "-0", "-0.0", "-0e5", "-0E-0", "-1e-400", "0", "0.0",
+            "9007199254740993",  # 2^53 + 1: a JSON int, rounded to even
+            "9223372036854775809", "18446744073709551615",  # above int64, within uint64
+            "18446744073709553665",  # 2^64 + 2049: past uint64, rounds up to 2^64 + 4096
+            "1" * 800,  # past the largest double
+            "1." + "0" * 798 + "1",
+            # the midpoint of 1 and its successor, then nudged up at digit 800
+            "1.00000000000000011102230246251565404236316680908203125",
+            "1.00000000000000011102230246251565404236316680908203125".ljust(799, "0") + "1",
+            "2.4703282292062328e-324", "2.4703282292062327e-324", "5e-324",
+            "1e400", "-1e400", "1e-400", "1.7976931348623157e308", "1.7976931348623159e308",
+            "+1", ".5", "01", "-01", "1.", "1e", "e5", "-", "1e+5", "1E-5",
+            "true", "null", "NaN", "inf", '"1"', "[1]", "{}", "1,2", "1\t2", "1  2", "1\u00a02", "\u0661",
+        ],
+    )
+    def test_float_rows_read_as_loadtxt(self, token):
+        # both readers round as float() does; JSON's int "-0" and the
+        # spellings JSON lacks must come out as loadtxt reads them
+        for rows in ([token], [f"1.5 {token}"], [f"{token} -2.5"], [f"-0 {token}"], [f"0 {token}"]):
+            self.assert_reads_as_loadtxt(rows)
+            self.assert_reads_as_loadtxt([*rows, " ".join(["3"] * len(rows[0].split(" ")))])
+            self.assert_reads_as_loadtxt([" ".join(["3"] * len(rows[0].split(" "))), *rows])
+
+    @given(st.lists(st.lists(st.one_of(
+        st.floats(allow_nan=False).map(repr),
+        st.integers(-(2**70), 2**70).map(str),
+        st.sampled_from(["-0", "0", "-0.0", "+1", ".5", "1.", "01", "1e400", "x", ""]),
+        st.from_regex(r"-?[0-9]{1,30}(\.[0-9]{0,30})?([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+    ), min_size=1, max_size=4).map(" ".join), min_size=1, max_size=3))
+    @example(["-0 1"])
+    @example(["1 2", "0 -0"])
+    def test_float_rows_read_as_loadtxt_random(self, rows):
+        self.assert_reads_as_loadtxt(rows)
 
     @pytest.mark.parametrize(
         "first, token, as_float",

@@ -412,7 +412,7 @@ class TestWhitenedSweeps:
     @pytest.mark.parametrize("shape", [(4, 3, 4), (12, 6, 3), (50, 5, 400)])
     def test_bitwise_equal_to_the_helper_formulas(self, shape):
         s = sample_matrix_normal(*shape, seed=sum(shape))
-        if shape == (50, 5, 400):  # parsed: the concatenation loadtxt hands over
+        if shape == (50, 5, 400):  # parsed: the concatenation parse_matrix fills row by row
             s = parse_sample_set(format_sample_set(s))
         for max_iter in range(1, 6):
             est = flipflop(s, max_iter=max_iter)
@@ -423,9 +423,10 @@ class TestWhitenedSweeps:
 
     def test_import_does_not_load_scipy(self):
         # The benchmark worker's imports load what a command needs and no more:
-        # flipflop imports scipy on its first call, a table its process pool when
-        # it starts one, csv output the csv module, and poly.py and groebner.py
-        # are lazy modules that run when an oracle first reads them.
+        # flipflop imports scipy on its first call, parse_matrix orjson on its
+        # first float read, a table its process pool when it starts one, csv
+        # output the csv module, and poly.py and groebner.py are lazy modules
+        # that run when an oracle first reads them.
         code = textwrap.dedent("""
             import json, os, sys
             ran = set()
@@ -433,7 +434,7 @@ class TestWhitenedSweeps:
             import kronmle, kronmle.cli, kronmle.model, kronmle.solvers
             oracles = [os.path.join(os.path.dirname(kronmle.__file__), f) for f in ("poly.py", "groebner.py")]
             before = sorted(ran.intersection(oracles))
-            modules = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent", "multiprocessing", "csv"))
+            modules = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "orjson", "concurrent", "multiprocessing", "csv"))
             lazy = [m in sys.modules for m in ("kronmle.poly", "kronmle.groebner")]
             kronmle.mldegree.prop43_system(3, 2, "one")
             print(json.dumps([before, modules, lazy, oracles[0] in ran]))
