@@ -43,11 +43,12 @@ EXIT_BAD_ARGS = 4
 
 
 def _worker_cap():
-    """KRONMLE_WORKERS as an int, or the CPU count when it is unset or empty."""
+    """KRONMLE_WORKERS as an int of at least 1, or the CPU count when it is unset or empty."""
     cap = os.environ.get("KRONMLE_WORKERS")
     if not cap:
         return os.cpu_count() or 1
-    return read_ints([cap], 1, f"KRONMLE_WORKERS must be an integer, got {cap!r}")[0]
+    cap = read_ints([cap], 1, f"KRONMLE_WORKERS must be an integer, got {cap!r}")[0]
+    return _at_least(cap, 1, "KRONMLE_WORKERS")
 
 
 def _int_arg(text):
@@ -192,7 +193,7 @@ def _cached_cell(cache_dir, task):
     """The cached record of cell task = (m1, n, seed), or None to recompute it.
 
     Only an object with exactly the keys _CELL_KEYS, the cell's own m1, n
-    and seed, an int degree and a number of seconds is used.
+    and seed, an int degree >= 0 and a finite number of seconds >= 0 is used.
     """
     try:
         with open(_cell_path(cache_dir, task)) as fh:
@@ -203,7 +204,8 @@ def _cached_cell(cache_dir, task):
         return None
     ints = all(type(cell[k]) is int for k in _CELL_KEYS[:4])
     own = (cell["m1"], cell["n"], cell["seed"]) == task
-    return cell if ints and own and type(cell["seconds"]) in (int, float) else None
+    seconds = type(cell["seconds"]) in (int, float) and 0 <= cell["seconds"] < float("inf")
+    return cell if ints and own and cell["degree"] >= 0 and seconds else None
 
 
 # A ProcessPoolExecutor(2) mapping four no-op tasks took 10-28 ms to start

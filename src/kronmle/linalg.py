@@ -9,9 +9,11 @@ stack of such arrays, one step for every member at once, through its two
 wrappers: det_stack (forward elimination) and solve_stack (Gauss-Jordan).
 A Matrix passes num[None], a stack of one; the determinant identity's
 check passes hundreds of tiny matrices of one shape, where a pass per
-matrix would cost more in Python overhead than in arithmetic.  A
-``Fraction`` is made only where one is read: an entry, a determinant, or
-``data``.  The float side is a Cholesky factorization and a
+matrix would cost more in Python overhead than in arithmetic.  The
+forward mode also runs on int64 residues mod a prime below 2**31, with no
+division: det_stack(a, prime) gives the ML-degree count its grid
+determinants.  A ``Fraction`` is made only where one is read: an entry, a
+determinant, or ``data``.  The float side is a Cholesky factorization and a
 log-determinant over numpy.  Both sides share the same text
 serialization: a "rows cols" header line followed by whitespace-separated
 rows, rationals written as ``p/q``.
@@ -204,7 +206,7 @@ class Matrix:
         return not pivoted[0] and all(p > 0 for p in reduced[0].diagonal())
 
 
-def _bareiss_stack(a, reduce_above=False):
+def _bareiss_stack(a, reduce_above=False, prime=None):
     """Fraction-free (Bareiss 1968) elimination of a stack, one step for every member.
 
     a is a (b, s, c) object array of Python ints, c >= s, and pivots come
@@ -213,21 +215,24 @@ def _bareiss_stack(a, reduce_above=False):
     row's entry under it and prev the last pivot; every division is exact.
     reduce_above also clears the rows above each pivot (Gauss-Jordan),
     leaving a nonsingular block as d*I, d the last pivot; without it the
-    pivots stay on the diagonal.  A member whose pivot is zero swaps in the
-    first row below with a nonzero entry in that column, as
-    mldegree._det_mod does; one with none there is singular, and its
-    diagonal entry is set to its last pivot so that the step leaves it as
-    it is.  Returns (sign, pivoted, reduced): sign per member is
-    (-1)**swaps, or 0 when the block is singular, pivoted is True for a
-    member that met a zero pivot (two swaps leave sign at 1), and reduced
-    holds the reduced rows, so sign * reduced[:, -1, s - 1] is the block's
-    determinant.
+    pivots stay on the diagonal.  Forward elimination also runs mod a
+    prime below 2**31: a is then an int64 stack, reduced mod prime first,
+    and each step takes the same product difference mod prime with no
+    division (prev stays 1), so no residue leaves [0, prime) and no
+    product leaves int64.  A member whose pivot is zero swaps in the
+    first row below with a nonzero entry in that column; one with none
+    there is singular, and its diagonal entry is set to its last pivot so
+    that the step leaves it as it is.  Returns (sign, pivoted, reduced):
+    sign per member is (-1)**swaps, or 0 when the block is singular,
+    pivoted is True for a member that met a zero pivot (two swaps leave
+    sign at 1), and reduced holds the reduced rows, so over Z
+    sign * reduced[:, -1, s - 1] is the block's determinant.
     """
-    a = a.copy()
+    a = a.copy() if prime is None else a % prime
     count, size = a.shape[:2]
-    sign = np.ones(count, dtype=object)
+    sign = np.ones(count, dtype=a.dtype)
     pivoted = np.zeros(count, dtype=bool)
-    prev = np.ones((count, 1, 1), dtype=object)
+    prev = np.ones((count, 1, 1), dtype=a.dtype)
     for j in range(size):
         zero = a[:, j, j] == 0
         if zero.any():
@@ -248,15 +253,26 @@ def _bareiss_stack(a, reduce_above=False):
         else:
             # Below the pivot row, columns left of j are already zero.
             rest = a[:, j + 1 :, j:]
-            a[:, j + 1 :, j:] = (p * rest - rest[:, :, :1] * a[:, j : j + 1, j:]) // prev
-        prev = p
+            rest = p * rest - rest[:, :, :1] * a[:, j : j + 1, j:]
+            a[:, j + 1 :, j:] = rest // prev if prime is None else rest % prime
+        if prime is None:
+            prev = p
     return sign, pivoted, a
 
 
-def det_stack(a):
-    """Exact determinants of a (b, s, s) stack of Python ints, one Bareiss pass for all."""
-    sign, _, reduced = _bareiss_stack(a)
-    return sign * reduced[:, -1, -1]
+def det_stack(a, prime=None):
+    """Determinants of a (b, s, s) stack, one Bareiss pass for all: exact for
+    Python ints, or mod a prime below 2**31 for int64.  Mod prime, step j
+    scales each later row by pivot j, so the pivots' product is divided by
+    prod pivot_j**(s-1-j), never 0 mod prime: the singular rule puts 1 there."""
+    sign, _, reduced = _bareiss_stack(a, prime=prime)
+    if prime is None:
+        return sign * reduced[:, -1, -1]
+    run = den = np.ones(len(a), dtype=np.int64)
+    for pivot in reduced.diagonal(axis1=1, axis2=2).T:
+        den = den * run % prime  # run is the product of the pivots before this one
+        run = run * pivot % prime
+    return sign * run % prime * np.array([pow(d, -1, prime) for d in den.tolist()], dtype=np.int64) % prime
 
 
 def solve_stack(a, b):

@@ -7,9 +7,9 @@ the locus g1*g2*k22 = 0 are counted with multiplicity, modulo primes below
 2**31 by the sheared resultant (_count_by_trials).  ml_degree decides the
 shapes whose count is 0 before any data are drawn, and builds no polynomial
 over Q: sum_i Yi K Yi^T is A0 + k12*A1 + k22*A2 for three integer
-scatters, a batched int64 elimination gives g1 mod p on the (m1+1)^2
-integer grid, and the score pair follows mod p.  No count goes back to Q: a
-pair whose resultant vanishes shares a factor, and raises PrimesExhausted.
+scatters, linalg.det_stack mod p gives g1 on the (m1+1)^2 integer grid,
+and the score pair follows mod p.  No count goes back to Q: a pair whose
+resultant vanishes shares a factor, and raises PrimesExhausted.
 The Prop. 4.3 pairs are built as integer images mod p too, and counted the
 same way off their denominators: no count runs Poly arithmetic.  Every
 image builder gives its polynomials in their own variables; only the count
@@ -27,7 +27,7 @@ from math import prod
 
 import numpy as np
 
-from .linalg import Matrix
+from .linalg import Matrix, det_stack
 from .model import SampleSet, scatter_k2
 
 
@@ -324,30 +324,6 @@ def _matmul_mod(a, b, prime):
     return ((a @ (b >> 16)) % prime * 65536 + a @ (b & 65535)) % prime
 
 
-def _det_mod(mats, prime):
-    """Determinants mod prime of a stack of square int64 matrices, by
-    fraction-free elimination: clearing column j scales each later row by
-    the pivot, so the pivots' product is divided by prod pivot_j^(size-1-j)."""
-    a = mats % prime
-    count, size = a.shape[0], a.shape[-1]
-    det, run, den = (np.ones(count, dtype=np.int64) for _ in range(3))
-    for j in range(size):
-        if not a[:, j, j].all():
-            piv = j + np.argmax(a[:, j:, j] != 0, axis=1)
-            swap = np.nonzero(piv != j)[0]
-            a[swap, j], a[swap, piv[swap]] = a[swap, piv[swap]], a[swap, j]  # fancy indexing copies
-            det[swap] = -det[swap] % prime
-        pivot = a[:, j, j].copy()
-        det = det * pivot % prime
-        if j + 1 < size:
-            run = run * pivot % prime
-            den = den * run % prime
-            a[:, j + 1 :, j:] = (
-                a[:, j + 1 :, j:] * pivot[:, None, None] - a[:, j + 1 :, j : j + 1] * a[:, j : j + 1, j:]
-            ) % prime
-    return det * np.array([pow(d, -1, prime) if d else 0 for d in den.tolist()], dtype=np.int64) % prime
-
-
 def _chart_images(scatters, prime):
     """Images mod prime of the score pair with g2 divided out and of the
     locus g1*g2*k22, in (k12, k22): g1 = det(A0 + k12*A1 + k22*A2) on the
@@ -358,7 +334,7 @@ def _chart_images(scatters, prime):
     a0, a1, a2 = (s % prime for s in scatters)
     t = np.arange(m1 + 1, dtype=np.int64)[:, None, None, None]
     grid = (a0 + t * a1 + t.transpose(1, 0, 2, 3) * a2) % prime
-    values = _det_mod(grid.reshape(-1, m1, m1), prime).reshape(m1 + 1, m1 + 1)
+    values = det_stack(grid.reshape(-1, m1, m1), prime).reshape(m1 + 1, m1 + 1)
     w = _interpolation_matrix(m1 + 1, prime)
     g1 = np.zeros((m1 + 4, m1 + 4), dtype=np.int64)
     g1[: m1 + 1, : m1 + 1] = _matmul_mod(w, _matmul_mod(w, values, prime).T, prime).T

@@ -645,7 +645,12 @@ class TestMlDegreeCommand:
         '{"m1": 2, "n": 5, "seed": 0, "degree": "99", "seconds": 0.1}',
         '{"m1": 2, "n": 5, "seed": 0, "degree": 99, "seconds": 0.1, "extra": 1}',
         "[" * 100_000,
-    ], ids=["missing-keys", "list", "not-json", "other-seed", "str-degree", "extra-key", "deep"])
+        '{"m1": 2, "n": 5, "seed": 0, "degree": 99, "seconds": NaN}',
+        '{"m1": 2, "n": 5, "seed": 0, "degree": 99, "seconds": Infinity}',
+        '{"m1": 2, "n": 5, "seed": 0, "degree": 99, "seconds": -0.5}',
+        '{"m1": 2, "n": 5, "seed": 0, "degree": -7, "seconds": 0.1}',
+    ], ids=["missing-keys", "list", "not-json", "other-seed", "str-degree", "extra-key", "deep",
+            "nan-seconds", "infinite-seconds", "negative-seconds", "negative-degree"])
     def test_malformed_cache_cell_is_recomputed(self, tmp_path, capsys, monkeypatch, text):
         monkeypatch.setenv("KRONMLE_WORKERS", "1")
         cache = tmp_path / "cache"
@@ -859,6 +864,10 @@ class TestArgParsing:
              "KRONMLE_WORKERS must be an integer, got '1_6'"),
             (["KRONMLE_WORKERS=\u0663", "mldegree", "--m1", "3", "--n", "2"],
              "KRONMLE_WORKERS must be an integer, got '\u0663'"),
+            (["KRONMLE_WORKERS=0", "mldegree", "--m1", "3", "--n", "2"],
+             "KRONMLE_WORKERS must be at least 1, got 0"),
+            (["KRONMLE_WORKERS=-3", "mldegree", "--m1", "3", "--n", "2"],
+             "KRONMLE_WORKERS must be at least 1, got -3"),
         ],
     )
     def test_out_of_range_value_exit_code(self, tmp_path, capsys, monkeypatch, argv, named):

@@ -12,7 +12,7 @@ import pytest
 import sympy
 from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -348,6 +348,50 @@ class TestStackedBareiss:
         solve_stack(a, b)
         solve_stack(a, np.identity(2, dtype=object))
         assert (a == before).all() and (b == b_before).all()
+
+
+def residue_stack(rng, size, bound, prime):
+    """Six int64 size x size members with entries in [-bound, bound]: any,
+    a zero first pivot, zero columns, singular over Z, singular mod prime
+    but not over Z, and entries within 3 of +-(2**31 - 1)."""
+    a = rng.integers(-bound, bound + 1, (6, size, size))
+    a[1, 0, 0] = 0  # a swap, or a singular member
+    a[2] = a[2] @ np.diag(rng.integers(0, 2, size))
+    a[3, -1] = a[3, 0]
+    # Row -1 = row 0 + prime * e_k: det = prime * cofactor, which is 0 mod
+    # prime; over Z it is 0 only when the cofactor is.
+    a[4, -1] = a[4, 0]
+    a[4, -1, rng.integers(size)] += prime
+    a[5] = rng.choice([-1, 1], (size, size)) * (2**31 - 1 - rng.integers(0, 4, (size, size)))
+    return a
+
+
+class TestResidueBareiss:
+    """det_stack(a, prime) on int64 stacks against the exact determinant mod prime."""
+
+    @given(st.integers(1, 8), st.integers(0, 2**32), st.sampled_from([5, 7, 2**31 - 1, 2**31 - 69]),
+           st.sampled_from([3, 2**31 - 1]))
+    @example(8, 0, 2**31 - 1, 2**31 - 1)  # int64 headroom: the largest prime and entries at size 8
+    @example(8, 1, 5, 3)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_exact_det_mod_prime(self, size, seed, prime, bound):
+        a = residue_stack(np.random.default_rng(seed), size, bound, prime)
+        before = a.copy()
+        got = det_stack(a, prime)
+        assert got.dtype == np.int64
+        assert got.tolist() == [d % prime for d in det_stack(a.astype(object))]
+        assert (a == before).all()
+
+    @pytest.mark.parametrize("rows, det", [
+        ([[1, 2], [3, 1]], -5),  # singular mod 5, not over Z
+        ([[5, 1], [1, 1]], 4),  # a zero pivot mod 5 only: a swap mod 5, none over Z
+        ([[5, 0, 1], [1, 5, 0], [0, 1, 5]], 126),  # two swaps mod 5, sign +1
+        ([[0, 0], [0, 7]], 0),  # singular at the first step, a nonzero pivot after it
+        ([[-3]], -3),
+    ])
+    def test_small_members_mod_5(self, rows, det):
+        assert det_stack(as_stack([rows]).astype(object))[0] == det
+        assert det_stack(np.array([rows]), 5).tolist() == [det % 5]
 
 
 class TestPD:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kronmle import cli, groebner, mldegree, poly
+from kronmle.canonical import descent
 from kronmle.groebner import PolyIdeal, buchberger, dim_and_degree, normal_form, standard_monomials
 from kronmle.linalg import Matrix
 from kronmle.mldegree import (
@@ -685,17 +686,6 @@ class TestModularKernels:
         assert want[0] and want[1] == want[2] == 0
         assert mldegree._resultants(np.array(a), np.array(b), prime).tolist() == want
 
-    @given(st.integers(1, 6), st.integers(0, 2**32), st.sampled_from([5, PRIMES[0]]))
-    @settings(max_examples=100, deadline=None)
-    def test_det_mod_matches_bareiss(self, size, seed, prime):
-        rng = np.random.default_rng(seed)
-        # low-rank and zero-pivot matrices beside full ones
-        mats = rng.integers(0, 4, (6, size, size))
-        mats[1] = mats[1] @ np.diag(rng.integers(0, 2, size))
-        mats[2, 0, 0] = 0
-        got = mldegree._det_mod(mats, prime)
-        assert got.tolist() == [int(Matrix(m.tolist()).det()) % prime for m in mats]
-
     @pytest.mark.parametrize("n", [1, 2, 5, 17])
     def test_interpolation_recovers_coefficients(self, n):
         prime = PRIMES[1]
@@ -777,7 +767,9 @@ class TestMlDegree:
         The table fits one formula in d = min(m1, k): (d - 1)^2 when m1 = k,
         and d^2 - d + 1 otherwise.  (2,2), which reads 0 by its shape rule,
         is the one exception.  The Buchberger oracle confirms every cell
-        with m1, k <= 5.
+        with m1, k <= 5.  The abstract's degree-one setting is exactly the
+        shapes whose castling descent ends at a 1 x 1 factor: a cell has
+        degree 1 if and only if descent(m1, 2, n) ends "k1".
         """
         cells = [(m1, n) for n in range(1, 9) for m1 in range(1, 9) if 1 <= 2 * n - m1 <= 8]
         degree = {cell: ml_degree(*cell, seed=0) for cell in cells}
@@ -786,6 +778,7 @@ class TestMlDegree:
             k = 2 * n - m1
             d = min(m1, k)
             assert degree[m1, n] == degree[k, n], (m1, n)
+            assert (degree[m1, n] == 1) == (descent(m1, 2, n)[1] == "k1"), (m1, n)
             if (m1, n) != (2, 2):
                 assert degree[m1, n] == ((d - 1) ** 2 if m1 == k else d * d - d + 1), (m1, n)
             if max(m1, k) <= 5:

@@ -1,18 +1,20 @@
-"""Only linalg.solve_stack runs the Gauss-Jordan mode of the Bareiss kernel.
+"""Only linalg runs the Bareiss kernel, and only linalg.solve_stack its Gauss-Jordan mode.
 
-_bareiss_stack has two wrappers, one per mode: det_stack (forward) and
-solve_stack (Gauss-Jordan, reduce_above=True); every exact solve, inverse
-and adjugate goes through solve_stack.  This walks the syntax tree of each
-module in src/kronmle: a function calls the Gauss-Jordan mode when it, or a
-function or lambda inside it, calls _bareiss_stack with reduce_above set to
-anything but a literal False, by keyword or as the second argument.
+_bareiss_stack has two wrappers: det_stack (forward elimination, exact
+over Python ints or mod a prime on int64 residues) and solve_stack
+(Gauss-Jordan, reduce_above=True); every exact or modular determinant goes
+through det_stack, and every exact solve, inverse and adjugate through
+solve_stack.  This walks the syntax tree of each module in src/kronmle: a
+function calls _bareiss_stack when it, or a function or lambda inside it,
+does, and calls the Gauss-Jordan mode when such a call sets reduce_above
+to anything but a literal False, by keyword or as the second argument.
 """
 
 import ast
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "kronmle"
-GONE = {"solve_fraction_free", "adjugate_stack"}
+GONE = {"solve_fraction_free", "adjugate_stack", "_det_mod"}
 
 
 def _functions(tree):
@@ -26,24 +28,27 @@ def _functions(tree):
                     yield f"{node.name}.{item.name}", item
 
 
-def _reduces_above(call):
+def _calls_kernel(call):
     func = call.func
-    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-    if name != "_bareiss_stack":
+    return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "_bareiss_stack"
+
+
+def _reduces_above(call):
+    if not _calls_kernel(call):
         return False
     flags = [k.value for k in call.keywords if k.arg == "reduce_above"] + call.args[1:2]
     return any(not (isinstance(f, ast.Constant) and f.value is False) for f in flags)
 
 
-def gauss_jordan_callers(sources):
-    """{module.function} of the functions that call _bareiss_stack's Gauss-Jordan
-    mode, and the set of every name defined at a module's top level or in a class."""
+def kernel_callers(sources, calls=_calls_kernel):
+    """{module.function} of the functions with a call that calls(call) accepts,
+    and the set of every name defined at a module's top level or in a class."""
     callers, defined = set(), set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for name, node in _functions(tree):
             defined.add(name.rsplit(".", 1)[-1])
-            if any(isinstance(c, ast.Call) and _reduces_above(c) for c in ast.walk(node)):
+            if any(isinstance(c, ast.Call) and calls(c) for c in ast.walk(node)):
                 callers.add(f"{module}.{name}")
         for node in tree.body:
             if isinstance(node, ast.Assign):
@@ -65,17 +70,25 @@ def test_checker_flags_the_gauss_jordan_mode():
         "class M:\n    def solve(self):\n        return _bareiss_stack(self.num[None], 1)\n"
         "adjugate_stack = None\n"
     )
-    callers, defined = gauss_jordan_callers({"m": source})
+    callers, defined = kernel_callers({"m": source}, _reduces_above)
     assert callers == {"m.keyword", "m.positional", "m.nested", "m.M.solve"}
     assert {"forward", "solve", "adjugate_stack"} <= defined
+    callers, _ = kernel_callers({"m": source})
+    assert callers == {"m.forward", "m.off", "m.keyword", "m.positional", "m.nested", "m.M.solve"}
 
 
 def test_only_solve_stack_runs_gauss_jordan():
-    callers, _ = gauss_jordan_callers(_src())
+    callers, _ = kernel_callers(_src(), _reduces_above)
     assert callers == {"linalg.solve_stack"}
 
 
+def test_only_linalg_runs_the_kernel():
+    callers, _ = kernel_callers(_src())
+    assert {c.split(".", 1)[0] for c in callers} == {"linalg"}
+    assert {"linalg.det_stack", "linalg.solve_stack"} <= callers
+
+
 def test_old_solve_wrappers_are_gone():
-    _, defined = gauss_jordan_callers(_src())
+    _, defined = kernel_callers(_src(), _reduces_above)
     assert {"solve_stack", "det_stack", "_bareiss_stack"} <= defined
     assert not GONE & defined
