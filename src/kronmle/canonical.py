@@ -29,10 +29,6 @@ class DegenerateData(Exception):
     """The data concatenation, its left m1 x m1 block or a scatter is singular."""
 
 
-class NonPositiveK(Exception):
-    """Raised when k = n*m2 - m1 < 1 and no reduction exists."""
-
-
 @dataclass(frozen=True)
 class CanonicalForm:
     """[I | C] and its dual sample; m1 and k are read off C, m2 and n off the dual."""
@@ -62,11 +58,11 @@ def castle(sample):
 
     Raises DegenerateData when Y is rank-deficient by numpy's matrix_rank
     rule (smallest singular value <= largest * max(Y.shape) * eps), and
-    NonPositiveK when k < 1.
+    ValueError when k < 1.
     """
     k = sample.k
     if k < 1:
-        raise NonPositiveK(f"k = n*m2 - m1 = {k} must be >= 1")
+        raise ValueError(f"k = n*m2 - m1 = {k} must be >= 1")
     y = sample.to_float().y
     _, s, vt = np.linalg.svd(y)
     if s[-1] <= s[0] * max(y.shape) * np.finfo(float).eps:
@@ -103,14 +99,14 @@ def descent(m1, m2, n):
 def canonicalize(sample):
     """Reduce an exact sample to [I | C] form and cut D^T into the dual sample.
 
-    Raises ValueError on float data (castle is the float route),
-    NonPositiveK when k < 1 and DegenerateData when Y_* is singular.
+    Raises ValueError on float data (castle is the float route) or when
+    k < 1, and DegenerateData when Y_* is singular.
     """
     if not sample.is_exact:
         raise ValueError("canonicalize works over Q: exact data only")
     k = sample.k
     if k < 1:
-        raise NonPositiveK(f"k = n*m2 - m1 = {k} must be >= 1")
+        raise ValueError(f"k = n*m2 - m1 = {k} must be >= 1")
     y, m1 = sample.y, sample.m1
     ystar = y.submatrix(range(m1), range(m1))
     try:

@@ -76,6 +76,7 @@ def _at_least(value, low, flag):
 
 
 def cmd_sample(args):
+    _at_least(args.seed, 0, "--seed")
     bounds = thresholds(args.m1, args.m2)  # rejects m1, m2 < 1 before anything is written
     sample = sample_matrix_normal(args.m1, args.m2, args.n, args.seed)
     _write_text(args.out, format_sample_set(sample))
@@ -148,6 +149,7 @@ def lemma_stacks(draws):
 
 
 def cmd_verify_lemma(args):
+    _at_least(args.seed, 0, "--seed")
     count = _at_least(args.count, 1, "--count")
     lhs, rhs = _pinned_example()
     ok = lhs == rhs
@@ -242,6 +244,7 @@ def _run_cells(pending, cap):
 
 
 def cmd_mldegree(args):
+    _at_least(args.seed, 0, "--seed")
     m1s = _parse_range(args.m1, "--m1")
     ns = _parse_range(args.n, "--n")
     _at_least(min(m1s), 1, "--m1")

@@ -194,16 +194,10 @@ class Matrix:
         return self.solve(Matrix.identity(self.rows))
 
     def is_positive_definite(self):
-        """Exact PD test via leading principal minors (requires symmetry).
-
-        When no zero pivot is met the Bareiss pivots of num, on the diagonal
-        of its reduced rows, are its leading principal minors, and den > 0
-        keeps their signs; a zero pivot is a zero minor.
-        """
-        if not self.is_symmetric():
-            return False
-        _, pivoted, reduced = _bareiss_stack(self.num[None])
-        return not pivoted[0] and all(p > 0 for p in reduced[0].diagonal())
+        """Exact PD test by Sylvester's criterion: symmetric, and every leading
+        principal minor of num positive (den > 0 keeps their signs)."""
+        minors = (det_stack(self.num[None, :j, :j])[0] for j in range(1, self.rows + 1))
+        return self.is_symmetric() and all(m > 0 for m in minors)
 
 
 def _bareiss_stack(a, reduce_above=False, prime=None):
@@ -222,21 +216,18 @@ def _bareiss_stack(a, reduce_above=False, prime=None):
     product leaves int64.  A member whose pivot is zero swaps in the
     first row below with a nonzero entry in that column; one with none
     there is singular, and its diagonal entry is set to its last pivot so
-    that the step leaves it as it is.  Returns (sign, pivoted, reduced):
-    sign per member is (-1)**swaps, or 0 when the block is singular,
-    pivoted is True for a member that met a zero pivot (two swaps leave
-    sign at 1), and reduced holds the reduced rows, so over Z
-    sign * reduced[:, -1, s - 1] is the block's determinant.
+    that the step leaves it as it is.  Returns (sign, reduced): sign per
+    member is (-1)**swaps, or 0 when the block is singular, and reduced
+    holds the reduced rows, so over Z sign * reduced[:, -1, s - 1] is the
+    block's determinant.
     """
     a = a.copy() if prime is None else a % prime
     count, size = a.shape[:2]
     sign = np.ones(count, dtype=a.dtype)
-    pivoted = np.zeros(count, dtype=bool)
     prev = np.ones((count, 1, 1), dtype=a.dtype)
     for j in range(size):
         zero = a[:, j, j] == 0
         if zero.any():
-            pivoted |= zero
             below = a[:, j:, j] != 0
             piv = j + np.argmax(below, axis=1)
             swap = np.nonzero(zero & below.any(axis=1))[0]
@@ -257,7 +248,7 @@ def _bareiss_stack(a, reduce_above=False, prime=None):
             a[:, j + 1 :, j:] = rest // prev if prime is None else rest % prime
         if prime is None:
             prev = p
-    return sign, pivoted, a
+    return sign, a
 
 
 def det_stack(a, prime=None):
@@ -265,7 +256,7 @@ def det_stack(a, prime=None):
     Python ints, or mod a prime below 2**31 for int64.  Mod prime, step j
     scales each later row by pivot j, so the pivots' product is divided by
     prod pivot_j**(s-1-j), never 0 mod prime: the singular rule puts 1 there."""
-    sign, _, reduced = _bareiss_stack(a, prime=prime)
+    sign, reduced = _bareiss_stack(a, prime=prime)
     if prime is None:
         return sign * reduced[:, -1, -1]
     run = den = np.ones(len(a), dtype=np.int64)
@@ -285,7 +276,7 @@ def solve_stack(a, b):
     """
     size = a.shape[-1]
     b = np.broadcast_to(b, (*a.shape[:2], b.shape[-1]))
-    sign, _, reduced = _bareiss_stack(np.concatenate([a, b], axis=2), reduce_above=True)
+    sign, reduced = _bareiss_stack(np.concatenate([a, b], axis=2), reduce_above=True)
     if not sign.all():
         raise SingularMatrix("exact rank deficiency")
     return sign * reduced[:, -1, size - 1], sign[:, None, None] * reduced[:, :, size:]

@@ -24,10 +24,6 @@ from .linalg import (
 from .model import SampleSet, kron_loglik, scatter_k1
 
 
-class WrongRegime(Exception):
-    """An engine was invoked outside its applicable (m1, m2, n) regime."""
-
-
 class MLENotExists(Exception):
     """The Kronecker MLE does not exist for this sample."""
 
@@ -74,8 +70,8 @@ def exact_mle_k1(sample):
     Recipe: split Y = [Y_* | y], form v = (Y_*^-1 y, -1), cut v into n
     blocks v_i of length m2, and set K2 = sum_i v_i v_i^T; K1 is the
     profile maximizer at K2.  Exists iff n >= m2 and K2 is PD.  Float data
-    raise ValueError (mle castles them).  The pair is exact, over Python
-    ints on object arrays, and K1 comes without the m1 x m1 scatter:
+    (mle castles them) and k != 1 raise ValueError.  The pair is exact, over
+    Python ints on object arrays, and K1 comes without the m1 x m1 scatter:
     with A = I_n kron K2, W = [Y_*^-1; 0] and v^T A^-1 v = tr(K2^-1 K2) = m2,
     the inverse of the scatter Y A Y^T is W^T (A^-1 - A^-1 v v^T A^-1 / m2) W,
     so K1 = n*m2 * W^T [I_n kron K2^-1 - u u^T / m2] W with u = A^-1 v.
@@ -90,7 +86,7 @@ def exact_mle_k1(sample):
     if not sample.is_exact:
         raise ValueError("exact_mle_k1 works over Q: exact data only")
     if sample.k != 1:
-        raise WrongRegime(f"exact engine needs k = 1, got k = {sample.k}")
+        raise ValueError(f"exact engine needs k = 1, got k = {sample.k}")
     if sample.n < sample.m2:
         raise MLENotExists(f"n = {sample.n} < m2 = {sample.m2}")
     m1, m2, n = sample.m1, sample.m2, sample.n
@@ -145,6 +141,14 @@ def _inverse_factor(lapack, s):
     return l_inv, 2.0 * float(np.log(l.diagonal()).sum())
 
 
+def _check_stop_rule(tol, max_iter):
+    """ValueError unless max_iter >= 1 and 0 <= tol < inf: flip-flop's stop rule."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+
+
 # Checks in a row without a new minimum residual after which a run counts
 # as stalled at its roundoff floor.
 _STALL_SWEEPS = 8
@@ -179,17 +183,14 @@ def flipflop(sample, init_k2=None, tol=1e-10, max_iter=10000):
     It returns it unconverged when the residual has set no new minimum for
     8 checks in a row ("stalled": its roundoff floor lies above tol) or
     when t = max_iter ("max_iter").  stop_reason says which, and residual
-    is the returned pair's.  Raises ValueError unless 0 <= tol < inf and
-    max_iter >= 1.
+    is the returned pair's.  Raises ValueError outside n*m2 >= m1,
+    n*m1 >= m2, and unless 0 <= tol < inf and max_iter >= 1.
     """
     sample = sample.to_float()
     n, m1, m2 = sample.n, sample.m1, sample.m2
     if n * m2 < m1 or n * m1 < m2:
-        raise WrongRegime("flip-flop needs n*m2 >= m1 and n*m1 >= m2")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    if not 0 <= tol < np.inf:
-        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+        raise ValueError("flip-flop needs n*m2 >= m1 and n*m1 >= m2")
+    _check_stop_rule(tol, max_iter)
     if init_k2 is None:
         init_k2 = np.eye(m2)
     f2 = cholesky(init_k2)  # init must be PD
@@ -244,7 +245,8 @@ def flipflop(sample, init_k2=None, tol=1e-10, max_iter=10000):
 def mle(sample, tol=1e-10, max_iter=10000):
     """Front end: flip-flop, climbing back up canonical.descent of the shape.
 
-    An "unbounded" descent raises MLENotExists before any castle or sweep.
+    A tol or max_iter that flipflop refuses raises ValueError first.  An
+    "unbounded" descent raises MLENotExists before any castle or sweep.
     Else the first max_iter - 1 steps are castled once, each level kept as
     (kind, top, dual), top transposed at "castle^T".  Flip-flop solves the
     last dual from the identity, then each level up from sum_i Z_i^T K1 Z_i
@@ -256,6 +258,7 @@ def mle(sample, tol=1e-10, max_iter=10000):
     a kernel vector, which the level below tested with potrf in every
     sweep, so NotPD comes only from rounding at that boundary.
     """
+    _check_stop_rule(tol, max_iter)
     path, end = descent(sample.m1, sample.m2, sample.n)
     steps = ["{} ({},{},{})".format(kind, *shape) for kind, shape in path]
     if end == "unbounded":
@@ -263,7 +266,7 @@ def mle(sample, tol=1e-10, max_iter=10000):
         raise MLENotExists(f"the descent {names} ends where n*m2 < m1 or n*m1 < m2")
     levels, top = [], sample  # len(levels) is the depth at work, 0 the sample's own
     try:
-        for kind, _ in path[: max(max_iter - 1, 0)]:
+        for kind, _ in path[: max_iter - 1]:
             if kind == "castle^T":  # the sample of the blocks Y_i^T
                 top = SampleSet(np.hstack([y.T for y in top.to_float().blocks]), top.m1)
             levels.append((kind, top, castle(top)))  # DegenerateData when Y is rank-deficient

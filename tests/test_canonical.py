@@ -12,7 +12,6 @@ import pytest
 
 from kronmle.canonical import (
     DegenerateData,
-    NonPositiveK,
     canonicalize,
     castle,
     descent,
@@ -101,7 +100,7 @@ class TestCanonicalize:
 
     def test_nonpositive_k(self):
         s = SampleSet(Matrix([[1, 2], [3, 5]]), 2)
-        with pytest.raises(NonPositiveK):
+        with pytest.raises(ValueError, match=r"^k = n\*m2 - m1 = 0 must be >= 1$"):
             canonicalize(s)
 
     def test_float_input_rejected(self):
@@ -143,7 +142,7 @@ class TestCastle:
             castle(SampleSet(y, 2))
 
     def test_nonpositive_k(self):
-        with pytest.raises(NonPositiveK):
+        with pytest.raises(ValueError, match=r"^k = n\*m2 - m1 = 0 must be >= 1$"):
             castle(SampleSet(np.eye(2), 2))
 
 

@@ -1,10 +1,13 @@
 """End-to-end command-line behavior and exit codes."""
 
 import argparse
+import ast
+import builtins
 import collections
 import contextlib
 import csv
 import decimal
+import inspect
 import io
 import json
 import tracemalloc
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kronmle import cli, mldegree, solvers
+from kronmle import canonical, cli, linalg, mldegree, model, solvers
 from kronmle.cli import (
     EXIT_BAD_ARGS,
     EXIT_DEGENERATE,
@@ -868,6 +871,10 @@ class TestArgParsing:
              "KRONMLE_WORKERS must be at least 1, got 0"),
             (["KRONMLE_WORKERS=-3", "mldegree", "--m1", "3", "--n", "2"],
              "KRONMLE_WORKERS must be at least 1, got -3"),
+            (["sample", "--m1", "3", "--m2", "2", "--n", "2", "--seed", "-1"], "--seed must be at least 0, got -1"),
+            (["verify-lemma", "--seed", "-1"], "--seed must be at least 0, got -1"),
+            (["mldegree", "--m1", "4", "--n", "2", "--seed", "-1"], "--seed must be at least 0, got -1"),
+            (["mldegree", "--m1", "2:4", "--n", "2", "--seed", "-1"], "--seed must be at least 0, got -1"),
         ],
     )
     def test_out_of_range_value_exit_code(self, tmp_path, capsys, monkeypatch, argv, named):
@@ -884,6 +891,25 @@ class TestArgParsing:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert named in err
         assert not cache.exists()
+
+    @pytest.mark.parametrize("flags", [["--tol", "-1"], ["--tol", "nan"], ["--max-iter", "0"], ["--max-iter", "-2"]])
+    @pytest.mark.parametrize("kind", ["rank-deficient", "unbounded", "generic"])
+    def test_bad_stop_rule_refused_first(self, tmp_path, capsys, monkeypatch, kind, flags):
+        # mle checks --tol and --max-iter before the descent, so a sample that
+        # would exit 2 (castle) or 3 (descent) still exits 4.
+        y, m2 = {
+            "rank-deficient": (np.zeros((3, 4)), 2),
+            "unbounded": (sample_matrix_normal(20, 3, 4, seed=6).y, 3),
+            "generic": (sample_matrix_normal(4, 3, 3, seed=2).y, 3),
+        }[kind]
+        path, out = tmp_path / "sample.txt", tmp_path / "est.txt"
+        path.write_text(format_sample_set(SampleSet(y, m2)))
+        monkeypatch.setattr(solvers, "descent", None)  # a call would raise TypeError
+        code, stdout, err = run(capsys, "mle", "--in", str(path), *flags, "--out", str(out))
+        assert (code, stdout) == (EXIT_BAD_ARGS, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert flags[0].strip("-").replace("-", "_") in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["1_0", "\u0663", "x"])
     @pytest.mark.parametrize("flag", ["--m1", "--seed"])
@@ -944,10 +970,10 @@ def _argv(draw, files, cache):
                                       ["--max-iter", "3"], ["--max-iter", "-2"]]))
     elif command == "verify-lemma":
         argv = ["verify-lemma", "--count", str(draw(st.integers(-2, 3))),
-                "--seed", str(draw(st.integers(0, 3)))]
+                "--seed", str(draw(st.integers(-1, 3)))]
     elif command == "mldegree":
         argv = ["mldegree", "--m1", draw(_RANGE), "--n", draw(_RANGE),
-                "--seed", str(draw(st.integers(0, 2))), "--cache-dir", str(cache)]
+                "--seed", str(draw(st.integers(-1, 2))), "--cache-dir", str(cache)]
         argv += draw(st.sampled_from([[], ["--format", "csv"], ["--format", "json"],
                                       ["--format", "xml"]]))
     else:
@@ -1033,3 +1059,27 @@ class TestSampleFileContents:
             assert out.exists() == (code == EXIT_OK), text
 
         check()
+
+
+def _exit_code_types():
+    """The exception types that cli.main maps to an exit code, read off its except clauses."""
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(main))):
+        if isinstance(node, ast.ExceptHandler):
+            names |= {t.id for t in (node.type.elts if isinstance(node.type, ast.Tuple) else [node.type])}
+    return tuple(getattr(cli, name, None) or getattr(builtins, name) for name in names)
+
+
+def test_every_exception_type_reaches_an_exit_code():
+    # An engine's own exception type either reaches an exit code through
+    # cli.main or is an internal signal that the engines translate; any
+    # other type reaching main would print a traceback.
+    mapped = _exit_code_types()
+    assert {canonical.DegenerateData, solvers.MLENotExists, ValueError, OSError,
+            mldegree.PrimesExhausted} <= set(mapped)
+    defined = {obj for module in (linalg, model, canonical, solvers, mldegree, cli)
+               for obj in vars(module).values()
+               if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == module.__name__}
+    assert {linalg.SingularMatrix, linalg.NotPD, canonical.DegenerateData} <= defined
+    unmapped = {t.__name__ for t in defined if not issubclass(t, mapped)}
+    assert unmapped <= {"SingularMatrix", "NotPD"}

@@ -29,7 +29,6 @@ from kronmle.model import (
 )
 from kronmle.solvers import (
     MLENotExists,
-    WrongRegime,
     exact_mle_k1,
     flipflop,
     format_estimate,
@@ -144,7 +143,7 @@ class TestExactK1:
 
     def test_wrong_regime(self):
         s = sample_matrix_normal(2, 2, 2, seed=0)  # k = 2
-        with pytest.raises(WrongRegime):
+        with pytest.raises(ValueError, match=r"^exact engine needs k = 1, got k = 2$"):
             exact_mle_k1(exact_copy(s))
 
     def test_not_exists_when_n_below_m2(self):
@@ -316,7 +315,7 @@ class TestFlipflop:
 
     def test_regime_check(self):
         s = sample_matrix_normal(5, 2, 2, seed=9)  # n*m2 < m1
-        with pytest.raises(WrongRegime):
+        with pytest.raises(ValueError, match=r"^flip-flop needs n\*m2 >= m1 and n\*m1 >= m2$"):
             flipflop(s)
 
     def test_init_must_be_pd(self):
@@ -727,7 +726,7 @@ class TestChain:
         # (8,5,2) castles to (2,5,2), where n*m1 < m2: flip-flop refuses the
         # dual, and mle reports that no MLE exists before any solve.
         s = sample_matrix_normal(8, 5, 2, seed=4)
-        with pytest.raises(WrongRegime):
+        with pytest.raises(ValueError, match=r"^flip-flop needs n\*m2 >= m1 and n\*m1 >= m2$"):
             flipflop(castle(s))
         with pytest.raises(MLENotExists, match=r"\(8,5,2\) > castle \(2,5,2\) ends"):
             mle(s, max_iter=50)
