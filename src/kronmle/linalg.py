@@ -285,15 +285,18 @@ def solve_stack(a, b):
 def cholesky(s):
     """Lower-triangular L with L @ L.T = s, or raise NotPD.
 
-    s must be symmetric up to 1e-12 of its largest entry (plus a relative
-    1e-8 per entry), at any scale.  Exact input is factored in floats; use
+    s must be finite and symmetric up to 1e-12 of its largest entry (plus a
+    relative 1e-8 per entry), at any scale: np.allclose(s, s.T), written
+    out.  Exact input is factored in floats; use
     Matrix.is_positive_definite for an exact PD decision.
     """
     a = s.to_numpy() if isinstance(s, Matrix) else np.asarray(s, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("symmetric matrix required")
+    if not np.isfinite(a).all():
+        raise ValueError("non-finite matrix entry")
     atol = 1e-12 * np.abs(a).max(initial=0.0)
-    if not np.allclose(a, a.T, rtol=1e-8, atol=atol):
+    if not (np.abs(a - a.T) <= atol + 1e-8 * np.abs(a.T)).all():
         raise ValueError("symmetric matrix required")
     try:
         return np.linalg.cholesky(a)
@@ -314,24 +317,25 @@ def _format_fraction(x):
 def format_matrix(a):
     """Shared text format: "rows cols" header, then one line per row.
 
-    Float entries are written by repr, which round-trips every binary64.
-    A float matrix bitwise equal to its transpose (so a 0.0 facing a -0.0
-    does not count) is written from its upper triangle, one repr per pair.
+    Float entries are written by orjson, the shortest decimal that reads
+    back to the same binary64 (1e-05 as 0.00001, 1e+16 as 1e16), so each
+    double has one spelling and a bitwise-symmetric matrix symmetric text.
+    orjson is imported by the first float call.  A non-finite entry raises
+    ValueError, since orjson would write it as null.
     """
     if isinstance(a, Matrix):
         r, c = a.shape
         rows = (" ".join(map(_format_fraction, row)) for row in a.data)
     else:
-        a = np.asarray(a, dtype=float)
+        import orjson
+
+        a = np.ascontiguousarray(a, dtype=np.float64)
         r, c = a.shape
-        bits = a.view(np.uint64)
-        if r == c and (bits == bits.T).all():
-            text = []  # entry (i, j < i) is the repr already made for (j, i)
-            for i, row in enumerate(a.tolist()):
-                text.append([done[i] for done in text] + [*map(repr, row[i:])])
-            rows = map(" ".join, text)
-        else:
-            rows = (" ".join(map(repr, row)) for row in a.tolist())
+        if not np.isfinite(a).all():
+            raise ValueError("non-finite matrix entry: cannot be written")
+        # "[[x,y],[z,w]]": no number holds a comma or a bracket
+        text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+        rows = text[2:-2].replace(",", " ").split("] [") if r else []
     return "\n".join([f"{r} {c}", *rows]) + "\n"
 
 

@@ -416,6 +416,44 @@ class TestPD:
         with pytest.raises(ValueError, match="symmetric"):
             cholesky(skew)
 
+    @pytest.mark.parametrize(
+        "a", [[[np.inf]], [[np.nan]], [[1.0, np.inf], [np.inf, 1.0]], [[-np.inf, 0.0], [0.0, 1.0]]]
+    )
+    def test_non_finite_refused(self, a):
+        # numpy factored [[inf]] into [[inf]] after warning "atol: inf"
+        with pytest.raises(ValueError, match="^non-finite matrix entry$"):
+            cholesky(np.array(a))
+        with pytest.raises(ValueError, match="^non-finite matrix entry$"):
+            logdet_pd(np.array(a))
+
+    @given(
+        st.integers(1, 5).flatmap(lambda m: arrays(
+            float, (m, m), elements=st.floats(-1e6, 1e6, allow_subnormal=False))),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(np.array([[1.0, 1e-12], [0.0, 1.0]]), 0.0, 0)  # exactly at atol
+    @example(np.array([[1.0, np.nextafter(1e-12, 1.0)], [0.0, 1.0]]), 0.0, 0)  # one ulp past it
+    @example(np.array([[2.0, 1.0 + 2e-8], [1.0, 1.0]]), 0.0, 0)  # rtol's share of |a^T|
+    def test_symmetry_check_is_allclose(self, a, shift, seed):
+        # Shift the upper triangle by `shift` times the tolerance itself, so
+        # that entries land at it, inside it and past it.
+        rng = np.random.default_rng(seed)
+        a = np.tril(a) + np.tril(a, -1).T
+        atol = 1e-12 * np.abs(a).max(initial=0.0)
+        bump = shift * (atol + 1e-8 * np.abs(a)) * rng.choice([-1.0, 1.0], a.shape)
+        a = a + np.triu(bump, 1)
+        want = np.allclose(a, a.T, rtol=1e-8, atol=1e-12 * np.abs(a).max(initial=0.0))
+        try:
+            cholesky(a)
+            symmetric = True
+        except NotPD:
+            symmetric = True
+        except ValueError as exc:
+            assert str(exc) == "symmetric matrix required"
+            symmetric = False
+        assert symmetric == want
+
     def test_exact_pd_predicate(self):
         assert Matrix([[4, 2], [2, 2]]).is_positive_definite()
         assert not diagonal([1, -1]).is_positive_definite()
@@ -430,13 +468,13 @@ class TestPD:
 
 def per_entry_format(a):
     """The text format written one entry at a time, with a type check per
-    entry; format_matrix wrote floats this way before it mapped repr over
-    each row."""
+    entry: each float in orjson's spelling of a Python float, each fraction
+    as p/q or an integer."""
 
     def entry(x):
         if isinstance(x, Fraction):
             return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-        return repr(float(x))
+        return orjson.dumps(float(x)).decode()
 
     rows = a.data if isinstance(a, Matrix) else np.asarray(a, dtype=float).tolist()
     r, c = a.shape
@@ -532,9 +570,41 @@ class TestTextFormat:
     @example(np.array([[-1e-320]]))
     @example(np.zeros((0, 0)))
     def test_square_matches_per_entry_route(self, a):
-        # a symmetric float matrix is written from one triangle, any other entry by entry
+        # each double has one spelling, so a bitwise-symmetric matrix gives symmetric text
         for b in (a, np.asfortranarray(a), np.triu(a) + np.triu(a, 1).T):
             assert format_matrix(b) == per_entry_format(b)
+
+    def test_orjson_spelling(self):
+        # the shortest round-trip decimal, as repr, but never with "e-05" or "e+16"
+        a = np.array([[1e-05, 1e16, -0.0], [1e-7, 1e22, 123.25]])
+        assert format_matrix(a) == "2 3\n0.00001 1e16 -0.0\n1e-7 1e22 123.25\n"
+        assert format_matrix(np.zeros((0, 4))) == "0 4\n"
+        assert format_matrix(np.zeros((2, 0))) == "2 0\n\n\n"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_not_written(self, bad):
+        # orjson writes null for each of them
+        with pytest.raises(ValueError, match="^non-finite matrix entry"):
+            format_matrix(np.array([[1.0, 2.0], [bad, 3.0]]))
+
+    @given(
+        arrays(
+            float,
+            st.tuples(st.integers(1, 4), st.integers(1, 4)),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    @example(np.array([[-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
+                       [1e-05, 1e16, 123456789012345678.0, -1e-320]]))
+    def test_text_reads_back_bit_for_bit(self, a):
+        # through the program's reader, float() entry by entry and np.loadtxt
+        lines = format_matrix(a).splitlines()
+        bits = a.view(np.uint64)
+        assert np.array_equal(parse_matrix(iter(lines)).view(np.uint64), bits)
+        by_float = np.array([[float(t) for t in row.split(" ")] for row in lines[1:]])
+        assert np.array_equal(by_float.view(np.uint64), bits)
+        by_loadtxt = np.loadtxt(lines[1:], dtype=float, ndmin=2)
+        assert np.array_equal(by_loadtxt.view(np.uint64), bits)
 
     def test_exact_rows_match_per_entry_route(self):
         a = Matrix([[Fraction(-1, 2), 0, 3], [Fraction(10**30, 7), -4, Fraction(7, 5)]])

@@ -341,10 +341,10 @@ def scatter_sweeps(sample, k2, sweeps):
     return pairs
 
 
-def helper_flipflop(sample, max_iter, tol=1e-10):
-    """flipflop from the identity, written over separate whitened scatter
-    helpers, np.diagonal and np.linalg.norm: the reference its sweep must
-    reproduce bit for bit.  Returns (K1, K2, history, residual, stop)."""
+def helper_flipflop(sample, max_iter, tol=1e-10, init_k2=None):
+    """flipflop with no over-relaxation, written over separate whitened
+    scatter helpers, np.diagonal and np.linalg.norm: the reference its plain
+    sweep must reproduce bit for bit.  Returns (K1, K2, history, residual, stop)."""
     from scipy.linalg import lapack
 
     n, m1, m2 = sample.n, sample.m1, sample.m2
@@ -361,7 +361,8 @@ def helper_flipflop(sample, max_iter, tol=1e-10):
         l, _ = lapack.dpotrf(s, lower=1, clean=1)
         return lapack.dtrtri(l, lower=1)[0], 2.0 * float(np.log(np.diagonal(l)).sum())
 
-    f2, eye, history = np.linalg.cholesky(np.eye(m2)), np.eye(m1), []
+    f2 = np.linalg.cholesky(np.eye(m2) if init_k2 is None else init_k2)
+    eye, history = np.eye(m1), []
     best, best_at = np.inf, 0
     while True:
         s2 = scatter_k2_whitened(f2) / (n * m2)
@@ -497,6 +498,86 @@ class TestFlipflopInvariants:
         est = mle(s)
         assert est.method == "chain" and est.converged
         assert invariant_residual(s, est.k1, est.k2) <= 1e-10
+
+
+def slow_sample(shape, seed):
+    """A sample whose plain flip-flop converges at a steady rate near 0.8:
+    (30,30,3) itself, or the (6,6,3) dual that mle castles (12,6,3) to."""
+    s = sample_matrix_normal(*shape, seed=seed)
+    return castle(s) if shape == (12, 6, 3) else s
+
+
+class TestOverRelaxation:
+    """flipflop steps its K2 whitener past the plain sweep once the residual's
+    rate holds steady; helper_flipflop is the plain run."""
+
+    @pytest.mark.parametrize("shape", [(30, 30, 3), (12, 6, 3)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fewer_sweeps_to_a_certified_pair(self, shape, seed):
+        s = slow_sample(shape, seed)
+        est = flipflop(s)
+        _, _, plain, _, stop = helper_flipflop(s, 10000)
+        assert est.converged and stop == "converged"
+        assert est.iterations <= 0.75 * len(plain)
+        assert invariant_residual(s, est.k1, est.k2) <= 1e-10
+        hist = est.loglik_history  # non-decreasing up to the last few ulps, as the plain run's
+        assert all(b >= a - 1e-14 * abs(a) for a, b in zip(hist, hist[1:]))
+
+    def test_exact_zero_residual_has_no_rate(self):
+        # at tol = 0 a 1 x 1 sample's residual is exactly 0 from sweep 1 on
+        s = sample_matrix_normal(1, 1, 1, seed=0)
+        est = flipflop(s, tol=0.0)
+        assert (est.iterations, est.stop_reason, est.residual) == (9, "stalled", 0.0)
+        assert est.loglik_history == tuple(helper_flipflop(s, 10000, tol=0.0)[2])
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_stepped_scale_does_not_hold_the_monitor_up(self, seed):
+        # (7,2,4) reads an early rate near 0.97 here, so w = 1.9: a stepped F2
+        # left at its own scale kept a mode decaying as 0.9^t in the monitor,
+        # and these runs took 181 and 175 sweeps against the plain 157 and 152
+        s = sample_matrix_normal(7, 2, 4, seed=seed)
+        est = flipflop(s)
+        _, _, plain, _, _ = helper_flipflop(s, 10000)
+        assert est.converged and invariant_residual(s, est.k1, est.k2) <= 1e-10
+        assert est.iterations <= 0.75 * len(plain)
+
+    @pytest.mark.parametrize("shape", [(30, 30, 3), (12, 6, 3)])
+    def test_run_cut_while_relaxing_returns_that_sweeps_plain_pair(self, shape):
+        s = slow_sample(shape, 0)
+        n, m1 = s.n, s.m1
+        full = flipflop(s)
+        _, _, plain, _, _ = helper_flipflop(s, 10000)
+        # the first sweep whose pair used a stepped K2
+        first = next(t for t, (a, b) in enumerate(zip(full.loglik_history, plain)) if a != b)
+        assert 6 <= first < full.iterations - 1
+        for t in range(first, full.iterations + 1):
+            cut = flipflop(s, max_iter=t)
+            assert cut.loglik_history == full.loglik_history[:t]
+            # the monitor can still be above tol where the plain pair is below it
+            assert cut.iterations == t
+            assert cut.stop_reason == ("converged" if cut.residual < 1e-10 else "max_iter")
+            # the reported residual is the returned pair's, and bounds the spectral one
+            assert invariant_residual(s, cut.k1, cut.k2) <= cut.residual * (1 + 1e-9)
+            # a plain pair: K2 is the profile of K1
+            profile = np.linalg.inv(scatter_k1(s, cut.k1) / (n * m1))
+            assert np.abs(cut.k2 - profile).max() <= 1e-9 * np.abs(profile).max()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_runs_that_stop_before_relaxing_are_plain(self, seed):
+        # a (50,5,400) sample, parsed as a file is, and the top run of the
+        # (23,4,6) chain, which starts at the closed form of its (1,4,6) dual
+        large = parse_sample_set(format_sample_set(sample_matrix_normal(50, 5, 400, seed=seed)))
+        top = sample_matrix_normal(23, 4, 6, seed=seed)
+        dual = castle(top)
+        start = scatter_k1(dual, flipflop(dual).k1)
+        for s, init in ((large, None), (top, start)):
+            est = flipflop(s, init_k2=init)
+            k1, k2, history, residual, stop = helper_flipflop(s, 10000, init_k2=init)
+            assert np.array_equal(est.k1, k1) and np.array_equal(est.k2, k2)
+            assert est.loglik_history == tuple(history)
+            assert (est.residual, est.stop_reason) == (residual, stop)
+        chain = mle(top)
+        assert np.array_equal(chain.k1, k1) and np.array_equal(chain.k2, k2)
 
 
 class TestIllConditioned:
