@@ -43,9 +43,12 @@ EXIT_BAD_ARGS = 4
 
 
 def _worker_cap():
-    """KRONMLE_WORKERS as an int of at least 1, or the CPU count when it is unset or empty."""
+    """KRONMLE_WORKERS as an int of at least 1, or, when it is unset or empty, the
+    CPUs this process may run on (its affinity mask, where the OS has one)."""
     cap = os.environ.get("KRONMLE_WORKERS")
     if not cap:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     cap = read_ints([cap], 1, f"KRONMLE_WORKERS must be an integer, got {cap!r}")[0]
     return _at_least(cap, 1, "KRONMLE_WORKERS")
@@ -98,7 +101,7 @@ def cmd_mle(args):
     print(f"residual: {est.residual:.3e}  stop: {est.stop_reason}")
     print(f"loglik: {est.loglik:.6f}")
     if args.out:
-        _write_text(args.out, format_estimate(est, sample.m1, sample.m2))
+        _write_text(args.out, format_estimate(est))
     return EXIT_OK
 
 

@@ -19,6 +19,7 @@ from .linalg import (
     SingularMatrix,
     cholesky,
     format_matrix,
+    logdet_pd,
     solve_stack,
 )
 from .model import SampleSet, kron_loglik, scatter_k1
@@ -53,12 +54,10 @@ class KroneckerEstimate:
 
 
 def normalize_det1(k2, k1=None):
-    """Rescale so det(K2) = 1, with K1 absorbing the inverse scale."""
+    """Rescale so det(K2) = 1, with K1 absorbing the inverse scale exp(logdet(K2)/m),
+    a Cholesky log-determinant that no scale of K2 overflows; NotPD unless K2 is PD."""
     k2 = np.asarray(k2, dtype=float)
-    d = np.linalg.det(k2)
-    if d <= 0:
-        raise NotPD("K2 must have positive determinant")
-    c = d ** (1.0 / k2.shape[0])
+    c = np.exp(logdet_pd(k2) / k2.shape[0])
     if k1 is None:
         return k2 / c
     return k2 / c, np.asarray(k1, dtype=float) * c
@@ -220,7 +219,9 @@ def flipflop(sample, init_k2=None, tol=1e-10, max_iter=10000):
     pair.  So every sweep still records a plain pair, K1 the profile of the
     K2 it used and K2 = F2+ F2+^T, whose log-likelihood is the history
     entry, and every stop, a run cut at t included, is decided on a
-    certified residual.
+    certified residual.  One running minimum serves both phases and
+    restarts at each change of phase (relaxing starts, the take-back, a
+    refused step): the 3 checks count monitor readings, the 8 plain pairs.
     """
     sample = sample.to_float()
     n, m1, m2 = sample.n, sample.m1, sample.m2
@@ -246,27 +247,25 @@ def flipflop(sample, init_k2=None, tol=1e-10, max_iter=10000):
         if sweeps:
             d = (root @ s2 @ root.T - eye).ravel()
             residual = math.sqrt(d.dot(d))  # the Frobenius norm
-        if sweeps and omega > 0:  # s2 is of the stepped F2, so residual only monitors
-            if residual < low:
-                low, low_at = residual, sweeps
-            if residual < tol or sweeps - low_at >= _MONITOR_SWEEPS or sweeps == max_iter:
-                f2, omega = f2_plus, -1.0  # this sweep's plain pair, and no more steps
-                continue
-        elif sweeps:
-            if residual < tol:
-                stop = "converged"
-                break
             if residual < best:
                 best, best_at = residual, sweeps
-            elif sweeps - best_at >= _STALL_SWEEPS:
-                stop = "stalled"
-                break
-            if sweeps == max_iter:
-                stop = "max_iter"
-                break
-            residuals.append(residual)
-            if omega == 0 and sweeps >= _RELAX_FROM:
-                omega, low = _over_relaxation(residuals[-4:]), np.inf
+            if omega > 0:  # s2 is of the stepped F2, so residual only monitors
+                if residual < tol or sweeps - best_at >= _MONITOR_SWEEPS or sweeps == max_iter:
+                    f2, omega, best = f2_plus, -1.0, np.inf  # this sweep's plain pair, no more steps
+                    continue
+            else:
+                stop = (
+                    "converged" if residual < tol
+                    else "stalled" if sweeps - best_at >= _STALL_SWEEPS
+                    else "max_iter" if sweeps == max_iter
+                    else None
+                )
+                if stop:
+                    break
+                residuals.append(residual)
+                if omega == 0 and sweeps >= _RELAX_FROM:
+                    omega = _over_relaxation(residuals[-4:])
+                    best = np.inf if omega else best
         l2_inv, logdet_s2 = _inverse_factor(lapack, s2)
         z = (l2_inv @ y).reshape(m1 * n, m2)
         s1 = z.T @ z
@@ -281,7 +280,7 @@ def flipflop(sample, init_k2=None, tol=1e-10, max_iter=10000):
             if (f2.diagonal() > 0).all():  # rescaled to det 1, as F2+ is
                 f2 *= np.exp(-np.log(f2.diagonal()).sum() / m2)
             else:
-                f2, omega = f2_plus, -1.0
+                f2, omega, best = f2_plus, -1.0, np.inf
         else:
             f2 = f2_plus
         history.append(-n * m2 * logdet_s2 - n * m1 * logdet_s1 - n * m1 * m2)
@@ -344,7 +343,7 @@ def mle(sample, tol=1e-10, max_iter=10000):
     return replace(est, method="chain", iterations=used, start=" > ".join(taken)) if taken else est
 
 
-def format_estimate(est, m1, m2):
+def format_estimate(est):
     """Serialize: header "m1 m2 method iterations converged loglik", then K1, K2."""
-    head = f"{m1} {m2} {est.method} {est.iterations} {int(est.converged)} {est.loglik!r}\n"
+    head = f"{len(est.k1)} {len(est.k2)} {est.method} {est.iterations} {int(est.converged)} {est.loglik!r}\n"
     return head + format_matrix(est.k1) + format_matrix(est.k2)

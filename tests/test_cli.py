@@ -214,6 +214,24 @@ class TestMle:
         # the method stays one token of the estimate header
         assert out.read_text().split("\n")[0].split()[:3] == ["13", "5", "chain"]
 
+    @pytest.mark.parametrize("scale", [1e4, 1e-3])
+    def test_castle_transpose_at_any_data_scale(self, tmp_path, capsys, scale):
+        # the descent castle^T (10,20,3) > castle^T (10,10,3) rescales a
+        # 50 x 50 K1 to det 1, whose float determinant leaves the doubles at
+        # these scales
+        s = sample_matrix_normal(20, 50, 3, seed=0)
+        path, out = tmp_path / "sample.txt", tmp_path / "est.txt"
+        path.write_text(format_sample_set(SampleSet(scale * s.y, s.m2)))
+        code, stdout, err = run(capsys, "mle", "--in", str(path), "--out", str(out))
+        assert code == EXIT_OK, err
+        assert "converged: True" in stdout
+        lines = out.read_text().splitlines()
+        assert lines[0].split()[:2] == ["20", "50"]
+        k1 = linalg.parse_matrix(lines[1:22])
+        k2 = linalg.parse_matrix(lines[22:])
+        assert k1.shape == (20, 20) and k2.shape == (50, 50)
+        assert np.isfinite(k1).all() and np.isfinite(k2).all()
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_bad_tol_exit_code(self, tmp_path, capsys, tol):
         # tol = inf would pass one sweep at residual 0.356 as "converged";
@@ -931,6 +949,16 @@ class TestArgParsing:
         assert cli._parse_range("+007", "--n") == [7]
         monkeypatch.setenv("KRONMLE_WORKERS", "+02")
         assert cli._worker_cap() == 2
+
+    def test_default_worker_cap_counts_usable_cpus(self, monkeypatch):
+        # under taskset or a container cpuset the affinity mask, not the
+        # host's CPU count, says how many workers can run at once
+        monkeypatch.delenv("KRONMLE_WORKERS", raising=False)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        assert cli._worker_cap() == 1
+        monkeypatch.delattr(cli.os, "sched_getaffinity")
+        assert cli._worker_cap() == 64
 
 
 def _sample_files(root):

@@ -1,5 +1,6 @@
 """Closed-form k = 1 estimator, flip-flop ascent, and the castle front end."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -579,6 +580,37 @@ class TestOverRelaxation:
         chain = mle(top)
         assert np.array_equal(chain.k1, k1) and np.array_equal(chain.k2, k2)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_refused_step_falls_back_to_plain_sweeps(self, seed, monkeypatch):
+        # w = 50 from sweep 6 on: the first stepped F2 has a diagonal entry
+        # that is not positive, so the run takes F2+ and never relaxes again
+        monkeypatch.setattr(solvers, "_over_relaxation", lambda r: 50.0)
+        s = sample_matrix_normal(30, 30, 3, seed=seed)
+        lines, first = inspect.getsourcelines(solvers.flipflop)
+        step = next(i for i, line in enumerate(lines) if "(f2.diagonal() > 0).all()" in line)
+        refused = first + next(i for i in range(step, len(lines)) if lines[i].strip() == "else:") + 1
+        ran, code = set(), solvers.flipflop.__code__
+
+        def tracer(frame, event, arg):
+            if frame.f_code is not code:
+                return None
+
+            def lines_run(frame, event, arg):
+                if event == "line":
+                    ran.add(frame.f_lineno)
+                return lines_run
+
+            return lines_run
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            est = flipflop(s)
+        finally:
+            sys.settrace(previous)
+        assert refused in ran
+        assert est.converged and invariant_residual(s, est.k1, est.k2) < 1e-10
+
 
 class TestIllConditioned:
     """Factors with cond(A A^T) up to 1e6: the MLE exists at every shape here, so
@@ -952,11 +984,35 @@ class TestEquivariance:
             assert np.abs(got - expect).max() <= 1e-6 * np.abs(expect).max()
 
 
+class TestScaleInvariance:
+    """mle(t*Y) is mle(Y) with K1 scaled by 1/t^2, at every scale of the data.
+
+    The model and the stop rule do not change under Yi -> t*Yi, so neither
+    may the run.  The first four shapes start with castle^T, whose swap
+    rescales a K1 of the transposed sample to det 1, and the float det(K1)
+    of that K1 leaves the doubles at most of these scales."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "shape", [(2, 5, 3), (3, 4, 2), (10, 25, 3), (20, 50, 3), (4, 3, 2), (12, 6, 3), (30, 30, 3)]
+    )
+    def test_every_scale_gives_the_unit_run(self, shape):
+        s = sample_matrix_normal(*shape, seed=0)
+        unit = mle(s)
+        for t in (1e-100, 1e-40, 1e-3, 1e4, 1e40, 1e100):
+            est = mle(SampleSet(t * s.y, s.m2))
+            assert (est.stop_reason, est.iterations) == (unit.stop_reason, unit.iterations)
+            assert np.abs(est.k2 - unit.k2).max() <= 1e-8 * np.abs(unit.k2).max()
+            assert np.abs(t * t * est.k1 - unit.k1).max() <= 1e-8 * np.abs(unit.k1).max()
+            sign, logdet = np.linalg.slogdet(est.k2)
+            assert sign == 1 and abs(logdet) <= 1e-8
+
+
 class TestSerialization:
     def test_header(self):
         s = hand_k1_sample()
         est = exact_mle_k1(s)
-        text = format_estimate(est, 3, 2)
+        text = format_estimate(est)
         head = text.splitlines()[0].split()
         assert head[:3] == ["3", "2", "exact"]
         assert head[4] == "1"  # converged flag
