@@ -107,13 +107,13 @@ def canonicalize(sample):
     k = sample.k
     if k < 1:
         raise ValueError(f"k = n*m2 - m1 = {k} must be >= 1")
-    y, m1 = sample.y, sample.m1
-    ystar = y.submatrix(range(m1), range(m1))
-    try:
-        c = ystar.solve(y.submatrix(range(m1), range(m1, y.shape[1])))
+    num, m1 = sample.y.num, sample.m1
+    try:  # (d, d*C) for d = det N_*, on the integer array N of the data
+        (d,), (dc,) = solve_stack(num[None, :, :m1], num[:, m1:])
     except SingularMatrix:
         raise DegenerateData("left m1 x m1 block is singular") from None
-    d_t = c.transpose().hstack(Matrix.identity(k).scale(-1))
+    c = Matrix.from_ints(dc, d)
+    d_t = Matrix.from_ints(np.hstack([dc.T, -d * np.identity(k, dtype=object)]), d)
     return CanonicalForm(C=c, dual=SampleSet(d_t, sample.m2))
 
 

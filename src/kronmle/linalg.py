@@ -1,12 +1,12 @@
 """Dense linear algebra over exact rationals and binary64 floats.
 
 The exact side is a small immutable ``Matrix`` class: num, a read-only 2-D
-numpy object array of Python ints (no tuple rows), over one positive
-denominator, in lowest terms.  Its sums, products and stacking are array
-expressions.  Every exact determinant, solve, inverse and PD test runs one
-fraction-free (Bareiss) elimination kernel, _bareiss_stack, on an object
-stack of such arrays, one step for every member at once, through its two
-wrappers: det_stack (forward elimination) and solve_stack (Gauss-Jordan).
+numpy object array of Python ints, over one positive denominator, in
+lowest terms.  Its sums, products and stacking are array expressions.
+Every exact determinant, solve, inverse and PD test runs one fraction-free
+(Bareiss) elimination kernel, _bareiss_stack, on an object stack of such
+arrays, one step for every member at once, through its two wrappers:
+det_stack (forward elimination) and solve_stack (Gauss-Jordan).
 A Matrix passes num[None], a stack of one; the determinant identity's
 check passes hundreds of tiny matrices of one shape, where a pass per
 matrix would cost more in Python overhead than in arithmetic.  The
@@ -310,10 +310,6 @@ def logdet_pd(s):
     return 2.0 * float(np.sum(np.log(np.diag(l))))
 
 
-def _format_fraction(x):
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 def format_matrix(a):
     """Shared text format: "rows cols" header, then one line per row.
 
@@ -325,7 +321,7 @@ def format_matrix(a):
     """
     if isinstance(a, Matrix):
         r, c = a.shape
-        rows = (" ".join(map(_format_fraction, row)) for row in a.data)
+        rows = (" ".join(map(str, row)) for row in a.data)
     else:
         import orjson
 

@@ -13,16 +13,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .canonical import DegenerateData, castle, descent
-from .linalg import (
-    Matrix,
-    NotPD,
-    SingularMatrix,
-    cholesky,
-    format_matrix,
-    logdet_pd,
-    solve_stack,
-)
-from .model import SampleSet, kron_loglik, scatter_k1
+from .linalg import Matrix, NotPD, SingularMatrix, cholesky, format_matrix, logdet_pd, solve_stack
+from .model import SampleSet, scatter_k1
 
 
 class MLENotExists(Exception):
@@ -81,6 +73,10 @@ def exact_mle_k1(sample):
     H = e*(d^2 K2)^-1.  With G padded by a zero row and U = (I_n kron H) w,
     K1 = n * delta^2 * (e*m2 * G^T (I_n kron H) G - (G^T U)(G^T U)^T) / e^2,
     the delta^2 because W = delta * [N_*^-1; 0].
+    The det(K2) = 1 gauge and loglik come from d and e: det K2 = e / d^(2*m2),
+    and the dual row v^T has T(K2^-1) = v^T A^-1 v = m2, so the reduction
+    identity gives det S(K2) = det(Y_*)^2 det(K2)^n m2, det Y_* = d / delta^m1,
+    and loglik = n*m2*(m1*log(n*m2) - log m2 - 2*log|det Y_*|) - n*logdet K2 - n*m1*m2.
     """
     if not sample.is_exact:
         raise ValueError("exact_mle_k1 works over Q: exact data only")
@@ -114,11 +110,13 @@ def exact_mle_k1(sample):
     k1 = np.empty((m1, m1), dtype=object)
     k1[i, j] = k1[j, i] = n * sample.y.den**2 * (e * m2 * dots - gu[i] * gu[j])
     k1 = Matrix.from_ints(k1, e * e)
-    k2f, k1f = normalize_det1(k2.to_numpy(), k1.to_numpy())
+    logdet_k2 = math.log(e) - 2 * m2 * math.log(abs(d))  # math.log reads big ints as they are
+    logdet_ystar = math.log(abs(d)) - m1 * math.log(sample.y.den)
+    c = math.exp(logdet_k2 / m2)
     return KroneckerEstimate(
-        k1=k1f,
-        k2=k2f,
-        loglik=kron_loglik(sample.to_float(), k1f, k2f),
+        k1=k1.to_numpy() * c,
+        k2=k2.to_numpy() / c,
+        loglik=n * m2 * (m1 * math.log(n * m2) - math.log(m2) - 2 * logdet_ystar) - n * logdet_k2 - n * m1 * m2,
         method="exact",
         iterations=0,
         start="closed form",

@@ -116,6 +116,52 @@ class TestCanonicalize:
         assert np.allclose(d_t.T, d_matrix(cf_e).to_numpy())
 
 
+def canonicalize_by_matrix_methods(sample):
+    """(C, D^T) by Matrix.solve on submatrices: Y_*^-1 Y_y, then [C^T | -I_k]."""
+    y, m1, k = sample.y, sample.m1, sample.k
+    c = y.submatrix(range(m1), range(m1)).solve(y.submatrix(range(m1), range(m1, y.cols)))
+    minus_i = Matrix([[-int(i == j) for j in range(k)] for i in range(k)])
+    return c, c.transpose().hstack(minus_i)
+
+
+class TestCanonicalizeMatchesMatrixMethods:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_samples(self, seed):
+        # Integer data (delta = 1), rational data (entry denominators 1 to 4) and a left
+        # block made singular by a repeated column.
+        rng = np.random.default_rng(seed)
+        for trial in range(15):
+            m2, n = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            if n * m2 < 2:
+                continue
+            m1 = int(rng.integers(1, n * m2))
+            dens = (1,) if trial % 3 == 0 else (1, 2, 3, 4)
+            rows = [
+                [Fraction(int(rng.integers(-9, 10)), int(rng.choice(dens))) for _ in range(n * m2)]
+                for _ in range(m1)
+            ]
+            if trial % 5 == 4 and m1 >= 2:
+                for row in rows:
+                    row[1] = row[0]
+            s = SampleSet(Matrix(rows), m2)
+            try:
+                want_c, want_dt = canonicalize_by_matrix_methods(s)
+            except SingularMatrix:
+                with pytest.raises(DegenerateData, match="^left m1 x m1 block is singular$"):
+                    canonicalize(s)
+                continue
+            cf = canonicalize(s)
+            assert cf.C == want_c and cf.dual.y == want_dt and cf.dual.m2 == m2
+
+    def test_rational_data_and_a_negative_determinant(self):
+        y = Matrix([[0, Fraction(1, 2), 3, 1], [Fraction(2, 3), 0, -1, 5]])
+        s = SampleSet(y, 2)
+        assert y.den == 6 and y.submatrix(range(2), range(2)).det() < 0
+        cf = canonicalize(s)
+        assert (cf.C, cf.dual.y) == canonicalize_by_matrix_methods(s)
+        assert cf.C == Matrix([[Fraction(-3, 2), Fraction(15, 2)], [6, 2]])
+
+
 class TestCastle:
     @pytest.mark.parametrize("shape", [(3, 2, 2), (12, 6, 3), (23, 4, 6), (4, 3, 2)])
     def test_orthonormal_kernel_basis(self, shape):
@@ -173,7 +219,7 @@ class TestDescent:
 
     @pytest.mark.parametrize(
         "n, unbounded, reduced, k1, chain_only",
-        [(2, 708, 133, 59, 158), (3, 298, 589, 13, 2), (4, 202, 683, 15, 0)],
+        [(2, 708, 133, 59, 158), (3, 298, 589, 13, 2), (4, 202, 683, 15, 0), (5, 152, 731, 17, 0)],
     )
     def test_ends_over_the_grid(self, n, unbounded, reduced, k1, chain_only):
         # All 900 shapes with 1 <= m1, m2 <= 30.  The one-step rules refuse

@@ -422,6 +422,15 @@ class TestMle:
         assert named in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_rows_narrower_than_the_header_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "sample.txt"
+        path.write_text("2 3 1\n2 3\n1 2\n3 4\n")
+        out = tmp_path / "est.txt"
+        code, stdout, err = run(capsys, "mle", "--in", str(path), "--out", str(out))
+        assert code == EXIT_BAD_ARGS and stdout == ""
+        assert err == "error: bad matrix row width\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "line, spelled, named",
         [

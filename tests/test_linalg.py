@@ -104,6 +104,10 @@ class TestMatrixBasics:
         with pytest.raises(ValueError):
             Matrix([[1, 2], [3]])
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="^matrix must be non-empty$"):
+            Matrix([])
+
     def test_matmul_transpose_trace(self):
         a = Matrix([[1, 2], [3, 4]])
         b = Matrix([[0, 1], [1, 0]])
@@ -403,6 +407,10 @@ class TestPD:
         with pytest.raises(NotPD):
             cholesky(np.diag([1.0, -1.0]))
 
+    def test_cholesky_of_a_non_square_array(self):
+        with pytest.raises(ValueError, match="^symmetric matrix required$"):
+            cholesky(np.zeros((2, 3)))
+
     def test_cholesky_by_hand(self):
         l = cholesky(np.array([[4.0, 2.0], [2.0, 2.0]]))
         assert np.allclose(l, [[2.0, 0.0], [1.0, 1.0]])
@@ -541,6 +549,11 @@ class TestTextFormat:
             assert back.shape == (2, 2)
             assert np.array_equal(back.to_numpy() if exact else back,
                                   [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_rows_narrower_than_the_header_rejected(self, exact):
+        with pytest.raises(ValueError, match="^bad matrix row width$"):
+            parse_matrix(["2 3", "1 2", "3 4"], exact=exact)
 
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("row", ["", "  ", "#", "# comment", "1 # 2"])

@@ -741,6 +741,10 @@ class TestMlDegree:
                 zero_dim, degree = dim_and_degree(buchberger(sat))
                 assert zero_dim
                 assert degree == ml_degree(m1, n, seed)
+        for m1, n, expect in ((2, 5, 3), (5, 4, 7), (6, 4, 3)):  # the benchmark's pinned cells
+            for seed in (0, 1):
+                zero_dim, degree = dim_and_degree(buchberger(likelihood_equations_m2_2(m1, n, seed)))
+                assert zero_dim and degree == ml_degree(m1, n, seed) == expect
 
     def test_castling_invariance(self):
         """The ML degree of (m1, 2, n) equals that of its castling dual (k, 2, n).
@@ -827,6 +831,10 @@ class TestProp43:
             prop43_system(3, 2, "two")  # case two needs m2 = 2
         with pytest.raises(ValueError):
             prop43_system(3, 1, "one")  # k >= 2
+
+    def test_unknown_case_refused(self):
+        with pytest.raises(ValueError, match="^case_id must be 'one' or 'two'$"):
+            mldegree._prop43_terms(3, 2, "three")
 
     def test_system_shape(self):
         sat = prop43_system(3, 2, "one")

@@ -91,3 +91,19 @@ def test_old_solve_wrappers_are_gone():
     _, defined = kernel_callers(_src(), _reduces_above)
     assert {"solve_stack", "det_stack", "_bareiss_stack"} <= defined
     assert not GONE & defined
+
+
+MATRIX_WRAPPERS = {"solve", "inverse", "det", "is_positive_definite"}
+
+
+def _calls_matrix_wrapper(call):
+    return isinstance(call.func, ast.Attribute) and call.func.attr in MATRIX_WRAPPERS
+
+
+def test_no_matrix_wrapper_outside_linalg():
+    # The Matrix methods pass a stack of one to the kernel; code outside
+    # linalg calls det_stack or solve_stack on its own integer arrays.
+    callers, _ = kernel_callers({"m": "def f(a, b):\n    return a.solve(b).det()\n"}, _calls_matrix_wrapper)
+    assert callers == {"m.f"}
+    callers, _ = kernel_callers(_src(), _calls_matrix_wrapper)
+    assert {name for name in callers if not name.startswith("linalg.")} == set()

@@ -294,6 +294,43 @@ class TestExactK1Formula:
         assert calls == [m1, m2]
 
 
+class TestExactK1GaugeAndLoglik:
+    """The det(K2) = 1 gauge and the log-likelihood of exact_mle_k1, read off
+    its determinants, against the float route on the same pair."""
+
+    @pytest.mark.parametrize("t", [10, 30, 100, 300, 1000, 10**6, 10**12])
+    def test_loglik_of_a_family_with_one_value(self, t):
+        # v = (t, 1 - t, 1, -1) makes det K2 = (t + 1 - t)^2 = 1 and det Y_* = 1,
+        # so det S(K2) = m2 = 2 and loglik = 4*(3*log 4 - log 2) - 12 for every t,
+        # while cond(K2) grows like t^4.
+        est = exact_mle_k1(exact_sample([[1, 0, 0, t], [0, 1, 0, 1 - t], [0, 0, 1, 1]], 2))
+        assert est.k2_exact.det() == 1
+        assert np.isfinite(est.k1).all() and np.isfinite(est.k2).all()
+        assert est.loglik == pytest.approx(20 * np.log(2) - 12, rel=1e-12)
+
+    def test_matches_the_float_route(self):
+        rng = np.random.default_rng(42)
+        checked = compared = 0
+        while checked < 120:
+            m1, m2, n = K1_SHAPES[rng.integers(len(K1_SHAPES))]
+            rows = [
+                [Fraction(int(rng.integers(-16, 17)), int(rng.integers(1, 5))) for _ in range(n * m2)]
+                for _ in range(m1)
+            ]
+            s = exact_sample(rows, m2)
+            try:
+                est = exact_mle_k1(s)
+            except (DegenerateData, MLENotExists):
+                continue
+            checked += 1
+            assert abs(np.linalg.slogdet(est.k2)[1]) < 1e-12
+            if np.linalg.cond(est.k1) < 1e8:
+                compared += 1
+                want = kron_loglik(s.to_float(), est.k1, est.k2)
+                assert est.loglik == pytest.approx(want, rel=1e-9, abs=1e-9)
+        assert compared >= 100
+
+
 class TestFlipflop:
     def test_fixed_point_at_exact_solution(self):
         s = sample_matrix_normal(7, 2, 4, seed=5)  # k = 1
